@@ -61,7 +61,13 @@ def _dump_json(path, payload):
         fh.write("\n")
 
 
+def _check_t_end(t_end: float):
+    if not (np.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"--t-end must be a positive finite number, got {t_end!r}")
+
+
 def cmd_nil3(args) -> int:
+    _check_t_end(args.t_end)
     params = nil3.Nil3Params(
         state0=nil3.Nil3State(args.A0, args.B0, args.C0),
         slope=nil3.MapSlope(args.a),
@@ -147,6 +153,7 @@ def _parse_grid(text: str) -> tuple[int, ...]:
 
 
 def cmd_rrfs(args) -> int:
+    _check_t_end(args.t_end)
     sizes = _parse_grid(args.grid)
     period = tuple(float(x) for x in args.period.split(",")) if args.period else tuple(
         2 * np.pi for _ in sizes
@@ -262,6 +269,7 @@ def cmd_verify_tension(args) -> int:
 
 
 def cmd_blowdown_check(args) -> int:
+    _check_t_end(args.t_end)
     coupling = parse_coupling(args.coupling)
     params = nil3.Nil3Params(
         state0=nil3.Nil3State(args.A0, args.B0, args.C0),

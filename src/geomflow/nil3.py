@@ -122,15 +122,18 @@ class AsymptoticFit:
 _COMPONENTS = {"A": 0, "B": 1, "C": 2}
 
 
+def _flow(A, B, C, f):
+    """(A', B', C') = (C/B + f, C/A, -C^2/(AB)) on floats or arrays."""
+    return (C / B + f, C / A, -C * C / (A * B))
+
+
 def minus_two_ricci(state: Nil3State) -> tuple[float, float, float]:
     """Coefficients of -2 Rc in the invariant coframe: (C/B, C/A, -C^2/(AB))."""
-    A, B, C = state.A, state.B, state.C
-    return (C / B, C / A, -C * C / (A * B))
+    return _flow(state.A, state.B, state.C, 0.0)
 
 
 def rhs(state: Nil3State, t: float, params: Nil3Params) -> tuple[float, float, float]:
-    r1, r2, r3 = minus_two_ricci(state)
-    return (r1 + params.f(t), r2, r3)
+    return _flow(state.A, state.B, state.C, params.f(t))
 
 
 def conserved_phi(state: Nil3State) -> float:
@@ -151,10 +154,7 @@ def exact_ricci_solution(t: float, A0: float, C0: float, B0: float | None = None
 
 def make_system(params: Nil3Params) -> ODESystem:
     def f(t, y):
-        A, B, C = y
-        return np.array(
-            [C / B + params.f(t), C / A, -C * C / (A * B)]
-        )
+        return np.array(_flow(*y, params.f(t)))
 
     return ODESystem(dimension=3, rhs=f, positive_components=(0, 1, 2))
 
@@ -219,43 +219,40 @@ def flow_residual(traj: Trajectory, params: Nil3Params) -> float:
     if len(traj.times) < 5:
         raise ValueError("need at least 5 samples for the residual stencil")
     d_fd = _fd_derivative(traj.times, traj.states)
-    t_int = traj.times[2:-2]
-    y_int = traj.states[2:-2]
-    res = 0.0
-    for i, t in enumerate(t_int):
-        A, B, C = y_int[i]
-        f = np.array(rhs(Nil3State(A, B, C), t, params))
-        res = max(res, float(np.max(np.abs(d_fd[i] - f) / (1.0 + np.abs(f)))))
-    return res
+    f = np.stack(_flow(*traj.states[2:-2].T, params.f(traj.times[2:-2])), axis=1)
+    return float(np.max(np.abs(d_fd - f) / (1.0 + np.abs(f))))
 
 
-def _window_mask(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+def _fit_line(traj: Trajectory, component: str, window: tuple[float, float], transform):
+    """Least-squares line y = slope * log t + intercept with y = transform(Q)
+    over the samples in ``window``; returns (slope, intercept, r^2)."""
     t_lo, t_hi = window
+    times = traj.times
     if not t_lo < t_hi:
         raise ValueError("window must satisfy t_lo < t_hi")
     if t_lo < times[0] * (1 - 1e-12) or t_hi > times[-1] * (1 + 1e-12):
         raise ValueError("window outside trajectory range")
     if np.log10(t_hi / t_lo) < 2 - 1e-9:
         raise ValueError("window must span at least 2 decades")
-    return (times >= t_lo) & (times <= t_hi)
+    mask = (times >= t_lo) & (times <= t_hi) & (times > 0)
+    q = traj.component(_COMPONENTS[component])[mask]
+    if np.any(q <= 0):
+        raise ValueError("nonpositive samples in fit window")
+    x, y = np.log(times[mask]), transform(q)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), float(intercept), r2
 
 
 def fit_power_law(
     traj: Trajectory, component: str, window: tuple[float, float]
 ) -> AsymptoticFit:
     """Fit Q ~ prefactor * t^exponent by least squares in log-log coordinates."""
-    mask = _window_mask(traj.times, window) & (traj.times > 0)
-    q = traj.component(_COMPONENTS[component])[mask]
-    t = traj.times[mask]
-    if np.any(q <= 0):
-        raise ValueError("nonpositive samples in fit window")
-    x, y = np.log(t), np.log(q)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = _fit_line(traj, component, window, np.log)
     return AsymptoticFit(
-        exponent=float(slope),
+        exponent=slope,
         prefactor=float(np.exp(intercept)),
         window=window,
         r_squared=r2,
@@ -267,22 +264,9 @@ def fit_log_growth(
     traj: Trajectory, component: str, window: tuple[float, float]
 ) -> AsymptoticFit:
     """Fit Q^2 ~ kappa * log t + const; kappa is returned as the prefactor."""
-    mask = _window_mask(traj.times, window) & (traj.times > 0)
-    q = traj.component(_COMPONENTS[component])[mask]
-    t = traj.times[mask]
-    if np.any(q <= 0):
-        raise ValueError("nonpositive samples in fit window")
-    x, y = np.log(t), q**2
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    slope, _, r2 = _fit_line(traj, component, window, np.square)
     return AsymptoticFit(
-        exponent=0.0,
-        prefactor=float(slope),
-        window=window,
-        r_squared=r2,
-        mode="log_growth",
+        exponent=0.0, prefactor=slope, window=window, r_squared=r2, mode="log_growth"
     )
 
 

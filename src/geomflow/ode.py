@@ -9,7 +9,7 @@ rejects any step that drives a flagged component to zero or below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -13,9 +13,12 @@ the d-derivative of ``g_ab``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .ode import NonFiniteState, ODESystem, rk4_step
 
 KAPPA_CFL = 0.2
 
@@ -133,113 +136,197 @@ class RescalingSpec:
 # spatial derivatives
 
 
-def d_central(fld: np.ndarray, axis: int, grid: PeriodicGrid) -> np.ndarray:
-    """4th-order periodic central first derivative along a base axis."""
+def _neighbours(fld: np.ndarray, axis: int, grid: PeriodicGrid):
+    """f[i-2], f[i-1], f[i+1], f[i+2] along a base axis, from one wrapped copy."""
     if not 0 <= axis < grid.n_base:
         raise ValueError(f"axis {axis} out of range for n = {grid.n_base}")
-    h = grid.spacing[axis]
-    fp1 = np.roll(fld, -1, axis)
-    fp2 = np.roll(fld, -2, axis)
-    fm1 = np.roll(fld, 1, axis)
-    fm2 = np.roll(fld, 2, axis)
-    return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+    m = fld.shape[axis]
+    lead = (slice(None),) * axis
+    wrapped = np.concatenate(
+        [fld[lead + (slice(m - 2, m),)], fld, fld[lead + (slice(0, 2),)]], axis=axis
+    )
+    return tuple(wrapped[lead + (slice(k, k + m),)] for k in (0, 1, 3, 4))
+
+
+def d_central(fld: np.ndarray, axis: int, grid: PeriodicGrid) -> np.ndarray:
+    """4th-order periodic central first derivative along a base axis."""
+    fm2, fm1, fp1, fp2 = _neighbours(fld, axis, grid)
+    return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * grid.spacing[axis])
 
 
 def d2_central(fld: np.ndarray, axis1: int, axis2: int, grid: PeriodicGrid) -> np.ndarray:
     """4th-order periodic second derivative (pure or mixed)."""
     if axis1 != axis2:
         return d_central(d_central(fld, axis1, grid), axis2, grid)
-    if not 0 <= axis1 < grid.n_base:
-        raise ValueError(f"axis {axis1} out of range for n = {grid.n_base}")
+    fm2, fm1, fp1, fp2 = _neighbours(fld, axis1, grid)
     h = grid.spacing[axis1]
-    fp1 = np.roll(fld, -1, axis1)
-    fp2 = np.roll(fld, -2, axis1)
-    fm1 = np.roll(fld, 1, axis1)
-    fm2 = np.roll(fld, 2, axis1)
     return (-fp2 + 16.0 * fp1 - 30.0 * fld + 16.0 * fm1 - fm2) / (12.0 * h * h)
 
 
 def _grad(fld: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Stack of first derivatives, new axis [..., d, <tensor axes>]."""
     n = grid.n_base
-    tensor_rank = fld.ndim - n
-    out = np.stack([d_central(fld, a, grid) for a in range(n)], axis=n)
-    return out
+    return np.stack([d_central(fld, a, grid) for a in range(n)], axis=n)
 
 
-def _hess(fld: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Stack of second derivatives, axes [..., d1, d2, <tensor axes>]."""
+def _hess(fld: np.ndarray, dfld: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Second derivatives [..., a, b, <tensor axes>]; mixed ones differentiate
+    the first-derivative stack ``dfld``."""
     n = grid.n_base
-    rows = []
-    for a in range(n):
-        rows.append(
-            np.stack([d2_central(fld, a, b, grid) for b in range(n)], axis=n)
+    lead = (slice(None),) * n
+    rows = [
+        [d2_central(fld, a, a, grid) if a == b else d_central(dfld[lead + (a,)], b, grid)
+         for b in range(n)]
+        for a in range(n)
+    ]
+    return np.stack([np.stack(row, axis=n) for row in rows], axis=n)
+
+
+# ---------------------------------------------------------------------------
+# geometry of one state
+
+
+class _Geometry:
+    """Geometric quantities of one state, each computed once on first use.
+
+    The public functions below read one attribute each.  The formulas hold
+    on a 1D and a 2D base alike; on a 1D base dA and R come out exactly 0.
+    """
+
+    def __init__(self, state: RRFSState, grid: PeriodicGrid):
+        self.state = state
+        self.grid = grid
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return np.linalg.inv(self.state.g)
+
+    @cached_property
+    def Ginv(self) -> np.ndarray:
+        return np.linalg.inv(self.state.G)
+
+    @cached_property
+    def dG(self) -> np.ndarray:  # [..., d, i, j]
+        return _grad(self.state.G, self.grid)
+
+    @cached_property
+    def christoffels(self) -> np.ndarray:  # [..., c, a, b]
+        dg = _grad(self.state.g, self.grid)  # [..., d, a, b]
+        return 0.5 * np.einsum(
+            "...cd,...dab->...cab",
+            self.ginv,
+            np.einsum("...abd->...dab", dg) + np.einsum("...bad->...dab", dg) - dg,
         )
-    return np.stack(rows, axis=n)
 
+    @cached_property
+    def F(self) -> np.ndarray:  # [..., a, b, i]
+        dA = _grad(self.state.A, self.grid)  # [..., d, a, i]
+        return dA - np.einsum("...dai->...adi", dA)
 
-# _grad/_hess insert the derivative axes right after the grid axes; move
-# them in front of the tensor axes via einsum-friendly reshapes below.
+    @cached_property
+    def delta_dA(self) -> np.ndarray:  # [..., a, i]
+        F, Gam = self.F, self.christoffels
+        covF = (
+            _grad(F, self.grid)  # [..., b, c, a, i]
+            - np.einsum("...mbc,...mai->...bcai", Gam, F)
+            - np.einsum("...mba,...cmi->...bcai", Gam, F)
+        )
+        return -np.einsum("...bc,...bcai->...ai", self.ginv, covF)
+
+    @cached_property
+    def laplacian_G(self) -> np.ndarray:
+        hessG = _hess(self.state.G, self.dG, self.grid)  # [..., a, b, i, j]
+        covhess = hessG - np.einsum("...cab,...cij->...abij", self.christoffels, self.dG)
+        return np.einsum("...ab,...abij->...ij", self.ginv, covhess)
+
+    @cached_property
+    def grad_square(self) -> np.ndarray:
+        """g^{ab} (d_a G  G^-1  d_b G), the gradient-square matrix field."""
+        return np.einsum(
+            "...ab,...aik,...kl,...blj->...ij", self.ginv, self.dG, self.Ginv, self.dG
+        )
+
+    @cached_property
+    def trace_MM(self) -> np.ndarray:
+        """tr(G^-1 d_a G  G^-1 d_b G) as a field [..., a, b]."""
+        M = np.einsum("...ij,...ajk->...aik", self.Ginv, self.dG)
+        return np.einsum("...aij,...bji->...ab", M, M)
+
+    @cached_property
+    def grad_G_norm_sq(self) -> np.ndarray:
+        return np.einsum("...ab,...ab->...", self.ginv, self.trace_MM)
+
+    @cached_property
+    def dA_norm_sq(self) -> np.ndarray:
+        F, ginv = self.F, self.ginv
+        return np.einsum(
+            "...ac,...bd,...ij,...abi,...cdj->...", ginv, ginv, self.state.G, F, F
+        )
+
+    @cached_property
+    def scalar_curvature(self) -> np.ndarray:
+        Gam = self.christoffels  # [..., c, a, b]
+        dGam = _grad(Gam, self.grid)  # [..., d, c, a, b]
+        ricci = (
+            np.einsum("...ccab->...ab", dGam)
+            - np.einsum("...bcac->...ab", dGam)
+            + np.einsum("...ccd,...dab->...ab", Gam, Gam)
+            - np.einsum("...cbd,...dac->...ab", Gam, Gam)
+        )
+        return np.einsum("...ab,...ab->...", self.ginv, ricci)
+
+    @cached_property
+    def sqrt_det_g(self) -> np.ndarray:
+        return np.sqrt(np.linalg.det(self.state.g))
+
+    @cached_property
+    def volume(self) -> float:
+        return float(self.sqrt_det_g.sum() * self.grid.cell_volume)
+
+    @cached_property
+    def energy(self) -> float:
+        w = self.sqrt_det_g
+        return float(0.5 * (self.grad_G_norm_sq * w).sum() * self.grid.cell_volume)
+
+    @cached_property
+    def s_volume(self) -> float:
+        w = self.sqrt_det_g
+        r = self.scalar_curvature - 0.25 * self.grad_G_norm_sq - 0.5 * self.dA_norm_sq
+        return float(-(2.0 / self.grid.n_base) * (r * w).sum() / w.sum())
+
+    def s(self, spec: RescalingSpec) -> float:
+        """The rescaling value that ``spec`` prescribes at this state."""
+        if spec.mode == "off":
+            return 0.0
+        if spec.mode == "constant":
+            return spec.s0
+        return self.s_volume
 
 
 def christoffels_of_g(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Christoffel symbols of g, indexed [..., c, a, b] for Gamma^c_ab."""
-    dg = _grad(state.g, grid)  # [..., d, a, b]
-    ginv = np.linalg.inv(state.g)
-    return 0.5 * np.einsum(
-        "...cd,...dab->...cab",
-        ginv,
-        np.einsum("...abd->...dab", dg)
-        + np.einsum("...bad->...dab", dg)
-        - dg,
-    )
+    return _Geometry(state, grid).christoffels
 
 
 def dA_field(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Curvature 2-form of the connection, [..., a, b, i] antisymmetric in (a, b)."""
-    if grid.n_base == 1:
-        return np.zeros(state.A.shape[:-2] + (1, 1, state.A.shape[-1]))
-    dA = _grad(state.A, grid)  # [..., d, a, i]
-    return dA - np.einsum("...dai->...adi", dA)
+    return _Geometry(state, grid).F
 
 
 def delta_dA(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Codifferential of dA: -g^{bc} (cov d)_b (dA)_{c a}^i, shape [..., a, i]."""
-    if grid.n_base == 1:
-        return np.zeros_like(state.A)
-    F = dA_field(state, grid)  # [..., c, a, i]
-    dF = _grad(F, grid)  # [..., b, c, a, i]
-    Gam = christoffels_of_g(state, grid)
-    covF = (
-        dF
-        - np.einsum("...mbc,...mai->...bcai", Gam, F)
-        - np.einsum("...mba,...cmi->...bcai", Gam, F)
-    )
-    ginv = np.linalg.inv(state.g)
-    return -np.einsum("...bc,...bcai->...ai", ginv, covF)
+    return _Geometry(state, grid).delta_dA
 
 
 def laplacian_G(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Base-metric Laplacian of G: g^{ab} (d_a d_b G - Gamma^c_ab d_c G)."""
-    ginv = np.linalg.inv(state.g)
-    hessG = _hess(state.G, grid)  # [..., a, b, i, j]
-    dG = _grad(state.G, grid)  # [..., c, i, j]
-    Gam = christoffels_of_g(state, grid)
-    covhess = hessG - np.einsum("...cab,...cij->...abij", Gam, dG)
-    return np.einsum("...ab,...abij->...ij", ginv, covhess)
-
-
-def _grad_square_G(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
-    """g^{ab} (d_a G  G^-1  d_b G), the gradient-square matrix field."""
-    ginv = np.linalg.inv(state.g)
-    Ginv = np.linalg.inv(state.G)
-    dG = _grad(state.G, grid)
-    return np.einsum("...ab,...aik,...kl,...blj->...ij", ginv, dG, Ginv, dG)
+    return _Geometry(state, grid).laplacian_G
 
 
 def tension_G_simplified(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Tension field in divergence form: Laplacian minus the gradient square."""
-    return laplacian_G(state, grid) - _grad_square_G(state, grid)
+    geo = _Geometry(state, grid)
+    return geo.laplacian_G - geo.grad_square
 
 
 def tension_G_general(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
@@ -249,155 +336,73 @@ def tension_G_general(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     Gamma_target(X, Y) = -1/2 (X G^-1 Y + Y G^-1 X).  Agrees with the
     divergence form identically; both share the same discrete derivatives.
     """
-    ginv = np.linalg.inv(state.g)
-    Ginv = np.linalg.inv(state.G)
-    dG = _grad(state.G, grid)
-    XGY = np.einsum("...aik,...kl,...blj->...abij", dG, Ginv, dG)
+    geo = _Geometry(state, grid)
+    XGY = np.einsum("...aik,...kl,...blj->...abij", geo.dG, geo.Ginv, geo.dG)
     gamma = -0.5 * (XGY + np.swapaxes(XGY, -1, -2))
-    return laplacian_G(state, grid) + np.einsum("...ab,...abij->...ij", ginv, gamma)
-
-
-def _trace_MM(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
-    """tr(G^-1 d_a G  G^-1 d_b G) as a field [..., a, b]."""
-    Ginv = np.linalg.inv(state.G)
-    dG = _grad(state.G, grid)
-    M = np.einsum("...ij,...ajk->...aik", Ginv, dG)
-    return np.einsum("...aij,...bji->...ab", M, M)
+    return geo.laplacian_G + np.einsum("...ab,...abij->...ij", geo.ginv, gamma)
 
 
 def grad_G_norm_sq(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """|grad G|^2 = g^{ab} tr(G^-1 d_a G G^-1 d_b G) per node."""
-    ginv = np.linalg.inv(state.g)
-    return np.einsum("...ab,...ab->...", ginv, _trace_MM(state, grid))
+    return _Geometry(state, grid).grad_G_norm_sq
 
 
 def dA_norm_sq(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """|dA|^2 = g^{ac} g^{bd} G_ij (dA)^i_ab (dA)^j_cd per node."""
-    if grid.n_base == 1:
-        return np.zeros(state.g.shape[:-2])
-    F = dA_field(state, grid)
-    ginv = np.linalg.inv(state.g)
-    return np.einsum(
-        "...ac,...bd,...ij,...abi,...cdj->...", ginv, ginv, state.G, F, F
-    )
+    return _Geometry(state, grid).dA_norm_sq
 
 
 def volume(state: RRFSState, grid: PeriodicGrid) -> float:
     """Discrete base volume, integral of sqrt(det g)."""
-    return float(np.sqrt(np.linalg.det(state.g)).sum() * grid.cell_volume)
+    return _Geometry(state, grid).volume
 
 
 def energy_G(state: RRFSState, grid: PeriodicGrid) -> float:
     """Discrete map energy: 1/2 integral of |grad G|^2 with weight sqrt(det g)."""
-    w = np.sqrt(np.linalg.det(state.g))
-    return float(0.5 * (grad_G_norm_sq(state, grid) * w).sum() * grid.cell_volume)
+    return _Geometry(state, grid).energy
 
 
 def scalar_curvature(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Scalar curvature of g per node; identically zero on a 1D base."""
-    if grid.n_base == 1:
-        return np.zeros(state.g.shape[:-2])
-    Gam = christoffels_of_g(state, grid)  # [..., c, a, b]
-    dGam = _grad(Gam, grid)  # [..., d, c, a, b]
-    ginv = np.linalg.inv(state.g)
-    ricci = (
-        np.einsum("...ccab->...ab", dGam)
-        - np.einsum("...bcac->...ab", dGam)
-        + np.einsum("...ccd,...dab->...ab", Gam, Gam)
-        - np.einsum("...cbd,...dac->...ab", Gam, Gam)
-    )
-    return np.einsum("...ab,...ab->...", ginv, ricci)
-
-
-def curvature_density(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
-    """r = R - 1/4 |grad G|^2 - 1/2 |dA|^2 per node."""
-    return (
-        scalar_curvature(state, grid)
-        - 0.25 * grad_G_norm_sq(state, grid)
-        - 0.5 * dA_norm_sq(state, grid)
-    )
+    return _Geometry(state, grid).scalar_curvature
 
 
 def s_volume(state: RRFSState, grid: PeriodicGrid) -> float:
-    """Volume-normalizing rescaling: -(2/n) times the weighted mean of r."""
-    w = np.sqrt(np.linalg.det(state.g))
-    r = curvature_density(state, grid)
-    return float(-(2.0 / grid.n_base) * (r * w).sum() / w.sum())
-
-
-def _rescaling_value(state: RRFSState, grid: PeriodicGrid, spec: RescalingSpec) -> float:
-    if spec.mode == "off":
-        return 0.0
-    if spec.mode == "constant":
-        return spec.s0
-    return s_volume(state, grid)
+    """Volume-normalizing rescaling: -(2/n) times the sqrt(det g)-weighted
+    mean of r = R - 1/4 |grad G|^2 - 1/2 |dA|^2."""
+    return _Geometry(state, grid).s_volume
 
 
 def rrfs_rhs_terms(
     state: RRFSState, grid: PeriodicGrid, spec: RescalingSpec
 ) -> dict[str, np.ndarray | float]:
-    """Term-by-term decomposition of the flow's right-hand side."""
-    n = grid.n_base
-    ginv = np.linalg.inv(state.g)
-    s = _rescaling_value(state, grid, spec)
+    """Term-by-term decomposition of the flow's right-hand side.
+
+    The Ricci term is -2 Rc = -R g, which holds on the 1D and 2D bases the
+    grid allows (Rc = 0 in 1D, Rc = (R/2) g in 2D).
+    """
+    geo = _Geometry(state, grid)
+    g, A, G = state.g, state.A, state.G
+    ginv, F = geo.ginv, geo.F
+    s = geo.s(spec)
     c = spec.c_coupling
-
-    # g-equation
-    if n == 2:
-        R = scalar_curvature(state, grid)
-        ricci2 = 0.5 * R[..., None, None] * state.g  # 2D: Rc = (R/2) g
-    else:
-        ricci2 = np.zeros_like(state.g)
-    trMM = _trace_MM(state, grid)
-    F = dA_field(state, grid)
-    if n == 2:
-        g_dA = np.einsum(
-            "...cd,...ij,...aci,...bdj->...ab", ginv, state.G, F, F
-        )
-    else:
-        g_dA = np.zeros_like(state.g)
-
-    # A-equation
-    Ginv = np.linalg.inv(state.G)
-    dG = _grad(state.G, grid)
-    if n == 2:
-        ddA = delta_dA(state, grid)
-        A_grad = np.einsum(
-            "...bc,...ij,...cjk,...bak->...ai", ginv, Ginv, dG, F
-        )
-    else:
-        ddA = np.zeros_like(state.A)
-        A_grad = np.zeros_like(state.A)
-
-    # G-equation
-    lap = laplacian_G(state, grid)
-    grad_sq = _grad_square_G(state, grid)
-    if n == 2:
-        G_dA = np.einsum(
-            "...ac,...bd,...ik,...jl,...abk,...cdl->...ij",
-            ginv,
-            ginv,
-            state.G,
-            state.G,
-            F,
-            F,
-        )
-    else:
-        G_dA = np.zeros_like(state.G)
-
     return {
         "s": s,
-        "g_ricci": -2.0 * ricci2,
-        "g_gradG": 0.5 * trMM,
-        "g_dA": g_dA,
-        "g_rescale": -s * state.g,
-        "A_codiff": -ddA,
-        "A_gradG": A_grad,
-        "A_rescale": -0.5 * (1.0 + c) * s * state.A,
-        "G_laplace": lap,
-        "G_gradsq": -grad_sq,
-        "G_dA": -0.5 * G_dA,
-        "G_rescale": c * s * state.G,
+        "g_ricci": -geo.scalar_curvature[..., None, None] * g,
+        "g_gradG": 0.5 * geo.trace_MM,
+        "g_dA": np.einsum("...cd,...ij,...aci,...bdj->...ab", ginv, G, F, F),
+        "g_rescale": -s * g,
+        "A_codiff": -geo.delta_dA,
+        "A_gradG": np.einsum(
+            "...bc,...ij,...cjk,...bak->...ai", ginv, geo.Ginv, geo.dG, F
+        ),
+        "A_rescale": -0.5 * (1.0 + c) * s * A,
+        "G_laplace": geo.laplacian_G,
+        "G_gradsq": -geo.grad_square,
+        "G_dA": -0.5 * np.einsum(
+            "...ac,...bd,...ik,...jl,...abk,...cdl->...ij", ginv, ginv, G, G, F, F
+        ),
+        "G_rescale": c * s * G,
     }
 
 
@@ -442,25 +447,37 @@ def integrate_rrfs(
     dt <= kappa_cfl * h_min^2 * min-eig(g); steps that lose positive
     definiteness of g or G are rejected with dt halved, up to 50 times.
     ``evolve_g`` / ``evolve_A`` freeze the respective fields (harmonic-map
-    -only mode is g frozen, A frozen).
+    -only mode is g frozen, A frozen).  The steps run through
+    ``ode.rk4_step`` on the fields packed into one flat array.
     """
     h_min = min(grid.spacing)
     snap_req = np.linspace(0.0, t_end, max(n_snapshots, 2))
+    shapes = [state0.g.shape, state0.A.shape, state0.G.shape]
+    ends = np.cumsum([state0.g.size, state0.A.size, state0.G.size])
+    frozen = [slice(lo, hi) for lo, hi, keep in
+              zip([0, *ends[:-1]], ends, (evolve_g, evolve_A, True)) if not keep]
 
-    def rhs_frozen(st: RRFSState):
-        dg, dA, dG = rrfs_rhs(st, grid, spec)
-        if not evolve_g:
-            dg = np.zeros_like(dg)
-        if not evolve_A:
-            dA = np.zeros_like(dA)
-        return dg, dA, dG
+    def unpack(y) -> RRFSState:
+        return RRFSState(*(p.reshape(s) for p, s in zip(np.split(y, ends[:-1]), shapes)))
+
+    def rhs_flat(t, y):
+        # stage 1 is evaluated at the accepted state, which is already checked
+        st = state if y is y_state else unpack(y)
+        k = np.concatenate([f.ravel() for f in rrfs_rhs(st, grid, spec)])
+        for sl in frozen:
+            k[sl] = 0.0
+        return k
+
+    system = ODESystem(dimension=int(ends[-1]), rhs=rhs_flat)
+    rows = []  # (t, energy, volume, s) at each accepted state
+
+    def record(t, st):
+        geo = _Geometry(st, grid)
+        rows.append((t, geo.energy, geo.volume, geo.s(spec)))
 
     t = 0.0
     state = state0
-    times = [0.0]
-    energies = [energy_G(state0, grid)]
-    volumes = [volume(state0, grid)]
-    s_vals = [_rescaling_value(state0, grid, spec)]
+    record(t, state)
     snapshots = [state0]
     snapshot_times = [0.0]
     next_snap = 1
@@ -470,37 +487,24 @@ def integrate_rrfs(
         if dt_cfl <= 0 or not np.isfinite(dt_cfl):
             raise CFLCollapse(f"CFL step collapsed at t = {t:.6g}")
         dt = min(dt_cfl, t_end - t)
+        y_state = np.concatenate([state.g.ravel(), state.A.ravel(), state.G.ravel()])
         rejections = 0
         while True:
             try:
-                k1 = rhs_frozen(state)
-                st2 = _advance(state, k1, 0.5 * dt)
-                k2 = rhs_frozen(st2)
-                st3 = _advance(state, k2, 0.5 * dt)
-                k3 = rhs_frozen(st3)
-                st4 = _advance(state, k3, dt)
-                k4 = rhs_frozen(st4)
-                new_state = RRFSState(
-                    state.g + (dt / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-                    state.A + (dt / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-                    state.G + (dt / 6) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-                )
+                new_state = unpack(rk4_step(system, t, y_state, dt))
                 break
-            except SPDFieldError as err:
+            except (SPDFieldError, NonFiniteState) as err:
                 rejections += 1
                 if rejections > 50:
                     raise SPDFieldError(
                         "SPD structure lost after 50 step halvings",
-                        node=err.node,
+                        node=getattr(err, "node", None),
                         t=t,
                     ) from err
                 dt *= 0.5
         t += dt
         state = new_state
-        times.append(t)
-        energies.append(energy_G(state, grid))
-        volumes.append(volume(state, grid))
-        s_vals.append(_rescaling_value(state, grid, spec))
+        record(t, state)
         while next_snap < len(snap_req) - 1 and t >= snap_req[next_snap]:
             snapshots.append(state)
             snapshot_times.append(t)
@@ -508,19 +512,16 @@ def integrate_rrfs(
 
     snapshots.append(state)
     snapshot_times.append(t)
+    times, energies, volumes, s_values = np.array(rows).T
     return RRFSRun(
-        step_times=np.array(times),
-        energies=np.array(energies),
-        volumes=np.array(volumes),
-        s_values=np.array(s_vals),
+        step_times=times,
+        energies=energies,
+        volumes=volumes,
+        s_values=s_values,
         snapshot_times=snapshot_times,
         snapshots=snapshots,
         final_state=state,
     )
-
-
-def _advance(state: RRFSState, k, dt: float) -> RRFSState:
-    return RRFSState(state.g + dt * k[0], state.A + dt * k[1], state.G + dt * k[2])
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +604,10 @@ def save_snapshot(state: RRFSState, grid: PeriodicGrid, path):
 def load_snapshot(path) -> tuple[RRFSState, PeriodicGrid]:
     with open(path) as fh:
         header = fh.readline().split()
-        n, N = int(header[0]), int(header[1])
+        n = int(header[0]) if header and header[0].isdigit() else 0
+        if n not in (1, 2) or len(header) != 2 + 2 * n:
+            raise ValueError(f"malformed snapshot header in {path}")
+        N = int(header[1])
         sizes = tuple(int(x) for x in header[2 : 2 + n])
         period = tuple(float(x) for x in header[2 + n : 2 + 2 * n])
         grid = PeriodicGrid(sizes, period)

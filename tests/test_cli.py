@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,3 +136,31 @@ class TestRRFSCommand:
         ])
         assert code == 0
         assert json.loads(js.read_text())["volume_drift"] <= 1e-6
+
+
+class TestInputBoundary:
+    def test_one_token_snapshot_header(self, tmp_path, capsys):
+        snap = tmp_path / "bad.txt"
+        snap.write_text("1\n")
+        code = cli.main(["rrfs", "--init-file", str(snap), "--t-end", "0.01"])
+        assert code == 1
+        assert "snapshot header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["nil3"], ["rrfs", "--grid", "16"],
+                                      ["blowdown-check"]],
+                             ids=["nil3", "rrfs", "blowdown-check"])
+    @pytest.mark.parametrize("t_end", ["nan", "inf", "-1", "0"])
+    def test_bad_t_end_rejected(self, argv, t_end, capsys):
+        assert cli.main([*argv, f"--t-end={t_end}"]) == 1
+        assert "--t-end must be a positive finite number" in capsys.readouterr().err
+
+    def test_module_entry_point_has_no_runtime_warning(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "geomflow.cli",
+             "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr

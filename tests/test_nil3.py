@@ -207,6 +207,19 @@ class TestFlowResidual:
         res = flow_residual(Trajectory(times, states, 32), p)
         assert res > 0.1  # d(state)/dt = 0 but rhs = (1, 1, -1)
 
+    @pytest.mark.parametrize("coupling", [CouplingSchedule.constant(0.5),
+                                          CouplingSchedule.power(1.0, 1.5)])
+    def test_equals_per_sample_loop(self, coupling):
+        # the vectorised residual against a loop over the scalar rhs
+        p = Nil3Params(Nil3State(1.0, 2.0, 3.0), MapSlope(1.3), coupling)
+        traj = integrate_nil3(p, 1e4)
+        d_fd = nil3._fd_derivative(traj.times, traj.states)
+        res = 0.0
+        for i, (t, y) in enumerate(zip(traj.times[2:-2], traj.states[2:-2])):
+            f = np.array(rhs(Nil3State(*y), t, p))
+            res = max(res, float(np.max(np.abs(d_fd[i] - f) / (1.0 + np.abs(f)))))
+        assert flow_residual(traj, p) == res
+
     def test_too_few_samples(self):
         times = np.array([0.0, 1.0, 2.0, 3.0])
         states = np.ones((4, 3))
