@@ -33,13 +33,16 @@ def parse_coupling(text: str) -> nil3.CouplingSchedule:
     raise ValueError(f"bad coupling spec {text!r}")
 
 
-def write_nil3_csv(path, traj: ode.Trajectory):
+def _write_csv(path, header: str, rows):
     with open(path, "w") as fh:
-        fh.write("t,A,B,C,Phi\n")
-        for t, (A, B, C) in zip(traj.times, traj.states):
-            fh.write(
-                ",".join(_fmt(v) for v in (t, A, B, C, B * C)) + "\n"
-            )
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def write_nil3_csv(path, traj: ode.Trajectory):
+    rows = ((t, A, B, C, B * C) for t, (A, B, C) in zip(traj.times, traj.states))
+    _write_csv(path, "t,A,B,C,Phi", rows)
 
 
 def read_nil3_csv(path) -> ode.Trajectory:
@@ -66,13 +69,17 @@ def _check_t_end(t_end: float):
         raise ValueError(f"--t-end must be a positive finite number, got {t_end!r}")
 
 
-def cmd_nil3(args) -> int:
-    _check_t_end(args.t_end)
-    params = nil3.Nil3Params(
+def _nil3_params(args) -> nil3.Nil3Params:
+    return nil3.Nil3Params(
         state0=nil3.Nil3State(args.A0, args.B0, args.C0),
         slope=nil3.MapSlope(args.a),
         coupling=parse_coupling(args.coupling),
     )
+
+
+def cmd_nil3(args) -> int:
+    _check_t_end(args.t_end)
+    params = _nil3_params(args)
     cfg = ode.IntegratorConfig(
         rtol=args.rtol, atol=args.atol, samples_per_decade=args.samples_per_decade
     )
@@ -148,20 +155,15 @@ def cmd_nil3(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
-
-
 def cmd_rrfs(args) -> int:
     _check_t_end(args.t_end)
-    sizes = _parse_grid(args.grid)
-    period = tuple(float(x) for x in args.period.split(",")) if args.period else tuple(
-        2 * np.pi for _ in sizes
-    )
-    grid = rrfs.PeriodicGrid(sizes, period)
     if args.init_file:
         state0, grid = rrfs.load_snapshot(args.init_file)
     else:
+        sizes = tuple(int(x) for x in args.grid.split(","))
+        period = (tuple(float(x) for x in args.period.split(",")) if args.period
+                  else (2 * np.pi,) * len(sizes))
+        grid = rrfs.PeriodicGrid(sizes, period)
         state0 = rrfs.random_smooth_state(
             args.seed,
             grid,
@@ -191,19 +193,17 @@ def cmd_rrfs(args) -> int:
         n_snapshots=args.snapshots,
     )
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("t,energy,volume,s\n")
-            for row in zip(run.step_times, run.energies, run.volumes, run.s_values):
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        rows = zip(run.step_times, run.energies, run.volumes, run.s_values)
+        _write_csv(args.csv, "t,energy,volume,s", rows)
     if args.out_prefix:
         for i, (ts, st) in enumerate(zip(run.snapshot_times, run.snapshots)):
             rrfs.save_snapshot(st, grid, f"{args.out_prefix}_{i:03d}.txt")
     summary = {
         "config": {
             "scenario": "rrfs",
-            "grid": args.grid,
-            "period": list(period),
-            "n_fiber": args.n_fiber,
+            "grid": ",".join(str(m) for m in grid.sizes),
+            "period": list(grid.period),
+            "n_fiber": state0.n_fiber,
             "seed": args.seed,
             "mode": args.mode,
             "c": args.c,
@@ -232,8 +232,8 @@ def cmd_rrfs(args) -> int:
     return 0
 
 
-def verify_tension(seed: int, n_base: int, n_fiber: int, size: int, n_fields: int,
-                   corrupt: bool = False) -> float:
+def verify_tension(seed: int, n_base: int, n_fiber: int, size: int,
+                   n_fields: int) -> float:
     """Max relative sup-gap between the two tension-field constructions."""
     worst = 0.0
     grid = rrfs.PeriodicGrid(
@@ -245,37 +245,21 @@ def verify_tension(seed: int, n_base: int, n_fiber: int, size: int, n_fields: in
         )
         simp = rrfs.tension_G_simplified(state, grid)
         gen = rrfs.tension_G_general(state, grid)
-        if corrupt:
-            # test hook: flip the sign of the connection correction
-            lap = rrfs.laplacian_G(state, grid)
-            gen = 2 * lap - gen
         scale = max(float(np.abs(simp).max()), 1e-30)
         worst = max(worst, float(np.abs(gen - simp).max()) / scale)
     return worst
 
 
 def cmd_verify_tension(args) -> int:
-    worst = 0.0
-    for n_base in args.n_base:
-        worst = max(
-            worst,
-            verify_tension(
-                args.seed, n_base, args.n_fiber, args.size, args.fields,
-                corrupt=args.corrupt_christoffel,
-            ),
-        )
+    worst = max(verify_tension(args.seed, n_base, args.n_fiber, args.size, args.fields)
+                for n_base in args.n_base)
     print(f"max tension identity residual: {worst:.3e}")
     return 0 if worst <= args.threshold else 2
 
 
 def cmd_blowdown_check(args) -> int:
     _check_t_end(args.t_end)
-    coupling = parse_coupling(args.coupling)
-    params = nil3.Nil3Params(
-        state0=nil3.Nil3State(args.A0, args.B0, args.C0),
-        slope=nil3.MapSlope(args.a),
-        coupling=coupling,
-    )
+    params = _nil3_params(args)
     cfg = ode.IntegratorConfig(samples_per_decade=args.samples_per_decade)
     traj = nil3.integrate_nil3(params, args.t_end, cfg)
     res0 = nil3.flow_residual(traj, params)
@@ -318,13 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    n3 = sub.add_parser("nil3", help="integrate the Heisenberg-group flow")
-    n3.add_argument("--A0", type=float, default=1.0)
-    n3.add_argument("--B0", type=float, default=1.0)
-    n3.add_argument("--C0", type=float, default=1.0)
-    n3.add_argument("--a", type=float, default=1.0, help="harmonic map slope")
-    n3.add_argument("--coupling", default="zero",
-                    help="zero | const:<c0> | power:<c0>,<r>")
+    nil3_data = argparse.ArgumentParser(add_help=False)
+    nil3_data.add_argument("--A0", type=float, default=1.0)
+    nil3_data.add_argument("--B0", type=float, default=1.0)
+    nil3_data.add_argument("--C0", type=float, default=1.0)
+    nil3_data.add_argument("--a", type=float, default=1.0, help="harmonic map slope")
+    nil3_data.add_argument("--coupling", default="zero",
+                           help="zero | const:<c0> | power:<c0>,<r>")
+
+    n3 = sub.add_parser("nil3", parents=[nil3_data],
+                        help="integrate the Heisenberg-group flow")
     n3.add_argument("--t-end", type=float, default=1e4)
     n3.add_argument("--rtol", type=float, default=1e-9)
     n3.add_argument("--atol", type=float, default=1e-12)
@@ -360,16 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     vt.add_argument("--size", type=int, default=64)
     vt.add_argument("--fields", type=int, default=5)
     vt.add_argument("--threshold", type=float, default=1e-10)
-    vt.add_argument("--corrupt-christoffel", action="store_true",
-                    help=argparse.SUPPRESS)
     vt.set_defaults(func=cmd_verify_tension)
 
-    bd = sub.add_parser("blowdown-check", help="check blowdown solution closure")
-    bd.add_argument("--A0", type=float, default=1.0)
-    bd.add_argument("--B0", type=float, default=1.0)
-    bd.add_argument("--C0", type=float, default=1.0)
-    bd.add_argument("--a", type=float, default=1.0)
-    bd.add_argument("--coupling", default="zero")
+    bd = sub.add_parser("blowdown-check", parents=[nil3_data],
+                        help="check blowdown solution closure")
     bd.add_argument("--t-end", type=float, default=1e4)
     bd.add_argument("--samples-per-decade", type=int, default=64)
     bd.add_argument("--s", type=float, nargs="+", default=[0.5, 4.0])

@@ -83,17 +83,15 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def _min_eig(fld: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(fld)[..., 0].min())
-
-
-def _check_spd_field(fld: np.ndarray, what: str, t: float | None = None):
+def _check_spd_field(fld: np.ndarray, what: str) -> float:
+    """Raise SPDFieldError unless every node is SPD; return the smallest eigenvalue."""
     if not np.all(np.isfinite(fld)):
-        raise SPDFieldError(f"{what} has non-finite entries", t=t)
-    w = np.linalg.eigvalsh(_sym(fld))[..., 0]
+        raise SPDFieldError(f"{what} has non-finite entries")
+    w = np.linalg.eigvalsh(fld)[..., 0]
     if np.any(w <= 0):
         node = tuple(int(i) for i in np.argwhere(w <= 0)[0])
-        raise SPDFieldError(f"{what} is not positive definite", node=node, t=t)
+        raise SPDFieldError(f"{what} is not positive definite", node=node)
+    return float(w.min())
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,10 @@ class RRFSState:
         g = _sym(np.asarray(self.g, dtype=float))
         A = np.asarray(self.A, dtype=float)
         G = _sym(np.asarray(self.G, dtype=float))
-        _check_spd_field(g, "base metric g")
+        if G.shape[-1] < 1:
+            raise ValueError("fiber dimension must be at least 1")
+        # smallest eigenvalue of g, read by the CFL step of integrate_rrfs
+        object.__setattr__(self, "_g_min_eig", _check_spd_field(g, "base metric g"))
         _check_spd_field(G, "fiber metric G")
         for name, arr in (("g", g), ("A", A), ("G", G)):
             object.__setattr__(self, name, arr)
@@ -130,6 +131,8 @@ class RescalingSpec:
     def __post_init__(self):
         if self.mode not in ("off", "constant", "volume"):
             raise ValueError(f"unknown rescaling mode {self.mode!r}")
+        if not (np.isfinite(self.s0) and np.isfinite(self.c_coupling)):
+            raise ValueError("rescaling s0 and c_coupling must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +218,13 @@ class _Geometry:
         return 0.5 * np.einsum(
             "...cd,...dab->...cab",
             self.ginv,
-            np.einsum("...abd->...dab", dg) + np.einsum("...bad->...dab", dg) - dg,
+            np.moveaxis(dg, -1, -3) + np.swapaxes(dg, -1, -3) - dg,
         )
 
     @cached_property
     def F(self) -> np.ndarray:  # [..., a, b, i]
         dA = _grad(self.state.A, self.grid)  # [..., d, a, i]
-        return dA - np.einsum("...dai->...adi", dA)
+        return dA - np.swapaxes(dA, -3, -2)
 
     @cached_property
     def delta_dA(self) -> np.ndarray:  # [..., a, i]
@@ -240,17 +243,39 @@ class _Geometry:
         return np.einsum("...ab,...abij->...ij", self.ginv, covhess)
 
     @cached_property
+    def M(self) -> np.ndarray:  # [..., a, i, j]
+        """G^-1 d_a G."""
+        return self.Ginv[..., None, :, :] @ self.dG
+
+    @cached_property
+    def M_sharp(self) -> np.ndarray:  # [..., a, i, j]
+        """g^{ab} M_b."""
+        return np.einsum("...ab,...bij->...aij", self.ginv, self.M)
+
+    @cached_property
+    def F_up(self) -> np.ndarray:  # [..., a, b, i]
+        """g^{bd} F_ad, the curvature form with its second index raised."""
+        return self.ginv[..., None, :, :] @ self.F
+
+    @cached_property
+    def F_sharp(self) -> np.ndarray:  # [..., a, b, i]
+        """g^{ac} g^{bd} F_cd."""
+        return np.einsum("...ac,...cbi->...abi", self.ginv, self.F_up)
+
+    @cached_property
+    def FG(self) -> np.ndarray:  # [..., a, b, j]
+        """F_ab^i G_ij."""
+        return self.F @ self.state.G[..., None, :, :]
+
+    @cached_property
     def grad_square(self) -> np.ndarray:
         """g^{ab} (d_a G  G^-1  d_b G), the gradient-square matrix field."""
-        return np.einsum(
-            "...ab,...aik,...kl,...blj->...ij", self.ginv, self.dG, self.Ginv, self.dG
-        )
+        return (self.dG @ self.M_sharp).sum(axis=-3)
 
     @cached_property
     def trace_MM(self) -> np.ndarray:
         """tr(G^-1 d_a G  G^-1 d_b G) as a field [..., a, b]."""
-        M = np.einsum("...ij,...ajk->...aik", self.Ginv, self.dG)
-        return np.einsum("...aij,...bji->...ab", M, M)
+        return np.einsum("...aij,...bji->...ab", self.M, self.M)
 
     @cached_property
     def grad_G_norm_sq(self) -> np.ndarray:
@@ -258,10 +283,7 @@ class _Geometry:
 
     @cached_property
     def dA_norm_sq(self) -> np.ndarray:
-        F, ginv = self.F, self.ginv
-        return np.einsum(
-            "...ac,...bd,...ij,...abi,...cdj->...", ginv, ginv, self.state.G, F, F
-        )
+        return np.einsum("...abj,...abj->...", self.FG, self.F_sharp)
 
     @cached_property
     def scalar_curvature(self) -> np.ndarray:
@@ -383,25 +405,20 @@ def rrfs_rhs_terms(
     """
     geo = _Geometry(state, grid)
     g, A, G = state.g, state.A, state.G
-    ginv, F = geo.ginv, geo.F
     s = geo.s(spec)
     c = spec.c_coupling
     return {
         "s": s,
         "g_ricci": -geo.scalar_curvature[..., None, None] * g,
         "g_gradG": 0.5 * geo.trace_MM,
-        "g_dA": np.einsum("...cd,...ij,...aci,...bdj->...ab", ginv, G, F, F),
+        "g_dA": np.einsum("...acj,...bcj->...ab", geo.FG, geo.F_up),
         "g_rescale": -s * g,
         "A_codiff": -geo.delta_dA,
-        "A_gradG": np.einsum(
-            "...bc,...ij,...cjk,...bak->...ai", ginv, geo.Ginv, geo.dG, F
-        ),
+        "A_gradG": np.einsum("...bik,...bak->...ai", geo.M_sharp, geo.F),
         "A_rescale": -0.5 * (1.0 + c) * s * A,
         "G_laplace": geo.laplacian_G,
         "G_gradsq": -geo.grad_square,
-        "G_dA": -0.5 * np.einsum(
-            "...ac,...bd,...ik,...jl,...abk,...cdl->...ij", ginv, ginv, G, G, F, F
-        ),
+        "G_dA": -0.5 * np.einsum("...abi,...abj->...ij", geo.FG, geo.F_sharp) @ G,
         "G_rescale": c * s * G,
     }
 
@@ -483,7 +500,7 @@ def integrate_rrfs(
     next_snap = 1
 
     while t < t_end * (1 - 1e-12):
-        dt_cfl = kappa_cfl * h_min * h_min * _min_eig(state.g)
+        dt_cfl = kappa_cfl * h_min * h_min * state._g_min_eig
         if dt_cfl <= 0 or not np.isfinite(dt_cfl):
             raise CFLCollapse(f"CFL step collapsed at t = {t:.6g}")
         dt = min(dt_cfl, t_end - t)

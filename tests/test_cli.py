@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomflow import cli
+from geomflow import cli, rrfs
 from geomflow.nil3 import CouplingSchedule
 
 
@@ -82,11 +82,15 @@ class TestVerifyTension:
     def test_default_passes(self):
         assert cli.main(["verify-tension", "--size", "32", "--fields", "2"]) == 0
 
-    def test_corrupted_christoffel_fails(self):
-        assert cli.main([
-            "verify-tension", "--size", "32", "--fields", "1",
-            "--corrupt-christoffel",
-        ]) == 2
+    def test_corrupted_christoffel_fails(self, monkeypatch):
+        general = rrfs.tension_G_general
+
+        def corrupted(state, grid):
+            # flip the sign of the connection correction
+            return 2 * rrfs.laplacian_G(state, grid) - general(state, grid)
+
+        monkeypatch.setattr(rrfs, "tension_G_general", corrupted)
+        assert cli.main(["verify-tension", "--size", "32", "--fields", "1"]) == 2
 
 
 class TestBlowdownCheck:
@@ -137,6 +141,21 @@ class TestRRFSCommand:
         assert code == 0
         assert json.loads(js.read_text())["volume_drift"] <= 1e-6
 
+    def test_restart_takes_grid_from_snapshot(self, tmp_path):
+        prefix = tmp_path / "snap"
+        assert cli.main([
+            "rrfs", "--grid", "16", "--n-fiber", "3", "--t-end", "0.01",
+            "--snapshots", "2", "--out-prefix", str(prefix),
+        ]) == 0
+        js = tmp_path / "restart.json"
+        # --grid and --period would be invalid for a fresh run
+        assert cli.main([
+            "rrfs", "--init-file", f"{prefix}_001.txt", "--grid", "4",
+            "--period", "-1", "--t-end", "0.01", "--json", str(js),
+        ]) == 0
+        cfg = json.loads(js.read_text())["config"]
+        assert (cfg["grid"], cfg["period"], cfg["n_fiber"]) == ("16", [2 * np.pi], 3)
+
 
 class TestInputBoundary:
     def test_one_token_snapshot_header(self, tmp_path, capsys):
@@ -153,6 +172,23 @@ class TestInputBoundary:
     def test_bad_t_end_rejected(self, argv, t_end, capsys):
         assert cli.main([*argv, f"--t-end={t_end}"]) == 1
         assert "--t-end must be a positive finite number" in capsys.readouterr().err
+
+    def test_zero_fiber_dimension_rejected(self, capsys):
+        assert cli.main(["rrfs", "--grid", "16", "--n-fiber", "0", "--t-end", "0.01"]) == 1
+        assert "fiber dimension must be at least 1" in capsys.readouterr().err
+
+    def test_zero_fiber_snapshot_rejected(self, tmp_path, capsys):
+        snap = tmp_path / "n0.txt"
+        snap.write_text("1 0 8 6.2831853071795862\n" + "1\n" * 8)
+        assert cli.main(["rrfs", "--init-file", str(snap), "--t-end", "0.01"]) == 1
+        assert "fiber dimension must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--mode", "constant:nan"],
+                                       ["--mode", "constant:inf"], ["--c", "nan"]],
+                             ids=["s0-nan", "s0-inf", "c-nan"])
+    def test_non_finite_rescaling_rejected(self, flags, capsys):
+        assert cli.main(["rrfs", "--grid", "16", "--t-end", "0.01", *flags]) == 1
+        assert "s0 and c_coupling must be finite" in capsys.readouterr().err
 
     def test_module_entry_point_has_no_runtime_warning(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

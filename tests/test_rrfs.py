@@ -298,6 +298,46 @@ class TestRHS:
         npt.assert_allclose(dA, T["A_codiff"] + T["A_gradG"] + T["A_rescale"])
 
 
+class TestContractionsMatchMultiIndex:
+    """The pairwise RHS contractions against the single multi-index einsum
+    formulas they replaced, kept here as the reference."""
+
+    @staticmethod
+    def reference(st, grid):
+        n = grid.n_base
+        ginv, Ginv, G = np.linalg.inv(st.g), np.linalg.inv(st.G), st.G
+        dG = np.stack([d_central(st.G, a, grid) for a in range(n)], axis=n)
+        dA = np.stack([d_central(st.A, a, grid) for a in range(n)], axis=n)
+        F = dA - np.einsum("...dai->...adi", dA)
+        return {
+            "g_dA": np.einsum("...cd,...ij,...aci,...bdj->...ab", ginv, G, F, F),
+            "A_gradG": np.einsum("...bc,...ij,...cjk,...bak->...ai", ginv, Ginv, dG, F),
+            "G_gradsq": -np.einsum(
+                "...ab,...aik,...kl,...blj->...ij", ginv, dG, Ginv, dG
+            ),
+            "G_dA": -0.5 * np.einsum(
+                "...ac,...bd,...ik,...jl,...abk,...cdl->...ij", ginv, ginv, G, G, F, F
+            ),
+            "dA_norm_sq": np.einsum(
+                "...ac,...bd,...ij,...abi,...cdj->...", ginv, ginv, G, F, F
+            ),
+        }
+
+    @pytest.mark.parametrize("n_fiber", [1, 2, 3])
+    @pytest.mark.parametrize("sizes", [(16,), (12, 10)], ids=["1d", "2d"])
+    def test_pairwise_equals_multi_index(self, sizes, n_fiber):
+        grid = PeriodicGrid(sizes, (2 * np.pi, 3.0)[: len(sizes)])
+        st = random_smooth_state(11, grid, n_fiber, perturb_g=True, perturb_A=True)
+        got = rrfs_rhs_terms(st, grid, RescalingSpec("off"))
+        got["dA_norm_sq"] = rrfs.dA_norm_sq(st, grid)
+        for key, want in self.reference(st, grid).items():
+            assert got[key].shape == want.shape, key
+            err = np.abs(got[key] - want).max()
+            assert err <= 1e-12 * np.abs(want).max(), (key, err)
+            if len(sizes) == 2 or key == "G_gradsq":  # F vanishes on a 1D base
+                assert np.abs(want).max() > 0, key
+
+
 class TestIntegration:
     def test_stationary_stays_stationary(self):
         st = flat_state(S1_64, n_fiber=2)
