@@ -14,12 +14,6 @@ import numpy as np
 
 from . import nil3, ode, rrfs
 
-FLOAT_FMT = "%.17g"
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % x
-
 
 def parse_coupling(text: str) -> nil3.CouplingSchedule:
     """Parse ``zero``, ``const:<c0>`` or ``power:<c0>,<r>``."""
@@ -27,22 +21,20 @@ def parse_coupling(text: str) -> nil3.CouplingSchedule:
         return nil3.CouplingSchedule.zero()
     if text.startswith("const:"):
         return nil3.CouplingSchedule.constant(float(text.split(":", 1)[1]))
-    if text.startswith("power:"):
+    if text.startswith("power:") and text.count(",") == 1:
         c0, r = text.split(":", 1)[1].split(",")
         return nil3.CouplingSchedule.power(float(c0), float(r))
     raise ValueError(f"bad coupling spec {text!r}")
 
 
-def _write_csv(path, header: str, rows):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _write_csv(path, header: str, columns):
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
 
 
 def write_nil3_csv(path, traj: ode.Trajectory):
-    rows = ((t, A, B, C, B * C) for t, (A, B, C) in zip(traj.times, traj.states))
-    _write_csv(path, "t,A,B,C,Phi", rows)
+    A, B, C = traj.states.T
+    _write_csv(path, "t,A,B,C,Phi", (traj.times, A, B, C, B * C))
 
 
 def read_nil3_csv(path) -> ode.Trajectory:
@@ -58,10 +50,14 @@ def _json_default(o):
     raise TypeError(f"not serializable: {type(o)}")
 
 
-def _dump_json(path, payload):
+def _emit_json(path, payload):
+    """Write ``payload`` as sorted, indented JSON to ``path``, or to stdout."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _check_t_end(t_end: float):
@@ -142,10 +138,7 @@ def cmd_nil3(args) -> int:
             "C": float(traj.states[-1, 2]),
         },
     }
-    if args.json:
-        _dump_json(args.json, summary)
-    else:
-        print(json.dumps(summary, indent=2, sort_keys=True, default=_json_default))
+    _emit_json(args.json, summary)
     if not report.ok:
         print("bounds check failed:", report.violations, file=sys.stderr)
         return 2
@@ -159,19 +152,16 @@ def cmd_rrfs(args) -> int:
     _check_t_end(args.t_end)
     if args.init_file:
         state0, grid = rrfs.load_snapshot(args.init_file)
+        source = {"init_file": args.init_file}
     else:
         sizes = tuple(int(x) for x in args.grid.split(","))
         period = (tuple(float(x) for x in args.period.split(",")) if args.period
                   else (2 * np.pi,) * len(sizes))
         grid = rrfs.PeriodicGrid(sizes, period)
-        state0 = rrfs.random_smooth_state(
-            args.seed,
-            grid,
-            args.n_fiber,
-            amplitude=args.amplitude,
-            perturb_g=args.perturb_g,
-            perturb_A=args.perturb_A,
-        )
+        init = {"amplitude": args.amplitude, "perturb_g": args.perturb_g,
+                "perturb_A": args.perturb_A}
+        state0 = rrfs.random_smooth_state(args.seed, grid, args.n_fiber, **init)
+        source = {"seed": args.seed, **init}
     if args.mode == "volume":
         spec = rrfs.RescalingSpec("volume", c_coupling=args.c)
     elif args.mode.startswith("constant:"):
@@ -193,10 +183,10 @@ def cmd_rrfs(args) -> int:
         n_snapshots=args.snapshots,
     )
     if args.csv:
-        rows = zip(run.step_times, run.energies, run.volumes, run.s_values)
-        _write_csv(args.csv, "t,energy,volume,s", rows)
+        _write_csv(args.csv, "t,energy,volume,s",
+                   (run.step_times, run.energies, run.volumes, run.s_values))
     if args.out_prefix:
-        for i, (ts, st) in enumerate(zip(run.snapshot_times, run.snapshots)):
+        for i, st in enumerate(run.snapshots):
             rrfs.save_snapshot(st, grid, f"{args.out_prefix}_{i:03d}.txt")
     summary = {
         "config": {
@@ -204,7 +194,7 @@ def cmd_rrfs(args) -> int:
             "grid": ",".join(str(m) for m in grid.sizes),
             "period": list(grid.period),
             "n_fiber": state0.n_fiber,
-            "seed": args.seed,
+            **source,
             "mode": args.mode,
             "c": args.c,
             "t_end": args.t_end,
@@ -219,16 +209,8 @@ def cmd_rrfs(args) -> int:
             np.max(np.abs(run.volumes / run.volumes[0] - 1.0))
         ),
     }
-    if args.json:
-        _dump_json(args.json, summary)
-    else:
-        print(
-            json.dumps(
-                {k: v for k, v in summary.items() if k in ("config", "volume_drift")},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+    _emit_json(args.json, summary if args.json
+               else {k: summary[k] for k in ("config", "volume_drift")})
     return 0
 
 

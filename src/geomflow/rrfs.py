@@ -55,8 +55,8 @@ class PeriodicGrid:
             raise ValueError("grid must be 1- or 2-dimensional")
         if any(s < 8 for s in sizes):
             raise ValueError("each axis needs at least 8 points")
-        if any(p <= 0 for p in period):
-            raise ValueError("periods must be positive")
+        if not all(np.isfinite(p) and p > 0 for p in period):
+            raise ValueError("periods must be positive and finite")
 
     @property
     def n_base(self) -> int:
@@ -106,6 +106,8 @@ class RRFSState:
         G = _sym(np.asarray(self.G, dtype=float))
         if G.shape[-1] < 1:
             raise ValueError("fiber dimension must be at least 1")
+        if not np.all(np.isfinite(A)):
+            raise SPDFieldError("connection A has non-finite entries")
         # smallest eigenvalue of g, read by the CFL step of integrate_rrfs
         object.__setattr__(self, "_g_min_eig", _check_spd_field(g, "base metric g"))
         _check_spd_field(G, "fiber metric G")
@@ -197,6 +199,9 @@ class _Geometry:
     """
 
     def __init__(self, state: RRFSState, grid: PeriodicGrid):
+        if state.g.shape != grid.sizes + (grid.n_base,) * 2:
+            raise ValueError(f"state with g of shape {state.g.shape} does not fit "
+                             f"grid {grid.sizes}")
         self.state = state
         self.grid = grid
 
@@ -467,6 +472,8 @@ def integrate_rrfs(
     -only mode is g frozen, A frozen).  The steps run through
     ``ode.rk4_step`` on the fields packed into one flat array.
     """
+    if not (np.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be a positive finite number, got {t_end!r}")
     h_min = min(grid.spacing)
     snap_req = np.linspace(0.0, t_end, max(n_snapshots, 2))
     shapes = [state0.g.shape, state0.A.shape, state0.G.shape]
@@ -603,19 +610,14 @@ def random_smooth_state(
 
 
 def save_snapshot(state: RRFSState, grid: PeriodicGrid, path):
-    """Write a field snapshot as text; floats at 17 significant digits."""
-    n = grid.n_base
-    N = state.n_fiber
-    with open(path, "w") as fh:
-        sizes = " ".join(str(s) for s in grid.sizes)
-        periods = " ".join(f"{p:.17g}" for p in grid.period)
-        fh.write(f"{n} {N} {sizes} {periods}\n")
-        g2 = state.g.reshape(-1, n * n)
-        A2 = state.A.reshape(-1, n * N)
-        G2 = state.G.reshape(-1, N * N)
-        for row in range(g2.shape[0]):
-            vals = np.concatenate([g2[row], A2[row], G2[row]])
-            fh.write(" ".join(f"{v:.17g}" for v in vals) + "\n")
+    """Write a field snapshot as text: a header line, then one (g | A | G)
+    row per node, floats at 17 significant digits."""
+    n, N = grid.n_base, state.n_fiber
+    header = " ".join([str(n), str(N), *map(str, grid.sizes),
+                       *(f"{p:.17g}" for p in grid.period)])
+    rows = np.hstack([state.g.reshape(-1, n * n), state.A.reshape(-1, n * N),
+                      state.G.reshape(-1, N * N)])
+    np.savetxt(path, rows, fmt="%.17g", header=header, comments="")
 
 
 def load_snapshot(path) -> tuple[RRFSState, PeriodicGrid]:

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from geomflow import cli, rrfs
@@ -156,6 +157,41 @@ class TestRRFSCommand:
         cfg = json.loads(js.read_text())["config"]
         assert (cfg["grid"], cfg["period"], cfg["n_fiber"]) == ("16", [2 * np.pi], 3)
 
+    def test_config_echo_determines_initial_state(self, tmp_path):
+        prefix = tmp_path / "snap"
+        js = tmp_path / "run.json"
+        assert cli.main([
+            "rrfs", "--grid", "16", "--seed", "3", "--amplitude", "0.2", "--perturb-g",
+            "--t-end", "0.01", "--snapshots", "2", "--json", str(js),
+            "--out-prefix", str(prefix),
+        ]) == 0
+        cfg = json.loads(js.read_text())["config"]
+        assert (cfg["seed"], cfg["amplitude"], cfg["perturb_g"], cfg["perturb_A"]) == (
+            3, 0.2, True, False)
+        assert "init_file" not in cfg
+        grid = rrfs.PeriodicGrid(tuple(int(m) for m in cfg["grid"].split(",")),
+                                 cfg["period"])
+        rebuilt = rrfs.random_smooth_state(
+            cfg["seed"], grid, cfg["n_fiber"], amplitude=cfg["amplitude"],
+            perturb_g=cfg["perturb_g"], perturb_A=cfg["perturb_A"])
+        first, _ = rrfs.load_snapshot(f"{prefix}_000.txt")
+        for name in ("g", "A", "G"):
+            npt.assert_array_equal(getattr(rebuilt, name), getattr(first, name))
+
+        js2 = tmp_path / "restart.json"
+        init = f"{prefix}_001.txt"
+        assert cli.main(["rrfs", "--init-file", init, "--t-end", "0.01",
+                         "--json", str(js2)]) == 0
+        cfg2 = json.loads(js2.read_text())["config"]
+        assert cfg2["init_file"] == init
+        assert not {"seed", "amplitude", "perturb_g", "perturb_A"} & cfg2.keys()
+
+    def test_stdout_holds_config_and_drift_only(self, capsys):
+        assert cli.main(["rrfs", "--grid", "16", "--t-end", "0.01"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out.keys() == {"config", "volume_drift"}
+        assert out["config"]["seed"] == 0
+
 
 class TestInputBoundary:
     def test_one_token_snapshot_header(self, tmp_path, capsys):
@@ -189,6 +225,25 @@ class TestInputBoundary:
     def test_non_finite_rescaling_rejected(self, flags, capsys):
         assert cli.main(["rrfs", "--grid", "16", "--t-end", "0.01", *flags]) == 1
         assert "s0 and c_coupling must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("period", ["nan", "inf", "-inf"])
+    def test_non_finite_period_rejected(self, period, capsys):
+        assert cli.main(["rrfs", "--grid", "16", f"--period={period}",
+                         "--t-end", "0.01"]) == 1
+        assert "periods must be positive and finite" in capsys.readouterr().err
+
+    def test_non_finite_connection_snapshot_rejected(self, tmp_path, capsys):
+        snap = tmp_path / "nan_A.txt"
+        snap.write_text("1 1 8 6.2831853071795862\n" + "1 0 1\n" * 7 + "1 nan 1\n")
+        assert cli.main(["rrfs", "--init-file", str(snap), "--t-end", "0.01"]) == 1
+        assert "connection A has non-finite entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["power:1", "power:1,2,3", "power:"])
+    def test_malformed_power_coupling_rejected(self, spec, capsys):
+        with pytest.raises(ValueError, match="bad coupling spec"):
+            cli.parse_coupling(spec)
+        assert cli.main(["nil3", "--coupling", spec]) == 1
+        assert "bad coupling spec" in capsys.readouterr().err
 
     def test_module_entry_point_has_no_runtime_warning(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

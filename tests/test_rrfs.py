@@ -365,6 +365,43 @@ class TestIntegration:
         assert np.log2(d1 / d2) >= 2.0
 
 
+class TestLibraryBoundary:
+    @pytest.mark.parametrize("t_end", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+    def test_integrate_rejects_bad_t_end(self, t_end):
+        grid = PeriodicGrid((8,), (2 * np.pi,))
+        with pytest.raises(ValueError, match="t_end must be a positive finite number"):
+            integrate_rrfs(flat_state(grid), grid, RescalingSpec("off"), t_end)
+
+    GEOMETRY = {
+        f.__name__: f for f in (
+            christoffels_of_g, dA_field, delta_dA, laplacian_G, tension_G_simplified,
+            tension_G_general, grad_G_norm_sq, rrfs.dA_norm_sq, scalar_curvature,
+            volume, energy_G, s_volume,
+        )
+    }
+    GEOMETRY["rrfs_rhs"] = lambda st, grid: rrfs_rhs(st, grid, RescalingSpec("volume"))
+    MISMATCHES = {
+        "nodes": (S1_64, PeriodicGrid((32,), (2 * np.pi,))),
+        "1d-state-2d-grid": (S1_64, T2_64),
+        "2d-state-1d-grid": (PeriodicGrid((16, 16), (2 * np.pi,) * 2), S1_64),
+    }
+
+    @pytest.mark.parametrize("fn", GEOMETRY.values(), ids=GEOMETRY.keys())
+    @pytest.mark.parametrize("grids", MISMATCHES.values(), ids=MISMATCHES.keys())
+    def test_geometry_rejects_state_of_other_grid(self, fn, grids):
+        state_grid, grid = grids
+        with pytest.raises(ValueError, match="does not fit grid"):
+            fn(flat_state(state_grid, n_fiber=2), grid)
+
+    def test_metric_rank_must_match_grid(self):
+        # node shape (16, 16) fits, but g is 1x1 per node on a 2D base
+        shape = (16, 16)
+        st = RRFSState(np.ones(shape + (1, 1)), np.zeros(shape + (1, 2)),
+                       np.broadcast_to(np.eye(2), shape + (2, 2)))
+        with pytest.raises(ValueError, match="does not fit grid"):
+            volume(st, PeriodicGrid(shape, (2 * np.pi,) * 2))
+
+
 class TestSnapshots:
     @pytest.mark.parametrize("n_base", [1, 2])
     def test_round_trip_bit_exact(self, tmp_path, n_base):
