@@ -338,6 +338,85 @@ class TestContractionsMatchMultiIndex:
                 assert np.abs(want).max() > 0, key
 
 
+class TestLinearModeOrder:
+    """Fourier modes about the flat state (g = delta, A = 0, G = 1) decay at
+    the rate of their discrete symbol, which tends to the continuum rate at
+    4th order.  Measured on grids with period 2 pi and k = 1 up to t = 0.05.
+
+    G's Laplacian uses the compact second derivative, with symbol
+    lam_h = (30 - 32 cos h + 2 cos 2h) / (12 h^2); the Ricci term of g and
+    the codifferential of dA use composed first derivatives, with symbol
+    mu_h = ((8 sin h - sin 2h) / (6 h))^2.
+    """
+
+    T_END = 0.05
+
+    @staticmethod
+    def lam(h):
+        return (30 - 32 * np.cos(h) + 2 * np.cos(2 * h)) / (12 * h * h)
+
+    @staticmethod
+    def mu(h):
+        return ((8 * np.sin(h) - np.sin(2 * h)) / (6 * h)) ** 2
+
+    @staticmethod
+    def rate(f0, f1, mode, t):
+        return -np.log((f1 * mode).sum() / (f0 * mode).sum()) / t
+
+    def check(self, rates, symbols, continuum, rtol):
+        """Each rate within rtol of its symbol; log2 of the continuum error
+        ratio between successive grids in (3.8, 4.2)."""
+        for r, s in zip(rates, symbols):
+            assert abs(r / s - 1) <= rtol, (r, s)
+        errs = [abs(r - continuum) for r in rates]
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all((orders > 3.8) & (orders < 4.2)), orders
+
+    def test_1d_log_G_mode(self):
+        # harmonic map flow with N = 1: log G obeys the heat equation
+        rates, symbols = [], []
+        for m in (16, 32, 64):
+            grid = PeriodicGrid((m,), (2 * np.pi,))
+            (x,) = grid.coords()
+            st = RRFSState(np.ones((m, 1, 1)), np.zeros((m, 1, 1)),
+                           np.exp(1e-4 * np.cos(x))[:, None, None])
+            run = integrate_rrfs(st, grid, RescalingSpec("off"), self.T_END,
+                                 evolve_g=False, evolve_A=False)
+            rates.append(self.rate(np.log(st.G[:, 0, 0]),
+                                   np.log(run.final_state.G[:, 0, 0]),
+                                   np.cos(x), run.step_times[-1]))
+            symbols.append(self.lam(grid.spacing[0]))
+        self.check(rates, symbols, 1.0, rtol=1e-7)
+
+    def test_2d_coupled_modes(self):
+        # one volume-mode run carries a conformal mode of g (g = e^{2u} delta,
+        # u = eps cos x1), a curl mode of A (A_1 = eps cos x2) and a mode of
+        # log G on cos(x1 + x2); their products project to 0 on each mode
+        eps = 1e-5
+        found = {"g": [], "A": [], "G": []}
+        symbols = {"g": [], "A": [], "G": []}
+        for m in (8, 16, 32):
+            grid = PeriodicGrid((m, m), (2 * np.pi,) * 2)
+            X, Y = grid.coords()
+            A = np.zeros((m, m, 2, 1))
+            A[..., 0, 0] = eps * np.cos(Y)
+            st = RRFSState(np.exp(2 * eps * np.cos(X))[..., None, None] * np.eye(2), A,
+                           np.exp(eps * np.cos(X + Y))[..., None, None])
+            run = integrate_rrfs(st, grid, RescalingSpec("volume"), self.T_END)
+            fin, t = run.final_state, run.step_times[-1]
+            found["g"].append(self.rate(np.log(st.g[..., 0, 0]),
+                                        np.log(fin.g[..., 0, 0]), np.cos(X), t))
+            found["A"].append(self.rate(st.A[..., 0, 0], fin.A[..., 0, 0], np.cos(Y), t))
+            found["G"].append(self.rate(np.log(st.G[..., 0, 0]),
+                                        np.log(fin.G[..., 0, 0]), np.cos(X + Y), t))
+            h = grid.spacing[0]
+            symbols["g"].append(self.mu(h))
+            symbols["A"].append(self.mu(h))
+            symbols["G"].append(2 * self.lam(h))
+        for key, continuum in (("g", 1.0), ("A", 1.0), ("G", 2.0)):
+            self.check(found[key], symbols[key], continuum, rtol=5e-6)
+
+
 class TestIntegration:
     def test_stationary_stays_stationary(self):
         st = flat_state(S1_64, n_fiber=2)
