@@ -60,8 +60,8 @@ class IntegratorConfig:
     samples_per_decade: int = 32
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("rtol and atol must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in (self.rtol, self.atol)):
+            raise ValueError("rtol and atol must be positive and finite")
         if self.h_init > self.h_max:
             raise ValueError("h_init must not exceed h_max")
         if not 0 < self.safety < 1:

@@ -6,9 +6,11 @@ node) and a fiber metric ``G`` (N x N SPD per node).  Spatial derivatives
 are 4th-order central differences with periodic wraparound; time stepping
 is explicit RK4 under a diffusive CFL cap with an SPD positivity guard.
 
-Index conventions for derivative stacks: the grid axes come first, then
-``[d, ...]`` for the derivative direction, e.g. ``dg[..., d, a, b]`` is
-the d-derivative of ``g_ab``.
+Public arrays are node-major: the grid axes first, then the tensor axes,
+e.g. ``christoffels_of_g(...)[..., c, a, b]`` is Gamma^c_ab.  Inside
+``_Geometry`` fields are component-major: the tensor axes first, the grid
+axes last and contiguous, a derivative index leading, e.g. ``dg[d, a, b]``
+is the d-derivative of ``g_ab`` as a grid-shaped array.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .ode import NonFiniteState, ODESystem, rk4_step
+from .spd import _christoffel_stacked
 
 KAPPA_CFL = 0.2
 
@@ -27,11 +30,8 @@ class SPDFieldError(RuntimeError):
     """SPD structure lost at some node; carries node index and time."""
 
     def __init__(self, message, node=None, t=None):
-        extra = ""
-        if node is not None:
-            extra += f" at node {node}"
-        if t is not None:
-            extra += f" at t = {t:.6g}"
+        extra = "" if node is None else f" at node {node}"
+        extra += "" if t is None else f" at t = {t:.6g}"
         super().__init__(message + extra)
         self.node = node
         self.t = t
@@ -51,8 +51,10 @@ class PeriodicGrid:
         period = tuple(float(p) for p in self.period)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "period", period)
-        if len(sizes) not in (1, 2) or len(period) != len(sizes):
+        if len(sizes) not in (1, 2):
             raise ValueError("grid must be 1- or 2-dimensional")
+        if len(period) != len(sizes):
+            raise ValueError(f"{len(period)} periods given for {len(sizes)} grid axes")
         if any(s < 8 for s in sizes):
             raise ValueError("each axis needs at least 8 points")
         if not all(np.isfinite(p) and p > 0 for p in period):
@@ -106,6 +108,8 @@ class RRFSState:
         G = _sym(np.asarray(self.G, dtype=float))
         if G.shape[-1] < 1:
             raise ValueError("fiber dimension must be at least 1")
+        if A.shape != g.shape[:-1] + G.shape[-1:] or G.shape[:-2] != g.shape[:-2]:
+            raise ValueError(f"fields of shapes {g.shape}, {A.shape}, {G.shape} do not fit")
         if not np.all(np.isfinite(A)):
             raise SPDFieldError("connection A has non-finite entries")
         # smallest eigenvalue of g, read by the CFL step of integrate_rrfs
@@ -156,7 +160,7 @@ def _neighbours(fld: np.ndarray, axis: int, grid: PeriodicGrid):
 def d_central(fld: np.ndarray, axis: int, grid: PeriodicGrid) -> np.ndarray:
     """4th-order periodic central first derivative along a base axis."""
     fm2, fm1, fp1, fp2 = _neighbours(fld, axis, grid)
-    return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * grid.spacing[axis])
+    return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * grid.spacing[axis])
 
 
 def d2_central(fld: np.ndarray, axis1: int, axis2: int, grid: PeriodicGrid) -> np.ndarray:
@@ -165,26 +169,18 @@ def d2_central(fld: np.ndarray, axis1: int, axis2: int, grid: PeriodicGrid) -> n
         return d_central(d_central(fld, axis1, grid), axis2, grid)
     fm2, fm1, fp1, fp2 = _neighbours(fld, axis1, grid)
     h = grid.spacing[axis1]
-    return (-fp2 + 16.0 * fp1 - 30.0 * fld + 16.0 * fm1 - fm2) / (12.0 * h * h)
+    return (16.0 * (fp1 + fm1) - 30.0 * fld - (fp2 + fm2)) / (12.0 * h * h)
 
 
-def _grad(fld: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Stack of first derivatives, new axis [..., d, <tensor axes>]."""
-    n = grid.n_base
-    return np.stack([d_central(fld, a, grid) for a in range(n)], axis=n)
+def _grid_last(fld: np.ndarray, n: int) -> np.ndarray:
+    """Component-major view [<tensor axes>, *grid] of a node-major field."""
+    return fld.transpose(*range(n, fld.ndim), *range(n))
 
 
-def _hess(fld: np.ndarray, dfld: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Second derivatives [..., a, b, <tensor axes>]; mixed ones differentiate
-    the first-derivative stack ``dfld``."""
-    n = grid.n_base
-    lead = (slice(None),) * n
-    rows = [
-        [d2_central(fld, a, a, grid) if a == b else d_central(dfld[lead + (a,)], b, grid)
-         for b in range(n)]
-        for a in range(n)
-    ]
-    return np.stack([np.stack(row, axis=n) for row in rows], axis=n)
+def _grid_first(fld: np.ndarray, n: int) -> np.ndarray:
+    """Node-major view [*grid, <tensor axes>] of a component-major field."""
+    k = fld.ndim - n
+    return fld.transpose(*range(k, fld.ndim), *range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -192,115 +188,136 @@ def _hess(fld: np.ndarray, dfld: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 
 
 class _Geometry:
-    """Geometric quantities of one state, each computed once on first use.
+    """Geometric quantities of one state, component-major, each computed once.
 
-    The public functions below read one attribute each.  The formulas hold
-    on a 1D and a 2D base alike; on a 1D base dA and R come out exactly 0.
+    The stencil is one ``d_central`` call per base axis on the stacked
+    (g | A | G), one more on the stacked (Gamma | dA | dG), and
+    ``d2_central`` on G.  dA is held on the pairs a < b of base indices, and
+    every sum over dA, and the Ricci sum over c != b (its c = b terms
+    cancel), runs over these pairs: on a 1D base there are none, so dA,
+    delta dA and R are exactly 0 and cost nothing.
     """
 
     def __init__(self, state: RRFSState, grid: PeriodicGrid):
         if state.g.shape != grid.sizes + (grid.n_base,) * 2:
             raise ValueError(f"state with g of shape {state.g.shape} does not fit "
                              f"grid {grid.sizes}")
-        self.state = state
-        self.grid = grid
+        self.state, self.grid, self.n = state, grid, grid.n_base
+        self.pairs = [(a, b) for b in range(self.n) for a in range(b)]
+        # (x, y, p, s) with F_xy = s F_p, for both orders of each pair p
+        self.oriented = [o for p, (a, b) in enumerate(self.pairs)
+                         for o in ((a, b, p, 1.0), (b, a, p, -1.0))]
+
+    def _d(self, fields: list, axis: int) -> list:
+        """d_central of each field along ``axis``, in one call on all their components."""
+        n, sizes = self.n, self.grid.sizes
+        rows = [f.reshape((-1,) + sizes) for f in fields]
+        stacked = np.concatenate(rows, out=np.empty((sum(map(len, rows)),) + sizes))
+        d = _grid_last(d_central(_grid_first(stacked, n), axis, self.grid), n)
+        ends = np.cumsum([len(r) for r in rows])
+        return [d[end - len(r):end].reshape(f.shape) for f, r, end in zip(fields, rows, ends)]
 
     @cached_property
-    def ginv(self) -> np.ndarray:
-        return np.linalg.inv(self.state.g)
+    def first(self) -> list:  # G [i, j], dg [d, a, b], dA [d, a, i], dG [d, i, j]
+        fields = [_grid_last(f, self.n) for f in (self.state.g, self.state.A, self.state.G)]
+        derivs = zip(*(self._d(fields, e) for e in range(self.n)))
+        return [np.ascontiguousarray(fields[2]), *map(np.stack, derivs)]
 
     @cached_property
-    def Ginv(self) -> np.ndarray:
-        return np.linalg.inv(self.state.G)
+    def second(self) -> dict:
+        """Per axis e of a pair: d_e Gamma, d_e F_p for each pair p, d_e d_a G for a < e."""
+        return {e: self._d([self.christoffels, *self.F, self.first[3][:e]], e)
+                for e in sorted({a for pair in self.pairs for a in pair})}
 
     @cached_property
-    def dG(self) -> np.ndarray:  # [..., d, i, j]
-        return _grad(self.state.G, self.grid)
+    def ginv(self) -> np.ndarray:  # [a, b]
+        return np.ascontiguousarray(_grid_last(np.linalg.inv(self.state.g), self.n))
 
     @cached_property
-    def christoffels(self) -> np.ndarray:  # [..., c, a, b]
-        dg = _grad(self.state.g, self.grid)  # [..., d, a, b]
-        return 0.5 * np.einsum(
-            "...cd,...dab->...cab",
-            self.ginv,
-            np.moveaxis(dg, -1, -3) + np.swapaxes(dg, -1, -3) - dg,
-        )
+    def Ginv(self) -> np.ndarray:  # [i, j]
+        return np.ascontiguousarray(_grid_last(np.linalg.inv(self.state.G), self.n))
 
     @cached_property
-    def F(self) -> np.ndarray:  # [..., a, b, i]
-        dA = _grad(self.state.A, self.grid)  # [..., d, a, i]
-        return dA - np.swapaxes(dA, -3, -2)
+    def christoffels(self) -> np.ndarray:  # [c, a, b]
+        dg = self.first[1]
+        # T[d, a, b] = d_a g_db + d_b g_da - d_d g_ab
+        T = dg.swapaxes(0, 1) + dg.transpose(1, 2, 0, *range(3, dg.ndim)) - dg
+        return 0.5 * np.einsum("cd...,dab...->cab...", self.ginv, T)
 
     @cached_property
-    def delta_dA(self) -> np.ndarray:  # [..., a, i]
-        F, Gam = self.F, self.christoffels
-        covF = (
-            _grad(F, self.grid)  # [..., b, c, a, i]
-            - np.einsum("...mbc,...mai->...bcai", Gam, F)
-            - np.einsum("...mba,...cmi->...bcai", Gam, F)
-        )
-        return -np.einsum("...bc,...bcai->...ai", self.ginv, covF)
+    def gamma(self) -> np.ndarray:  # [c] = g^{ab} Gamma^c_ab
+        return np.einsum("ab...,cab...->c...", self.ginv, self.christoffels)
 
     @cached_property
-    def laplacian_G(self) -> np.ndarray:
-        hessG = _hess(self.state.G, self.dG, self.grid)  # [..., a, b, i, j]
-        covhess = hessG - np.einsum("...cab,...cij->...abij", self.christoffels, self.dG)
-        return np.einsum("...ab,...abij->...ij", self.ginv, covhess)
+    def F(self) -> list:  # [p][i] = d_a A_b - d_b A_a for the pairs p = (a, b)
+        dA = self.first[2]
+        return [dA[a, b] - dA[b, a] for a, b in self.pairs]
 
     @cached_property
-    def M(self) -> np.ndarray:  # [..., a, i, j]
-        """G^-1 d_a G."""
-        return self.Ginv[..., None, :, :] @ self.dG
+    def dA_sums(self) -> dict:
+        """delta dA [a, i], |dA|^2 and the dA terms of the flow: sums over the
+        pairs p, q and their orders (x, y), (u, v)."""
+        n, N, gi, G, F = self.n, self.state.n_fiber, self.ginv, self.first[0], self.F
+        out = {k: np.zeros(shape + self.grid.sizes) for k, shape in (
+            ("delta", (n, N)), ("norm_sq", ()), ("g", (n, n)), ("A", (n, N)), ("G", (N, N)))}
+        FG = [np.einsum("i...,ij...->j...", Fp, G) for Fp in F]  # F_p^i G_ij
+        for (a, b), FGp in zip(self.pairs, FG):
+            # g^{ac} g^{bd} F_cd, with both orders of each pair counted
+            F_sharp = sum((gi[a, c] * gi[b, d] - gi[a, d] * gi[b, c]) * Fq
+                          for (c, d), Fq in zip(self.pairs, F))
+            out["norm_sq"] += 2.0 * np.einsum("j...,j...->...", FGp, F_sharp)
+            out["G"] -= np.einsum("i...,k...,kj...->ij...", FGp, F_sharp, G)
+        for x, y, p, s in self.oriented:
+            # -g^{bc} (d_b F_ca - Gamma^m_bc F_ma - Gamma^m_ba F_cm) with (x, y)
+            # read as (c, a), (m, a) and (c, m)
+            dF = np.stack([self.second[d][1 + p] for d in range(n)])
+            dF_x = np.einsum("d...,di...->i...", gi[x], dF)
+            out["delta"][y] += s * (self.gamma[x] * F[p] - dF_x)
+            Gam_yx = np.einsum("b...,ba...->a...", gi[x], self.christoffels[y])
+            out["delta"] += s * Gam_yx[:, None] * F[p]
+            out["A"][y] += s * np.einsum("b...,bik...,k...->i...", gi[x], self.M, F[p])
+            for u, v, q, t in self.oriented:
+                out["g"][x, u] += (s * t) * gi[y, v] * np.einsum("j...,j...->...", FG[p], F[q])
+        return out
 
     @cached_property
-    def M_sharp(self) -> np.ndarray:  # [..., a, i, j]
-        """g^{ab} M_b."""
-        return np.einsum("...ab,...bij->...aij", self.ginv, self.M)
+    def laplacian_G(self) -> np.ndarray:  # [i, j]
+        # g^{ab} (d_a d_b G - Gamma^c_ab d_c G), each mixed derivative once
+        n, gi, G = self.n, self.ginv, _grid_first(self.first[0], self.n)
+        out = -np.einsum("c...,cij...->ij...", self.gamma, self.first[3])
+        for a in range(n):
+            out += gi[a, a] * _grid_last(d2_central(G, a, a, self.grid), n)
+        for a, b in self.pairs:
+            out += (gi[a, b] + gi[b, a]) * self.second[b][-1][a]
+        return out
 
     @cached_property
-    def F_up(self) -> np.ndarray:  # [..., a, b, i]
-        """g^{bd} F_ad, the curvature form with its second index raised."""
-        return self.ginv[..., None, :, :] @ self.F
+    def M(self) -> np.ndarray:  # [a, i, j] = G^-1 d_a G
+        return np.einsum("ik...,akj...->aij...", self.Ginv, self.first[3])
 
     @cached_property
-    def F_sharp(self) -> np.ndarray:  # [..., a, b, i]
-        """g^{ac} g^{bd} F_cd."""
-        return np.einsum("...ac,...cbi->...abi", self.ginv, self.F_up)
+    def grad_square(self) -> np.ndarray:  # [i, j] = g^{ab} d_a G G^-1 d_b G
+        return np.einsum("aik...,ab...,bkj...->ij...", self.first[3], self.ginv, self.M)
 
     @cached_property
-    def FG(self) -> np.ndarray:  # [..., a, b, j]
-        """F_ab^i G_ij."""
-        return self.F @ self.state.G[..., None, :, :]
-
-    @cached_property
-    def grad_square(self) -> np.ndarray:
-        """g^{ab} (d_a G  G^-1  d_b G), the gradient-square matrix field."""
-        return (self.dG @ self.M_sharp).sum(axis=-3)
-
-    @cached_property
-    def trace_MM(self) -> np.ndarray:
-        """tr(G^-1 d_a G  G^-1 d_b G) as a field [..., a, b]."""
-        return np.einsum("...aij,...bji->...ab", self.M, self.M)
+    def trace_MM(self) -> np.ndarray:  # [a, b] = tr(G^-1 d_a G G^-1 d_b G)
+        return np.einsum("aij...,bji...->ab...", self.M, self.M)
 
     @cached_property
     def grad_G_norm_sq(self) -> np.ndarray:
-        return np.einsum("...ab,...ab->...", self.ginv, self.trace_MM)
-
-    @cached_property
-    def dA_norm_sq(self) -> np.ndarray:
-        return np.einsum("...abj,...abj->...", self.FG, self.F_sharp)
+        return np.einsum("ab...,ab...->...", self.ginv, self.trace_MM)
 
     @cached_property
     def scalar_curvature(self) -> np.ndarray:
-        Gam = self.christoffels  # [..., c, a, b]
-        dGam = _grad(Gam, self.grid)  # [..., d, c, a, b]
-        ricci = (
-            np.einsum("...ccab->...ab", dGam)
-            - np.einsum("...bcac->...ab", dGam)
-            + np.einsum("...ccd,...dab->...ab", Gam, Gam)
-            - np.einsum("...cbd,...dac->...ab", Gam, Gam)
-        )
-        return np.einsum("...ab,...ab->...", self.ginv, ricci)
+        # g^{ab} Rc_ab, Rc_ab = sum over c != b of
+        # d_c Gamma^c_ab - d_b Gamma^c_ac + Gamma^c_cd Gamma^d_ab - Gamma^c_bd Gamma^d_ac
+        gi, Gam, out = self.ginv, self.christoffels, np.zeros(self.grid.sizes)
+        for c, b, _, _ in self.oriented:
+            dGam = self.second[c][0][c, :, b] - self.second[b][0][c, :, c]
+            out += np.einsum("a...,a...->...", gi[b], dGam)
+            out += np.einsum("d...,a...,da...->...", Gam[c, c], gi[b], Gam[:, :, b])
+            out -= np.einsum("d...,a...,da...->...", Gam[c, b], gi[b], Gam[:, :, c])
+        return out
 
     @cached_property
     def sqrt_det_g(self) -> np.ndarray:
@@ -312,48 +329,49 @@ class _Geometry:
 
     @cached_property
     def energy(self) -> float:
-        w = self.sqrt_det_g
-        return float(0.5 * (self.grad_G_norm_sq * w).sum() * self.grid.cell_volume)
+        return float(0.5 * (self.grad_G_norm_sq * self.sqrt_det_g).sum() * self.grid.cell_volume)
 
     @cached_property
     def s_volume(self) -> float:
         w = self.sqrt_det_g
-        r = self.scalar_curvature - 0.25 * self.grad_G_norm_sq - 0.5 * self.dA_norm_sq
+        r = self.scalar_curvature - 0.25 * self.grad_G_norm_sq - 0.5 * self.dA_sums["norm_sq"]
         return float(-(2.0 / self.grid.n_base) * (r * w).sum() / w.sum())
 
     def s(self, spec: RescalingSpec) -> float:
         """The rescaling value that ``spec`` prescribes at this state."""
         if spec.mode == "off":
             return 0.0
-        if spec.mode == "constant":
-            return spec.s0
-        return self.s_volume
+        return spec.s0 if spec.mode == "constant" else self.s_volume
 
 
 def christoffels_of_g(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Christoffel symbols of g, indexed [..., c, a, b] for Gamma^c_ab."""
-    return _Geometry(state, grid).christoffels
+    return _grid_first(_Geometry(state, grid).christoffels, grid.n_base)
 
 
 def dA_field(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Curvature 2-form of the connection, [..., a, b, i] antisymmetric in (a, b)."""
-    return _Geometry(state, grid).F
+    geo = _Geometry(state, grid)
+    F = np.zeros((geo.n, geo.n, state.n_fiber) + grid.sizes)
+    for x, y, p, s in geo.oriented:
+        F[x, y] = s * geo.F[p]
+    return _grid_first(F, geo.n)
 
 
 def delta_dA(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Codifferential of dA: -g^{bc} (cov d)_b (dA)_{c a}^i, shape [..., a, i]."""
-    return _Geometry(state, grid).delta_dA
+    return _grid_first(_Geometry(state, grid).dA_sums["delta"], grid.n_base)
 
 
 def laplacian_G(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Base-metric Laplacian of G: g^{ab} (d_a d_b G - Gamma^c_ab d_c G)."""
-    return _Geometry(state, grid).laplacian_G
+    return _grid_first(_Geometry(state, grid).laplacian_G, grid.n_base)
 
 
 def tension_G_simplified(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Tension field in divergence form: Laplacian minus the gradient square."""
     geo = _Geometry(state, grid)
-    return geo.laplacian_G - geo.grad_square
+    return _grid_first(geo.laplacian_G - geo.grad_square, geo.n)
 
 
 def tension_G_general(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
@@ -364,9 +382,10 @@ def tension_G_general(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     divergence form identically; both share the same discrete derivatives.
     """
     geo = _Geometry(state, grid)
-    XGY = np.einsum("...aik,...kl,...blj->...abij", geo.dG, geo.Ginv, geo.dG)
-    gamma = -0.5 * (XGY + np.swapaxes(XGY, -1, -2))
-    return geo.laplacian_G + np.einsum("...ab,...abij->...ij", geo.ginv, gamma)
+    ginv, Ginv, dG = (_grid_first(f, geo.n) for f in (geo.ginv, geo.Ginv, geo.first[3]))
+    gamma = _christoffel_stacked(Ginv[..., None, None, :, :], dG[..., :, None, :, :],
+                                 dG[..., None, :, :, :])  # [..., a, b, i, j]
+    return _grid_first(geo.laplacian_G, geo.n) + np.einsum("...ab,...abij->...ij", ginv, gamma)
 
 
 def grad_G_norm_sq(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
@@ -376,7 +395,7 @@ def grad_G_norm_sq(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
 
 def dA_norm_sq(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """|dA|^2 = g^{ac} g^{bd} G_ij (dA)^i_ab (dA)^j_cd per node."""
-    return _Geometry(state, grid).dA_norm_sq
+    return _Geometry(state, grid).dA_sums["norm_sq"]
 
 
 def volume(state: RRFSState, grid: PeriodicGrid) -> float:
@@ -409,21 +428,21 @@ def rrfs_rhs_terms(
     grid allows (Rc = 0 in 1D, Rc = (R/2) g in 2D).
     """
     geo = _Geometry(state, grid)
-    g, A, G = state.g, state.A, state.G
+    g, A, G, n = state.g, state.A, state.G, geo.n
     s = geo.s(spec)
     c = spec.c_coupling
     return {
         "s": s,
         "g_ricci": -geo.scalar_curvature[..., None, None] * g,
-        "g_gradG": 0.5 * geo.trace_MM,
-        "g_dA": np.einsum("...acj,...bcj->...ab", geo.FG, geo.F_up),
+        "g_gradG": 0.5 * _grid_first(geo.trace_MM, n),
+        "g_dA": _grid_first(geo.dA_sums["g"], n),
         "g_rescale": -s * g,
-        "A_codiff": -geo.delta_dA,
-        "A_gradG": np.einsum("...bik,...bak->...ai", geo.M_sharp, geo.F),
+        "A_codiff": -_grid_first(geo.dA_sums["delta"], n),
+        "A_gradG": _grid_first(geo.dA_sums["A"], n),
         "A_rescale": -0.5 * (1.0 + c) * s * A,
-        "G_laplace": geo.laplacian_G,
-        "G_gradsq": -geo.grad_square,
-        "G_dA": -0.5 * np.einsum("...abi,...abj->...ij", geo.FG, geo.F_sharp) @ G,
+        "G_laplace": _grid_first(geo.laplacian_G, n),
+        "G_gradsq": -_grid_first(geo.grad_square, n),
+        "G_dA": _grid_first(geo.dA_sums["G"], n),
         "G_rescale": c * s * G,
     }
 
@@ -520,11 +539,8 @@ def integrate_rrfs(
             except (SPDFieldError, NonFiniteState) as err:
                 rejections += 1
                 if rejections > 50:
-                    raise SPDFieldError(
-                        "SPD structure lost after 50 step halvings",
-                        node=getattr(err, "node", None),
-                        t=t,
-                    ) from err
+                    raise SPDFieldError("SPD structure lost after 50 step halvings",
+                                        node=getattr(err, "node", None), t=t) from err
                 dt *= 0.5
         t += dt
         state = new_state
@@ -536,16 +552,8 @@ def integrate_rrfs(
 
     snapshots.append(state)
     snapshot_times.append(t)
-    times, energies, volumes, s_values = np.array(rows).T
-    return RRFSRun(
-        step_times=times,
-        energies=energies,
-        volumes=volumes,
-        s_values=s_values,
-        snapshot_times=snapshot_times,
-        snapshots=snapshots,
-        final_state=state,
-    )
+    # step_times, energies, volumes, s_values, then the snapshots and the final state
+    return RRFSRun(*np.array(rows).T, snapshot_times, snapshots, state)
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +567,8 @@ def _smooth_scalar(rng: np.random.Generator, grid: PeriodicGrid, n_modes: int = 
     for _ in range(n_modes):
         phase = rng.uniform(0, 2 * np.pi, size=grid.n_base)
         ks = rng.integers(1, 4, size=grid.n_base)
-        wave = np.ones_like(out)
-        for ax in range(grid.n_base):
-            wave = wave * np.cos(
-                2 * np.pi * ks[ax] * coords[ax] / grid.period[ax] + phase[ax]
-            )
+        wave = np.prod([np.cos(2 * np.pi * k * x / p + ph)
+                        for k, x, p, ph in zip(ks, coords, grid.period, phase)], axis=0)
         out += rng.normal() * wave
     return out / max(n_modes, 1)
 
@@ -586,21 +591,14 @@ def random_smooth_state(
     n = grid.n_base
     shape = tuple(grid.sizes)
     S = np.zeros(shape + (n_fiber, n_fiber))
-    for i in range(n_fiber):
-        for j in range(i, n_fiber):
-            f = amplitude * _smooth_scalar(rng, grid)
-            S[..., i, j] += f
-            if i != j:
-                S[..., j, i] += f
+    for i, j in zip(*np.triu_indices(n_fiber)):
+        S[..., i, j] = S[..., j, i] = amplitude * _smooth_scalar(rng, grid)
     G = _expm_sym(S)
     g = np.broadcast_to(np.eye(n), shape + (n, n)).copy()
     if perturb_g:
-        for a in range(n):
-            for b in range(a, n):
-                f = 0.2 * amplitude * _smooth_scalar(rng, grid)
-                g[..., a, b] += f
-                if a != b:
-                    g[..., b, a] += f
+        for a, b in zip(*np.triu_indices(n)):
+            g[..., a, b] += 0.2 * amplitude * _smooth_scalar(rng, grid)
+            g[..., b, a] = g[..., a, b]
     A = np.zeros(shape + (n, n_fiber))
     if perturb_A:
         for a in range(n):

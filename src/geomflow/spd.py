@@ -114,6 +114,13 @@ def christoffel(G: SPDMatrix, X: TangentVector, Y: TangentVector) -> TangentVect
     return TangentVector(-0.5 * (XGY + XGY.T))
 
 
+def _christoffel_stacked(Ginv: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The connection -1/2 (X G^-1 Y + Y G^-1 X) on node-stacked [..., N, N]
+    arrays that broadcast against each other, given G^-1 at each node."""
+    XGY = X @ Ginv @ Y
+    return -0.5 * (XGY + np.swapaxes(XGY, -1, -2))
+
+
 def project_unit_det(G: SPDMatrix) -> SPDMatrix:
     """Rescale G to the unit-determinant slice, G / det(G)^{1/N}."""
     sign, logdet = np.linalg.slogdet(G.entries)

@@ -232,6 +232,15 @@ class TestInputBoundary:
                          "--t-end", "0.01"]) == 1
         assert "periods must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--rtol", "--atol"])
+    def test_non_finite_tolerance_rejected(self, flag, capsys):
+        assert cli.main(["nil3", flag, "nan", "--t-end", "10"]) == 1
+        assert "rtol and atol must be positive and finite" in capsys.readouterr().err
+
+    def test_period_count_mismatch_rejected(self, capsys):
+        assert cli.main(["rrfs", "--grid", "16", "--period", "1,2", "--t-end", "0.01"]) == 1
+        assert "2 periods given for 1 grid axes" in capsys.readouterr().err
+
     def test_non_finite_connection_snapshot_rejected(self, tmp_path, capsys):
         snap = tmp_path / "nan_A.txt"
         snap.write_text("1 1 8 6.2831853071795862\n" + "1 0 1\n" * 7 + "1 nan 1\n")

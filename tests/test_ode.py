@@ -103,6 +103,12 @@ class TestAdaptive:
         with pytest.raises(ValueError):
             IntegratorConfig(safety=1.5)
 
+    @pytest.mark.parametrize("field", ["rtol", "atol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tolerance_rejected(self, field, value):
+        with pytest.raises(ValueError, match="rtol and atol must be positive and finite"):
+            IntegratorConfig(**{field: value})
+
 
 class TestConvergenceOrder:
     def test_exponential_order_four(self):

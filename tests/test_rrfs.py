@@ -472,6 +472,17 @@ class TestLibraryBoundary:
         with pytest.raises(ValueError, match="does not fit grid"):
             fn(flat_state(state_grid, n_fiber=2), grid)
 
+    @pytest.mark.parametrize("shapes", [
+        ((8, 1, 1), (8, 2, 3), (8, 2, 2)),   # A has n = 2 on a 1D base
+        ((8, 1, 1), (8, 1, 3), (8, 2, 2)),   # A has N = 3 for a 2x2 G
+        ((8, 1, 1), (9, 1, 2), (8, 2, 2)),   # A on other nodes
+        ((8, 1, 1), (8, 1, 2), (9, 2, 2)),   # G on other nodes
+    ], ids=["A-base", "A-fiber", "A-nodes", "G-nodes"])
+    def test_state_fields_must_share_nodes_and_dimensions(self, shapes):
+        g, A, G = (np.zeros(s) + np.eye(s[-2], s[-1]) for s in shapes)
+        with pytest.raises(ValueError, match="do not fit"):
+            RRFSState(g, A, G)
+
     def test_metric_rank_must_match_grid(self):
         # node shape (16, 16) fits, but g is 1x1 per node on a 2D base
         shape = (16, 16)
