@@ -218,16 +218,19 @@ class _Geometry:
         return [d[end - len(r):end].reshape(f.shape) for f, r, end in zip(fields, rows, ends)]
 
     @cached_property
-    def first(self) -> list:  # G [i, j], dg [d, a, b], dA [d, a, i], dG [d, i, j]
+    def first(self) -> dict:  # G [i, j], dg [d, a, b], dA [d, a, i], dG [d, i, j]
         fields = [_grid_last(f, self.n) for f in (self.state.g, self.state.A, self.state.G)]
-        derivs = zip(*(self._d(fields, e) for e in range(self.n)))
-        return [np.ascontiguousarray(fields[2]), *map(np.stack, derivs)]
+        dg, dA, dG = map(np.stack, zip(*(self._d(fields, e) for e in range(self.n))))
+        return {"G": np.ascontiguousarray(fields[2]), "dg": dg, "dA": dA, "dG": dG}
 
     @cached_property
     def second(self) -> dict:
         """Per axis e of a pair: d_e Gamma, d_e F_p for each pair p, d_e d_a G for a < e."""
-        return {e: self._d([self.christoffels, *self.F, self.first[3][:e]], e)
-                for e in sorted({a for pair in self.pairs for a in pair})}
+        out = {}
+        for e in sorted({a for pair in self.pairs for a in pair}):
+            dGam, *dF, dG = self._d([self.christoffels, *self.F, self.first["dG"][:e]], e)
+            out[e] = {"Gamma": dGam, "F": dF, "dG": dG}
+        return out
 
     @cached_property
     def ginv(self) -> np.ndarray:  # [a, b]
@@ -239,7 +242,7 @@ class _Geometry:
 
     @cached_property
     def christoffels(self) -> np.ndarray:  # [c, a, b]
-        dg = self.first[1]
+        dg = self.first["dg"]
         # T[d, a, b] = d_a g_db + d_b g_da - d_d g_ab
         T = dg.swapaxes(0, 1) + dg.transpose(1, 2, 0, *range(3, dg.ndim)) - dg
         return 0.5 * np.einsum("cd...,dab...->cab...", self.ginv, T)
@@ -250,14 +253,14 @@ class _Geometry:
 
     @cached_property
     def F(self) -> list:  # [p][i] = d_a A_b - d_b A_a for the pairs p = (a, b)
-        dA = self.first[2]
+        dA = self.first["dA"]
         return [dA[a, b] - dA[b, a] for a, b in self.pairs]
 
     @cached_property
     def dA_sums(self) -> dict:
         """delta dA [a, i], |dA|^2 and the dA terms of the flow: sums over the
         pairs p, q and their orders (x, y), (u, v)."""
-        n, N, gi, G, F = self.n, self.state.n_fiber, self.ginv, self.first[0], self.F
+        n, N, gi, G, F = self.n, self.state.n_fiber, self.ginv, self.first["G"], self.F
         out = {k: np.zeros(shape + self.grid.sizes) for k, shape in (
             ("delta", (n, N)), ("norm_sq", ()), ("g", (n, n)), ("A", (n, N)), ("G", (N, N)))}
         FG = [np.einsum("i...,ij...->j...", Fp, G) for Fp in F]  # F_p^i G_ij
@@ -270,7 +273,7 @@ class _Geometry:
         for x, y, p, s in self.oriented:
             # -g^{bc} (d_b F_ca - Gamma^m_bc F_ma - Gamma^m_ba F_cm) with (x, y)
             # read as (c, a), (m, a) and (c, m)
-            dF = np.stack([self.second[d][1 + p] for d in range(n)])
+            dF = np.stack([self.second[d]["F"][p] for d in range(n)])
             dF_x = np.einsum("d...,di...->i...", gi[x], dF)
             out["delta"][y] += s * (self.gamma[x] * F[p] - dF_x)
             Gam_yx = np.einsum("b...,ba...->a...", gi[x], self.christoffels[y])
@@ -283,21 +286,21 @@ class _Geometry:
     @cached_property
     def laplacian_G(self) -> np.ndarray:  # [i, j]
         # g^{ab} (d_a d_b G - Gamma^c_ab d_c G), each mixed derivative once
-        n, gi, G = self.n, self.ginv, _grid_first(self.first[0], self.n)
-        out = -np.einsum("c...,cij...->ij...", self.gamma, self.first[3])
+        n, gi, G = self.n, self.ginv, _grid_first(self.first["G"], self.n)
+        out = -np.einsum("c...,cij...->ij...", self.gamma, self.first["dG"])
         for a in range(n):
             out += gi[a, a] * _grid_last(d2_central(G, a, a, self.grid), n)
         for a, b in self.pairs:
-            out += (gi[a, b] + gi[b, a]) * self.second[b][-1][a]
+            out += (gi[a, b] + gi[b, a]) * self.second[b]["dG"][a]
         return out
 
     @cached_property
     def M(self) -> np.ndarray:  # [a, i, j] = G^-1 d_a G
-        return np.einsum("ik...,akj...->aij...", self.Ginv, self.first[3])
+        return np.einsum("ik...,akj...->aij...", self.Ginv, self.first["dG"])
 
     @cached_property
     def grad_square(self) -> np.ndarray:  # [i, j] = g^{ab} d_a G G^-1 d_b G
-        return np.einsum("aik...,ab...,bkj...->ij...", self.first[3], self.ginv, self.M)
+        return np.einsum("aik...,ab...,bkj...->ij...", self.first["dG"], self.ginv, self.M)
 
     @cached_property
     def trace_MM(self) -> np.ndarray:  # [a, b] = tr(G^-1 d_a G G^-1 d_b G)
@@ -313,7 +316,7 @@ class _Geometry:
         # d_c Gamma^c_ab - d_b Gamma^c_ac + Gamma^c_cd Gamma^d_ab - Gamma^c_bd Gamma^d_ac
         gi, Gam, out = self.ginv, self.christoffels, np.zeros(self.grid.sizes)
         for c, b, _, _ in self.oriented:
-            dGam = self.second[c][0][c, :, b] - self.second[b][0][c, :, c]
+            dGam = self.second[c]["Gamma"][c, :, b] - self.second[b]["Gamma"][c, :, c]
             out += np.einsum("a...,a...->...", gi[b], dGam)
             out += np.einsum("d...,a...,da...->...", Gam[c, c], gi[b], Gam[:, :, b])
             out -= np.einsum("d...,a...,da...->...", Gam[c, b], gi[b], Gam[:, :, c])
@@ -382,7 +385,7 @@ def tension_G_general(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     divergence form identically; both share the same discrete derivatives.
     """
     geo = _Geometry(state, grid)
-    ginv, Ginv, dG = (_grid_first(f, geo.n) for f in (geo.ginv, geo.Ginv, geo.first[3]))
+    ginv, Ginv, dG = (_grid_first(f, geo.n) for f in (geo.ginv, geo.Ginv, geo.first["dG"]))
     gamma = _christoffel_stacked(Ginv[..., None, None, :, :], dG[..., :, None, :, :],
                                  dG[..., None, :, :, :])  # [..., a, b, i, j]
     return _grid_first(geo.laplacian_G, geo.n) + np.einsum("...ab,...abij->...ij", ginv, gamma)
@@ -552,7 +555,6 @@ def integrate_rrfs(
 
     snapshots.append(state)
     snapshot_times.append(t)
-    # step_times, energies, volumes, s_values, then the snapshots and the final state
     return RRFSRun(*np.array(rows).T, snapshot_times, snapshots, state)
 
 

@@ -7,6 +7,7 @@ from geomflow.spd import (
     SPDError,
     SPDMatrix,
     TangentVector,
+    _christoffel_stacked,
     christoffel,
     metric_at,
     project_unit_det,
@@ -129,6 +130,41 @@ class TestChristoffel:
         gamma = christoffel(SPDMatrix(pts[2]), TangentVector(d1), TangentVector(d1))
         residual = np.abs(d2 + gamma.entries).max()
         assert residual <= 1e-8
+
+
+class TestChristoffelStacked:
+    """The node-stacked connection that ``rrfs.tension_G_general`` builds on."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_single_node_form(self, n):
+        # per node against christoffel(), which solves with G instead of
+        # multiplying by G^-1; X and Y broadcast over an (a, b) pair of axes
+        # as in the tension field
+        rng = np.random.default_rng(n)
+        Gs = [random_spd(20 + k, n) for k in range(5)]
+        X = (lambda m: m + np.swapaxes(m, -1, -2))(rng.standard_normal((5, 2, n, n)))
+        Ginv = np.linalg.inv(np.stack([G.entries for G in Gs]))
+        got = _christoffel_stacked(Ginv[:, None, None], X[:, :, None], X[:, None, :])
+        assert got.shape == (5, 2, 2, n, n)
+        for k, G in enumerate(Gs):
+            for a in range(2):
+                for b in range(2):
+                    want = christoffel(G, TangentVector(X[k, a]), TangentVector(X[k, b]))
+                    npt.assert_allclose(got[k, a, b], want.entries, rtol=1e-12, atol=1e-12)
+
+    def test_geodesic_residual_stacked(self):
+        # the geodesic check of TestChristoffel on a stack of curves at once
+        rng = np.random.default_rng(7)
+        n, h = 3, 1e-2
+        G0 = [random_spd(30 + k, n).entries for k in range(4)]
+        X = [0.3 * (lambda m: m + m.T)(rng.standard_normal((n, n))) for _ in G0]
+        roots = [_sqrtm(G) for G in G0]
+        pts = np.array([[s @ _expm(u * np.linalg.inv(s) @ x @ np.linalg.inv(s)) @ s
+                         for s, x in zip(roots, X)] for u in h * np.arange(-2, 3)])
+        d1 = (-pts[4] + 8 * pts[3] - 8 * pts[1] + pts[0]) / (12 * h)
+        d2 = (-pts[4] + 16 * pts[3] - 30 * pts[2] + 16 * pts[1] - pts[0]) / (12 * h * h)
+        gamma = _christoffel_stacked(np.linalg.inv(pts[2]), d1, d1)
+        assert np.abs(d2 + gamma).max() <= 1e-8
 
 
 class TestUnitDet:
