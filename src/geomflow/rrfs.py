@@ -158,7 +158,7 @@ def _neighbours(fld: np.ndarray, axis: int, grid: PeriodicGrid):
 
 
 def d_central(fld: np.ndarray, axis: int, grid: PeriodicGrid) -> np.ndarray:
-    """4th-order periodic central first derivative along a base axis."""
+    """4th-order periodic central first derivative along a base axis; keeps fld's memory order."""
     fm2, fm1, fp1, fp2 = _neighbours(fld, axis, grid)
     return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * grid.spacing[axis])
 
@@ -210,10 +210,9 @@ class _Geometry:
 
     def _d(self, fields: list, axis: int) -> list:
         """d_central of each field along ``axis``, in one call on all their components."""
-        n, sizes = self.n, self.grid.sizes
-        rows = [f.reshape((-1,) + sizes) for f in fields]
-        stacked = np.concatenate(rows, out=np.empty((sum(map(len, rows)),) + sizes))
-        d = _grid_last(d_central(_grid_first(stacked, n), axis, self.grid), n)
+        rows = [f.reshape((-1,) + self.grid.sizes) for f in fields]
+        stacked = np.concatenate(rows, out=np.empty((sum(map(len, rows)),) + self.grid.sizes))
+        d = _grid_last(d_central(_grid_first(stacked, self.n), axis, self.grid), self.n)
         ends = np.cumsum([len(r) for r in rows])
         return [d[end - len(r):end].reshape(f.shape) for f, r, end in zip(fields, rows, ends)]
 
@@ -225,11 +224,13 @@ class _Geometry:
 
     @cached_property
     def second(self) -> dict:
-        """Per axis e of a pair: d_e Gamma, d_e F_p for each pair p, d_e d_a G for a < e."""
+        """Per axis e of a pair: d_e Gamma^c_af [f][c, a] (f != e), d_e F_p, d_e d_a G (a < e)."""
         out = {}
         for e in sorted({a for pair in self.pairs for a in pair}):
-            dGam, *dF, dG = self._d([self.christoffels, *self.F, self.first["dG"][:e]], e)
-            out[e] = {"Gamma": dGam, "F": dF, "dG": dG}
+            others = [f for f in range(self.n) if f != e]
+            fields = [self.christoffels[:, :, others], *self.F, self.first["dG"][:e]]
+            dGam, *dF, dG = self._d(fields, e)
+            out[e] = {"Gamma": dict(zip(others, np.moveaxis(dGam, 2, 0))), "F": dF, "dG": dG}
         return out
 
     @cached_property
@@ -253,8 +254,7 @@ class _Geometry:
 
     @cached_property
     def F(self) -> list:  # [p][i] = d_a A_b - d_b A_a for the pairs p = (a, b)
-        dA = self.first["dA"]
-        return [dA[a, b] - dA[b, a] for a, b in self.pairs]
+        return [self.first["dA"][a, b] - self.first["dA"][b, a] for a, b in self.pairs]
 
     @cached_property
     def dA_sums(self) -> dict:
@@ -316,7 +316,7 @@ class _Geometry:
         # d_c Gamma^c_ab - d_b Gamma^c_ac + Gamma^c_cd Gamma^d_ab - Gamma^c_bd Gamma^d_ac
         gi, Gam, out = self.ginv, self.christoffels, np.zeros(self.grid.sizes)
         for c, b, _, _ in self.oriented:
-            dGam = self.second[c]["Gamma"][c, :, b] - self.second[b]["Gamma"][c, :, c]
+            dGam = self.second[c]["Gamma"][b][c] - self.second[b]["Gamma"][c][c]
             out += np.einsum("a...,a...->...", gi[b], dGam)
             out += np.einsum("d...,a...,da...->...", Gam[c, c], gi[b], Gam[:, :, b])
             out -= np.einsum("d...,a...,da...->...", Gam[c, b], gi[b], Gam[:, :, c])

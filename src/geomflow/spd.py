@@ -115,8 +115,8 @@ def christoffel(G: SPDMatrix, X: TangentVector, Y: TangentVector) -> TangentVect
 
 
 def _christoffel_stacked(Ginv: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The connection -1/2 (X G^-1 Y + Y G^-1 X) on node-stacked [..., N, N]
-    arrays that broadcast against each other, given G^-1 at each node."""
+    """The connection -1/2 (X G^-1 Y + Y G^-1 X) for symmetric X and Y, on
+    node-stacked [..., N, N] arrays that broadcast together, given G^-1."""
     XGY = X @ Ginv @ Y
     return -0.5 * (XGY + np.swapaxes(XGY, -1, -2))
 
