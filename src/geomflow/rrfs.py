@@ -85,15 +85,15 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def _check_spd_field(fld: np.ndarray, what: str) -> float:
-    """Raise SPDFieldError unless every node is SPD; return the smallest eigenvalue."""
+def _check_spd_field(fld: np.ndarray, what: str) -> np.ndarray:
+    """Raise SPDFieldError unless every node is SPD; return the eigenvalues."""
     if not np.all(np.isfinite(fld)):
         raise SPDFieldError(f"{what} has non-finite entries")
-    w = np.linalg.eigvalsh(fld)[..., 0]
-    if np.any(w <= 0):
-        node = tuple(int(i) for i in np.argwhere(w <= 0)[0])
+    w = np.linalg.eigvalsh(fld)
+    if np.any(w[..., 0] <= 0):
+        node = tuple(int(i) for i in np.argwhere(w[..., 0] <= 0)[0])
         raise SPDFieldError(f"{what} is not positive definite", node=node)
-    return float(w.min())
+    return w
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,10 @@ class RRFSState:
             raise ValueError(f"fields of shapes {g.shape}, {A.shape}, {G.shape} do not fit")
         if not np.all(np.isfinite(A)):
             raise SPDFieldError("connection A has non-finite entries")
-        # smallest eigenvalue of g, read by the CFL step of integrate_rrfs
-        object.__setattr__(self, "_g_min_eig", _check_spd_field(g, "base metric g"))
+        # the eigenvalues of g give the CFL step of integrate_rrfs and sqrt(det g)
+        w = _check_spd_field(g, "base metric g")
+        object.__setattr__(self, "_g_min_eig", float(w[..., 0].min()))
+        object.__setattr__(self, "_g_sqrt_det", np.sqrt(w.prod(axis=-1)))
         _check_spd_field(G, "fiber metric G")
         for name, arr in (("g", g), ("A", A), ("G", G)):
             object.__setattr__(self, name, arr)
@@ -258,12 +260,12 @@ class _Geometry:
 
     @cached_property
     def dA_sums(self) -> dict:
-        """delta dA [a, i], |dA|^2 and the dA terms of the flow: sums over the
-        pairs p, q and their orders (x, y), (u, v)."""
+        """delta dA [a, i], |dA|^2 and the dA terms of the flow, as sums over the pairs."""
         n, N, gi, G, F = self.n, self.state.n_fiber, self.ginv, self.first["G"], self.F
         out = {k: np.zeros(shape + self.grid.sizes) for k, shape in (
             ("delta", (n, N)), ("norm_sq", ()), ("g", (n, n)), ("A", (n, N)), ("G", (N, N)))}
         FG = [np.einsum("i...,ij...->j...", Fp, G) for Fp in F]  # F_p^i G_ij
+        FGF = [[np.einsum("j...,j...->...", FGp, Fq) for Fq in F] for FGp in FG]
         for (a, b), FGp in zip(self.pairs, FG):
             # g^{ac} g^{bd} F_cd, with both orders of each pair counted
             F_sharp = sum((gi[a, c] * gi[b, d] - gi[a, d] * gi[b, c]) * Fq
@@ -280,7 +282,7 @@ class _Geometry:
             out["delta"] += s * Gam_yx[:, None] * F[p]
             out["A"][y] += s * np.einsum("b...,bik...,k...->i...", gi[x], self.M, F[p])
             for u, v, q, t in self.oriented:
-                out["g"][x, u] += (s * t) * gi[y, v] * np.einsum("j...,j...->...", FG[p], F[q])
+                out["g"][x, u] += (s * t) * gi[y, v] * FGF[p][q]
         return out
 
     @cached_property
@@ -323,20 +325,17 @@ class _Geometry:
         return out
 
     @cached_property
-    def sqrt_det_g(self) -> np.ndarray:
-        return np.sqrt(np.linalg.det(self.state.g))
-
-    @cached_property
     def volume(self) -> float:
-        return float(self.sqrt_det_g.sum() * self.grid.cell_volume)
+        return float(self.state._g_sqrt_det.sum() * self.grid.cell_volume)
 
     @cached_property
     def energy(self) -> float:
-        return float(0.5 * (self.grad_G_norm_sq * self.sqrt_det_g).sum() * self.grid.cell_volume)
+        w = self.state._g_sqrt_det
+        return float(0.5 * (self.grad_G_norm_sq * w).sum() * self.grid.cell_volume)
 
     @cached_property
     def s_volume(self) -> float:
-        w = self.sqrt_det_g
+        w = self.state._g_sqrt_det
         r = self.scalar_curvature - 0.25 * self.grad_G_norm_sq - 0.5 * self.dA_sums["norm_sq"]
         return float(-(2.0 / self.grid.n_base) * (r * w).sum() / w.sum())
 
