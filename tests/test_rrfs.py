@@ -492,6 +492,80 @@ class TestLibraryBoundary:
             volume(st, PeriodicGrid(shape, (2 * np.pi,) * 2))
 
 
+class TestSPDGuard:
+    """``RRFSState`` rejects a g or G that is not SPD at some node, naming the
+    first such node in C order, and a field with non-finite entries."""
+
+    # per matrix size: indefinite, singular or negative definite nodes; the 3x3
+    # ones have an SPD leading 2x2 block, so only the last pivot fails
+    BAD = {
+        1: [[[-0.5]], [[0.0]]],
+        2: [[[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, 2.0]], [[1.0, 0.0], [0.0, -1e-3]]],
+        3: [[[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]],
+            [[2.0, 1.0, 1.0], [1.0, 2.0, 1.9], [1.0, 1.9, 1.0]]],
+    }
+    WHAT = {"g": "base metric g", "G": "fiber metric G"}
+    # (field, n, N, bad nodes, the first of them in C order)
+    CASES = {
+        "g-n1": ("g", 1, 2, [(11,), (5,)], (5,)),
+        "g-n2": ("g", 2, 1, [(6, 1), (2, 7)], (2, 7)),
+        "G-N1": ("G", 1, 1, [(11,), (5,)], (5,)),
+        "G-N2": ("G", 2, 2, [(6, 1), (2, 7)], (2, 7)),
+        "G-N3-1d": ("G", 1, 3, [(11,), (5,)], (5,)),
+        "G-N3-2d": ("G", 2, 3, [(6, 1), (2, 7)], (2, 7)),
+    }
+
+    @staticmethod
+    def fields(n, N):
+        sizes = (16,) if n == 1 else (8, 8)
+        return {"g": np.broadcast_to(np.eye(n), sizes + (n, n)).copy(),
+                "A": np.zeros(sizes + (n, N)),
+                "G": np.broadcast_to(np.eye(N), sizes + (N, N)).copy()}
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_rejects_first_non_spd_node(self, case):
+        name, n, N, nodes, first = case
+        f = self.fields(n, N)
+        k = f[name].shape[-1]
+        for bad in self.BAD[k]:
+            for node in nodes:
+                f[name][node] = bad
+            with pytest.raises(rrfs.SPDFieldError) as info:
+                RRFSState(**f)
+            assert str(info.value) == (
+                f"{self.WHAT[name]} is not positive definite at node {first}")
+            assert info.value.node == first
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_rejects_non_finite(self, case, value):
+        name, n, N, nodes, _ = case
+        f = self.fields(n, N)
+        f[name][nodes[0] + (0, f[name].shape[-1] - 1)] = value
+        with pytest.raises(rrfs.SPDFieldError,
+                           match=f"^{self.WHAT[name]} has non-finite entries$"):
+            RRFSState(**f)
+
+    def test_halving_path(self, monkeypatch):
+        # the full 0.05 step loses G's positivity at one stage; the step
+        # is halved once and the run lands on t_end in two steps of 0.025
+        grid = PeriodicGrid((16, 16), (2 * np.pi,) * 2)
+        st = random_smooth_state(0, grid, 2, amplitude=1.5, perturb_g=True, perturb_A=True)
+        check, errors = rrfs._check_spd_field, []
+
+        def recording(fld, what):
+            try:
+                return check(fld, what)
+            except rrfs.SPDFieldError as err:
+                errors.append(str(err))
+                raise
+
+        monkeypatch.setattr(rrfs, "_check_spd_field", recording)
+        run = integrate_rrfs(st, grid, RescalingSpec("volume"), 0.05, kappa_cfl=2.0)
+        npt.assert_array_equal(np.diff(run.step_times), [0.025, 0.025])
+        assert errors == ["fiber metric G is not positive definite at node (1, 8)"]
+
+
 class TestSnapshots:
     @pytest.mark.parametrize("n_base", [1, 2])
     def test_round_trip_bit_exact(self, tmp_path, n_base):
