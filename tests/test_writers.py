@@ -168,7 +168,7 @@ def nil3_trajectories(draw):
 
 
 class TestRoundTripProperties:
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(snapshot_states())
     def test_snapshot_save_load_bit_exact(self, tmp_path_factory, case):
         state, grid = case
@@ -181,7 +181,7 @@ class TestRoundTripProperties:
         rrfs.save_snapshot(loaded, loaded_grid, d / "b.txt")
         assert (d / "b.txt").read_bytes() == (d / "a.txt").read_bytes()
 
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(nil3_trajectories())
     def test_nil3_csv_write_read_bit_exact(self, tmp_path_factory, traj):
         path = tmp_path_factory.mktemp("nil3") / "t.csv"
