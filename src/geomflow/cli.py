@@ -217,6 +217,8 @@ def cmd_rrfs(args) -> int:
 def verify_tension(seed: int, n_base: int, n_fiber: int, size: int,
                    n_fields: int) -> float:
     """Max relative sup-gap between the two tension-field constructions."""
+    if n_fields < 1:
+        raise ValueError(f"n_fields must be at least 1, got {n_fields}")
     worst = 0.0
     grid = rrfs.PeriodicGrid(
         (size,) * n_base, (2 * np.pi,) * n_base

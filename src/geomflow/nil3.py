@@ -64,6 +64,8 @@ class CouplingSchedule:
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "power"):
             raise ValueError(f"unknown coupling kind {self.kind!r}")
+        if not (np.isfinite(self.c0) and np.isfinite(self.r)):
+            raise ValueError("coupling c0 and r must be finite")
         if self.kind != "zero" and self.c0 < 0:
             raise ValueError("c0 must be nonnegative")
         if self.kind == "power" and self.r <= 0:

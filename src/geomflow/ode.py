@@ -66,6 +66,8 @@ class IntegratorConfig:
             raise ValueError("h_init must not exceed h_max")
         if not 0 < self.safety < 1:
             raise ValueError("safety must lie in (0, 1)")
+        if self.samples_per_decade < 1:
+            raise ValueError("samples_per_decade must be at least 1")
 
 
 @dataclass(frozen=True)

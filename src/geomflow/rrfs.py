@@ -588,6 +588,8 @@ def random_smooth_state(
     perturb_A: bool = False,
 ) -> RRFSState:
     """Seeded smooth periodic state: G = exp(symmetric Fourier field), flat-ish g."""
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     rng = np.random.default_rng(seed)
     n = grid.n_base
     shape = tuple(grid.sizes)

@@ -254,6 +254,32 @@ class TestInputBoundary:
         assert cli.main(["nil3", "--coupling", spec]) == 1
         assert "bad coupling spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["const:nan", "const:inf", "power:1,nan",
+                                      "power:nan,1", "power:inf,1", "power:1,inf"])
+    def test_non_finite_coupling_rejected(self, spec, capsys):
+        assert cli.main(["nil3", "--coupling", spec, "--t-end", "10"]) == 1
+        assert "coupling c0 and r must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["nil3"], ["blowdown-check"]],
+                             ids=["nil3", "blowdown-check"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_samples_per_decade_below_one_rejected(self, argv, n, capsys):
+        assert cli.main([*argv, "--samples-per-decade", n, "--t-end", "10"]) == 1
+        assert "samples_per_decade must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_verify_tension_without_fields_rejected(self, n, capsys):
+        assert cli.main(["verify-tension", "--fields", n]) == 1
+        captured = capsys.readouterr()
+        assert "n_fields must be at least 1" in captured.err
+        assert "residual" not in captured.out
+
+    @pytest.mark.parametrize("amplitude", ["nan", "inf", "-inf"])
+    def test_non_finite_amplitude_rejected(self, amplitude, capsys):
+        assert cli.main(["rrfs", "--grid", "16", f"--amplitude={amplitude}",
+                         "--t-end", "0.01"]) == 1
+        assert "amplitude must be finite" in capsys.readouterr().err
+
     def test_module_entry_point_has_no_runtime_warning(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
