@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomflow import nil3
 from geomflow.nil3 import (
@@ -315,3 +317,49 @@ class TestBounds:
         report = bounds_check(Trajectory(times, states, 16), p)
         assert not report.ok
         assert any(name == "C_upper" for name, _, _ in report.violations)
+
+
+@st.composite
+def random_params(draw):
+    """Nil3 data over A0, B0, C0 in [0.1, 10], a in [-2, 2], a zero, constant
+    or power coupling with c0 in [0, 2] and r in [0.1, 3], and a horizon
+    t_end in [1, 100]."""
+    A0, B0, C0 = (draw(st.floats(0.1, 10.0)) for _ in range(3))
+    c0, r = draw(st.floats(0.0, 2.0)), draw(st.floats(0.1, 3.0))
+    coupling = draw(st.sampled_from([
+        CouplingSchedule.zero(), CouplingSchedule.constant(c0),
+        CouplingSchedule.power(c0, r)]))
+    params = Nil3Params(Nil3State(A0, B0, C0), MapSlope(draw(st.floats(-2.0, 2.0))),
+                        coupling)
+    return params, draw(st.floats(1.0, 100.0))
+
+
+class TestRandomDataProperties:
+    CFG = IntegratorConfig(samples_per_decade=16)
+
+    @settings(max_examples=30)
+    @given(random_params())
+    def test_phi_conserved(self, case):
+        params, t_end = case
+        traj = integrate_nil3(params, t_end, self.CFG)
+        phi = traj.states[:, 1] * traj.states[:, 2]
+        assert np.abs(phi / params.phi0 - 1.0).max() <= 1e-7
+
+    @settings(max_examples=30)
+    @given(random_params(), st.sampled_from([0.5, 4.0]))
+    def test_blowdown_closure(self, case, s):
+        """The blowdown of a solution solves the blown-down system: the two
+        right-hand sides agree sample by sample, and integrating the
+        blown-down data lands on the blown-down end state.  (The ratio of
+        the finite-difference residuals, which AC-5 bounds by 10 on its
+        scenarios, is a property of the log(1 + t) sampling and exceeds 10
+        on some of these data.)"""
+        params, t_end = case
+        traj = integrate_nil3(params, t_end, self.CFG)
+        p_s, t_s = blowdown(params, traj, s)
+        f = np.stack(nil3._flow(*traj.states.T, params.f(traj.times)))
+        f_s = np.stack(nil3._flow(*t_s.states.T, p_s.f(t_s.times)))
+        npt.assert_allclose(f_s, f, rtol=1e-13, atol=1e-15 * np.abs(f).max())
+        direct = integrate_nil3(p_s, t_end / s, self.CFG)
+        assert direct.times[-1] == t_s.times[-1]
+        npt.assert_allclose(direct.states[-1], t_s.states[-1], rtol=1e-8)

@@ -92,6 +92,32 @@ class TestDerivatives:
             d_central(np.ones(64), 1, S1_64)
 
 
+class TestStencilSymbols:
+    """On every Fourier mode exp(i k.x) up to Nyquist, along each axis, the
+    stencils multiply by their discrete symbols: d_central by
+    i (8 sin kh - sin 2kh) / (6h) and the pure d2_central by
+    -(30 - 32 cos kh + 2 cos 2kh) / (12 h^2), to 1e-12 of k and k^2."""
+
+    GRIDS = {"1d": PeriodicGrid((64,), (2 * np.pi,)),
+             "2d": PeriodicGrid((12, 10), (2 * np.pi, 3.0))}
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    def test_every_mode_along_every_axis(self, grid):
+        coords = grid.coords()
+        for axis, (m, p, h) in enumerate(zip(grid.sizes, grid.period, grid.spacing)):
+            # the other axis carries its first mode, so the field varies along both
+            other = sum(2 * np.pi / q * x for b, (q, x) in enumerate(zip(grid.period, coords))
+                        if b != axis)
+            for j in range(1, m // 2 + 1):
+                k = 2 * np.pi * j / p
+                mode = np.exp(1j * (k * coords[axis] + other))
+                d1 = 1j * (8 * np.sin(k * h) - np.sin(2 * k * h)) / (6 * h)
+                d2 = -(30 - 32 * np.cos(k * h) + 2 * np.cos(2 * k * h)) / (12 * h * h)
+                err1 = np.abs(d_central(mode, axis, grid) - d1 * mode).max()
+                err2 = np.abs(d2_central(mode, axis, axis, grid) - d2 * mode).max()
+                assert err1 <= 1e-12 * k and err2 <= 1e-12 * k * k, (axis, j, err1, err2)
+
+
 class TestChristoffels:
     def test_constant_metric(self):
         st = flat_state(T2_64)
