@@ -15,6 +15,7 @@ is the d-derivative of ``g_ab`` as a grid-shaped array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,15 +86,26 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def _check_spd_field(fld: np.ndarray, what: str) -> np.ndarray:
-    """Raise SPDFieldError unless every node is SPD; return the eigenvalues."""
-    if not np.all(np.isfinite(fld)):
+def _check_spd_field(fld: np.ndarray, what: str):
+    """Raise SPDFieldError at the first non-SPD node in C order.  Sylvester: the LDL^T
+    pivots d_i of the field scaled to unit diagonal are all positive; clamping each entry
+    and s_ji / sqrt(d_i) to [-1, 1] (SPD nodes keep them inside) and flooring d_i at the
+    smallest double keep every finite input finite."""
+    if not np.isfinite(fld).all():
         raise SPDFieldError(f"{what} has non-finite entries")
-    w = np.linalg.eigvalsh(fld)
-    if np.any(w[..., 0] <= 0):
-        node = tuple(int(i) for i in np.argwhere(w[..., 0] <= 0)[0])
+    a, tiny = np.ascontiguousarray(_grid_last(fld, fld.ndim - 2)), 5e-324
+    k, s = len(a), [np.sqrt(np.maximum(a[i, i], tiny)) for i in range(len(a))]
+    c = [[a[j, i] / np.maximum(s[i] * s[j], np.abs(a[j, i])) for i in range(j)]
+         + [np.sign(a[j, j])] for j in range(k)]
+    ok, u = c[0][0] > 0, [row[0] for row in c[1:]]  # the multipliers of d_0
+    for i in range(1, k):
+        for j in range(i, k):
+            c[j][i:j + 1] = [x - u[j - i] * v for x, v in zip(c[j][i:j + 1], u)]
+        ok, r = ok & (c[i][i] > 0), np.sqrt(np.maximum(c[i][i], tiny))
+        u = [c[j][i] / np.maximum(r, np.abs(c[j][i])) for j in range(i + 1, k)]
+    if not ok.all():
+        node = tuple(int(i) for i in np.argwhere(~ok)[0])
         raise SPDFieldError(f"{what} is not positive definite", node=node)
-    return w
 
 
 @dataclass(frozen=True)
@@ -108,16 +120,22 @@ class RRFSState:
         G = _sym(np.asarray(self.G, dtype=float))
         if G.shape[-1] < 1:
             raise ValueError("fiber dimension must be at least 1")
+        if g.shape[-1] not in (1, 2):
+            raise ValueError(f"base metric g must be 1x1 or 2x2 per node, got {g.shape[-2:]}")
         if A.shape != g.shape[:-1] + G.shape[-1:] or G.shape[:-2] != g.shape[:-2]:
             raise ValueError(f"fields of shapes {g.shape}, {A.shape}, {G.shape} do not fit")
         if not np.all(np.isfinite(A)):
             raise SPDFieldError("connection A has non-finite entries")
-        # the eigenvalues of g give the CFL step of integrate_rrfs and sqrt(det g)
-        w = _check_spd_field(g, "base metric g")
-        object.__setattr__(self, "_g_min_eig", float(w[..., 0].min()))
-        object.__setattr__(self, "_g_sqrt_det", np.sqrt(w.prod(axis=-1)))
+        _check_spd_field(g, "base metric g")
         _check_spd_field(G, "fiber metric G")
-        for name, arr in (("g", g), ("A", A), ("G", G)):
+        n, diag = g.shape[-1], [g[..., a, a] for a in range(g.shape[-1])]
+        pairs = [(g[..., a, b] ** 2, ((diag[a] - diag[b]) / n) ** 2)  # a < b: none if n = 1
+                 for b in range(n) for a in range(b)]
+        det = math.prod(diag[1:], start=diag[0]) - sum(off for off, _ in pairs)
+        min_eig = sum(diag[1:], diag[0]) / n - np.sqrt(sum(off + d for off, d in pairs))
+        object.__setattr__(self, "_g_min_eig", float(min_eig.min()))  # for the CFL step
+        for name, arr in zip(("g", "A", "G", "_g_det", "_g_sqrt_det"),
+                             (g, A, G, det, np.sqrt(det))):
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
 
@@ -236,8 +254,12 @@ class _Geometry:
         return out
 
     @cached_property
-    def ginv(self) -> np.ndarray:  # [a, b]
-        return np.ascontiguousarray(_grid_last(np.linalg.inv(self.state.g), self.n))
+    def ginv(self) -> np.ndarray:  # [a, b] = adj(g)_ab / det g
+        g = _grid_last(self.state.g, self.n)
+        adj = np.negative(g, out=np.empty(g.shape))  # adj_ab = -g_ab off the diagonal (n <= 2)
+        for a in range(self.n):
+            adj[a, a] = math.prod(g[c, c] for c in range(self.n) if c != a)
+        return np.divide(adj, self.state._g_det, out=adj)
 
     @cached_property
     def Ginv(self) -> np.ndarray:  # [i, j]
@@ -431,8 +453,7 @@ def rrfs_rhs_terms(
     """
     geo = _Geometry(state, grid)
     g, A, G, n = state.g, state.A, state.G, geo.n
-    s = geo.s(spec)
-    c = spec.c_coupling
+    s, c = geo.s(spec), spec.c_coupling
     return {
         "s": s,
         "g_ricci": -geo.scalar_curvature[..., None, None] * g,
@@ -520,12 +541,9 @@ def integrate_rrfs(
         geo = _Geometry(st, grid)
         rows.append((t, geo.energy, geo.volume, geo.s(spec)))
 
-    t = 0.0
-    state = state0
+    t, state, next_snap = 0.0, state0, 1
     record(t, state)
-    snapshots = [state0]
-    snapshot_times = [0.0]
-    next_snap = 1
+    snapshots, snapshot_times = [state0], [0.0]
 
     while t < t_end * (1 - 1e-12):
         dt_cfl = kappa_cfl * h_min * h_min * state._g_min_eig

@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from geomflow import rrfs
 from geomflow.rrfs import (
@@ -590,6 +595,112 @@ class TestSPDGuard:
         run = integrate_rrfs(st, grid, RescalingSpec("volume"), 0.05, kappa_cfl=2.0)
         npt.assert_array_equal(np.diff(run.step_times), [0.025, 0.025])
         assert errors == ["fiber metric G is not positive definite at node (1, 8)"]
+
+
+@st.composite
+def symmetric_fields(draw):
+    """Symmetric k x k fields (k = 1, 2, 3) on 5 or 3 x 4 nodes, each node
+    Q diag(lam) Q^T with |lam| in [0.05, 4], so at least 1/80 of the largest
+    eigenvalue away from singular, then scaled by 10^[-3, 3] and by a
+    diagonal congruence D . D with D in 10^[-2, 2], which keeps the signs of
+    the eigenvalues.  Up to three nodes get one negative eigenvalue."""
+    k, sizes = draw(st.integers(1, 3)), draw(st.sampled_from([(5,), (3, 4)]))
+    m = int(np.prod(sizes))
+    Q = np.linalg.qr(draw(hnp.arrays(np.float64, (m, k, k), elements=st.floats(-1, 1)))
+                     + 2 * np.eye(k))[0]
+    lam = draw(hnp.arrays(np.float64, (m, k), elements=st.floats(0.05, 4.0)))
+    for node in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        lam[node, draw(st.integers(0, k - 1))] *= -1
+    scale = 10.0 ** draw(hnp.arrays(np.float64, (m, 1, 1), elements=st.floats(-3, 3)))
+    D = 10.0 ** draw(hnp.arrays(np.float64, (m, k), elements=st.floats(-2, 2)))
+    fld = scale * np.einsum("...ik,...k,...jk->...ij", Q, lam, Q)
+    fld = D[:, :, None] * fld * D[:, None, :]
+    return (0.5 * (fld + np.swapaxes(fld, -1, -2))).reshape(sizes + (k, k))
+
+
+class TestSPDElimination:
+    """The elimination test of ``_check_spd_field`` against eigenvalues."""
+
+    @settings(max_examples=150)
+    @given(symmetric_fields())
+    def test_agrees_with_eigvalsh(self, fld):
+        w = np.linalg.eigvalsh(fld)[..., 0]
+        if np.all(w > 0):
+            rrfs._check_spd_field(fld, "field")
+            return
+        with pytest.raises(rrfs.SPDFieldError) as info:
+            rrfs._check_spd_field(fld, "field")
+        assert info.value.node == tuple(int(i) for i in np.argwhere(w <= 0)[0])
+
+    EXTREME = {
+        "overflow": [[1e-200, 1e60], [1e60, 1.0]],
+        "huge-off": [[1e-300, 1e300], [1e300, 1e-300]],
+        "max-diag": [[1e308, 1.7e308], [1.7e308, 1e308]],
+        "subnormal": [[5e-324, 1e-300], [1e-300, 5e-324]],
+        "zero": [[0.0, 0.0], [0.0, 0.0]],
+        "negative-max": [[-1.7e308, 1e308], [1e308, -1.7e308]],
+        "3x3-huge": [[1e-150, 1e150, 1.0], [1e150, 1e-150, 1e300], [1.0, 1e300, 1e-300]],
+        "3x3-tiny-pivot": [[1.0, 1 - 1e-16, 1e308], [1 - 1e-16, 1.0, -1e308],
+                           [1e308, -1e308, 1.0]],
+    }
+
+    @pytest.mark.parametrize("bad", EXTREME.values(), ids=EXTREME.keys())
+    def test_extreme_entries_fail_without_runtime_warning(self, bad):
+        fld = np.broadcast_to(np.eye(len(bad)), (6, len(bad), len(bad))).copy()
+        fld[4] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rrfs.SPDFieldError, match=r"not positive definite at node \(4,\)"):
+                rrfs._check_spd_field(fld, "field")
+
+    def test_overflow_case_through_state(self):
+        G = np.broadcast_to(np.eye(2), (6, 2, 2)).copy()
+        G[4] = self.EXTREME["overflow"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rrfs.SPDFieldError,
+                               match=r"^fiber metric G is not positive definite at node \(4,\)$"):
+                RRFSState(np.ones((6, 1, 1)), np.zeros((6, 1, 2)), G)
+
+    def test_extreme_spd_entries_pass(self):
+        fld = np.array([[[1e-300, 0.0], [0.0, 1e300]], [[1e300, 1e299], [1e299, 1e300]],
+                        [[5e-324, 0.0], [0.0, 5e-324]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rrfs._check_spd_field(fld, "field")
+
+    def test_base_metric_must_be_1x1_or_2x2(self):
+        with pytest.raises(ValueError, match="base metric g must be 1x1 or 2x2"):
+            RRFSState(np.broadcast_to(np.eye(3), (8, 3, 3)), np.zeros((8, 3, 1)),
+                      np.ones((8, 1, 1)))
+
+
+class TestClosedFormMetric:
+    """min-eig g, sqrt(det g) and g^-1 in closed form against LAPACK, on
+    well-conditioned seeded fields (relative error 1e-13)."""
+
+    GRIDS = {"1d": PeriodicGrid((64,), (2 * np.pi,)),
+             "2d": PeriodicGrid((16, 12), (2 * np.pi, 3.0))}
+
+    @pytest.mark.parametrize("amplitude", [0.3, 1.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    def test_against_lapack(self, grid, seed, amplitude):
+        st = random_smooth_state(seed, grid, 2, amplitude=amplitude, perturb_g=True)
+        if grid.n_base == 2:  # a rotated anisotropic g, not only near-diagonal ones
+            X, Y = grid.coords()
+            th, big = np.sin(X + 2 * Y), 2.0 + np.cos(X)
+            R = np.stack([np.stack([np.cos(th), -np.sin(th)], -1),
+                          np.stack([np.sin(th), np.cos(th)], -1)], -2)
+            g = np.einsum("...ik,...k,...jk->...ij", R, np.stack([big, 1 / big], -1), R)
+            st = RRFSState(g * st.g[..., :1, :1], st.A, st.G)
+        w = np.linalg.eigvalsh(st.g)
+        assert abs(st._g_min_eig / w[..., 0].min() - 1) <= 1e-13
+        npt.assert_allclose(st._g_sqrt_det, np.sqrt(np.linalg.det(st.g)), rtol=1e-13, atol=0)
+        ginv = rrfs._grid_first(rrfs._Geometry(st, grid).ginv, grid.n_base)
+        want = np.linalg.inv(st.g)
+        err = np.abs(ginv - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
+        assert err.max() <= 1e-13
 
 
 class TestSnapshots:
