@@ -158,6 +158,8 @@ def cmd_rrfs(args) -> int:
         period = (tuple(float(x) for x in args.period.split(",")) if args.period
                   else (2 * np.pi,) * len(sizes))
         grid = rrfs.PeriodicGrid(sizes, period)
+        if not np.isfinite(args.amplitude):
+            raise ValueError(f"--amplitude must be finite, got {args.amplitude!r}")
         init = {"amplitude": args.amplitude, "perturb_g": args.perturb_g,
                 "perturb_A": args.perturb_A}
         state0 = rrfs.random_smooth_state(args.seed, grid, args.n_fiber, **init)

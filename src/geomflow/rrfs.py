@@ -87,22 +87,20 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 
 def _check_spd_field(fld: np.ndarray, what: str):
-    """Raise SPDFieldError at the first non-SPD node in C order.  Sylvester: the LDL^T
-    pivots d_i of the field scaled to unit diagonal are all positive; clamping each entry
-    and s_ji / sqrt(d_i) to [-1, 1] (SPD nodes keep them inside) and flooring d_i at the
-    smallest double keep every finite input finite."""
+    """Raise SPDFieldError at the first node in C order where a pivot d_i of LDL^T without
+    pivoting is not positive, which by Sylvester's criterion is the first non-SPD node."""
     if not np.isfinite(fld).all():
         raise SPDFieldError(f"{what} has non-finite entries")
-    a, tiny = np.ascontiguousarray(_grid_last(fld, fld.ndim - 2)), 5e-324
+    a, tiny = np.ascontiguousarray(_grid_last(fld, fld.ndim - 2)), 5e-324  # floors d_i
     k, s = len(a), [np.sqrt(np.maximum(a[i, i], tiny)) for i in range(len(a))]
-    c = [[a[j, i] / np.maximum(s[i] * s[j], np.abs(a[j, i])) for i in range(j)]
-         + [np.sign(a[j, j])] for j in range(k)]
-    ok, u = c[0][0] > 0, [row[0] for row in c[1:]]  # the multipliers of d_0
+    c = [[a[j, i] / np.maximum(s[i] * s[j], np.abs(a[j, i])) for i in range(j)]  # unit diagonal;
+         + [np.sign(a[j, j])] for j in range(k)]  # SPD keeps |c| < 1, max(., |a|) clamps others
+    ok, u = c[0][0] > 0, [row[0] for row in c[1:]]  # the multipliers of d_0 = 1
     for i in range(1, k):
         for j in range(i, k):
             c[j][i:j + 1] = [x - u[j - i] * v for x, v in zip(c[j][i:j + 1], u)]
         ok, r = ok & (c[i][i] > 0), np.sqrt(np.maximum(c[i][i], tiny))
-        u = [c[j][i] / np.maximum(r, np.abs(c[j][i])) for j in range(i + 1, k)]
+        u = [c[j][i] / np.maximum(r, np.abs(c[j][i])) for j in range(i + 1, k)]  # |u| <= 1 too
     if not ok.all():
         node = tuple(int(i) for i in np.argwhere(~ok)[0])
         raise SPDFieldError(f"{what} is not positive definite", node=node)
@@ -453,7 +451,8 @@ def rrfs_rhs_terms(
     """
     geo = _Geometry(state, grid)
     g, A, G, n = state.g, state.A, state.G, geo.n
-    s, c = geo.s(spec), spec.c_coupling
+    s = geo.s(spec)
+    c = spec.c_coupling
     return {
         "s": s,
         "g_ricci": -geo.scalar_curvature[..., None, None] * g,
@@ -541,9 +540,12 @@ def integrate_rrfs(
         geo = _Geometry(st, grid)
         rows.append((t, geo.energy, geo.volume, geo.s(spec)))
 
-    t, state, next_snap = 0.0, state0, 1
+    t = 0.0
+    state = state0
     record(t, state)
-    snapshots, snapshot_times = [state0], [0.0]
+    snapshots = [state0]
+    snapshot_times = [0.0]
+    next_snap = 1
 
     while t < t_end * (1 - 1e-12):
         dt_cfl = kappa_cfl * h_min * h_min * state._g_min_eig
@@ -606,8 +608,6 @@ def random_smooth_state(
     perturb_A: bool = False,
 ) -> RRFSState:
     """Seeded smooth periodic state: G = exp(symmetric Fourier field), flat-ish g."""
-    if not np.isfinite(amplitude):
-        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     rng = np.random.default_rng(seed)
     n = grid.n_base
     shape = tuple(grid.sizes)
