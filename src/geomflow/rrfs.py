@@ -93,13 +93,13 @@ def _check_spd_field(fld: np.ndarray, what: str):
         raise SPDFieldError(f"{what} has non-finite entries")
     a, tiny = np.ascontiguousarray(_grid_last(fld, fld.ndim - 2)), 5e-324  # floors d_i
     k, s = len(a), [np.sqrt(np.maximum(a[i, i], tiny)) for i in range(len(a))]
-    c = [[a[j, i] / np.maximum(s[i] * s[j], np.abs(a[j, i])) for i in range(j)]  # unit diagonal;
-         + [np.sign(a[j, j])] for j in range(k)]  # SPD keeps |c| < 1, max(., |a|) clamps others
-    ok, u = c[0][0] > 0, [row[0] for row in c[1:]]  # the multipliers of d_0 = 1
+    c = [[a[j, i] / np.maximum(s[i] * s[j], np.abs(a[j, i])) for i in range(j)] + [1.0]
+         for j in range(k)]  # unit diagonal: SPD keeps |c| < 1, max(., |a|) clamps the others
+    ok, u = a[0, 0] > 0, [row[0] for row in c[1:]]  # the multipliers of d_0 = 1
     for i in range(1, k):
         for j in range(i, k):
             c[j][i:j + 1] = [x - u[j - i] * v for x, v in zip(c[j][i:j + 1], u)]
-        ok, r = ok & (c[i][i] > 0), np.sqrt(np.maximum(c[i][i], tiny))
+        ok, r = ok & (a[i, i] > 0) & (c[i][i] > 0), np.sqrt(np.maximum(c[i][i], tiny))
         u = [c[j][i] / np.maximum(r, np.abs(c[j][i])) for j in range(i + 1, k)]  # |u| <= 1 too
     if not ok.all():
         node = tuple(int(i) for i in np.argwhere(~ok)[0])
@@ -122,7 +122,7 @@ class RRFSState:
             raise ValueError(f"base metric g must be 1x1 or 2x2 per node, got {g.shape[-2:]}")
         if A.shape != g.shape[:-1] + G.shape[-1:] or G.shape[:-2] != g.shape[:-2]:
             raise ValueError(f"fields of shapes {g.shape}, {A.shape}, {G.shape} do not fit")
-        if not np.all(np.isfinite(A)):
+        if not np.isfinite(A).all():
             raise SPDFieldError("connection A has non-finite entries")
         _check_spd_field(g, "base metric g")
         _check_spd_field(G, "fiber metric G")
