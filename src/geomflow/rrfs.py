@@ -83,7 +83,8 @@ class PeriodicGrid:
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    h = 0.5 * m  # halve first: exact, and the sum cannot overflow
+    return h + np.swapaxes(h, -1, -2)
 
 
 def _check_spd_field(fld: np.ndarray, what: str):
@@ -442,14 +443,16 @@ def s_volume(state: RRFSState, grid: PeriodicGrid) -> float:
 
 
 def rrfs_rhs_terms(
-    state: RRFSState, grid: PeriodicGrid, spec: RescalingSpec
+    state: RRFSState, grid: PeriodicGrid, spec: RescalingSpec, *, geometry=None
 ) -> dict[str, np.ndarray | float]:
     """Term-by-term decomposition of the flow's right-hand side.
 
     The Ricci term is -2 Rc = -R g, which holds on the 1D and 2D bases the
-    grid allows (Rc = 0 in 1D, Rc = (R/2) g in 2D).
+    grid allows (Rc = 0 in 1D, Rc = (R/2) g in 2D).  ``geometry`` is a fresh
+    ``_Geometry`` of ``state`` to fill in place of a new one; ``integrate_rrfs``
+    passes it at stage 1 to read the diagnostics of the state afterwards.
     """
-    geo = _Geometry(state, grid)
+    geo = _Geometry(state, grid) if geometry is None else geometry
     g, A, G, n = state.g, state.A, state.G, geo.n
     s = geo.s(spec)
     c = spec.c_coupling
@@ -470,10 +473,10 @@ def rrfs_rhs_terms(
 
 
 def rrfs_rhs(
-    state: RRFSState, grid: PeriodicGrid, spec: RescalingSpec
+    state: RRFSState, grid: PeriodicGrid, spec: RescalingSpec, *, geometry=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right-hand side (dg/dt, dA/dt, dG/dt) of the rescaled flow system."""
-    T = rrfs_rhs_terms(state, grid, spec)
+    T = rrfs_rhs_terms(state, grid, spec, geometry=geometry)
     dg = T["g_ricci"] + T["g_gradG"] + T["g_dA"] + T["g_rescale"]
     dA = T["A_codiff"] + T["A_gradG"] + T["A_rescale"]
     dG = T["G_laplace"] + T["G_gradsq"] + T["G_dA"] + T["G_rescale"]
@@ -512,6 +515,12 @@ def integrate_rrfs(
     ``evolve_g`` / ``evolve_A`` freeze the respective fields (harmonic-map
     -only mode is g frozen, A frozen).  The steps run through
     ``ode.rk4_step`` on the fields packed into one flat array.
+
+    The energy, volume and s of each accepted state but the last come from
+    the ``_Geometry`` that the stage-1 ``rrfs_rhs`` of the step from it
+    builds: they are taken at every stage 1, a halving retry overwrites
+    them, and they are recorded once the step is accepted.  Only the final
+    state gets a ``_Geometry`` of its own.
     """
     if not (np.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be a positive finite number, got {t_end!r}")
@@ -525,24 +534,29 @@ def integrate_rrfs(
     def unpack(y) -> RRFSState:
         return RRFSState(*(p.reshape(s) for p, s in zip(np.split(y, ends[:-1]), shapes)))
 
+    def diagnostics(geo):
+        return geo.energy, geo.volume, geo.s(spec)
+
     def rhs_flat(t, y):
-        # stage 1 is evaluated at the accepted state, which is already checked
-        st = state if y is y_state else unpack(y)
-        k = np.concatenate([f.ravel() for f in rrfs_rhs(st, grid, spec)])
+        nonlocal stage1
+        if y is y_state:  # stage 1, at the accepted state, which is already checked
+            geo = _Geometry(state, grid)
+            k = rrfs_rhs(state, grid, spec, geometry=geo)
+            stage1 = diagnostics(geo)
+            del geo  # no bundle outlives its stage
+        else:
+            k = rrfs_rhs(unpack(y), grid, spec)
+        k = np.concatenate([f.ravel() for f in k])
         for sl in frozen:
             k[sl] = 0.0
         return k
 
     system = ODESystem(dimension=int(ends[-1]), rhs=rhs_flat)
     rows = []  # (t, energy, volume, s) at each accepted state
-
-    def record(t, st):
-        geo = _Geometry(st, grid)
-        rows.append((t, geo.energy, geo.volume, geo.s(spec)))
+    stage1 = None  # (energy, volume, s) of the state the current step starts from
 
     t = 0.0
     state = state0
-    record(t, state)
     snapshots = [state0]
     snapshot_times = [0.0]
     next_snap = 1
@@ -564,14 +578,15 @@ def integrate_rrfs(
                     raise SPDFieldError("SPD structure lost after 50 step halvings",
                                         node=getattr(err, "node", None), t=t) from err
                 dt *= 0.5
+        rows.append((t, *stage1))
         t += dt
         state = new_state
-        record(t, state)
         while next_snap < len(snap_req) - 1 and t >= snap_req[next_snap]:
             snapshots.append(state)
             snapshot_times.append(t)
             next_snap += 1
 
+    rows.append((t, *diagnostics(_Geometry(state, grid))))
     snapshots.append(state)
     snapshot_times.append(t)
     return RRFSRun(*np.array(rows).T, snapshot_times, snapshots, state)

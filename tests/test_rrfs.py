@@ -597,6 +597,68 @@ class TestSPDGuard:
         assert errors == ["fiber metric G is not positive definite at node (1, 8)"]
 
 
+class TestStageOneDiagnostics:
+    """``integrate_rrfs`` builds one ``_Geometry`` per RHS stage and one for
+    the final state: the energy, volume and s of every other accepted state
+    come from the bundle of the stage-1 RHS of the step from it."""
+
+    GRID = PeriodicGrid((16, 16), (2 * np.pi,) * 2)
+    # (seed, amplitude, spec, t_end, kappa_cfl, RHS calls of rejected attempts);
+    # "halving" is TestSPDGuard's path: the first 0.05 step fails the check of
+    # its stage-4 state after three RHS calls, and the run takes two of 0.025
+    RUNS = {
+        "coupled": (3, 0.3, RescalingSpec("volume", c_coupling=0.5), 0.1, rrfs.KAPPA_CFL, 0),
+        "halving": (0, 1.5, RescalingSpec("volume"), 0.05, 2.0, 3),
+    }
+
+    @pytest.fixture(params=RUNS.values(), ids=RUNS.keys())
+    def counted(self, request, monkeypatch):
+        seed, amplitude, spec, t_end, kappa, rejected = request.param
+        st = random_smooth_state(seed, self.GRID, 2, amplitude=amplitude,
+                                 perturb_g=True, perturb_A=True)
+        built, stage1 = [0], []
+
+        class Counting(rrfs._Geometry):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built[0] += 1
+
+        def rhs(state, grid, spec, **kwargs):
+            stage1.append((state, "geometry" in kwargs))
+            return rhs_orig(state, grid, spec, **kwargs)
+
+        rhs_orig = rrfs.rrfs_rhs
+        monkeypatch.setattr(rrfs, "_Geometry", Counting)
+        monkeypatch.setattr(rrfs, "rrfs_rhs", rhs)
+        run = integrate_rrfs(st, self.GRID, spec, t_end, kappa_cfl=kappa)
+        monkeypatch.undo()
+        return run, spec, rejected, built[0], stage1
+
+    def test_one_bundle_per_stage_and_one_for_the_final_state(self, counted):
+        run, _, rejected, built, calls = counted
+        steps = len(run.step_times) - 1
+        assert steps > 1
+        assert len(calls) == 4 * steps + rejected
+        assert built == len(calls) + 1
+
+    def test_series_match_each_recorded_state(self, counted):
+        run, spec, rejected, _, calls = counted
+        starts = [st for st, first in calls if first]
+        # a halved step runs stage 1 again on the same state
+        assert (len(starts) > len({id(st) for st in starts})) == (rejected > 0)
+        states = [st for i, st in enumerate(starts) if i == 0 or st is not starts[i - 1]]
+        states.append(run.final_state)
+        assert len(run.step_times) == len(states)
+        for series in (run.energies, run.volumes, run.s_values):
+            assert len(series) == len(states)
+        for k, st in enumerate(states):
+            assert run.energies[k] == energy_G(st, self.GRID)
+            assert run.volumes[k] == volume(st, self.GRID)
+            assert run.s_values[k] == s_volume(st, self.GRID)
+        if rejected:
+            npt.assert_array_equal(np.diff(run.step_times), [0.025, 0.025])
+
+
 @st.composite
 def symmetric_fields(draw):
     """Symmetric k x k fields (k = 1, 2, 3) on 5 or 3 x 4 nodes, each node
@@ -661,6 +723,18 @@ class TestSPDElimination:
             with pytest.raises(rrfs.SPDFieldError,
                                match=r"^fiber metric G is not positive definite at node \(4,\)$"):
                 RRFSState(np.ones((6, 1, 1)), np.zeros((6, 1, 2)), G)
+
+    def test_state_symmetrises_near_max_float_without_overflow(self):
+        G = np.broadcast_to(np.eye(2), (6, 2, 2)).copy()
+        G[3] = [[1.5e308, 1e308], [1e308, 1.5e308]]
+        g, A = np.ones((6, 1, 1)), np.zeros((6, 1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            npt.assert_array_equal(RRFSState(g, A, G).G, G)
+            G[3] = self.EXTREME["max-diag"]
+            with pytest.raises(rrfs.SPDFieldError,
+                               match=r"^fiber metric G is not positive definite at node \(3,\)$"):
+                RRFSState(g, A, G)
 
     def test_extreme_spd_entries_pass(self):
         fld = np.array([[[1e-300, 0.0], [0.0, 1e300]], [[1e300, 1e299], [1e299, 1e300]],
