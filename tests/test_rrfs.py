@@ -616,7 +616,7 @@ class TestStageOneDiagnostics:
         seed, amplitude, spec, t_end, kappa, rejected = request.param
         st = random_smooth_state(seed, self.GRID, 2, amplitude=amplitude,
                                  perturb_g=True, perturb_A=True)
-        built, stage1 = [0], []
+        built, calls = [0], []  # calls: (state, whether it is a stage 1) per rrfs_rhs
 
         class Counting(rrfs._Geometry):
             def __init__(self, *args):
@@ -624,7 +624,7 @@ class TestStageOneDiagnostics:
                 built[0] += 1
 
         def rhs(state, grid, spec, **kwargs):
-            stage1.append((state, "geometry" in kwargs))
+            calls.append((state, "geometry" in kwargs))
             return rhs_orig(state, grid, spec, **kwargs)
 
         rhs_orig = rrfs.rrfs_rhs
@@ -632,17 +632,17 @@ class TestStageOneDiagnostics:
         monkeypatch.setattr(rrfs, "rrfs_rhs", rhs)
         run = integrate_rrfs(st, self.GRID, spec, t_end, kappa_cfl=kappa)
         monkeypatch.undo()
-        return run, spec, rejected, built[0], stage1
+        return run, rejected, built[0], calls
 
     def test_one_bundle_per_stage_and_one_for_the_final_state(self, counted):
-        run, _, rejected, built, calls = counted
+        run, rejected, built, calls = counted
         steps = len(run.step_times) - 1
         assert steps > 1
         assert len(calls) == 4 * steps + rejected
         assert built == len(calls) + 1
 
     def test_series_match_each_recorded_state(self, counted):
-        run, spec, rejected, _, calls = counted
+        run, rejected, _, calls = counted
         starts = [st for st, first in calls if first]
         # a halved step runs stage 1 again on the same state
         assert (len(starts) > len({id(st) for st in starts})) == (rejected > 0)
