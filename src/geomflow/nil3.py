@@ -232,6 +232,8 @@ def _fit_line(traj: Trajectory, component: str, window: tuple[float, float], tra
     times = traj.times
     if not t_lo < t_hi:
         raise ValueError("window must satisfy t_lo < t_hi")
+    if not t_lo > 0:
+        raise ValueError("fit window must start at a positive time")
     if t_lo < times[0] * (1 - 1e-12) or t_hi > times[-1] * (1 + 1e-12):
         raise ValueError("window outside trajectory range")
     if np.log10(t_hi / t_lo) < 2 - 1e-9:

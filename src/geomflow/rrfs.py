@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .ode import NonFiniteState, ODESystem, rk4_step
 from .spd import _christoffel_stacked
 
 KAPPA_CFL = 0.2
+_SMOOTH_MODES = 3  # Fourier modes of each random scalar field
 
 
 class SPDFieldError(RuntimeError):
@@ -102,9 +103,13 @@ def _check_spd_field(fld: np.ndarray, what: str):
             c[j][i:j + 1] = [x - u[j - i] * v for x, v in zip(c[j][i:j + 1], u)]
         ok, r = ok & (a[i, i] > 0) & (c[i][i] > 0), np.sqrt(np.maximum(c[i][i], tiny))
         u = [c[j][i] / np.maximum(r, np.abs(c[j][i])) for j in range(i + 1, k)]  # |u| <= 1 too
+    _raise_at_first(ok, f"{what} is not positive definite")
+
+
+def _raise_at_first(ok: np.ndarray, message: str):
+    """Raise SPDFieldError at the first node in C order where ``ok`` is False."""
     if not ok.all():
-        node = tuple(int(i) for i in np.argwhere(~ok)[0])
-        raise SPDFieldError(f"{what} is not positive definite", node=node)
+        raise SPDFieldError(message, node=tuple(int(i) for i in np.argwhere(~ok)[0]))
 
 
 @dataclass(frozen=True)
@@ -127,20 +132,24 @@ class RRFSState:
             raise SPDFieldError("connection A has non-finite entries")
         _check_spd_field(g, "base metric g")
         _check_spd_field(G, "fiber metric G")
-        n, diag = g.shape[-1], [g[..., a, a] for a in range(g.shape[-1])]
-        pairs = [(g[..., a, b] ** 2, ((diag[a] - diag[b]) / n) ** 2)  # a < b: none if n = 1
+        # g = 2^k s with the largest s_aa in [0.5, 1), exactly; SPD keeps |s_ab| < 1
+        n = g.shape[-1]
+        k = np.frexp(reduce(np.maximum, [g[..., a, a] for a in range(n)]))[1]
+        s = np.ldexp(g, -k[..., None, None])
+        diag = [s[..., a, a] for a in range(n)]
+        pairs = [(s[..., a, b] ** 2, ((diag[a] - diag[b]) / n) ** 2)  # a < b: none if n = 1
                  for b in range(n) for a in range(b)]
-        det = math.prod(diag[1:], start=diag[0]) - sum(off for off, _ in pairs)
+        det, e = np.frexp(math.prod(diag[1:], start=diag[0]) - sum(off for off, _ in pairs))
+        e += n * k  # det g = det 2^e
+        _raise_at_first((det > 0) & (e > -1074) & (e <= 1024),
+                        "base metric g has a determinant outside the floating-point range")
+        det = np.ldexp(det, e)
         min_eig = sum(diag[1:], diag[0]) / n - np.sqrt(sum(off + d for off, d in pairs))
-        object.__setattr__(self, "_g_min_eig", float(min_eig.min()))  # for the CFL step
+        object.__setattr__(self, "_g_min_eig", float(np.ldexp(min_eig, k).min()))  # CFL step
         for name, arr in zip(("g", "A", "G", "_g_det", "_g_sqrt_det"),
                              (g, A, G, det, np.sqrt(det))):
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
-
-    @property
-    def n_base(self) -> int:
-        return self.g.shape[-1]
 
     @property
     def n_fiber(self) -> int:
@@ -210,11 +219,12 @@ class _Geometry:
     """Geometric quantities of one state, component-major, each computed once.
 
     The stencil is one ``d_central`` call per base axis on the stacked
-    (g | A | G), one more on the stacked (Gamma | dA | dG), and
-    ``d2_central`` on G.  dA is held on the pairs a < b of base indices, and
-    every sum over dA, and the Ricci sum over c != b (its c = b terms
-    cancel), runs over these pairs: on a 1D base there are none, so dA,
-    delta dA and R are exactly 0 and cost nothing.
+    (g | A | G), one more on the stacked (Gamma | F | dG), and
+    ``d2_central`` on G.  A base of dimension n <= 2 has one curvature
+    component F = d_0 A_1 - d_1 A_0 with F_ab = eps_ab F, and every sum over
+    dA, and the Ricci sum over c != b (its c = b terms cancel), runs over the
+    ordered axis pairs (a, b, eps_ab): on a 1D base there are none and no F,
+    so dA, delta dA and R are exactly 0 and cost nothing.
     """
 
     def __init__(self, state: RRFSState, grid: PeriodicGrid):
@@ -222,10 +232,9 @@ class _Geometry:
             raise ValueError(f"state with g of shape {state.g.shape} does not fit "
                              f"grid {grid.sizes}")
         self.state, self.grid, self.n = state, grid, grid.n_base
-        self.pairs = [(a, b) for b in range(self.n) for a in range(b)]
-        # (x, y, p, s) with F_xy = s F_p, for both orders of each pair p
-        self.oriented = [o for p, (a, b) in enumerate(self.pairs)
-                         for o in ((a, b, p, 1.0), (b, a, p, -1.0))]
+        # (a, b, eps_ab) with a != b; the pair at position e starts on axis e
+        self.eps = [(a, b, 1.0 if a < b else -1.0)
+                    for a in range(self.n) for b in range(self.n) if a != b]
 
     def _d(self, fields: list, axis: int) -> list:
         """d_central of each field along ``axis``, in one call on all their components."""
@@ -242,15 +251,10 @@ class _Geometry:
         return {"G": np.ascontiguousarray(fields[2]), "dg": dg, "dA": dA, "dG": dG}
 
     @cached_property
-    def second(self) -> dict:
-        """Per axis e of a pair: d_e Gamma^c_af [f][c, a] (f != e), d_e F_p, d_e d_a G (a < e)."""
-        out = {}
-        for e in sorted({a for pair in self.pairs for a in pair}):
-            others = [f for f in range(self.n) if f != e]
-            fields = [self.christoffels[:, :, others], *self.F, self.first["dG"][:e]]
-            dGam, *dF, dG = self._d(fields, e)
-            out[e] = {"Gamma": dict(zip(others, np.moveaxis(dGam, 2, 0))), "F": dF, "dG": dG}
-        return out
+    def second(self) -> list:
+        """Per pair (e, f): d_e Gamma^c_af [c, a], d_e F [i] and d_e d_a G [a, i, j] (a < e)."""
+        return [self._d([self.christoffels[:, :, f], *self.F, self.first["dG"][:e]], e)
+                for e, f, _ in self.eps]
 
     @cached_property
     def ginv(self) -> np.ndarray:  # [a, b] = adj(g)_ab / det g
@@ -276,34 +280,28 @@ class _Geometry:
         return np.einsum("ab...,cab...->c...", self.ginv, self.christoffels)
 
     @cached_property
-    def F(self) -> list:  # [p][i] = d_a A_b - d_b A_a for the pairs p = (a, b)
-        return [self.first["dA"][a, b] - self.first["dA"][b, a] for a, b in self.pairs]
+    def F(self) -> list:  # [i] = d_0 A_1 - d_1 A_0: one field on a 2D base, none on a 1D one
+        return [self.first["dA"][a, b] - self.first["dA"][b, a] for a, b, s in self.eps if s > 0]
 
     @cached_property
     def dA_sums(self) -> dict:
-        """delta dA [a, i], |dA|^2 and the dA terms of the flow, as sums over the pairs."""
-        n, N, gi, G, F = self.n, self.state.n_fiber, self.ginv, self.first["G"], self.F
+        """delta dA [a, i], |dA|^2 and the dA terms of the A and G equations."""
+        n, N, gi, G = self.n, self.state.n_fiber, self.ginv, self.first["G"]
         out = {k: np.zeros(shape + self.grid.sizes) for k, shape in (
-            ("delta", (n, N)), ("norm_sq", ()), ("g", (n, n)), ("A", (n, N)), ("G", (N, N)))}
-        FG = [np.einsum("i...,ij...->j...", Fp, G) for Fp in F]  # F_p^i G_ij
-        FGF = [[np.einsum("j...,j...->...", FGp, Fq) for Fq in F] for FGp in FG]
-        for (a, b), FGp in zip(self.pairs, FG):
-            # g^{ac} g^{bd} F_cd, with both orders of each pair counted
-            F_sharp = sum((gi[a, c] * gi[b, d] - gi[a, d] * gi[b, c]) * Fq
-                          for (c, d), Fq in zip(self.pairs, F))
-            out["norm_sq"] += 2.0 * np.einsum("j...,j...->...", FGp, F_sharp)
-            out["G"] -= np.einsum("i...,k...,kj...->ij...", FGp, F_sharp, G)
-        for x, y, p, s in self.oriented:
-            # -g^{bc} (d_b F_ca - Gamma^m_bc F_ma - Gamma^m_ba F_cm) with (x, y)
-            # read as (c, a), (m, a) and (c, m)
-            dF = np.stack([self.second[d]["F"][p] for d in range(n)])
-            dF_x = np.einsum("d...,di...->i...", gi[x], dF)
-            out["delta"][y] += s * (self.gamma[x] * F[p] - dF_x)
-            Gam_yx = np.einsum("b...,ba...->a...", gi[x], self.christoffels[y])
-            out["delta"] += s * Gam_yx[:, None] * F[p]
-            out["A"][y] += s * np.einsum("b...,bik...,k...->i...", gi[x], self.M, F[p])
-            for u, v, q, t in self.oriented:
-                out["g"][x, u] += (s * t) * gi[y, v] * FGF[p][q]
+            ("delta", (n, N)), ("norm_sq", ()), ("A", (n, N)), ("G", (N, N)))}
+        for F in self.F:  # g^{ac} g^{bd} F_cd = eps_ab F / det g gives |dA|^2 and the G term
+            FG = np.einsum("i...,ij...->j...", F, G)
+            out["norm_sq"] += 2.0 * np.einsum("j...,j...->...", FG, F) / self.state._g_det
+            out["G"] -= FG[:, None] * FG / self.state._g_det
+            dF = np.stack([dF_e for _, dF_e, _ in self.second])  # [d, i]
+            for x, y, s in self.eps:
+                # -g^{bc} (d_b F_ca - Gamma^m_bc F_ma - Gamma^m_ba F_cm) with (x, y)
+                # read as (c, a), (m, a) and (c, m)
+                dF_x = np.einsum("d...,di...->i...", gi[x], dF)
+                out["delta"][y] += s * (self.gamma[x] * F - dF_x)
+                Gam_yx = np.einsum("b...,ba...->a...", gi[x], self.christoffels[y])
+                out["delta"] += s * Gam_yx[:, None] * F
+                out["A"][y] += s * np.einsum("b...,bik...,k...->i...", gi[x], self.M, F)
         return out
 
     @cached_property
@@ -313,8 +311,9 @@ class _Geometry:
         out = -np.einsum("c...,cij...->ij...", self.gamma, self.first["dG"])
         for a in range(n):
             out += gi[a, a] * _grid_last(d2_central(G, a, a, self.grid), n)
-        for a, b in self.pairs:
-            out += (gi[a, b] + gi[b, a]) * self.second[b]["dG"][a]
+        for e, (_, _, ddG) in enumerate(self.second):
+            for a in range(e):  # each mixed derivative once
+                out += 2.0 * gi[a, e] * ddG[a]
         return out
 
     @cached_property
@@ -338,8 +337,8 @@ class _Geometry:
         # g^{ab} Rc_ab, Rc_ab = sum over c != b of
         # d_c Gamma^c_ab - d_b Gamma^c_ac + Gamma^c_cd Gamma^d_ab - Gamma^c_bd Gamma^d_ac
         gi, Gam, out = self.ginv, self.christoffels, np.zeros(self.grid.sizes)
-        for c, b, _, _ in self.oriented:
-            dGam = self.second[c]["Gamma"][b][c] - self.second[b]["Gamma"][c][c]
+        for c, b, _ in self.eps:
+            dGam = self.second[c][0][c] - self.second[b][0][c]
             out += np.einsum("a...,a...->...", gi[b], dGam)
             out += np.einsum("d...,a...,da...->...", Gam[c, c], gi[b], Gam[:, :, b])
             out -= np.einsum("d...,a...,da...->...", Gam[c, b], gi[b], Gam[:, :, c])
@@ -376,8 +375,8 @@ def dA_field(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Curvature 2-form of the connection, [..., a, b, i] antisymmetric in (a, b)."""
     geo = _Geometry(state, grid)
     F = np.zeros((geo.n, geo.n, state.n_fiber) + grid.sizes)
-    for x, y, p, s in geo.oriented:
-        F[x, y] = s * geo.F[p]
+    for a, b, s in geo.eps:
+        F[a, b] = s * geo.F[0]
     return _grid_first(F, geo.n)
 
 
@@ -447,10 +446,12 @@ def rrfs_rhs_terms(
 ) -> dict[str, np.ndarray | float]:
     """Term-by-term decomposition of the flow's right-hand side.
 
-    The Ricci term is -2 Rc = -R g, which holds on the 1D and 2D bases the
-    grid allows (Rc = 0 in 1D, Rc = (R/2) g in 2D).  ``geometry`` is a fresh
-    ``_Geometry`` of ``state`` to fill in place of a new one; ``integrate_rrfs``
-    passes it at stage 1 to read the diagnostics of the state afterwards.
+    The Ricci term is -2 Rc = -R g and the dA term of g is 1/2 |dA|^2 g,
+    which hold on the 1D and 2D bases the grid allows (Rc = 0 and dA = 0 in
+    1D; in 2D, Rc = (R/2) g and eps g^-1 eps^T = g / det g).  ``geometry``
+    is a fresh ``_Geometry`` of ``state`` to fill in place of a new one;
+    ``integrate_rrfs`` passes it at stage 1 to read the diagnostics of the
+    state afterwards.
     """
     geo = _Geometry(state, grid) if geometry is None else geometry
     g, A, G, n = state.g, state.A, state.G, geo.n
@@ -460,7 +461,7 @@ def rrfs_rhs_terms(
         "s": s,
         "g_ricci": -geo.scalar_curvature[..., None, None] * g,
         "g_gradG": 0.5 * _grid_first(geo.trace_MM, n),
-        "g_dA": _grid_first(geo.dA_sums["g"], n),
+        "g_dA": 0.5 * geo.dA_sums["norm_sq"][..., None, None] * g,
         "g_rescale": -s * g,
         "A_codiff": -_grid_first(geo.dA_sums["delta"], n),
         "A_gradG": _grid_first(geo.dA_sums["A"], n),
@@ -516,11 +517,9 @@ def integrate_rrfs(
     -only mode is g frozen, A frozen).  The steps run through
     ``ode.rk4_step`` on the fields packed into one flat array.
 
+    Stage 1 runs once per accepted state, and its k1 serves every halving.
     The energy, volume and s of each accepted state but the last come from
-    the ``_Geometry`` that the stage-1 ``rrfs_rhs`` of the step from it
-    builds: they are taken at every stage 1, a halving retry overwrites
-    them, and they are recorded once the step is accepted.  Only the final
-    state gets a ``_Geometry`` of its own.
+    the ``_Geometry`` of that ``rrfs_rhs``; the final state builds its own.
     """
     if not (np.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be a positive finite number, got {t_end!r}")
@@ -537,23 +536,14 @@ def integrate_rrfs(
     def diagnostics(geo):
         return geo.energy, geo.volume, geo.s(spec)
 
-    def rhs_flat(t, y):
-        nonlocal stage1
-        if y is y_state:  # stage 1, at the accepted state, which is already checked
-            geo = _Geometry(state, grid)
-            k = rrfs_rhs(state, grid, spec, geometry=geo)
-            stage1 = diagnostics(geo)
-            del geo  # no bundle outlives its stage
-        else:
-            k = rrfs_rhs(unpack(y), grid, spec)
-        k = np.concatenate([f.ravel() for f in k])
+    def rhs_flat(st, **kwargs):
+        k = np.concatenate([f.ravel() for f in rrfs_rhs(st, grid, spec, **kwargs)])
         for sl in frozen:
             k[sl] = 0.0
         return k
 
-    system = ODESystem(dimension=int(ends[-1]), rhs=rhs_flat)
+    system = ODESystem(int(ends[-1]), lambda t, y: k1 if y is y_state else rhs_flat(unpack(y)))
     rows = []  # (t, energy, volume, s) at each accepted state
-    stage1 = None  # (energy, volume, s) of the state the current step starts from
 
     t = 0.0
     state = state0
@@ -567,6 +557,10 @@ def integrate_rrfs(
             raise CFLCollapse(f"CFL step collapsed at t = {t:.6g}")
         dt = min(dt_cfl, t_end - t)
         y_state = np.concatenate([state.g.ravel(), state.A.ravel(), state.G.ravel()])
+        geo = _Geometry(state, grid)
+        k1 = rhs_flat(state, geometry=geo)  # stage 1, at a state that is already checked
+        rows.append((t, *diagnostics(geo)))
+        del geo  # no bundle outlives its stage
         rejections = 0
         while True:
             try:
@@ -578,7 +572,6 @@ def integrate_rrfs(
                     raise SPDFieldError("SPD structure lost after 50 step halvings",
                                         node=getattr(err, "node", None), t=t) from err
                 dt *= 0.5
-        rows.append((t, *stage1))
         t += dt
         state = new_state
         while next_snap < len(snap_req) - 1 and t >= snap_req[next_snap]:
@@ -596,17 +589,17 @@ def integrate_rrfs(
 # smooth random fields and serialization
 
 
-def _smooth_scalar(rng: np.random.Generator, grid: PeriodicGrid, n_modes: int = 3):
+def _smooth_scalar(rng: np.random.Generator, grid: PeriodicGrid):
     """Random low-frequency periodic scalar field with unit-scale amplitude."""
     coords = grid.coords()
     out = np.zeros(tuple(grid.sizes))
-    for _ in range(n_modes):
+    for _ in range(_SMOOTH_MODES):
         phase = rng.uniform(0, 2 * np.pi, size=grid.n_base)
         ks = rng.integers(1, 4, size=grid.n_base)
         wave = np.prod([np.cos(2 * np.pi * k * x / p + ph)
                         for k, x, p, ph in zip(ks, coords, grid.period, phase)], axis=0)
         out += rng.normal() * wave
-    return out / max(n_modes, 1)
+    return out / _SMOOTH_MODES
 
 
 def _expm_sym(S: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,27 @@ class TestInputBoundary:
         assert cli.main(["rrfs", "--grid", "16", f"--amplitude={amplitude}",
                          "--t-end", "0.01"]) == 1
         assert "amplitude must be finite" in capsys.readouterr().err
+
+    def test_fit_window_from_t_zero_rejected(self, tmp_path, capsys):
+        csv = tmp_path / "traj.csv"
+        assert cli.main(["nil3", "--t-end", "1e6", "--csv", str(csv),
+                         "--json", str(tmp_path / "s.json")]) == 0
+        capsys.readouterr()
+        assert cli.main(["fit", "--csv", str(csv), "--component", "C",
+                         "--t-lo", "0", "--t-hi", "1e6"]) == 1
+        assert "fit window must start at a positive time" in capsys.readouterr().err
+
+    def test_base_metric_determinant_out_of_range_rejected(self, tmp_path, capsys):
+        snap = tmp_path / "huge_g.txt"
+        snap.write_text("2 1 8 8 6.2831853071795862 6.2831853071795862\n"
+                        + "1e160 0 0 1e160 0 0 1\n" * 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["rrfs", "--init-file", str(snap), "--t-end", "0.01"]) == 1
+        err = capsys.readouterr().err
+        assert ("base metric g has a determinant outside the floating-point range "
+                "at node (0, 0)") in err
+        assert "RuntimeWarning" not in err
 
     def test_module_entry_point_has_no_runtime_warning(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

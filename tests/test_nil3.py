@@ -264,6 +264,12 @@ class TestFits:
         with pytest.raises(ValueError):
             fit_power_law(traj, "A", (1.0, 1e7))  # outside range
 
+    def test_window_from_t_zero_rejected(self):
+        traj = oracle_trajectory(1e4)
+        for fit in (fit_power_law, fit_log_growth):
+            with pytest.raises(ValueError, match="^fit window must start at a positive time$"):
+                fit(traj, "C", (0.0, 1e4))
+
 
 class TestPredictedConstants:
     def test_ricci_unit(self):

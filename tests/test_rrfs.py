@@ -599,16 +599,18 @@ class TestSPDGuard:
 
 class TestStageOneDiagnostics:
     """``integrate_rrfs`` builds one ``_Geometry`` per RHS stage and one for
-    the final state: the energy, volume and s of every other accepted state
-    come from the bundle of the stage-1 RHS of the step from it."""
+    the final state, and runs stage 1 once per accepted state: the energy,
+    volume and s of every other accepted state come from the bundle of that
+    stage-1 RHS."""
 
     GRID = PeriodicGrid((16, 16), (2 * np.pi,) * 2)
     # (seed, amplitude, spec, t_end, kappa_cfl, RHS calls of rejected attempts);
-    # "halving" is TestSPDGuard's path: the first 0.05 step fails the check of
-    # its stage-4 state after three RHS calls, and the run takes two of 0.025
+    # "halving" is TestSPDGuard's path: the first 0.05 step reuses the k1 of
+    # the initial state and fails the check of its stage-4 state after the
+    # RHS calls of stages 2 and 3, and the run takes two steps of 0.025
     RUNS = {
         "coupled": (3, 0.3, RescalingSpec("volume", c_coupling=0.5), 0.1, rrfs.KAPPA_CFL, 0),
-        "halving": (0, 1.5, RescalingSpec("volume"), 0.05, 2.0, 3),
+        "halving": (0, 1.5, RescalingSpec("volume"), 0.05, 2.0, 2),
     }
 
     @pytest.fixture(params=RUNS.values(), ids=RUNS.keys())
@@ -644,10 +646,9 @@ class TestStageOneDiagnostics:
     def test_series_match_each_recorded_state(self, counted):
         run, rejected, _, calls = counted
         starts = [st for st, first in calls if first]
-        # a halved step runs stage 1 again on the same state
-        assert (len(starts) > len({id(st) for st in starts})) == (rejected > 0)
-        states = [st for i, st in enumerate(starts) if i == 0 or st is not starts[i - 1]]
-        states.append(run.final_state)
+        # a halved step does not run stage 1 again on the same state
+        assert len(starts) == len({id(st) for st in starts})
+        states = [*starts, run.final_state]
         assert len(run.step_times) == len(states)
         for series in (run.energies, run.volumes, run.s_values):
             assert len(series) == len(states)
@@ -742,6 +743,30 @@ class TestSPDElimination:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rrfs._check_spd_field(fld, "field")
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170], ids=["overflow", "underflow"])
+    def test_base_metric_determinant_out_of_range_rejected(self, scale):
+        f = TestSPDGuard.fields(2, 1)
+        for node in [(6, 1), (2, 7)]:
+            f["g"][node] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rrfs.SPDFieldError, match=(
+                    r"^base metric g has a determinant outside the floating-point range "
+                    r"at node \(2, 7\)$")) as info:
+                RRFSState(**f)
+        assert info.value.node == (2, 7)
+
+    def test_base_metric_with_large_determinant_passes(self):
+        f = TestSPDGuard.fields(2, 1)
+        f["g"] *= 1e100
+        f["g"][3, 4] = [[1e155, 0.999e155], [0.999e155, 1e155]]  # g_01^2 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = RRFSState(**f)
+        assert st._g_det[0, 0] == 1e200
+        assert st._g_det[3, 4] == pytest.approx(1.999e307, rel=1e-12)
+        assert st._g_min_eig == 1e100
 
     def test_base_metric_must_be_1x1_or_2x2(self):
         with pytest.raises(ValueError, match="base metric g must be 1x1 or 2x2"):
