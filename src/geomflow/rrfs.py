@@ -112,26 +112,12 @@ def _raise_at_first(ok: np.ndarray, message: str):
         raise SPDFieldError(message, node=tuple(int(i) for i in np.argwhere(~ok)[0]))
 
 
-@dataclass(frozen=True)
-class RRFSState:
-    g: np.ndarray  # (*sizes, n, n)
-    A: np.ndarray  # (*sizes, n, N)
-    G: np.ndarray  # (*sizes, N, N)
+class _Metric:
+    """A checked base metric g with det g, sqrt(det g) and min-eig g; ``per_grid`` is
+    None, or for a frozen g a dict per grid where its bundles keep g^-1, Gamma, gamma."""
 
-    def __post_init__(self):
-        g = _sym(np.asarray(self.g, dtype=float))
-        A = np.asarray(self.A, dtype=float)
-        G = _sym(np.asarray(self.G, dtype=float))
-        if G.shape[-1] < 1:
-            raise ValueError("fiber dimension must be at least 1")
-        if g.shape[-1] not in (1, 2):
-            raise ValueError(f"base metric g must be 1x1 or 2x2 per node, got {g.shape[-2:]}")
-        if A.shape != g.shape[:-1] + G.shape[-1:] or G.shape[:-2] != g.shape[:-2]:
-            raise ValueError(f"fields of shapes {g.shape}, {A.shape}, {G.shape} do not fit")
-        if not np.isfinite(A).all():
-            raise SPDFieldError("connection A has non-finite entries")
+    def __init__(self, g: np.ndarray):
         _check_spd_field(g, "base metric g")
-        _check_spd_field(G, "fiber metric G")
         # g = 2^k s with the largest s_aa in [0.5, 1), exactly; SPD keeps |s_ab| < 1
         n = g.shape[-1]
         k = np.frexp(reduce(np.maximum, [g[..., a, a] for a in range(n)]))[1]
@@ -145,9 +131,35 @@ class RRFSState:
                         "base metric g has a determinant outside the floating-point range")
         det = np.ldexp(det, e)
         min_eig = sum(diag[1:], diag[0]) / n - np.sqrt(sum(off + d for off, d in pairs))
-        object.__setattr__(self, "_g_min_eig", float(np.ldexp(min_eig, k).min()))  # CFL step
+        self.min_eig = float(np.ldexp(min_eig, k).min())  # CFL step
+        self.g, self.det, self.sqrt_det, self.per_grid = g, det, np.sqrt(det), None
+
+
+@dataclass(frozen=True)
+class RRFSState:
+    g: np.ndarray  # (*sizes, n, n), or the _Metric of an already checked g
+    A: np.ndarray  # (*sizes, n, N)
+    G: np.ndarray  # (*sizes, N, N)
+
+    def __post_init__(self):
+        metric = self.g if isinstance(self.g, _Metric) else None
+        g = metric.g if metric else _sym(np.asarray(self.g, dtype=float))
+        A = np.asarray(self.A, dtype=float)
+        G = _sym(np.asarray(self.G, dtype=float))
+        if G.shape[-1] < 1:
+            raise ValueError("fiber dimension must be at least 1")
+        if g.shape[-1] not in (1, 2):
+            raise ValueError(f"base metric g must be 1x1 or 2x2 per node, got {g.shape[-2:]}")
+        if A.shape != g.shape[:-1] + G.shape[-1:] or G.shape[:-2] != g.shape[:-2]:
+            raise ValueError(f"fields of shapes {g.shape}, {A.shape}, {G.shape} do not fit")
+        if not np.isfinite(A).all():
+            raise SPDFieldError("connection A has non-finite entries")
+        metric = metric or _Metric(g)
+        _check_spd_field(G, "fiber metric G")
+        object.__setattr__(self, "_metric", metric)
+        object.__setattr__(self, "_g_min_eig", metric.min_eig)
         for name, arr in zip(("g", "A", "G", "_g_det", "_g_sqrt_det"),
-                             (g, A, G, det, np.sqrt(det))):
+                             (g, A, G, metric.det, metric.sqrt_det)):
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
 
@@ -215,6 +227,11 @@ def _grid_first(fld: np.ndarray, n: int) -> np.ndarray:
 # geometry of one state
 
 
+def _of_g(fn):  # a cached property of g alone, kept in the bundle's ``of_g`` dict
+    return property(lambda self: self.of_g[fn.__name__] if fn.__name__ in self.of_g
+                    else self.of_g.setdefault(fn.__name__, fn(self)))
+
+
 class _Geometry:
     """Geometric quantities of one state, component-major, each computed once.
 
@@ -224,7 +241,8 @@ class _Geometry:
     component F = d_0 A_1 - d_1 A_0 with F_ab = eps_ab F, and every sum over
     dA, and the Ricci sum over c != b (its c = b terms cancel), runs over the
     ordered axis pairs (a, b, eps_ab): on a 1D base there are none and no F,
-    so dA, delta dA and R are exactly 0 and cost nothing.
+    so dA, delta dA and R are exactly 0 and cost nothing.  The bundles of a
+    frozen g share ``of_g``, and once Gamma is known the stencil leaves g out.
     """
 
     def __init__(self, state: RRFSState, grid: PeriodicGrid):
@@ -232,6 +250,8 @@ class _Geometry:
             raise ValueError(f"state with g of shape {state.g.shape} does not fit "
                              f"grid {grid.sizes}")
         self.state, self.grid, self.n = state, grid, grid.n_base
+        per_grid = state._metric.per_grid
+        self.of_g = {} if per_grid is None else per_grid.setdefault(grid, {})
         # (a, b, eps_ab) with a != b; the pair at position e starts on axis e
         self.eps = [(a, b, 1.0 if a < b else -1.0)
                     for a in range(self.n) for b in range(self.n) if a != b]
@@ -245,10 +265,11 @@ class _Geometry:
         return [d[end - len(r):end].reshape(f.shape) for f, r, end in zip(fields, rows, ends)]
 
     @cached_property
-    def first(self) -> dict:  # G [i, j], dg [d, a, b], dA [d, a, i], dG [d, i, j]
+    def first(self) -> dict:  # G [i, j], dg [d, a, b] (while Gamma is unknown), dA, dG
         fields = [_grid_last(f, self.n) for f in (self.state.g, self.state.A, self.state.G)]
-        dg, dA, dG = map(np.stack, zip(*(self._d(fields, e) for e in range(self.n))))
-        return {"G": np.ascontiguousarray(fields[2]), "dg": dg, "dA": dA, "dG": dG}
+        known = "christoffels" in self.of_g
+        d = map(np.stack, zip(*(self._d(fields[known:], e) for e in range(self.n))))
+        return {"G": np.ascontiguousarray(fields[2]), **dict(zip(("dg", "dA", "dG")[known:], d))}
 
     @cached_property
     def second(self) -> list:
@@ -256,7 +277,7 @@ class _Geometry:
         return [self._d([self.christoffels[:, :, f], *self.F, self.first["dG"][:e]], e)
                 for e, f, _ in self.eps]
 
-    @cached_property
+    @_of_g
     def ginv(self) -> np.ndarray:  # [a, b] = adj(g)_ab / det g
         g = _grid_last(self.state.g, self.n)
         adj = np.negative(g, out=np.empty(g.shape))  # adj_ab = -g_ab off the diagonal (n <= 2)
@@ -268,14 +289,14 @@ class _Geometry:
     def Ginv(self) -> np.ndarray:  # [i, j]
         return np.ascontiguousarray(_grid_last(np.linalg.inv(self.state.G), self.n))
 
-    @cached_property
+    @_of_g
     def christoffels(self) -> np.ndarray:  # [c, a, b]
         dg = self.first["dg"]
         # T[d, a, b] = d_a g_db + d_b g_da - d_d g_ab
         T = dg.swapaxes(0, 1) + dg.transpose(1, 2, 0, *range(3, dg.ndim)) - dg
         return 0.5 * np.einsum("cd...,dab...->cab...", self.ginv, T)
 
-    @cached_property
+    @_of_g
     def gamma(self) -> np.ndarray:  # [c] = g^{ab} Gamma^c_ab
         return np.einsum("ab...,cab...->c...", self.ginv, self.christoffels)
 
@@ -515,7 +536,8 @@ def integrate_rrfs(
     definiteness of g or G are rejected with dt halved, up to 50 times.
     ``evolve_g`` / ``evolve_A`` freeze the respective fields (harmonic-map
     -only mode is g frozen, A frozen).  The steps run through
-    ``ode.rk4_step`` on the fields packed into one flat array.
+    ``ode.rk4_step`` on the evolving fields packed into one flat array.  Every
+    state shares the frozen fields, and a frozen g its checked ``_Metric``.
 
     Stage 1 runs once per accepted state, and its k1 serves every halving.
     The energy, volume and s of each accepted state but the last come from
@@ -525,22 +547,19 @@ def integrate_rrfs(
         raise ValueError(f"t_end must be a positive finite number, got {t_end!r}")
     h_min = min(grid.spacing)
     snap_req = np.linspace(0.0, t_end, max(n_snapshots, 2))
-    shapes = [state0.g.shape, state0.A.shape, state0.G.shape]
-    ends = np.cumsum([state0.g.size, state0.A.size, state0.G.size])
-    frozen = [slice(lo, hi) for lo, hi, keep in
-              zip([0, *ends[:-1]], ends, (evolve_g, evolve_A, True)) if not keep]
+    if not evolve_g and state0._metric.per_grid is None:  # a memo: g is read-only
+        state0._metric.per_grid = {}
+    fixed = {"g": state0._metric, "A": state0.A}  # unless they evolve
+    moving = [key for key, keep in zip("gAG", (evolve_g, evolve_A, True)) if keep]
+    ends = np.cumsum([getattr(state0, key).size for key in moving])
 
     def unpack(y) -> RRFSState:
-        return RRFSState(*(p.reshape(s) for p, s in zip(np.split(y, ends[:-1]), shapes)))
-
-    def diagnostics(geo):
-        return geo.energy, geo.volume, geo.s(spec)
+        return RRFSState(**dict(fixed, **{key: p.reshape(getattr(state0, key).shape)
+                                          for key, p in zip(moving, np.split(y, ends[:-1]))}))
 
     def rhs_flat(st, **kwargs):
-        k = np.concatenate([f.ravel() for f in rrfs_rhs(st, grid, spec, **kwargs)])
-        for sl in frozen:
-            k[sl] = 0.0
-        return k
+        k = dict(zip("gAG", rrfs_rhs(st, grid, spec, **kwargs)))
+        return np.concatenate([k[key].ravel() for key in moving])
 
     system = ODESystem(int(ends[-1]), lambda t, y: k1 if y is y_state else rhs_flat(unpack(y)))
     rows = []  # (t, energy, volume, s) at each accepted state
@@ -556,10 +575,10 @@ def integrate_rrfs(
         if dt_cfl <= 0 or not np.isfinite(dt_cfl):
             raise CFLCollapse(f"CFL step collapsed at t = {t:.6g}")
         dt = min(dt_cfl, t_end - t)
-        y_state = np.concatenate([state.g.ravel(), state.A.ravel(), state.G.ravel()])
+        y_state = np.concatenate([getattr(state, key).ravel() for key in moving])
         geo = _Geometry(state, grid)
         k1 = rhs_flat(state, geometry=geo)  # stage 1, at a state that is already checked
-        rows.append((t, *diagnostics(geo)))
+        rows.append((t, geo.energy, geo.volume, geo.s(spec)))
         del geo  # no bundle outlives its stage
         rejections = 0
         while True:
@@ -579,7 +598,8 @@ def integrate_rrfs(
             snapshot_times.append(t)
             next_snap += 1
 
-    rows.append((t, *diagnostics(_Geometry(state, grid))))
+    geo = _Geometry(state, grid)
+    rows.append((t, geo.energy, geo.volume, geo.s(spec)))
     snapshots.append(state)
     snapshot_times.append(t)
     return RRFSRun(*np.array(rows).T, snapshot_times, snapshots, state)

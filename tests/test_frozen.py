@@ -85,6 +85,34 @@ def test_frozen_run_matches_pinned(pinned, name):
         assert_close(getattr(run, key), pinned[f"{name}_{key}"], key)
 
 
+def test_frozen_fields_are_shared_and_g_is_not_checked_again(monkeypatch):
+    st0, checked = seeded_state(GRID_2D), []
+    check = rrfs._check_spd_field
+    monkeypatch.setattr(rrfs, "_check_spd_field",
+                        lambda fld, what: (checked.append(what), check(fld, what))[1])
+    run = rrfs.integrate_rrfs(st0, GRID_2D, VOLUME, 0.01, evolve_g=False, evolve_A=False)
+    assert len(run.snapshots) > 2 and "base metric g" not in checked
+    for st in (*run.snapshots, run.final_state):
+        assert st.g is st0.g and st.A is st0.A
+
+
+def test_data_of_a_frozen_g_is_kept_per_grid():
+    # a grid with the same sizes and other periods has other derivatives of g
+    st0, other = seeded_state(GRID_2D), rrfs.PeriodicGrid(GRID_2D.sizes, (3.0, 5.0))
+    fin = rrfs.integrate_rrfs(st0, GRID_2D, VOLUME, 0.01, evolve_g=False).final_state
+    fresh = rrfs.RRFSState(fin.g.copy(), fin.A, fin.G)
+    for grid in (other, GRID_2D):
+        for fn in (rrfs.christoffels_of_g, rrfs.laplacian_G, rrfs.scalar_curvature):
+            np.testing.assert_array_equal(fn(fin, grid), fn(fresh, grid))
+
+
+def test_evolving_runs_keep_no_data_of_g():
+    st0 = seeded_state(GRID_2D)
+    run = rrfs.integrate_rrfs(st0, GRID_2D, VOLUME, 0.01, evolve_A=False)
+    for st in (st0, *run.snapshots, run.final_state):
+        assert st._metric.per_grid is None
+
+
 def test_frozen_spd_guard_halves_and_names_the_node(monkeypatch):
     # the G check of every stage state still runs: the run halves its steps
     # 692 times, each at node (10,), and near t = 0.0135 no halving helps
