@@ -66,7 +66,7 @@ class PeriodicGrid:
     def n_base(self) -> int:
         return len(self.sizes)
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(p / s for p, s in zip(self.period, self.sizes))
 
@@ -78,7 +78,7 @@ class PeriodicGrid:
         axes = [self.axis_coords(a) for a in range(self.n_base)]
         return list(np.meshgrid(*axes, indexing="ij"))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
