@@ -125,13 +125,13 @@ class _Metric:
         diag = [s[..., a, a] for a in range(n)]
         pairs = [(s[..., a, b] ** 2, ((diag[a] - diag[b]) / n) ** 2)  # a < b: none if n = 1
                  for b in range(n) for a in range(b)]
-        det, e = np.frexp(math.prod(diag[1:], start=diag[0]) - sum(off for off, _ in pairs))
-        e += n * k  # det g = det 2^e
-        _raise_at_first((det > 0) & (e > -1074) & (e <= 1024),
+        det = math.prod(diag[1:], start=diag[0]) - sum(off for off, _ in pairs)  # det s
+        max_eig = sum(diag[1:], diag[0]) / n + np.sqrt(sum(off + d for off, d in pairs))
+        self.min_eig = float(np.ldexp(det / max_eig ** (n - 1), k).min())  # CFL step
+        det, e = np.frexp(det)  # det g = det 2^(e + nk)
+        _raise_at_first((det > 0) & (e + n * k > -1074) & (e + n * k <= 1024),
                         "base metric g has a determinant outside the floating-point range")
-        det = np.ldexp(det, e)
-        min_eig = sum(diag[1:], diag[0]) / n - np.sqrt(sum(off + d for off, d in pairs))
-        self.min_eig = float(np.ldexp(min_eig, k).min())  # CFL step
+        det = np.ldexp(det, e + n * k)
         self.g, self.det, self.sqrt_det, self.per_grid = g, det, np.sqrt(det), None
 
 
