@@ -549,7 +549,7 @@ def integrate_rrfs(
     snap_req = np.linspace(0.0, t_end, max(n_snapshots, 2))
     if not evolve_g and state0._metric.per_grid is None:  # a memo: g is read-only
         state0._metric.per_grid = {}
-    fixed = {"g": state0._metric, "A": state0.A}  # unless they evolve
+    fixed = {"g": state0._metric, "A": state0.A}  # unpack overrides the moving ones
     moving = [key for key, keep in zip("gAG", (evolve_g, evolve_A, True)) if keep]
     ends = np.cumsum([getattr(state0, key).size for key in moving])
 
