@@ -73,6 +73,12 @@ class TestNil3Command:
         assert np.all(data[:, 1:4] > 0)
         assert np.abs(data[:, 4] / data[0, 4] - 1).max() <= 1e-6
 
+    def test_zero_constant_coupling_predicts_k_only(self, capsys):
+        # a^2 c = 0 has no constant-coupling prediction; the summary keeps K
+        assert cli.main(["nil3", "--coupling", "const:0", "--t-end", "1e4"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["predicted_constants"] == {"K": 1 / 3}
+
     def test_parse_error_exit_code(self):
         assert cli.main(["nil3", "--coupling", "bogus"]) == 1
 
@@ -113,6 +119,20 @@ class TestFitCommand:
                          "--t-lo", "1e4", "--t-hi", "1e6"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["exponent"] == pytest.approx(-1 / 3, abs=0.02)
+
+    @pytest.mark.parametrize("mode,name", [("power", "power_law"), ("log", "log_growth")])
+    def test_fit_stdout_fields(self, tmp_path, capsys, mode, name):
+        csv = tmp_path / "traj.csv"
+        assert cli.main(["nil3", "--t-end", "1e6", "--csv", str(csv),
+                         "--json", str(tmp_path / "s.json")]) == 0
+        capsys.readouterr()
+        assert cli.main(["fit", "--csv", str(csv), "--component", "B",
+                         "--t-lo", "1e4", "--t-hi", "1e6", "--mode", mode]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload.keys() == {"component", "mode", "exponent", "prefactor",
+                                  "r_squared", "window"}
+        assert (payload["component"], payload["mode"]) == ("B", name)
+        assert payload["window"] == [1e4, 1e6]
 
 
 class TestRRFSCommand:
@@ -192,6 +212,11 @@ class TestRRFSCommand:
         out = json.loads(capsys.readouterr().out)
         assert out.keys() == {"config", "volume_drift"}
         assert out["config"]["seed"] == 0
+
+    def test_bad_rescaling_mode_rejected(self, capsys):
+        assert cli.main(["rrfs", "--grid", "16", "--mode", "banana",
+                         "--t-end", "0.01"]) == 1
+        assert "bad rescaling mode 'banana'" in capsys.readouterr().err
 
 
 class TestInputBoundary:

@@ -66,6 +66,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             CouplingSchedule("sinusoid")
 
+    @pytest.mark.parametrize("a", [np.nan, np.inf])
+    def test_slope_must_be_finite(self, a):
+        with pytest.raises(ValueError, match="^slope must be finite$"):
+            MapSlope(a)
+
     def test_phi0_recorded(self):
         assert ricci_params(1.0, 5.0, 3.0).phi0 == 15.0
 
@@ -269,6 +274,14 @@ class TestFits:
         for fit in (fit_power_law, fit_log_growth):
             with pytest.raises(ValueError, match="^fit window must start at a positive time$"):
                 fit(traj, "C", (0.0, 1e4))
+
+
+    def test_nonpositive_sample_in_window_rejected(self):
+        traj = oracle_trajectory(1e4)
+        traj.states[-3, 2] = 0.0
+        for fit in (fit_power_law, fit_log_growth):
+            with pytest.raises(ValueError, match="^nonpositive samples in fit window$"):
+                fit(traj, "C", (1.0, 1e4))
 
 
 class TestPredictedConstants:

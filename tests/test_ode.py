@@ -6,8 +6,10 @@ from geomflow.ode import (
     DegenerateOrder,
     IntegratorConfig,
     MaxStepsExceeded,
+    NonFiniteState,
     ODESystem,
     PositivityLost,
+    Trajectory,
     convergence_order,
     integrate_adaptive,
     integrate_fixed,
@@ -48,6 +50,16 @@ class TestLogSampling:
     def test_samples_per_decade(self):
         t = log_sample_times(0.0, 99.0, 10)
         assert len(t) == 21  # two decades in 1 + t
+
+
+class TestTrajectory:
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="^times and states lengths differ$"):
+            Trajectory(np.array([0.0, 1.0]), np.ones((3, 1)), 32)
+
+    def test_times_must_increase(self):
+        with pytest.raises(ValueError, match="^times must be strictly increasing$"):
+            Trajectory(np.array([0.0, 1.0, 1.0]), np.ones((3, 1)), 32)
 
 
 class TestAdaptive:
@@ -102,6 +114,14 @@ class TestAdaptive:
             IntegratorConfig(h_init=2.0, h_max=1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(safety=1.5)
+
+    def test_non_finite_initial_state_rejected(self):
+        with pytest.raises(NonFiniteState, match="initial state is not finite"):
+            integrate_adaptive(DECAY, 0.0, 1.0, [np.nan])
+
+    def test_backward_interval_rejected(self):
+        with pytest.raises(ValueError, match="^t1 must be >= t0$"):
+            integrate_adaptive(DECAY, 1.0, 0.0, [1.0])
 
     @pytest.mark.parametrize("field", ["rtol", "atol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])

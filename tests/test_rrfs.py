@@ -476,6 +476,10 @@ class TestIntegration:
 
 
 class TestLibraryBoundary:
+    def test_unknown_rescaling_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown rescaling mode 'banana'$"):
+            RescalingSpec("banana")
+
     @pytest.mark.parametrize("t_end", [np.nan, np.inf, -np.inf, -1.0, 0.0])
     def test_integrate_rejects_bad_t_end(self, t_end):
         grid = PeriodicGrid((8,), (2 * np.pi,))
@@ -814,6 +818,15 @@ class TestSnapshots:
         npt.assert_array_equal(st2.g, st.g)
         npt.assert_array_equal(st2.A, st.A)
         npt.assert_array_equal(st2.G, st.G)
+
+    def test_missing_node_row_rejected(self, tmp_path):
+        grid = PeriodicGrid((8,), (2 * np.pi,))
+        path = tmp_path / "snap.txt"
+        save_snapshot(flat_state(grid), grid, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(ValueError, match="^snapshot node data has wrong shape$"):
+            load_snapshot(path)
 
     def test_random_state_deterministic(self):
         a = random_smooth_state(3, S1_64, 2, perturb_g=True)
