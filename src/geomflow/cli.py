@@ -39,12 +39,10 @@ def write_nil3_csv(path, traj: ode.Trajectory):
 
 def read_nil3_csv(path) -> ode.Trajectory:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return ode.Trajectory(data[:, 0], data[:, 1:4], samples_per_decade=0)
+    return ode.Trajectory(data[:, 0], data[:, 1:4])
 
 
 def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
     if isinstance(o, np.ndarray):
         return o.tolist()
     raise TypeError(f"not serializable: {type(o)}")
@@ -265,19 +263,14 @@ def cmd_fit(args) -> int:
         f = nil3.fit_power_law(traj, args.component, window)
     else:
         f = nil3.fit_log_growth(traj, args.component, window)
-    print(
-        json.dumps(
-            {
-                "component": args.component,
-                "mode": f.mode,
-                "exponent": f.exponent,
-                "prefactor": f.prefactor,
-                "r_squared": f.r_squared,
-                "window": list(f.window),
-            },
-            indent=2,
-        )
-    )
+    _emit_json(None, {
+        "component": args.component,
+        "mode": f.mode,
+        "exponent": f.exponent,
+        "prefactor": f.prefactor,
+        "r_squared": f.r_squared,
+        "window": list(f.window),
+    })
     return 0
 
 

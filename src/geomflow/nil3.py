@@ -142,13 +142,11 @@ def conserved_phi(state: Nil3State) -> float:
     return state.B * state.C
 
 
-def exact_ricci_solution(t: float, A0: float, C0: float, B0: float | None = None) -> Nil3State:
-    """Zero-coupling closed form for symmetric data A0 = B0.
+def exact_ricci_solution(t: float, A0: float, C0: float) -> Nil3State:
+    """Zero-coupling closed form for symmetric data B0 = A0.
 
     A(t) = B(t) = (A0^3 + 3 Phi t)^(1/3) with Phi = A0 C0, and C = Phi/A.
     """
-    if B0 is not None and B0 != A0:
-        raise ValueError("closed form requires symmetric initial data A0 = B0")
     phi = A0 * C0
     A = (A0**3 + 3.0 * phi * t) ** (1.0 / 3.0)
     return Nil3State(A, A, phi / A)
@@ -186,10 +184,7 @@ def blowdown(
         slope=params.slope.blowdown(s),
         coupling=params.coupling.blowdown(s),
     )
-    new_traj = Trajectory(
-        traj.times / s, traj.states / s, traj.samples_per_decade
-    )
-    return new_params, new_traj
+    return new_params, Trajectory(traj.times / s, traj.states / s)
 
 
 def _fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -326,11 +321,15 @@ class BoundsReport:
     violations: list
 
 
-def bounds_check(traj: Trajectory, params: Nil3Params, tol: float = 1e-9) -> BoundsReport:
+_BOUNDS_TOL = 1e-9
+
+
+def bounds_check(traj: Trajectory, params: Nil3Params) -> BoundsReport:
     """Check the a-priori growth bounds at every trajectory sample.
 
     Bounds: C0 * A0 B0 / (A0 B0 + C0 t) <= C(t) <= C0,
-    A(t) <= A0 + (C0/B0 + f(0)) t, and monotonicity of A, B (up) and C (down).
+    A(t) <= A0 + (C0/B0 + f(0)) t, and monotonicity of A, B (up) and C (down),
+    each to within 1e-9 times max(A0, B0, C0, 1).
     """
     s0 = params.state0
     A0, B0, C0 = s0.A, s0.B, s0.C
@@ -350,6 +349,6 @@ def bounds_check(traj: Trajectory, params: Nil3Params, tol: float = 1e-9) -> Bou
     for name, slack in checks:
         i = int(np.argmin(slack))
         worst = min(worst, float(slack[i]))
-        if slack[i] < -tol * max(A0, B0, C0, 1.0):
+        if slack[i] < -_BOUNDS_TOL * max(A0, B0, C0, 1.0):
             violations.append((name, float(t[i]), float(slack[i])))
     return BoundsReport(ok=not violations, worst_slack=worst, violations=violations)

@@ -54,18 +54,12 @@ class IntegratorConfig:
     rtol: float = 1e-9
     atol: float = 1e-12
     h_init: float = 1e-4
-    h_max: float = np.inf
-    safety: float = 0.9
     max_steps: int = 1_000_000
     samples_per_decade: int = 32
 
     def __post_init__(self):
         if not all(np.isfinite(v) and v > 0 for v in (self.rtol, self.atol)):
             raise ValueError("rtol and atol must be positive and finite")
-        if self.h_init > self.h_max:
-            raise ValueError("h_init must not exceed h_max")
-        if not 0 < self.safety < 1:
-            raise ValueError("safety must lie in (0, 1)")
         if self.samples_per_decade < 1:
             raise ValueError("samples_per_decade must be at least 1")
 
@@ -74,7 +68,6 @@ class IntegratorConfig:
 class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (len(times), dimension)
-    samples_per_decade: int
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -114,8 +107,14 @@ _D = np.array(
     ]
 )
 
+_SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+_UNDERFLOW_MESSAGES = {
+    StepSizeUnderflow: "step size underflow",
+    NonFiniteState: "state became non-finite",
+    PositivityLost: "flagged component forced the step size to underflow",
+}
 
 
 def rk4_step(sys: ODESystem, t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -156,15 +155,15 @@ def integrate_adaptive(
 ) -> Trajectory:
     """Integrate with the embedded 5(4) pair and log-spaced dense output."""
     cfg = cfg or IntegratorConfig()
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0!r} and {t1!r}")
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y0)):
         raise NonFiniteState("initial state is not finite", t0)
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if t1 == t0:
-        return Trajectory(
-            np.array([t0]), y0[None, :].copy(), cfg.samples_per_decade
-        )
+        return Trajectory(np.array([t0]), y0[None, :].copy())
 
     sample_t = log_sample_times(t0, t1, cfg.samples_per_decade)
     out_states = np.empty((len(sample_t), sys.dimension))
@@ -174,19 +173,17 @@ def integrate_adaptive(
     pos = list(sys.positive_components)
     t, y = t0, y0.copy()
     k1 = np.asarray(sys.rhs(t, y))
-    h = min(cfg.h_init, cfg.h_max, t1 - t0)
+    h = min(cfg.h_init, t1 - t0)
     err_prev = 1.0
     rejects_in_a_row = 0
-    pos_reject_since_accept = False
+    # what a step-size underflow reports: the cause of the last bad-state
+    # rejection since the last accepted step, else the underflow itself
+    cause = StepSizeUnderflow
 
     for _ in range(cfg.max_steps):
         h = min(h, t1 - t)
         if h < 1e-14 * max(abs(t), 1.0):
-            if pos_reject_since_accept:
-                raise PositivityLost(
-                    "flagged component forced the step size to underflow", t
-                )
-            raise StepSizeUnderflow("step size underflow", t)
+            raise cause(_UNDERFLOW_MESSAGES[cause], t)
 
         k = np.empty((7, sys.dimension))
         k[0] = k1
@@ -195,18 +192,9 @@ def integrate_adaptive(
             k[i] = sys.rhs(t + _C[i] * h, yi)
         y_new = y + h * (_B @ k)
 
-        bad = not np.all(np.isfinite(y_new))
-        if not bad and pos and np.any(y_new[pos] <= 0.0):
-            bad = True
-            pos_reject_since_accept = True
-        if bad:
-            rejects_in_a_row += 1
-            if rejects_in_a_row > 50:
-                if pos and np.all(np.isfinite(y_new)):
-                    raise PositivityLost(
-                        "flagged component pinned at zero after 50 rejections", t
-                    )
-                raise NonFiniteState("state became non-finite", t)
+        finite = np.all(np.isfinite(y_new))
+        if not finite or (pos and np.any(y_new[pos] <= 0.0)):
+            cause = PositivityLost if finite else NonFiniteState
             h *= 0.5
             continue
 
@@ -215,10 +203,10 @@ def integrate_adaptive(
 
         if err <= 1.0:
             # PI controller (beta = 0.04)
-            factor = cfg.safety * max(err, 1e-16) ** -0.17 * err_prev**0.04
+            factor = _SAFETY * max(err, 1e-16) ** -0.17 * err_prev**0.04
             err_prev = max(err, 1e-16)
             rejects_in_a_row = 0
-            pos_reject_since_accept = False
+            cause = StepSizeUnderflow
             t_new = t + h
             # fill dense output inside (t, t_new]
             while next_sample < len(sample_t) and sample_t[next_sample] <= t_new * (
@@ -233,13 +221,13 @@ def integrate_adaptive(
             t, y, k1 = t_new, y_new, k[6]  # FSAL
             if t >= t1 * (1 - 1e-15) and next_sample >= len(sample_t):
                 out_states[-1] = y
-                return Trajectory(sample_t, out_states, cfg.samples_per_decade)
+                return Trajectory(sample_t, out_states)
         else:
-            factor = max(cfg.safety * err**-0.2, _MIN_FACTOR)
+            factor = max(_SAFETY * err**-0.2, _MIN_FACTOR)
             rejects_in_a_row += 1
             if rejects_in_a_row > 50:
                 raise StepSizeUnderflow("50 consecutive error rejections", t)
-        h = min(h * min(max(factor, _MIN_FACTOR), _MAX_FACTOR), cfg.h_max)
+        h *= min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
 
     raise MaxStepsExceeded(f"max_steps = {cfg.max_steps} exceeded", t)
 
@@ -257,23 +245,21 @@ def integrate_fixed(sys: ODESystem, t0: float, t1: float, y0, h: float) -> np.nd
     return y
 
 
-def convergence_order(
-    sys: ODESystem, exact, t_end: float, h_list, t0: float = 0.0, y0=None
-) -> float:
-    """Least-squares slope of log(error) vs log(h) for fixed-step RK4.
+def convergence_order(sys: ODESystem, exact, t_end: float, h_list) -> float:
+    """Least-squares slope of log(error) vs log(h) for fixed-step RK4 from t = 0.
 
-    ``exact`` maps a time to the exact state.  Raises DegenerateOrder when
-    the scheme integrates the system exactly (errors at rounding level).
+    ``exact`` maps a time to the exact state; ``exact(0)`` is the initial
+    state.  Raises DegenerateOrder when the scheme integrates the system
+    exactly (errors at rounding level).
     """
     h_list = np.asarray(h_list, dtype=float)
     if len(h_list) < 3:
         raise ValueError("need at least 3 step sizes")
-    if y0 is None:
-        y0 = np.asarray(exact(t0), dtype=float)
+    y0 = np.asarray(exact(0.0), dtype=float)
     ref = np.asarray(exact(t_end), dtype=float)
     errs = np.array(
         [
-            np.linalg.norm(integrate_fixed(sys, t0, t_end, y0, h) - ref)
+            np.linalg.norm(integrate_fixed(sys, 0.0, t_end, y0, h) - ref)
             for h in h_list
         ]
     )

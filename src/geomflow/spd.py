@@ -9,12 +9,11 @@ through :func:`project_unit_det`.  The metric is the trace form
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 SYM_RTOL = 1e-14
-TRACE_FREE_TOL = 1e-12
 
 
 class SPDError(ValueError):
@@ -61,30 +60,14 @@ class SPDMatrix:
 
 @dataclass(frozen=True)
 class TangentVector:
-    """A symmetric matrix viewed as a tangent vector at some base point.
-
-    When ``trace_free_wrt`` is given, membership in the unit-determinant
-    slice at that base point (``tr(G^-1 X) = 0``) is enforced.
-    """
+    """A symmetric matrix viewed as a tangent vector at some base point."""
 
     entries: np.ndarray
-    trace_free_wrt: SPDMatrix | None = field(default=None)
 
     def __post_init__(self):
         arr = _check_symmetric(_as_square(self.entries), "tangent vector")
         object.__setattr__(self, "entries", arr)
         self.entries.setflags(write=False)
-        base = self.trace_free_wrt
-        if base is not None:
-            if base.n_dim != self.n_dim:
-                raise DimensionMismatchError(
-                    f"base point is {base.n_dim}x{base.n_dim}, "
-                    f"vector is {self.n_dim}x{self.n_dim}"
-                )
-            t = np.trace(np.linalg.solve(base.entries, arr))
-            scale = max(np.abs(arr).max(), 1.0)
-            if abs(t) > TRACE_FREE_TOL * scale:
-                raise SPDError(f"tangent vector is not trace-free: tr = {t:.3e}")
 
     @property
     def n_dim(self) -> int:

@@ -134,6 +134,15 @@ class TestFitCommand:
         assert (payload["component"], payload["mode"]) == ("B", name)
         assert payload["window"] == [1e4, 1e6]
 
+    def test_fit_stdout_is_sorted_json(self, tmp_path, capsys):
+        csv = tmp_path / "traj.csv"
+        assert cli.main(["nil3", "--t-end", "1e6", "--csv", str(csv),
+                         "--json", str(tmp_path / "s.json")]) == 0
+        capsys.readouterr()
+        assert cli.main(["fit", "--csv", str(csv), "--t-lo", "1e4", "--t-hi", "1e6"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
 
 class TestRRFSCommand:
     def test_smoothing_run_outputs(self, tmp_path):

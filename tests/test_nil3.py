@@ -35,7 +35,7 @@ def oracle_trajectory(t_end=1e4, samples_per_decade=64):
     states = np.array(
         [exact_ricci_solution(t, 1.0, 1.0).as_array() for t in times]
     )
-    return Trajectory(times, states, samples_per_decade)
+    return Trajectory(times, states)
 
 
 class TestTypes:
@@ -152,10 +152,6 @@ class TestRicciOracle:
             # C = phi/A, so dC = -phi A'/A^2
             assert dC_rhs == pytest.approx(-phi * dA_closed / s.A**2, rel=1e-12)
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            exact_ricci_solution(1.0, 1.0, 1.0, B0=2.0)
-
 
 class TestBlowdown:
     def test_identity_transform(self):
@@ -211,7 +207,7 @@ class TestFlowResidual:
         p = ricci_params()
         times = log_sample_times(0.0, 100.0, 32)
         states = np.tile([1.0, 1.0, 1.0], (len(times), 1))
-        res = flow_residual(Trajectory(times, states, 32), p)
+        res = flow_residual(Trajectory(times, states), p)
         assert res > 0.1  # d(state)/dt = 0 but rhs = (1, 1, -1)
 
     @pytest.mark.parametrize("coupling", [CouplingSchedule.constant(0.5),
@@ -231,7 +227,7 @@ class TestFlowResidual:
         times = np.array([0.0, 1.0, 2.0, 3.0])
         states = np.ones((4, 3))
         with pytest.raises(ValueError):
-            flow_residual(Trajectory(times, states, 1), ricci_params())
+            flow_residual(Trajectory(times, states), ricci_params())
 
 
 class TestFits:
@@ -240,7 +236,7 @@ class TestFits:
         states = np.empty((len(times), 3))
         states[:, 0] = 7.0 * times**0.5
         states[:, 1] = states[:, 2] = 1.0
-        fit = fit_power_law(Trajectory(times, states, 32), "A", (1.0, 1e4))
+        fit = fit_power_law(Trajectory(times, states), "A", (1.0, 1e4))
         assert fit.exponent == pytest.approx(0.5, abs=1e-10)
         assert fit.prefactor == pytest.approx(7.0, rel=1e-10)
         assert fit.r_squared == pytest.approx(1.0)
@@ -258,7 +254,7 @@ class TestFits:
         states = np.empty((len(times), 3))
         states[:, 1] = np.sqrt(5.0 * np.log(times))
         states[:, 0] = states[:, 2] = 1.0
-        fit = fit_log_growth(Trajectory(times, states, 32), "B", (10.0, 1e6))
+        fit = fit_log_growth(Trajectory(times, states), "B", (10.0, 1e6))
         assert fit.prefactor == pytest.approx(5.0, abs=1e-8)
         assert fit.mode == "log_growth"
 
@@ -333,7 +329,7 @@ class TestBounds:
         p = ricci_params()
         times = log_sample_times(0.0, 10.0, 16)
         states = np.tile([1.0, 1.0, 2.0], (len(times), 1))  # C > C0
-        report = bounds_check(Trajectory(times, states, 16), p)
+        report = bounds_check(Trajectory(times, states), p)
         assert not report.ok
         assert any(name == "C_upper" for name, _, _ in report.violations)
 

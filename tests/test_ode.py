@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -55,11 +57,11 @@ class TestLogSampling:
 class TestTrajectory:
     def test_lengths_must_match(self):
         with pytest.raises(ValueError, match="^times and states lengths differ$"):
-            Trajectory(np.array([0.0, 1.0]), np.ones((3, 1)), 32)
+            Trajectory(np.array([0.0, 1.0]), np.ones((3, 1)))
 
     def test_times_must_increase(self):
         with pytest.raises(ValueError, match="^times must be strictly increasing$"):
-            Trajectory(np.array([0.0, 1.0, 1.0]), np.ones((3, 1)), 32)
+            Trajectory(np.array([0.0, 1.0, 1.0]), np.ones((3, 1)))
 
 
 class TestAdaptive:
@@ -107,13 +109,31 @@ class TestAdaptive:
             integrate_adaptive(sys, 0.0, 5.0, [1.0], IntegratorConfig(h_init=0.1))
         assert info.value.t <= 1.0 + 1e-6
 
+    def test_nan_rhs_reported_as_non_finite_state(self):
+        sys = ODESystem(1, lambda t, y: np.where(t > 0.5, np.nan, -y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState, match="state became non-finite") as info:
+                integrate_adaptive(sys, 0.0, 2.0, [1.0])
+        assert info.value.t == pytest.approx(0.5, abs=1e-12)
+
+    def test_blowup_reported_as_non_finite_state(self):
+        # y' = exp(50 y), y(0) = 1 blows up at t = exp(-50)/50
+        sys = ODESystem(1, lambda t, y: np.exp(50.0 * y))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteState, match="state became non-finite") as info:
+                integrate_adaptive(sys, 0.0, 2.0, [1.0])
+        assert info.value.t == 0.0
+
+    @pytest.mark.parametrize("t0,t1", [(0.0, np.inf), (0.0, np.nan), (np.nan, 1.0),
+                                       (-np.inf, 1.0)])
+    def test_non_finite_interval_rejected(self, t0, t1):
+        with pytest.raises(ValueError, match="^t0 and t1 must be finite, got "):
+            integrate_adaptive(DECAY, t0, t1, [1.0])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IntegratorConfig(rtol=0.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(h_init=2.0, h_max=1.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(safety=1.5)
 
     def test_non_finite_initial_state_rejected(self):
         with pytest.raises(NonFiniteState, match="initial state is not finite"):

@@ -43,16 +43,6 @@ class TestConstruction:
         G = SPDMatrix(m)
         npt.assert_array_equal(G.entries, G.entries.T)
 
-    def test_trace_free_enforced(self):
-        G = SPDMatrix(np.eye(2))
-        TangentVector(np.diag([1.0, -1.0]), trace_free_wrt=G)
-        with pytest.raises(SPDError):
-            TangentVector(np.eye(2), trace_free_wrt=G)
-
-    def test_trace_free_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            TangentVector(np.eye(3), trace_free_wrt=SPDMatrix(np.eye(2)))
-
 
 class TestMetric:
     def test_identity_base(self):

@@ -164,7 +164,7 @@ def nil3_trajectories(draw):
                                     unique=True)))
     # |B|, |C| <= 1e150 keeps the Phi = B*C column finite
     states = draw(hnp.arrays(np.float64, (m, 3), elements=st.floats(-1e150, 1e150)))
-    return ode.Trajectory(times, states, samples_per_decade=0)
+    return ode.Trajectory(times, states)
 
 
 class TestRoundTripProperties:
