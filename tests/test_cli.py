@@ -120,12 +120,15 @@ class TestFitCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["exponent"] == pytest.approx(-1 / 3, abs=0.02)
 
-    @pytest.mark.parametrize("mode,name", [("power", "power_law"), ("log", "log_growth")])
-    def test_fit_stdout_fields(self, tmp_path, capsys, mode, name):
-        csv = tmp_path / "traj.csv"
-        assert cli.main(["nil3", "--t-end", "1e6", "--csv", str(csv),
+    @pytest.fixture
+    def csv(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        assert cli.main(["nil3", "--t-end", "1e6", "--csv", str(path),
                          "--json", str(tmp_path / "s.json")]) == 0
-        capsys.readouterr()
+        return path
+
+    @pytest.mark.parametrize("mode,name", [("power", "power_law"), ("log", "log_growth")])
+    def test_fit_stdout_fields(self, csv, capsys, mode, name):
         assert cli.main(["fit", "--csv", str(csv), "--component", "B",
                          "--t-lo", "1e4", "--t-hi", "1e6", "--mode", mode]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -134,11 +137,7 @@ class TestFitCommand:
         assert (payload["component"], payload["mode"]) == ("B", name)
         assert payload["window"] == [1e4, 1e6]
 
-    def test_fit_stdout_is_sorted_json(self, tmp_path, capsys):
-        csv = tmp_path / "traj.csv"
-        assert cli.main(["nil3", "--t-end", "1e6", "--csv", str(csv),
-                         "--json", str(tmp_path / "s.json")]) == 0
-        capsys.readouterr()
+    def test_fit_stdout_is_sorted_json(self, csv, capsys):
         assert cli.main(["fit", "--csv", str(csv), "--t-lo", "1e4", "--t-hi", "1e6"]) == 0
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

@@ -271,7 +271,6 @@ class TestFits:
             with pytest.raises(ValueError, match="^fit window must start at a positive time$"):
                 fit(traj, "C", (0.0, 1e4))
 
-
     def test_nonpositive_sample_in_window_rejected(self):
         traj = oracle_trajectory(1e4)
         traj.states[-3, 2] = 0.0
