@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 parse/integration error, 2 assertion failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -107,28 +108,14 @@ def cmd_nil3(args) -> int:
         constants = {"K": params.state0.A * params.state0.B / (3 * params.state0.C)}
 
     summary = {
-        "config": {
-            "scenario": "nil3",
-            "A0": args.A0,
-            "B0": args.B0,
-            "C0": args.C0,
-            "a": args.a,
-            "coupling": args.coupling,
-            "t_end": args.t_end,
-            "rtol": args.rtol,
-            "atol": args.atol,
-            "samples_per_decade": args.samples_per_decade,
-        },
+        "config": {"scenario": "nil3", **{k: v for k, v in vars(args).items()
+                                          if k not in ("csv", "json", "command", "func")}},
         "phi0": params.phi0,
         "phi_drift": phi_drift,
         "fits": fits,
         "log_growth_B": kappa_fit,
         "predicted_constants": constants,
-        "bounds": {
-            "ok": report.ok,
-            "worst_slack": report.worst_slack,
-            "violations": report.violations,
-        },
+        "bounds": dataclasses.asdict(report),
         "final_state": {
             "t": float(traj.times[-1]),
             "A": float(traj.states[-1, 0]),
@@ -156,8 +143,6 @@ def cmd_rrfs(args) -> int:
         period = (tuple(float(x) for x in args.period.split(",")) if args.period
                   else (2 * np.pi,) * len(sizes))
         grid = rrfs.PeriodicGrid(sizes, period)
-        if not np.isfinite(args.amplitude):
-            raise ValueError(f"--amplitude must be finite, got {args.amplitude!r}")
         init = {"amplitude": args.amplitude, "perturb_g": args.perturb_g,
                 "perturb_A": args.perturb_A}
         state0 = rrfs.random_smooth_state(args.seed, grid, args.n_fiber, **init)
@@ -263,14 +248,7 @@ def cmd_fit(args) -> int:
         f = nil3.fit_power_law(traj, args.component, window)
     else:
         f = nil3.fit_log_growth(traj, args.component, window)
-    _emit_json(None, {
-        "component": args.component,
-        "mode": f.mode,
-        "exponent": f.exponent,
-        "prefactor": f.prefactor,
-        "r_squared": f.r_squared,
-        "window": list(f.window),
-    })
+    _emit_json(None, {"component": args.component, **dataclasses.asdict(f)})
     return 0
 
 

@@ -51,14 +51,13 @@ class MapSlope:
 class CouplingSchedule:
     """Coupling c(t): zero, a positive constant, or c0 (1+t)^(-r).
 
-    ``amp_scale`` and ``time_scale`` track blowdown rescalings so that a
+    A blowdown by s multiplies ``c0`` by s^2 and ``time_scale`` by s, so the
     transformed schedule evaluates to s^2 * c(s t) without leaving the type.
     """
 
     kind: str  # "zero" | "constant" | "power"
     c0: float = 0.0
     r: float = 0.0
-    amp_scale: float = 1.0
     time_scale: float = 1.0
 
     def __post_init__(self):
@@ -88,13 +87,11 @@ class CouplingSchedule:
         if self.kind == "zero":
             return 0.0
         if self.kind == "constant":
-            return self.amp_scale * self.c0
-        return self.amp_scale * self.c0 * (1.0 + ts) ** (-self.r)
+            return self.c0
+        return self.c0 * (1.0 + ts) ** (-self.r)
 
     def blowdown(self, s: float) -> "CouplingSchedule":
-        return replace(
-            self, amp_scale=self.amp_scale * s * s, time_scale=self.time_scale * s
-        )
+        return replace(self, c0=self.c0 * (s * s), time_scale=self.time_scale * s)
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ def make_system(params: Nil3Params) -> ODESystem:
     def f(t, y):
         return np.array(_flow(*y, params.f(t)))
 
-    return ODESystem(dimension=3, rhs=f, positive_components=(0, 1, 2))
+    return ODESystem(rhs=f, positive_components=(0, 1, 2))
 
 
 def integrate_nil3(

@@ -44,7 +44,6 @@ class DegenerateOrder(RuntimeError):
 
 @dataclass(frozen=True)
 class ODESystem:
-    dimension: int
     rhs: callable  # (t, y) -> dy/dt, pure and deterministic
     positive_components: tuple[int, ...] = ()
 
@@ -143,13 +142,14 @@ def log_sample_times(t0: float, t1: float, samples_per_decade: int) -> np.ndarra
     return times
 
 
-def _dense_eval(theta, y0, ydiff, h, k1, k7, kstack):
-    r3 = h * k1 - ydiff
-    r4 = ydiff - h * k7 - r3
+def _dense_eval(theta, y0, ydiff, h, kstack):
+    r3 = h * kstack[0] - ydiff
+    r4 = ydiff - h * kstack[6] - r3
     r5 = h * (_D @ kstack)
     return y0 + theta * (ydiff + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5)))
 
 
+@np.errstate(invalid="ignore")  # a non-finite stage is reported as NonFiniteState
 def integrate_adaptive(
     sys: ODESystem, t0: float, t1: float, y0, cfg: IntegratorConfig | None = None
 ) -> Trajectory:
@@ -166,7 +166,7 @@ def integrate_adaptive(
         return Trajectory(np.array([t0]), y0[None, :].copy())
 
     sample_t = log_sample_times(t0, t1, cfg.samples_per_decade)
-    out_states = np.empty((len(sample_t), sys.dimension))
+    out_states = np.empty((len(sample_t), len(y0)))
     out_states[0] = y0
     next_sample = 1
 
@@ -185,7 +185,7 @@ def integrate_adaptive(
         if h < 1e-14 * max(abs(t), 1.0):
             raise cause(_UNDERFLOW_MESSAGES[cause], t)
 
-        k = np.empty((7, sys.dimension))
+        k = np.empty((7, len(y0)))
         k[0] = k1
         for i in range(1, 7):
             yi = y + h * (_A[i] @ k[:i])
@@ -214,9 +214,7 @@ def integrate_adaptive(
             ):
                 ts = min(sample_t[next_sample], t_new)
                 theta = (ts - t) / h
-                out_states[next_sample] = _dense_eval(
-                    theta, y, y_new - y, h, k[0], k[6], k
-                )
+                out_states[next_sample] = _dense_eval(theta, y, y_new - y, h, k)
                 next_sample += 1
             t, y, k1 = t_new, y_new, k[6]  # FSAL
             if t >= t1 * (1 - 1e-15) and next_sample >= len(sample_t):

@@ -145,6 +145,8 @@ class RRFSState:
         metric = self.g if isinstance(self.g, _Metric) else None
         g = metric.g if metric else _sym(np.asarray(self.g, dtype=float))
         A = np.asarray(self.A, dtype=float)
+        if A.flags.writeable:  # the caller's A stays writable; a read-only A is shared
+            A = A.copy()
         G = _sym(np.asarray(self.G, dtype=float))
         if G.shape[-1] < 1:
             raise ValueError("fiber dimension must be at least 1")
@@ -545,6 +547,8 @@ def integrate_rrfs(
     """
     if not (np.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be a positive finite number, got {t_end!r}")
+    if not (np.isfinite(kappa_cfl) and kappa_cfl > 0):
+        raise ValueError(f"kappa_cfl must be a positive finite number, got {kappa_cfl!r}")
     h_min = min(grid.spacing)
     snap_req = np.linspace(0.0, t_end, max(n_snapshots, 2))
     if not evolve_g and state0._metric.per_grid is None:  # a memo: g is read-only
@@ -554,6 +558,7 @@ def integrate_rrfs(
     ends = np.cumsum([getattr(state0, key).size for key in moving])
 
     def unpack(y) -> RRFSState:
+        y.setflags(write=False)  # ours alone: read-only, so RRFSState shares A, not copies it
         return RRFSState(**dict(fixed, **{key: p.reshape(getattr(state0, key).shape)
                                           for key, p in zip(moving, np.split(y, ends[:-1]))}))
 
@@ -561,7 +566,7 @@ def integrate_rrfs(
         k = dict(zip("gAG", rrfs_rhs(st, grid, spec, **kwargs)))
         return np.concatenate([k[key].ravel() for key in moving])
 
-    system = ODESystem(int(ends[-1]), lambda t, y: k1 if y is y_state else rhs_flat(unpack(y)))
+    system = ODESystem(lambda t, y: k1 if y is y_state else rhs_flat(unpack(y)))
     rows = []  # (t, energy, volume, s) at each accepted state
 
     t = 0.0
@@ -636,6 +641,8 @@ def random_smooth_state(
     perturb_A: bool = False,
 ) -> RRFSState:
     """Seeded smooth periodic state: G = exp(symmetric Fourier field), flat-ish g."""
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     rng = np.random.default_rng(seed)
     n = grid.n_base
     shape = tuple(grid.sizes)

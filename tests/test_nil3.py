@@ -174,6 +174,11 @@ class TestBlowdown:
             assert lhs == pytest.approx(rhs_val, rel=1e-14)
             assert ps.f(t) == pytest.approx(p.f(s * t), rel=1e-14)
 
+    def test_coupling_c0_absorbs_s_squared(self):
+        sched = CouplingSchedule.power(2.0, 1.3).blowdown(4.0)
+        assert sched == CouplingSchedule("power", c0=32.0, r=1.3, time_scale=4.0)
+        assert sched(0.5) == 32.0 * 3.0 ** -1.3
+
     def test_oracle_blowdown_state(self):
         # A_s(t) = (1 + 12 t)^{1/3} / 4 for s = 4 applied to the unit oracle
         p = ricci_params()

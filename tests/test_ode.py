@@ -19,18 +19,18 @@ from geomflow.ode import (
     rk4_step,
 )
 
-DECAY = ODESystem(1, lambda t, y: -y)
-GROWTH = ODESystem(1, lambda t, y: y)
+DECAY = ODESystem(lambda t, y: -y)
+GROWTH = ODESystem(lambda t, y: y)
 
 
 class TestRK4Step:
     def test_zero_rhs(self):
-        sys = ODESystem(2, lambda t, y: np.zeros(2))
+        sys = ODESystem(lambda t, y: np.zeros(2))
         npt.assert_array_equal(rk4_step(sys, 0.0, np.array([3.0, -1.0]), 0.1),
                                [3.0, -1.0])
 
     def test_constant_rhs_exact(self):
-        sys = ODESystem(1, lambda t, y: np.ones(1))
+        sys = ODESystem(lambda t, y: np.ones(1))
         npt.assert_allclose(rk4_step(sys, 0.0, np.array([2.0]), 0.25), [2.25])
 
     def test_exponential_one_step(self):
@@ -104,13 +104,13 @@ class TestAdaptive:
 
     def test_positivity_guard(self):
         # y' = -1 crosses zero at t = 1; the flagged component must trigger
-        sys = ODESystem(1, lambda t, y: -np.ones(1), positive_components=(0,))
+        sys = ODESystem(lambda t, y: -np.ones(1), positive_components=(0,))
         with pytest.raises(PositivityLost) as info:
             integrate_adaptive(sys, 0.0, 5.0, [1.0], IntegratorConfig(h_init=0.1))
         assert info.value.t <= 1.0 + 1e-6
 
     def test_nan_rhs_reported_as_non_finite_state(self):
-        sys = ODESystem(1, lambda t, y: np.where(t > 0.5, np.nan, -y))
+        sys = ODESystem(lambda t, y: np.where(t > 0.5, np.nan, -y))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteState, match="state became non-finite") as info:
@@ -119,11 +119,23 @@ class TestAdaptive:
 
     def test_blowup_reported_as_non_finite_state(self):
         # y' = exp(50 y), y(0) = 1 blows up at t = exp(-50)/50
-        sys = ODESystem(1, lambda t, y: np.exp(50.0 * y))
+        sys = ODESystem(lambda t, y: np.exp(50.0 * y))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteState, match="state became non-finite") as info:
                 integrate_adaptive(sys, 0.0, 2.0, [1.0])
         assert info.value.t == 0.0
+
+    def test_infinite_stage_reported_without_numpy_warning(self):
+        # an inf stage derivative meets zero and opposite tableau weights in
+        # the stage sums; the integrator reports the state, numpy stays quiet
+        sys = ODESystem(lambda t, y: np.where(t > 0.3, np.inf, -y))
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteState, match="state became non-finite") as info:
+                integrate_adaptive(sys, 0.0, 1.0, [1.0])
+        assert info.value.t == pytest.approx(0.3, abs=1e-12)
+        assert np.geterr() == before
 
     @pytest.mark.parametrize("t0,t1", [(0.0, np.inf), (0.0, np.nan), (np.nan, 1.0),
                                        (-np.inf, 1.0)])
@@ -158,7 +170,7 @@ class TestConvergenceOrder:
         assert 3.8 <= slope <= 4.2
 
     def test_degenerate_constant_rhs(self):
-        sys = ODESystem(1, lambda t, y: np.full(1, 2.0))
+        sys = ODESystem(lambda t, y: np.full(1, 2.0))
         with pytest.raises(DegenerateOrder):
             convergence_order(sys, lambda t: np.array([2.0 * t]), 1.0,
                               [0.1, 0.05, 0.025])
