@@ -44,6 +44,8 @@ class DegenerateOrder(RuntimeError):
 
 @dataclass(frozen=True)
 class ODESystem:
+    """The input of ``integrate_adaptive``: rhs and the components it keeps positive."""
+
     rhs: callable  # (t, y) -> dy/dt, pure and deterministic
     positive_components: tuple[int, ...] = ()
 
@@ -52,8 +54,6 @@ class ODESystem:
 class IntegratorConfig:
     rtol: float = 1e-9
     atol: float = 1e-12
-    h_init: float = 1e-4
-    max_steps: int = 1_000_000
     samples_per_decade: int = 32
 
     def __post_init__(self):
@@ -107,6 +107,8 @@ _D = np.array(
 )
 
 _SAFETY = 0.9
+_H_INIT = 1e-4
+_MAX_STEPS = 1_000_000
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _UNDERFLOW_MESSAGES = {
@@ -116,18 +118,25 @@ _UNDERFLOW_MESSAGES = {
 }
 
 
-def rk4_step(sys: ODESystem, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical 4-stage Runge-Kutta step."""
+def rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical 4-stage Runge-Kutta step of y' = rhs(t, y)."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    k1 = np.asarray(sys.rhs(t, y))
-    k2 = np.asarray(sys.rhs(t + h / 2, y + h / 2 * k1))
-    k3 = np.asarray(sys.rhs(t + h / 2, y + h / 2 * k2))
-    k4 = np.asarray(sys.rhs(t + h, y + h * k3))
+    k1 = np.asarray(rhs(t, y))
+    k2 = np.asarray(rhs(t + h / 2, y + h / 2 * k1))
+    k3 = np.asarray(rhs(t + h / 2, y + h / 2 * k2))
+    k4 = np.asarray(rhs(t + h, y + h * k3))
     out = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     if not np.all(np.isfinite(out)):
         raise NonFiniteState("non-finite right-hand side in RK4 step", t)
     return out
+
+
+def _check_interval(t0: float, t1: float):
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0!r} and {t1!r}")
+    if t1 < t0:
+        raise ValueError("t1 must be >= t0")
 
 
 def log_sample_times(t0: float, t1: float, samples_per_decade: int) -> np.ndarray:
@@ -145,7 +154,7 @@ def log_sample_times(t0: float, t1: float, samples_per_decade: int) -> np.ndarra
 def _dense_eval(theta, y0, ydiff, h, kstack):
     r3 = h * kstack[0] - ydiff
     r4 = ydiff - h * kstack[6] - r3
-    r5 = h * (_D @ kstack)
+    r5 = (h * _D) @ kstack
     return y0 + theta * (ydiff + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5)))
 
 
@@ -155,13 +164,12 @@ def integrate_adaptive(
 ) -> Trajectory:
     """Integrate with the embedded 5(4) pair and log-spaced dense output."""
     cfg = cfg or IntegratorConfig()
-    if not (np.isfinite(t0) and np.isfinite(t1)):
-        raise ValueError(f"t0 and t1 must be finite, got {t0!r} and {t1!r}")
+    _check_interval(t0, t1)
+    if t0 <= -1:
+        raise ValueError(f"t0 must be > -1, samples are log-spaced in 1 + t, got {t0!r}")
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y0)):
         raise NonFiniteState("initial state is not finite", t0)
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
     if t1 == t0:
         return Trajectory(np.array([t0]), y0[None, :].copy())
 
@@ -173,24 +181,24 @@ def integrate_adaptive(
     pos = list(sys.positive_components)
     t, y = t0, y0.copy()
     k1 = np.asarray(sys.rhs(t, y))
-    h = min(cfg.h_init, t1 - t0)
+    h = min(_H_INIT, t1 - t0)
     err_prev = 1.0
     rejects_in_a_row = 0
     # what a step-size underflow reports: the cause of the last bad-state
     # rejection since the last accepted step, else the underflow itself
     cause = StepSizeUnderflow
 
-    for _ in range(cfg.max_steps):
+    for _ in range(_MAX_STEPS):
         h = min(h, t1 - t)
         if h < 1e-14 * max(abs(t), 1.0):
             raise cause(_UNDERFLOW_MESSAGES[cause], t)
 
         k = np.empty((7, len(y0)))
         k[0] = k1
-        for i in range(1, 7):
-            yi = y + h * (_A[i] @ k[:i])
+        for i in range(1, 7):  # h scales the weights first, so no sum of slopes overflows
+            yi = y + (h * _A[i]) @ k[:i]
             k[i] = sys.rhs(t + _C[i] * h, yi)
-        y_new = y + h * (_B @ k)
+        y_new = y + (h * _B) @ k
 
         finite = np.all(np.isfinite(y_new))
         if not finite or (pos and np.any(y_new[pos] <= 0.0)):
@@ -199,7 +207,7 @@ def integrate_adaptive(
             continue
 
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((h * (_E @ k) / scale) ** 2)))
+        err = float(np.sqrt(np.mean(((h * _E) @ k / scale) ** 2)))
 
         if err <= 1.0:
             # PI controller (beta = 0.04)
@@ -227,23 +235,26 @@ def integrate_adaptive(
                 raise StepSizeUnderflow("50 consecutive error rejections", t)
         h *= min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
 
-    raise MaxStepsExceeded(f"max_steps = {cfg.max_steps} exceeded", t)
+    raise MaxStepsExceeded(f"{_MAX_STEPS} steps did not reach t1 = {t1:.6g}", t)
 
 
-def integrate_fixed(sys: ODESystem, t0: float, t1: float, y0, h: float) -> np.ndarray:
-    """Fixed-step RK4 endpoint state; the last step is shortened to land on t1."""
+def integrate_fixed(rhs, t0: float, t1: float, y0, h: float) -> np.ndarray:
+    """Fixed-step RK4 endpoint of y' = rhs(t, y); the last step is shortened to land on t1."""
+    _check_interval(t0, t1)
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"step size must be positive and finite, got {h:.6g}")
     y = np.asarray(y0, dtype=float).copy()
     t = t0
     n_full = int(np.floor((t1 - t0) / h * (1 + 1e-12)))
     for _ in range(n_full):
-        y = rk4_step(sys, t, y, h)
+        y = rk4_step(rhs, t, y, h)
         t += h
     if t1 - t > 1e-12 * max(abs(t1), 1.0):
-        y = rk4_step(sys, t, y, t1 - t)
+        y = rk4_step(rhs, t, y, t1 - t)
     return y
 
 
-def convergence_order(sys: ODESystem, exact, t_end: float, h_list) -> float:
+def convergence_order(rhs, exact, t_end: float, h_list) -> float:
     """Least-squares slope of log(error) vs log(h) for fixed-step RK4 from t = 0.
 
     ``exact`` maps a time to the exact state; ``exact(0)`` is the initial
@@ -257,7 +268,7 @@ def convergence_order(sys: ODESystem, exact, t_end: float, h_list) -> float:
     ref = np.asarray(exact(t_end), dtype=float)
     errs = np.array(
         [
-            np.linalg.norm(integrate_fixed(sys, 0.0, t_end, y0, h) - ref)
+            np.linalg.norm(integrate_fixed(rhs, 0.0, t_end, y0, h) - ref)
             for h in h_list
         ]
     )

@@ -21,8 +21,8 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .ode import NonFiniteState, ODESystem, rk4_step
-from .spd import _christoffel_stacked
+from .ode import NonFiniteState, rk4_step
+from .spd import _christoffel_stacked, _sym, is_spd
 
 KAPPA_CFL = 0.2
 _SMOOTH_MODES = 3  # Fourier modes of each random scalar field
@@ -49,6 +49,8 @@ class PeriodicGrid:
     period: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(float(s).is_integer() for s in self.sizes):
+            raise ValueError(f"grid sizes must be integers, got {self.sizes}")
         sizes = tuple(int(s) for s in self.sizes)
         period = tuple(float(p) for p in self.period)
         object.__setattr__(self, "sizes", sizes)
@@ -83,27 +85,11 @@ class PeriodicGrid:
         return float(np.prod(self.spacing))
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    h = 0.5 * m  # halve first: exact, and the sum cannot overflow
-    return h + np.swapaxes(h, -1, -2)
-
-
 def _check_spd_field(fld: np.ndarray, what: str):
-    """Raise SPDFieldError at the first node in C order where a pivot d_i of LDL^T without
-    pivoting is not positive, which by Sylvester's criterion is the first non-SPD node."""
+    """Raise SPDFieldError at the first node in C order that ``spd.is_spd`` rejects."""
     if not np.isfinite(fld).all():
         raise SPDFieldError(f"{what} has non-finite entries")
-    a, tiny = np.ascontiguousarray(_grid_last(fld, fld.ndim - 2)), 5e-324  # floors d_i
-    k, s = len(a), [np.sqrt(np.maximum(a[i, i], tiny)) for i in range(len(a))]
-    c = [[a[j, i] / np.maximum(s[i] * s[j], np.abs(a[j, i])) for i in range(j)] + [1.0]
-         for j in range(k)]  # unit diagonal: SPD keeps |c| < 1, max(., |a|) clamps the others
-    ok, u = a[0, 0] > 0, [row[0] for row in c[1:]]  # the multipliers of d_0 = 1
-    for i in range(1, k):
-        for j in range(i, k):
-            c[j][i:j + 1] = [x - u[j - i] * v for x, v in zip(c[j][i:j + 1], u)]
-        ok, r = ok & (a[i, i] > 0) & (c[i][i] > 0), np.sqrt(np.maximum(c[i][i], tiny))
-        u = [c[j][i] / np.maximum(r, np.abs(c[j][i])) for j in range(i + 1, k)]  # |u| <= 1 too
-    _raise_at_first(ok, f"{what} is not positive definite")
+    _raise_at_first(is_spd(fld), f"{what} is not positive definite")
 
 
 def _raise_at_first(ok: np.ndarray, message: str):
@@ -517,9 +503,11 @@ class RRFSRun:
     energies: np.ndarray
     volumes: np.ndarray
     s_values: np.ndarray
-    snapshot_times: list
-    snapshots: list  # RRFSState at the snapshot times
-    final_state: RRFSState
+    snapshots: list  # RRFSState at the snapshot times, the final state last
+
+    @property
+    def final_state(self) -> RRFSState:
+        return self.snapshots[-1]
 
 
 def integrate_rrfs(
@@ -566,13 +554,14 @@ def integrate_rrfs(
         k = dict(zip("gAG", rrfs_rhs(st, grid, spec, **kwargs)))
         return np.concatenate([k[key].ravel() for key in moving])
 
-    system = ODESystem(lambda t, y: k1 if y is y_state else rhs_flat(unpack(y)))
+    def stage(t, y):  # the RK4 right-hand side; k1 is computed once per accepted state
+        return k1 if y is y_state else rhs_flat(unpack(y))
+
     rows = []  # (t, energy, volume, s) at each accepted state
 
     t = 0.0
     state = state0
     snapshots = [state0]
-    snapshot_times = [0.0]
     next_snap = 1
 
     while t < t_end * (1 - 1e-12):
@@ -588,7 +577,7 @@ def integrate_rrfs(
         rejections = 0
         while True:
             try:
-                new_state = unpack(rk4_step(system, t, y_state, dt))
+                new_state = unpack(rk4_step(stage, t, y_state, dt))
                 break
             except (SPDFieldError, NonFiniteState) as err:
                 rejections += 1
@@ -600,14 +589,12 @@ def integrate_rrfs(
         state = new_state
         while next_snap < len(snap_req) - 1 and t >= snap_req[next_snap]:
             snapshots.append(state)
-            snapshot_times.append(t)
             next_snap += 1
 
     geo = _Geometry(state, grid)
     rows.append((t, geo.energy, geo.volume, geo.s(spec)))
     snapshots.append(state)
-    snapshot_times.append(t)
-    return RRFSRun(*np.array(rows).T, snapshot_times, snapshots, state)
+    return RRFSRun(*np.array(rows).T, snapshots)
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,35 @@ def _as_square(entries) -> np.ndarray:
     return arr
 
 
+def _sym(m: np.ndarray) -> np.ndarray:
+    """(m + m^T) / 2 over the last two axes."""
+    h = 0.5 * m  # halve first: exact, and the sum cannot overflow
+    return h + np.swapaxes(h, -1, -2)
+
+
+def is_spd(fld: np.ndarray) -> np.ndarray:
+    """Per node of a finite symmetric [..., k, k] field: whether every pivot d_i of
+    LDL^T without pivoting is positive, which by Sylvester's criterion is SPD."""
+    a, tiny = np.ascontiguousarray(fld.transpose(-2, -1, *range(fld.ndim - 2))), 5e-324
+    k, s = len(a), [np.sqrt(np.maximum(a[i, i], tiny)) for i in range(len(a))]  # floors d_i
+    c = [[a[j, i] / np.maximum(s[i] * s[j], np.abs(a[j, i])) for i in range(j)] + [1.0]
+         for j in range(k)]  # unit diagonal: SPD keeps |c| < 1, max(., |a|) clamps the others
+    ok, u = a[0, 0] > 0, [row[0] for row in c[1:]]  # the multipliers of d_0 = 1
+    for i in range(1, k):
+        for j in range(i, k):
+            c[j][i:j + 1] = [x - u[j - i] * v for x, v in zip(c[j][i:j + 1], u)]
+        ok, r = ok & (a[i, i] > 0) & (c[i][i] > 0), np.sqrt(np.maximum(c[i][i], tiny))
+        u = [c[j][i] / np.maximum(r, np.abs(c[j][i])) for j in range(i + 1, k)]  # |u| <= 1 too
+    return ok
+
+
 def _check_symmetric(arr: np.ndarray, what: str) -> np.ndarray:
-    scale = max(np.abs(arr).max(), 1.0)
-    if np.abs(arr - arr.T).max() > 1e3 * SYM_RTOL * scale:
+    if not np.isfinite(arr).all():
+        raise SPDError(f"{what} has non-finite entries")
+    sym = _sym(arr)  # |arr - sym| is |arr - arr^T| / 2, which cannot overflow
+    if np.abs(arr - sym).max() > 500 * SYM_RTOL * max(np.abs(arr).max(), 1.0):
         raise SPDError(f"{what} is not symmetric")
-    return 0.5 * (arr + arr.T)
+    return sym
 
 
 @dataclass(frozen=True)
@@ -46,10 +70,8 @@ class SPDMatrix:
 
     def __post_init__(self):
         arr = _check_symmetric(_as_square(self.entries), "SPD matrix")
-        try:
-            np.linalg.cholesky(arr)
-        except np.linalg.LinAlgError:
-            raise SPDError("matrix is not positive definite") from None
+        if not is_spd(arr):
+            raise SPDError("matrix is not positive definite")
         object.__setattr__(self, "entries", arr)
         self.entries.setflags(write=False)
 
@@ -94,14 +116,13 @@ def christoffel(G: SPDMatrix, X: TangentVector, Y: TangentVector) -> TangentVect
     """Connection bilinear form -1/2 (X G^-1 Y + Y G^-1 X) at base point G."""
     _check_dims(G, X, Y)
     XGY = X.entries @ np.linalg.solve(G.entries, Y.entries)
-    return TangentVector(-0.5 * (XGY + XGY.T))
+    return TangentVector(-_sym(XGY))
 
 
 def _christoffel_stacked(Ginv: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """The connection -1/2 (X G^-1 Y + Y G^-1 X) for symmetric X and Y, on
     node-stacked [..., N, N] arrays that broadcast together, given G^-1."""
-    XGY = X @ Ginv @ Y
-    return -0.5 * (XGY + np.swapaxes(XGY, -1, -2))
+    return -_sym(X @ Ginv @ Y)
 
 
 def project_unit_det(G: SPDMatrix) -> SPDMatrix:

@@ -255,7 +255,7 @@ def test_ac9_integrator_orders():
     params = nil3.Nil3Params(nil3.Nil3State(1, 1, 1))
     sys = nil3.make_system(params)
     slope_ode = ode.convergence_order(
-        sys,
+        sys.rhs,
         lambda t: nil3.exact_ricci_solution(t, 1.0, 1.0).as_array(),
         5.0,
         [0.5, 0.25, 0.125, 0.0625],

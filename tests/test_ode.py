@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from geomflow import ode
 from geomflow.ode import (
     DegenerateOrder,
     IntegratorConfig,
@@ -26,20 +27,20 @@ GROWTH = ODESystem(lambda t, y: y)
 class TestRK4Step:
     def test_zero_rhs(self):
         sys = ODESystem(lambda t, y: np.zeros(2))
-        npt.assert_array_equal(rk4_step(sys, 0.0, np.array([3.0, -1.0]), 0.1),
+        npt.assert_array_equal(rk4_step(sys.rhs, 0.0, np.array([3.0, -1.0]), 0.1),
                                [3.0, -1.0])
 
     def test_constant_rhs_exact(self):
         sys = ODESystem(lambda t, y: np.ones(1))
-        npt.assert_allclose(rk4_step(sys, 0.0, np.array([2.0]), 0.25), [2.25])
+        npt.assert_allclose(rk4_step(sys.rhs, 0.0, np.array([2.0]), 0.25), [2.25])
 
     def test_exponential_one_step(self):
-        out = rk4_step(GROWTH, 0.0, np.array([1.0]), 0.1)
+        out = rk4_step(GROWTH.rhs, 0.0, np.array([1.0]), 0.1)
         assert abs(out[0] - np.e**0.1) <= 1e-7
 
     def test_invalid_step(self):
         with pytest.raises(ValueError):
-            rk4_step(GROWTH, 0.0, np.array([1.0]), -0.1)
+            rk4_step(GROWTH.rhs, 0.0, np.array([1.0]), -0.1)
 
 
 class TestLogSampling:
@@ -97,16 +98,16 @@ class TestAdaptive:
         npt.assert_allclose(traj.states[:, 0], np.exp(-traj.times),
                             rtol=1e-7, atol=1e-12)
 
-    def test_max_steps_reported(self):
-        cfg = IntegratorConfig(max_steps=5)
+    def test_max_steps_reported(self, monkeypatch):
+        monkeypatch.setattr(ode, "_MAX_STEPS", 5)
         with pytest.raises(MaxStepsExceeded):
-            integrate_adaptive(DECAY, 0.0, 1e6, [1.0], cfg)
+            integrate_adaptive(DECAY, 0.0, 1e6, [1.0])
 
     def test_positivity_guard(self):
         # y' = -1 crosses zero at t = 1; the flagged component must trigger
         sys = ODESystem(lambda t, y: -np.ones(1), positive_components=(0,))
         with pytest.raises(PositivityLost) as info:
-            integrate_adaptive(sys, 0.0, 5.0, [1.0], IntegratorConfig(h_init=0.1))
+            integrate_adaptive(sys, 0.0, 5.0, [1.0])
         assert info.value.t <= 1.0 + 1e-6
 
     def test_nan_rhs_reported_as_non_finite_state(self):
@@ -155,6 +156,19 @@ class TestAdaptive:
         with pytest.raises(ValueError, match="^t1 must be >= t0$"):
             integrate_adaptive(DECAY, 1.0, 0.0, [1.0])
 
+    @pytest.mark.parametrize("t0", [-1.0, -2.0])
+    def test_start_at_or_below_minus_one_rejected(self, t0):
+        with pytest.raises(ValueError, match=r"^t0 must be > -1, samples are log-spaced in 1 \+ t"):
+            integrate_adaptive(DECAY, t0, 1.0, [1.0])
+
+    @pytest.mark.parametrize("y0", [3e307, 1e308])
+    def test_state_near_largest_double_decays_without_overflow(self, y0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate_adaptive(DECAY, 0.0, 1.0, [y0])
+        assert traj.times[-1] == 1.0
+        assert abs(traj.states[-1, 0] / (y0 * np.exp(-1.0)) - 1.0) <= 1e-9  # the default rtol
+
     @pytest.mark.parametrize("field", ["rtol", "atol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_tolerance_rejected(self, field, value):
@@ -165,21 +179,45 @@ class TestAdaptive:
 class TestConvergenceOrder:
     def test_exponential_order_four(self):
         slope = convergence_order(
-            GROWTH, lambda t: np.array([np.exp(t)]), 1.0, [0.1, 0.05, 0.025, 0.0125]
+            GROWTH.rhs, lambda t: np.array([np.exp(t)]), 1.0, [0.1, 0.05, 0.025, 0.0125]
         )
         assert 3.8 <= slope <= 4.2
 
     def test_degenerate_constant_rhs(self):
         sys = ODESystem(lambda t, y: np.full(1, 2.0))
         with pytest.raises(DegenerateOrder):
-            convergence_order(sys, lambda t: np.array([2.0 * t]), 1.0,
+            convergence_order(sys.rhs, lambda t: np.array([2.0 * t]), 1.0,
                               [0.1, 0.05, 0.025])
+
+    @pytest.mark.parametrize("t_end,h_list,message", [
+        (-1.0, [0.1, 0.05, 0.025], "^t1 must be >= t0$"),
+        (np.inf, [0.1, 0.05, 0.025], "^t0 and t1 must be finite, got "),
+        (1.0, [0.1, 0.0, 0.025], "^step size must be positive and finite, got 0$"),
+        (1.0, [0.1, -0.05, 0.025], "^step size must be positive and finite, got -0.05$"),
+    ])
+    def test_fixed_step_interval_and_step_checked(self, t_end, h_list, message):
+        with pytest.raises(ValueError, match=message):
+            convergence_order(GROWTH.rhs, lambda t: np.array([np.exp(-t)]), t_end, h_list)
 
     def test_needs_three_steps(self):
         with pytest.raises(ValueError):
-            convergence_order(GROWTH, lambda t: np.array([np.exp(t)]), 1.0, [0.1, 0.05])
+            convergence_order(GROWTH.rhs, lambda t: np.array([np.exp(t)]), 1.0, [0.1, 0.05])
 
 
 def test_integrate_fixed_lands_on_endpoint():
-    out = integrate_fixed(DECAY, 0.0, 1.0, np.array([1.0]), 0.3)
+    out = integrate_fixed(DECAY.rhs, 0.0, 1.0, np.array([1.0]), 0.3)
     assert abs(out[0] - np.exp(-1.0)) <= 1e-4
+
+
+@pytest.mark.parametrize("t0,t1,h,message", [
+    (0.0, 1.0, -0.1, "^step size must be positive and finite, got -0.1$"),
+    (0.0, 1.0, np.inf, "^step size must be positive and finite, got inf$"),
+    (0.0, 1.0, 0.0, "^step size must be positive and finite, got 0$"),
+    (0.0, 1.0, np.nan, "^step size must be positive and finite, got nan$"),
+    (0.0, -1.0, 0.1, "^t1 must be >= t0$"),
+    (np.nan, 1.0, 0.1, "^t0 and t1 must be finite, got nan and 1.0$"),
+    (0.0, np.inf, 0.1, "^t0 and t1 must be finite, got 0.0 and inf$"),
+])
+def test_integrate_fixed_rejects_bad_interval_or_step(t0, t1, h, message):
+    with pytest.raises(ValueError, match=message):
+        integrate_fixed(DECAY.rhs, t0, t1, np.array([1.0]), h)

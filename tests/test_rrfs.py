@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from geomflow import rrfs
+from geomflow.spd import SPDError, SPDMatrix
 from geomflow.rrfs import (
     PeriodicGrid,
     RRFSState,
@@ -51,6 +52,11 @@ def flat_state(grid, n_fiber=1, g_field=None, A_field=None, G_field=None):
 
 
 class TestGrid:
+    @pytest.mark.parametrize("sizes", [(8.9,), (8, 9.5), (np.inf,), (np.nan,)])
+    def test_non_integral_size_rejected(self, sizes):
+        with pytest.raises(ValueError, match=r"^grid sizes must be integers, got \("):
+            PeriodicGrid(sizes, (1.0,) * len(sizes))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PeriodicGrid((4,), (1.0,))
@@ -475,6 +481,7 @@ class TestIntegration:
         run = integrate_rrfs(st, S1_64, RescalingSpec("off"), 1.0)
         assert np.abs(run.final_state.G - np.eye(2)).max() <= 1e-12
         assert np.abs(run.final_state.g - 1.0).max() <= 1e-12
+        assert run.final_state is run.snapshots[-1]
 
     def test_smoothing_decreases_sup_distance(self):
         st = random_smooth_state(0, S1_64, 2)
@@ -738,6 +745,17 @@ class TestSPDElimination:
         with pytest.raises(rrfs.SPDFieldError) as info:
             rrfs._check_spd_field(fld, "field")
         assert info.value.node == tuple(int(i) for i in np.argwhere(w <= 0)[0])
+
+    @settings(max_examples=150)
+    @given(symmetric_fields())
+    def test_spd_matrix_agrees_with_eigvalsh(self, fld):
+        # the single-matrix SPDMatrix shares the elimination test of the fields
+        for node in fld.reshape((-1,) + fld.shape[-2:]):
+            if np.linalg.eigvalsh(node)[0] > 0:
+                SPDMatrix(node)
+            else:
+                with pytest.raises(SPDError, match="^matrix is not positive definite$"):
+                    SPDMatrix(node)
 
     EXTREME = {
         "overflow": [[1e-200, 1e60], [1e60, 1.0]],

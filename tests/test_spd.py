@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -37,6 +39,28 @@ class TestConstruction:
     def test_rejects_nonsquare(self):
         with pytest.raises(SPDError):
             SPDMatrix(np.ones((2, 3)))
+
+    NON_FINITE = {"nan": [[np.nan]], "inf": [[np.inf]], "-inf": [[-np.inf]],
+                  "inf-diagonal": [[2.0, 0.0], [0.0, np.inf]],
+                  "nan-pair": [[1.0, np.nan], [np.nan, 1.0]],
+                  "-inf-pair": [[1.0, -np.inf], [-np.inf, 1.0]]}
+
+    @pytest.mark.parametrize("cls,what", [(SPDMatrix, "SPD matrix"),
+                                          (TangentVector, "tangent vector")])
+    @pytest.mark.parametrize("entries", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_rejects_non_finite_entries(self, cls, what, entries):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SPDError, match=f"^{what} has non-finite entries$"):
+                cls(np.array(entries))
+
+    @pytest.mark.parametrize("entries", [np.diag([1e308, 1e308]),
+                                         [[1.5e308, 1e308], [1e308, 1.5e308]]],
+                             ids=["diagonal", "full"])
+    def test_keeps_entries_near_largest_double(self, entries):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            npt.assert_array_equal(SPDMatrix(np.array(entries)).entries, entries)
 
     def test_symmetrizes_roundoff(self):
         m = random_spd(3, 4).entries + 1e-16 * np.triu(np.ones((4, 4)), 1)
