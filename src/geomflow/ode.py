@@ -9,6 +9,7 @@ rejects any step that drives a flagged component to zero or below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,10 +119,14 @@ _UNDERFLOW_MESSAGES = {
 }
 
 
+def _check_step(h: float):
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size must be positive and finite, got {h:.6g}")
+
+
 def rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
     """One classical 4-stage Runge-Kutta step of y' = rhs(t, y)."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    _check_step(h)
     k1 = np.asarray(rhs(t, y))
     k2 = np.asarray(rhs(t + h / 2, y + h / 2 * k1))
     k3 = np.asarray(rhs(t + h / 2, y + h / 2 * k2))
@@ -140,7 +145,11 @@ def _check_interval(t0: float, t1: float):
 
 
 def log_sample_times(t0: float, t1: float, samples_per_decade: int) -> np.ndarray:
-    """Sample times log-spaced in 1 + t, always including t0 and t1."""
+    """Sample times log-spaced in 1 + t, always including t0 and t1; needs finite
+    -1 < t0 <= t1."""
+    _check_interval(t0, t1)
+    if t0 <= -1:
+        raise ValueError(f"t0 must be > -1, samples are log-spaced in 1 + t, got {t0!r}")
     u0 = np.log10(1.0 + t0)
     u1 = np.log10(1.0 + t1)
     n = max(int(np.ceil((u1 - u0) * samples_per_decade)), 1)
@@ -164,16 +173,13 @@ def integrate_adaptive(
 ) -> Trajectory:
     """Integrate with the embedded 5(4) pair and log-spaced dense output."""
     cfg = cfg or IntegratorConfig()
-    _check_interval(t0, t1)
-    if t0 <= -1:
-        raise ValueError(f"t0 must be > -1, samples are log-spaced in 1 + t, got {t0!r}")
+    sample_t = log_sample_times(t0, t1, cfg.samples_per_decade)  # checks t0 and t1
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y0)):
         raise NonFiniteState("initial state is not finite", t0)
     if t1 == t0:
         return Trajectory(np.array([t0]), y0[None, :].copy())
 
-    sample_t = log_sample_times(t0, t1, cfg.samples_per_decade)
     out_states = np.empty((len(sample_t), len(y0)))
     out_states[0] = y0
     next_sample = 1
@@ -241,8 +247,7 @@ def integrate_adaptive(
 def integrate_fixed(rhs, t0: float, t1: float, y0, h: float) -> np.ndarray:
     """Fixed-step RK4 endpoint of y' = rhs(t, y); the last step is shortened to land on t1."""
     _check_interval(t0, t1)
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"step size must be positive and finite, got {h:.6g}")
+    _check_step(h)  # here too: h = inf would take no step at all
     y = np.asarray(y0, dtype=float).copy()
     t = t0
     n_full = int(np.floor((t1 - t0) / h * (1 + 1e-12)))

@@ -229,8 +229,9 @@ class _Geometry:
     component F = d_0 A_1 - d_1 A_0 with F_ab = eps_ab F, and every sum over
     dA, and the Ricci sum over c != b (its c = b terms cancel), runs over the
     ordered axis pairs (a, b, eps_ab): on a 1D base there are none and no F,
-    so dA, delta dA and R are exactly 0 and cost nothing.  The bundles of a
-    frozen g share ``of_g``, and once Gamma is known the stencil leaves g out.
+    so dA, delta dA and R are exactly 0 and cost nothing, and the stencil
+    leaves A out.  The bundles of a frozen g share ``of_g``, and once Gamma
+    is known the stencil leaves g out.
     """
 
     def __init__(self, state: RRFSState, grid: PeriodicGrid):
@@ -253,11 +254,14 @@ class _Geometry:
         return [d[end - len(r):end].reshape(f.shape) for f, r, end in zip(fields, rows, ends)]
 
     @cached_property
-    def first(self) -> dict:  # G [i, j], dg [d, a, b] (while Gamma is unknown), dA, dG
-        fields = [_grid_last(f, self.n) for f in (self.state.g, self.state.A, self.state.G)]
-        known = "christoffels" in self.of_g
-        d = map(np.stack, zip(*(self._d(fields[known:], e) for e in range(self.n))))
-        return {"G": np.ascontiguousarray(fields[2]), **dict(zip(("dg", "dA", "dG")[known:], d))}
+    def first(self) -> dict:  # G [i, j], dg [d, a, b] (while Gamma is unknown), dA (2D), dG
+        # g once Gamma is known, and A on a 1D base (no F reads dA), are not differentiated
+        names = [x for x, skip in (("g", "christoffels" in self.of_g), ("A", self.n == 1),
+                                   ("G", False)) if not skip]
+        fields = [_grid_last(getattr(self.state, x), self.n) for x in names]
+        d = map(np.stack, zip(*(self._d(fields, e) for e in range(self.n))))
+        return {"G": np.ascontiguousarray(_grid_last(self.state.G, self.n)),
+                **dict(zip(("d" + x for x in names), d))}
 
     @cached_property
     def second(self) -> list:
@@ -293,15 +297,22 @@ class _Geometry:
         return [self.first["dA"][a, b] - self.first["dA"][b, a] for a, b, s in self.eps if s > 0]
 
     @cached_property
-    def dA_sums(self) -> dict:
-        """delta dA [a, i], |dA|^2 and the dA terms of the A and G equations."""
-        n, N, gi, G = self.n, self.state.n_fiber, self.ginv, self.first["G"]
-        out = {k: np.zeros(shape + self.grid.sizes) for k, shape in (
-            ("delta", (n, N)), ("norm_sq", ()), ("A", (n, N)), ("G", (N, N)))}
-        for F in self.F:  # g^{ac} g^{bd} F_cd = eps_ab F / det g gives |dA|^2 and the G term
+    def dA_sq(self) -> dict:
+        """The sums quadratic in F: |dA|^2 and the dA term [i, j] of the G equation."""
+        N, G, det = self.state.n_fiber, self.first["G"], self.state._g_det
+        out = {"norm_sq": np.zeros(self.grid.sizes), "G": np.zeros((N, N) + self.grid.sizes)}
+        for F in self.F:  # g^{ac} g^{bd} F_cd = eps_ab F / det g
             FG = np.einsum("i...,ij...->j...", F, G)
-            out["norm_sq"] += 2.0 * np.einsum("j...,j...->...", FG, F) / self.state._g_det
-            out["G"] -= FG[:, None] * FG / self.state._g_det
+            out["norm_sq"] += 2.0 * np.einsum("j...,j...->...", FG, F) / det
+            out["G"] -= FG[:, None] * FG / det
+        return out
+
+    @cached_property
+    def dA_lin(self) -> dict:
+        """The sums linear in F: delta dA [a, i] and the dA term [a, i] of the A equation."""
+        n, N, gi = self.n, self.state.n_fiber, self.ginv
+        out = {k: np.zeros((n, N) + self.grid.sizes) for k in ("delta", "A")}
+        for F in self.F:
             dF = np.stack([dF_e for _, dF_e, _ in self.second])  # [d, i]
             for x, y, s in self.eps:
                 # -g^{bc} (d_b F_ca - Gamma^m_bc F_ma - Gamma^m_ba F_cm) with (x, y)
@@ -365,7 +376,9 @@ class _Geometry:
     @cached_property
     def s_volume(self) -> float:
         w = self.state._g_sqrt_det
-        r = self.scalar_curvature - 0.25 * self.grad_G_norm_sq - 0.5 * self.dA_sums["norm_sq"]
+        r = self.scalar_curvature - 0.25 * self.grad_G_norm_sq
+        if self.F:  # |dA|^2 = 0 without F
+            r = r - 0.5 * self.dA_sq["norm_sq"]
         return float(-(2.0 / self.grid.n_base) * (r * w).sum() / w.sum())
 
     def s(self, spec: RescalingSpec) -> float:
@@ -391,7 +404,7 @@ def dA_field(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
 
 def delta_dA(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Codifferential of dA: -g^{bc} (cov d)_b (dA)_{c a}^i, shape [..., a, i]."""
-    return _grid_first(_Geometry(state, grid).dA_sums["delta"], grid.n_base)
+    return _grid_first(_Geometry(state, grid).dA_lin["delta"], grid.n_base)
 
 
 def laplacian_G(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
@@ -426,7 +439,7 @@ def grad_G_norm_sq(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
 
 def dA_norm_sq(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """|dA|^2 = g^{ac} g^{bd} G_ij (dA)^i_ab (dA)^j_cd per node."""
-    return _Geometry(state, grid).dA_sums["norm_sq"]
+    return _Geometry(state, grid).dA_sq["norm_sq"]
 
 
 def volume(state: RRFSState, grid: PeriodicGrid) -> float:
@@ -450,47 +463,72 @@ def s_volume(state: RRFSState, grid: PeriodicGrid) -> float:
     return _Geometry(state, grid).s_volume
 
 
-def rrfs_rhs_terms(
-    state: RRFSState, grid: PeriodicGrid, spec: RescalingSpec, *, geometry=None
-) -> dict[str, np.ndarray | float]:
-    """Term-by-term decomposition of the flow's right-hand side.
+# The terms of each field's equation, None for a dA term on a base without F.
+# -2 Rc = -R g and the dA term 1/2 |dA|^2 g of g hold on the 1D and 2D bases
+# (Rc = 0 and dA = 0 in 1D; in 2D, Rc = (R/2) g and eps g^-1 eps^T = g / det g).
 
-    The Ricci term is -2 Rc = -R g and the dA term of g is 1/2 |dA|^2 g,
-    which hold on the 1D and 2D bases the grid allows (Rc = 0 and dA = 0 in
-    1D; in 2D, Rc = (R/2) g and eps g^-1 eps^T = g / det g).  ``geometry``
-    is a fresh ``_Geometry`` of ``state`` to fill in place of a new one;
-    ``integrate_rrfs`` passes it at stage 1 to read the diagnostics of the
-    state afterwards.
-    """
-    geo = _Geometry(state, grid) if geometry is None else geometry
-    g, A, G, n = state.g, state.A, state.G, geo.n
-    s = geo.s(spec)
-    c = spec.c_coupling
+
+def _g_terms(geo: _Geometry, s: float, c: float) -> dict:
+    g = geo.state.g
     return {
-        "s": s,
         "g_ricci": -geo.scalar_curvature[..., None, None] * g,
-        "g_gradG": 0.5 * _grid_first(geo.trace_MM, n),
-        "g_dA": 0.5 * geo.dA_sums["norm_sq"][..., None, None] * g,
+        "g_gradG": 0.5 * _grid_first(geo.trace_MM, geo.n),
+        "g_dA": 0.5 * geo.dA_sq["norm_sq"][..., None, None] * g if geo.F else None,
         "g_rescale": -s * g,
-        "A_codiff": -_grid_first(geo.dA_sums["delta"], n),
-        "A_gradG": _grid_first(geo.dA_sums["A"], n),
-        "A_rescale": -0.5 * (1.0 + c) * s * A,
-        "G_laplace": _grid_first(geo.laplacian_G, n),
-        "G_gradsq": -_grid_first(geo.grad_square, n),
-        "G_dA": _grid_first(geo.dA_sums["G"], n),
-        "G_rescale": c * s * G,
     }
 
 
+def _A_terms(geo: _Geometry, s: float, c: float) -> dict:
+    return {
+        "A_codiff": -_grid_first(geo.dA_lin["delta"], geo.n) if geo.F else None,
+        "A_gradG": _grid_first(geo.dA_lin["A"], geo.n) if geo.F else None,
+        "A_rescale": -0.5 * (1.0 + c) * s * geo.state.A,
+    }
+
+
+def _G_terms(geo: _Geometry, s: float, c: float) -> dict:
+    return {
+        "G_laplace": _grid_first(geo.laplacian_G, geo.n),
+        "G_gradsq": -_grid_first(geo.grad_square, geo.n),
+        "G_dA": _grid_first(geo.dA_sq["G"], geo.n) if geo.F else None,
+        "G_rescale": c * s * geo.state.G,
+    }
+
+
+_TERMS = {"g": _g_terms, "A": _A_terms, "G": _G_terms}
+
+
+def rrfs_rhs_terms(
+    state: RRFSState, grid: PeriodicGrid, spec: RescalingSpec
+) -> dict[str, np.ndarray | float]:
+    """Term-by-term decomposition of the flow's right-hand side: s and every
+    term of g, A and G, with an array of zeros for a term that vanishes."""
+    geo = _Geometry(state, grid)
+    s = geo.s(spec)
+    out = {"s": s}
+    for field, build in _TERMS.items():
+        out.update({key: np.zeros(getattr(state, field).shape) if term is None else term
+                    for key, term in build(geo, s, spec.c_coupling).items()})
+    return out
+
+
 def rrfs_rhs(
-    state: RRFSState, grid: PeriodicGrid, spec: RescalingSpec, *, geometry=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Right-hand side (dg/dt, dA/dt, dG/dt) of the rescaled flow system."""
-    T = rrfs_rhs_terms(state, grid, spec, geometry=geometry)
-    dg = T["g_ricci"] + T["g_gradG"] + T["g_dA"] + T["g_rescale"]
-    dA = T["A_codiff"] + T["A_gradG"] + T["A_rescale"]
-    dG = T["G_laplace"] + T["G_gradsq"] + T["G_dA"] + T["G_rescale"]
-    return _sym(dg), dA, _sym(dG)
+    state: RRFSState, grid: PeriodicGrid, spec: RescalingSpec, *, fields="gAG", geometry=None
+) -> tuple[np.ndarray, ...]:
+    """Right-hand side of the rescaled flow system for each of ``fields`` ("g",
+    "A", "G"), by default (dg/dt, dA/dt, dG/dt); no other field's terms are built.
+
+    ``geometry`` is a fresh ``_Geometry`` of ``state`` to fill in place of a
+    new one, for a caller that reads the state's diagnostics afterwards.
+    """
+    geo = _Geometry(state, grid) if geometry is None else geometry
+    s = geo.s(spec)
+    out = []
+    for field in fields:
+        terms = [t for t in _TERMS[field](geo, s, spec.c_coupling).values() if t is not None]
+        total = sum(terms[1:], terms[0])
+        out.append(total if field == "A" else _sym(total))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +589,8 @@ def integrate_rrfs(
                                           for key, p in zip(moving, np.split(y, ends[:-1]))}))
 
     def rhs_flat(st, **kwargs):
-        k = dict(zip("gAG", rrfs_rhs(st, grid, spec, **kwargs)))
-        return np.concatenate([k[key].ravel() for key in moving])
+        k = rrfs_rhs(st, grid, spec, fields=moving, **kwargs)
+        return np.concatenate([k_field.ravel() for k_field in k])
 
     def stage(t, y):  # the RK4 right-hand side; k1 is computed once per accepted state
         return k1 if y is y_state else rhs_flat(unpack(y))

@@ -42,6 +42,14 @@ class TestRK4Step:
         with pytest.raises(ValueError):
             rk4_step(GROWTH.rhs, 0.0, np.array([1.0]), -0.1)
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+    def test_non_finite_step_rejected_before_any_stage(self, h):
+        # not reported as a non-finite state, and no stage runs to warn first
+        calls = []
+        with pytest.raises(ValueError, match=f"^step size must be positive and finite, got {h}$"):
+            rk4_step(lambda t, y: (calls.append(t), y)[1], 0.0, np.array([1.0]), h)
+        assert calls == []
+
 
 class TestLogSampling:
     def test_endpoints(self):
@@ -53,6 +61,18 @@ class TestLogSampling:
     def test_samples_per_decade(self):
         t = log_sample_times(0.0, 99.0, 10)
         assert len(t) == 21  # two decades in 1 + t
+
+    @pytest.mark.parametrize("t0,t1,message", [
+        (-1.0, 1.0, r"^t0 must be > -1, samples are log-spaced in 1 \+ t, got -1.0$"),
+        (-2.0, 1.0, r"^t0 must be > -1, samples are log-spaced in 1 \+ t, got -2.0$"),
+        (np.nan, 1.0, "^t0 and t1 must be finite, got nan and 1.0$"),
+        (-np.inf, 1.0, "^t0 and t1 must be finite, got -inf and 1.0$"),
+        (0.0, np.inf, "^t0 and t1 must be finite, got 0.0 and inf$"),
+        (1.0, 0.0, "^t1 must be >= t0$"),
+    ], ids=["t0=-1", "t0=-2", "t0=nan", "t0=-inf", "t1=inf", "backward"])
+    def test_bad_bounds_rejected(self, t0, t1, message):
+        with pytest.raises(ValueError, match=message):
+            log_sample_times(t0, t1, 32)
 
 
 class TestTrajectory:

@@ -334,6 +334,19 @@ class TestRHS:
         )
         npt.assert_allclose(dA, T["A_codiff"] + T["A_gradG"] + T["A_rescale"])
 
+    @pytest.mark.parametrize("fields", ["G", "AG", "gG", "gAG"])  # what integrate_rrfs asks for
+    @pytest.mark.parametrize("mode", ["off", "constant", "volume"])
+    @pytest.mark.parametrize("sizes", [(16,), (12, 10)], ids=["1d", "2d"])
+    def test_fields_subset_equals_full_rhs(self, sizes, mode, fields):
+        grid = PeriodicGrid(sizes, (2 * np.pi, 3.0)[: len(sizes)])
+        st = random_smooth_state(5, grid, 2, perturb_g=True, perturb_A=True)
+        spec = RescalingSpec(mode, s0=0.3, c_coupling=0.7)
+        full = dict(zip("gAG", rrfs_rhs(st, grid, spec)))
+        got = rrfs_rhs(st, grid, spec, fields=fields)
+        assert len(got) == len(fields)
+        for field, arr in zip(fields, got):
+            npt.assert_array_equal(arr, full[field])
+
 
 class TestCoupledSpatialOrder:
     """The full 2D right-hand side with g, A and G all varying (volume mode,
@@ -654,20 +667,24 @@ class TestStageOneDiagnostics:
     volume and s of every other accepted state come from the bundle of that
     stage-1 RHS."""
 
-    GRID = PeriodicGrid((16, 16), (2 * np.pi,) * 2)
-    # (seed, amplitude, spec, t_end, kappa_cfl, RHS calls of rejected attempts);
-    # "halving" is TestSPDGuard's path: the first 0.05 step reuses the k1 of
-    # the initial state and fails the check of its stage-4 state after the
-    # RHS calls of stages 2 and 3, and the run takes two steps of 0.025
+    GRID_2D = PeriodicGrid((16, 16), (2 * np.pi,) * 2)
+    # (grid, seed, amplitude, spec, t_end, kappa_cfl, whether g and A evolve,
+    # RHS calls of rejected attempts); "halving" is TestSPDGuard's path: the
+    # first 0.05 step reuses the k1 of the initial state and fails the check
+    # of its stage-4 state after the RHS calls of stages 2 and 3, and the run
+    # takes two steps of 0.025; "frozen_1d" asks rrfs_rhs for G alone
     RUNS = {
-        "coupled": (3, 0.3, RescalingSpec("volume", c_coupling=0.5), 0.1, rrfs.KAPPA_CFL, 0),
-        "halving": (0, 1.5, RescalingSpec("volume"), 0.05, 2.0, 2),
+        "coupled": (GRID_2D, 3, 0.3, RescalingSpec("volume", c_coupling=0.5), 0.1,
+                    rrfs.KAPPA_CFL, True, 0),
+        "halving": (GRID_2D, 0, 1.5, RescalingSpec("volume"), 0.05, 2.0, True, 2),
+        "frozen_1d": (S1_64, 7, 0.3, RescalingSpec("volume", c_coupling=0.5), 0.01,
+                      rrfs.KAPPA_CFL, False, 0),
     }
 
     @pytest.fixture(params=RUNS.values(), ids=RUNS.keys())
     def counted(self, request, monkeypatch):
-        seed, amplitude, spec, t_end, kappa, rejected = request.param
-        st = random_smooth_state(seed, self.GRID, 2, amplitude=amplitude,
+        grid, seed, amplitude, spec, t_end, kappa, evolves, rejected = request.param
+        st = random_smooth_state(seed, grid, 2, amplitude=amplitude,
                                  perturb_g=True, perturb_A=True)
         built, calls = [0], []  # calls: (state, whether it is a stage 1) per rrfs_rhs
 
@@ -677,25 +694,27 @@ class TestStageOneDiagnostics:
                 built[0] += 1
 
         def rhs(state, grid, spec, **kwargs):
+            assert list(kwargs["fields"]) == (["g", "A", "G"] if evolves else ["G"])
             calls.append((state, "geometry" in kwargs))
             return rhs_orig(state, grid, spec, **kwargs)
 
         rhs_orig = rrfs.rrfs_rhs
         monkeypatch.setattr(rrfs, "_Geometry", Counting)
         monkeypatch.setattr(rrfs, "rrfs_rhs", rhs)
-        run = integrate_rrfs(st, self.GRID, spec, t_end, kappa_cfl=kappa)
+        run = integrate_rrfs(st, grid, spec, t_end, kappa_cfl=kappa,
+                             evolve_g=evolves, evolve_A=evolves)
         monkeypatch.undo()
-        return run, rejected, built[0], calls
+        return grid, run, rejected, built[0], calls
 
     def test_one_bundle_per_stage_and_one_for_the_final_state(self, counted):
-        run, rejected, built, calls = counted
+        _, run, rejected, built, calls = counted
         steps = len(run.step_times) - 1
         assert steps > 1
         assert len(calls) == 4 * steps + rejected
         assert built == len(calls) + 1
 
     def test_series_match_each_recorded_state(self, counted):
-        run, rejected, _, calls = counted
+        grid, run, rejected, _, calls = counted
         starts = [st for st, first in calls if first]
         # a halved step does not run stage 1 again on the same state
         assert len(starts) == len({id(st) for st in starts})
@@ -704,9 +723,9 @@ class TestStageOneDiagnostics:
         for series in (run.energies, run.volumes, run.s_values):
             assert len(series) == len(states)
         for k, st in enumerate(states):
-            assert run.energies[k] == energy_G(st, self.GRID)
-            assert run.volumes[k] == volume(st, self.GRID)
-            assert run.s_values[k] == s_volume(st, self.GRID)
+            assert run.energies[k] == energy_G(st, grid)
+            assert run.volumes[k] == volume(st, grid)
+            assert run.s_values[k] == s_volume(st, grid)
         if rejected:
             npt.assert_array_equal(np.diff(run.step_times), [0.025, 0.025])
 
