@@ -297,22 +297,15 @@ class _Geometry:
         return [self.first["dA"][a, b] - self.first["dA"][b, a] for a, b, s in self.eps if s > 0]
 
     @cached_property
-    def dA_sq(self) -> dict:
-        """The sums quadratic in F: |dA|^2 and the dA term [i, j] of the G equation."""
-        N, G, det = self.state.n_fiber, self.first["G"], self.state._g_det
-        out = {"norm_sq": np.zeros(self.grid.sizes), "G": np.zeros((N, N) + self.grid.sizes)}
-        for F in self.F:  # g^{ac} g^{bd} F_cd = eps_ab F / det g
+    def dA_sums(self) -> dict:
+        """delta dA [a, i], |dA|^2 and the dA terms of the A and G equations."""
+        n, N, gi, G = self.n, self.state.n_fiber, self.ginv, self.first["G"]
+        out = {k: np.zeros(shape + self.grid.sizes) for k, shape in (
+            ("delta", (n, N)), ("norm_sq", ()), ("A", (n, N)), ("G", (N, N)))}
+        for F in self.F:  # g^{ac} g^{bd} F_cd = eps_ab F / det g gives |dA|^2 and the G term
             FG = np.einsum("i...,ij...->j...", F, G)
-            out["norm_sq"] += 2.0 * np.einsum("j...,j...->...", FG, F) / det
-            out["G"] -= FG[:, None] * FG / det
-        return out
-
-    @cached_property
-    def dA_lin(self) -> dict:
-        """The sums linear in F: delta dA [a, i] and the dA term [a, i] of the A equation."""
-        n, N, gi = self.n, self.state.n_fiber, self.ginv
-        out = {k: np.zeros((n, N) + self.grid.sizes) for k in ("delta", "A")}
-        for F in self.F:
+            out["norm_sq"] += 2.0 * np.einsum("j...,j...->...", FG, F) / self.state._g_det
+            out["G"] -= FG[:, None] * FG / self.state._g_det
             dF = np.stack([dF_e for _, dF_e, _ in self.second])  # [d, i]
             for x, y, s in self.eps:
                 # -g^{bc} (d_b F_ca - Gamma^m_bc F_ma - Gamma^m_ba F_cm) with (x, y)
@@ -378,7 +371,7 @@ class _Geometry:
         w = self.state._g_sqrt_det
         r = self.scalar_curvature - 0.25 * self.grad_G_norm_sq
         if self.F:  # |dA|^2 = 0 without F
-            r = r - 0.5 * self.dA_sq["norm_sq"]
+            r = r - 0.5 * self.dA_sums["norm_sq"]
         return float(-(2.0 / self.grid.n_base) * (r * w).sum() / w.sum())
 
     def s(self, spec: RescalingSpec) -> float:
@@ -404,7 +397,7 @@ def dA_field(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
 
 def delta_dA(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Codifferential of dA: -g^{bc} (cov d)_b (dA)_{c a}^i, shape [..., a, i]."""
-    return _grid_first(_Geometry(state, grid).dA_lin["delta"], grid.n_base)
+    return _grid_first(_Geometry(state, grid).dA_sums["delta"], grid.n_base)
 
 
 def laplacian_G(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
@@ -439,7 +432,7 @@ def grad_G_norm_sq(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
 
 def dA_norm_sq(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """|dA|^2 = g^{ac} g^{bd} G_ij (dA)^i_ab (dA)^j_cd per node."""
-    return _Geometry(state, grid).dA_sq["norm_sq"]
+    return _Geometry(state, grid).dA_sums["norm_sq"]
 
 
 def volume(state: RRFSState, grid: PeriodicGrid) -> float:
@@ -473,15 +466,15 @@ def _g_terms(geo: _Geometry, s: float, c: float) -> dict:
     return {
         "g_ricci": -geo.scalar_curvature[..., None, None] * g,
         "g_gradG": 0.5 * _grid_first(geo.trace_MM, geo.n),
-        "g_dA": 0.5 * geo.dA_sq["norm_sq"][..., None, None] * g if geo.F else None,
+        "g_dA": 0.5 * geo.dA_sums["norm_sq"][..., None, None] * g if geo.F else None,
         "g_rescale": -s * g,
     }
 
 
 def _A_terms(geo: _Geometry, s: float, c: float) -> dict:
     return {
-        "A_codiff": -_grid_first(geo.dA_lin["delta"], geo.n) if geo.F else None,
-        "A_gradG": _grid_first(geo.dA_lin["A"], geo.n) if geo.F else None,
+        "A_codiff": -_grid_first(geo.dA_sums["delta"], geo.n) if geo.F else None,
+        "A_gradG": _grid_first(geo.dA_sums["A"], geo.n) if geo.F else None,
         "A_rescale": -0.5 * (1.0 + c) * s * geo.state.A,
     }
 
@@ -490,7 +483,7 @@ def _G_terms(geo: _Geometry, s: float, c: float) -> dict:
     return {
         "G_laplace": _grid_first(geo.laplacian_G, geo.n),
         "G_gradsq": -_grid_first(geo.grad_square, geo.n),
-        "G_dA": _grid_first(geo.dA_sq["G"], geo.n) if geo.F else None,
+        "G_dA": _grid_first(geo.dA_sums["G"], geo.n) if geo.F else None,
         "G_rescale": c * s * geo.state.G,
     }
 
