@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -223,15 +224,17 @@ def _of_g(fn):  # a cached property of g alone, kept in the bundle's ``of_g`` di
 class _Geometry:
     """Geometric quantities of one state, component-major, each computed once.
 
-    The stencil is one ``d_central`` call per base axis on the stacked
-    (g | A | G), one more on the stacked (Gamma | F | dG), and
-    ``d2_central`` on G.  A base of dimension n <= 2 has one curvature
-    component F = d_0 A_1 - d_1 A_0 with F_ab = eps_ab F, and every sum over
-    dA, and the Ricci sum over c != b (its c = b terms cancel), runs over the
-    ordered axis pairs (a, b, eps_ab): on a 1D base there are none and no F,
-    so dA, delta dA and R are exactly 0 and cost nothing, and the stencil
-    leaves A out.  The bundles of a frozen g share ``of_g``, and once Gamma
-    is known the stencil leaves g out.
+    ``first`` stacks (g | A | G) once, component-major (a single field as
+    is), and writes one ``d_central`` call per base axis into one
+    [axis, component, *grid] array; G and its derivatives are views of the
+    two.  ``second`` does the same on (Gamma | F | dG) once per axis pair,
+    and ``d2_central`` runs once per axis on G.  A base of dimension n <= 2
+    has one curvature component F = d_0 A_1 - d_1 A_0 with F_ab = eps_ab F,
+    and every sum over dA, and the Ricci sum over c != b (its c = b terms
+    cancel), runs over the ordered axis pairs (a, b, eps_ab): on a 1D base
+    there are none and no F, so dA, delta dA and R are exactly 0, no term
+    is built from them, and the stencil leaves A out.  The bundles of a
+    frozen g share ``of_g``, and once Gamma is known the stencil leaves g out.
     """
 
     def __init__(self, state: RRFSState, grid: PeriodicGrid):
@@ -245,28 +248,33 @@ class _Geometry:
         self.eps = [(a, b, 1.0 if a < b else -1.0)
                     for a in range(self.n) for b in range(self.n) if a != b]
 
-    def _d(self, fields: list, axis: int) -> list:
-        """d_central of each field along ``axis``, in one call on all their components."""
-        rows = [f.reshape((-1,) + self.grid.sizes) for f in fields]
-        stacked = np.concatenate(rows, out=np.empty((sum(map(len, rows)),) + self.grid.sizes))
-        d = _grid_last(d_central(_grid_first(stacked, self.n), axis, self.grid), self.n)
-        ends = np.cumsum([len(r) for r in rows])
-        return [d[end - len(r):end].reshape(f.shape) for f, r, end in zip(fields, rows, ends)]
+    def _d(self, fields: list, axes: list) -> tuple[list, list]:
+        """The fields as views of one component stack (a single field as is), and the
+        d_central of each along ``axes`` [axis, ...]: one call per axis on the whole stack."""
+        rows = [f.reshape((-1,) + self.grid.sizes) for f in fields] if fields[1:] else fields
+        stack = fields[0] if rows is fields else np.concatenate(
+            rows, out=np.empty((sum(map(len, rows)),) + self.grid.sizes))
+        d = np.empty((len(axes),) + stack.shape)
+        for k, e in enumerate(axes):
+            d[k] = _grid_last(d_central(_grid_first(stack, self.n), e, self.grid), self.n)
+        cuts = [slice(end - len(r), end) for r, end in zip(rows, accumulate(map(len, rows)))]
+        return ([stack[c].reshape(f.shape) for c, f in zip(cuts, fields)],
+                [d[:, c].reshape(d.shape[:1] + f.shape) for c, f in zip(cuts, fields)])
 
     @cached_property
     def first(self) -> dict:  # G [i, j], dg [d, a, b] (while Gamma is unknown), dA (2D), dG
         # g once Gamma is known, and A on a 1D base (no F reads dA), are not differentiated
         names = [x for x, skip in (("g", "christoffels" in self.of_g), ("A", self.n == 1),
                                    ("G", False)) if not skip]
-        fields = [_grid_last(getattr(self.state, x), self.n) for x in names]
-        d = map(np.stack, zip(*(self._d(fields, e) for e in range(self.n))))
-        return {"G": np.ascontiguousarray(_grid_last(self.state.G, self.n)),
-                **dict(zip(("d" + x for x in names), d))}
+        fields, d = self._d([_grid_last(getattr(self.state, x), self.n) for x in names],
+                            list(range(self.n)))
+        return {"G": fields[-1], **dict(zip(("d" + x for x in names), d))}
 
     @cached_property
     def second(self) -> list:
         """Per pair (e, f): d_e Gamma^c_af [c, a], d_e F [i] and d_e d_a G [a, i, j] (a < e)."""
-        return [self._d([self.christoffels[:, :, f], *self.F, self.first["dG"][:e]], e)
+        return [[d[0] for d in self._d([self.christoffels[:, :, f], *self.F,
+                                        self.first["dG"][:e]], [e])[1]]
                 for e, f, _ in self.eps]
 
     @_of_g
@@ -456,18 +464,18 @@ def s_volume(state: RRFSState, grid: PeriodicGrid) -> float:
     return _Geometry(state, grid).s_volume
 
 
-# The terms of each field's equation, None for a dA term on a base without F.
-# -2 Rc = -R g and the dA term 1/2 |dA|^2 g of g hold on the 1D and 2D bases
-# (Rc = 0 and dA = 0 in 1D; in 2D, Rc = (R/2) g and eps g^-1 eps^T = g / det g).
+# The terms of each field's equation, None for a term that is exactly 0: -R g and
+# the dA terms on a 1D base, and a rescaling term with s = 0 (c s = 0 for G).  The g
+# terms -2 Rc = -R g and 1/2 |dA|^2 g use Rc = (R/2) g and eps g^-1 eps^T = g / det g in 2D.
 
 
 def _g_terms(geo: _Geometry, s: float, c: float) -> dict:
     g = geo.state.g
     return {
-        "g_ricci": -geo.scalar_curvature[..., None, None] * g,
+        "g_ricci": -geo.scalar_curvature[..., None, None] * g if geo.eps else None,
         "g_gradG": 0.5 * _grid_first(geo.trace_MM, geo.n),
         "g_dA": 0.5 * geo.dA_sums["norm_sq"][..., None, None] * g if geo.F else None,
-        "g_rescale": -s * g,
+        "g_rescale": -s * g if s else None,
     }
 
 
@@ -475,7 +483,7 @@ def _A_terms(geo: _Geometry, s: float, c: float) -> dict:
     return {
         "A_codiff": -_grid_first(geo.dA_sums["delta"], geo.n) if geo.F else None,
         "A_gradG": _grid_first(geo.dA_sums["A"], geo.n) if geo.F else None,
-        "A_rescale": -0.5 * (1.0 + c) * s * geo.state.A,
+        "A_rescale": -0.5 * (1.0 + c) * s * geo.state.A if s else None,
     }
 
 
@@ -484,7 +492,7 @@ def _G_terms(geo: _Geometry, s: float, c: float) -> dict:
         "G_laplace": _grid_first(geo.laplacian_G, geo.n),
         "G_gradsq": -_grid_first(geo.grad_square, geo.n),
         "G_dA": _grid_first(geo.dA_sums["G"], geo.n) if geo.F else None,
-        "G_rescale": c * s * geo.state.G,
+        "G_rescale": c * s * geo.state.G if c * s else None,
     }
 
 
@@ -519,7 +527,7 @@ def rrfs_rhs(
     out = []
     for field in fields:
         terms = [t for t in _TERMS[field](geo, s, spec.c_coupling).values() if t is not None]
-        total = sum(terms[1:], terms[0])
+        total = sum(terms[1:], terms[0]) if terms else np.zeros(getattr(state, field).shape)
         out.append(total if field == "A" else _sym(total))
     return tuple(out)
 
@@ -634,13 +642,13 @@ def integrate_rrfs(
 
 def _smooth_scalar(rng: np.random.Generator, grid: PeriodicGrid):
     """Random low-frequency periodic scalar field with unit-scale amplitude."""
-    coords = grid.coords()
+    coords = [grid.axis_coords(a) for a in range(grid.n_base)]
     out = np.zeros(tuple(grid.sizes))
     for _ in range(_SMOOTH_MODES):
         phase = rng.uniform(0, 2 * np.pi, size=grid.n_base)
         ks = rng.integers(1, 4, size=grid.n_base)
-        wave = np.prod([np.cos(2 * np.pi * k * x / p + ph)
-                        for k, x, p, ph in zip(ks, coords, grid.period, phase)], axis=0)
+        wave = reduce(np.multiply.outer, [np.cos(2 * np.pi * k * x / p + ph)
+                                          for k, x, p, ph in zip(ks, coords, grid.period, phase)])
         out += rng.normal() * wave
     return out / _SMOOTH_MODES
 

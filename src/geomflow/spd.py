@@ -48,8 +48,10 @@ def is_spd(fld: np.ndarray) -> np.ndarray:
     for i in range(1, k):
         for j in range(i, k):
             c[j][i:j + 1] = [x - u[j - i] * v for x, v in zip(c[j][i:j + 1], u)]
-        ok, r = ok & (a[i, i] > 0) & (c[i][i] > 0), np.sqrt(np.maximum(c[i][i], tiny))
-        u = [c[j][i] / np.maximum(r, np.abs(c[j][i])) for j in range(i + 1, k)]  # |u| <= 1 too
+        ok = ok & (a[i, i] > 0) & (c[i][i] > 0)
+        if i + 1 < k:  # the scaled root feeds only the multipliers of the rows below
+            r = np.sqrt(np.maximum(c[i][i], tiny))
+            u = [c[j][i] / np.maximum(r, np.abs(c[j][i])) for j in range(i + 1, k)]  # |u| <= 1
     return ok
 
 

@@ -334,6 +334,20 @@ class TestRHS:
         )
         npt.assert_allclose(dA, T["A_codiff"] + T["A_gradG"] + T["A_rescale"])
 
+    @pytest.mark.parametrize("spec", [RescalingSpec("off", c_coupling=0.7),
+                                      RescalingSpec("constant", s0=0.3)], ids=["off", "c0"])
+    def test_vanishing_terms_reported_as_zeros(self, spec):
+        # on a 1D base -R g and the dA terms vanish; with s = 0 (c s = 0 for G)
+        # so do the rescaling terms: rrfs_rhs_terms still lists each as zeros
+        st = random_smooth_state(2, S1_64, 2, perturb_g=True, perturb_A=True)
+        T = rrfs_rhs_terms(st, S1_64, spec)
+        zero = ["g_ricci", "g_dA", "A_codiff", "A_gradG", "G_dA", "G_rescale"]
+        zero += ["g_rescale", "A_rescale"] if spec.mode == "off" else []
+        for key in zero:
+            npt.assert_array_equal(T[key], np.zeros(getattr(st, key[0]).shape))
+        if spec.mode != "off":
+            npt.assert_array_equal(T["A_rescale"], -0.5 * 0.3 * st.A)
+
     @pytest.mark.parametrize("fields", ["G", "AG", "gG", "gAG"])  # what integrate_rrfs asks for
     @pytest.mark.parametrize("mode", ["off", "constant", "volume"])
     @pytest.mark.parametrize("sizes", [(16,), (12, 10)], ids=["1d", "2d"])
@@ -486,6 +500,44 @@ class TestLinearModeOrder:
             symbols["G"].append(2 * self.lam(h))
         for key, continuum in (("g", 1.0), ("A", 1.0), ("G", 2.0)):
             self.check(found[key], symbols[key], continuum, rtol=5e-6)
+
+
+class TestStencilCalls:
+    """One RHS makes one ``d_central`` call per base axis on the stack of the
+    fields it differentiates, one per axis pair in ``second``, and one pure
+    ``d2_central`` call per axis on G."""
+
+    @pytest.fixture
+    def sizes_in(self, monkeypatch):
+        calls = {"d_central": [], "d2_central": []}
+
+        def counting(name, fn):
+            def wrapped(fld, *args):
+                calls[name].append(fld.size)
+                return fn(fld, *args)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(rrfs, name, counting(name, getattr(rrfs, name)))
+        return calls
+
+    def test_1d_frozen_g_and_A(self, sizes_in):
+        st = random_smooth_state(1, S1_64, 2)
+        st._metric.per_grid = {}  # a frozen g, as integrate_rrfs keeps it
+        rrfs_rhs(st, S1_64, RescalingSpec("off"), fields="G")  # Gamma is now known
+        for calls in sizes_in.values():
+            calls.clear()
+        rrfs_rhs(st, S1_64, RescalingSpec("off"), fields="G")
+        assert sizes_in == {"d_central": [4 * 64], "d2_central": [4 * 64]}
+
+    def test_2d_all_fields_moving(self, sizes_in):
+        grid = PeriodicGrid((16, 12), (2 * np.pi, 3.0))
+        st = random_smooth_state(4, grid, 2, perturb_g=True, perturb_A=True)
+        rrfs_rhs(st, grid, RescalingSpec("volume"))
+        nodes = 16 * 12
+        # first: (g | A | G) per axis; second: (Gamma | F) on axis 0, (Gamma | F | d_0 G) on 1
+        assert sizes_in == {"d_central": [12 * nodes, 12 * nodes, 6 * nodes, 10 * nodes],
+                            "d2_central": [4 * nodes, 4 * nodes]}
 
 
 class TestIntegration:
@@ -904,6 +956,23 @@ class TestSnapshots:
         path.write_text("".join(lines[:-1]))
         with pytest.raises(ValueError, match="^snapshot node data has wrong shape$"):
             load_snapshot(path)
+
+    @pytest.mark.parametrize("grid", [S1_64, PeriodicGrid((16, 16), (1.0, 1.0)),
+                                      PeriodicGrid((24, 16), (2.0, 0.7))],
+                             ids=["1d", "square", "unequal"])
+    def test_smooth_scalar_equals_meshgrid_formula(self, grid):
+        # the cosines of each mode on the axis coordinates, multiplied as an outer
+        # product, are the products of the cosines on the full meshgrid
+        for seed in range(5):
+            rng, coords, want = np.random.default_rng(seed), grid.coords(), np.zeros(grid.sizes)
+            for _ in range(rrfs._SMOOTH_MODES):
+                phase = rng.uniform(0, 2 * np.pi, size=grid.n_base)
+                ks = rng.integers(1, 4, size=grid.n_base)
+                want += rng.normal() * np.prod(
+                    [np.cos(2 * np.pi * k * x / p + ph)
+                     for k, x, p, ph in zip(ks, coords, grid.period, phase)], axis=0)
+            got = rrfs._smooth_scalar(np.random.default_rng(seed), grid)
+            npt.assert_array_equal(got, want / rrfs._SMOOTH_MODES)
 
     def test_random_state_deterministic(self):
         a = random_smooth_state(3, S1_64, 2, perturb_g=True)
