@@ -232,8 +232,8 @@ class _Geometry:
     has one curvature component F = d_0 A_1 - d_1 A_0 with F_ab = eps_ab F,
     and every sum over dA, and the Ricci sum over c != b (its c = b terms
     cancel), runs over the ordered axis pairs (a, b, eps_ab): on a 1D base
-    there are none and no F, so dA, delta dA and R are exactly 0, no term
-    is built from them, and the stencil leaves A out.  The bundles of a
+    there are none and no F, so dA, delta dA and R are exactly 0, no dA
+    term is built, and the stencil leaves A out.  The bundles of a
     frozen g share ``of_g``, and once Gamma is known the stencil leaves g out.
     """
 
@@ -464,18 +464,18 @@ def s_volume(state: RRFSState, grid: PeriodicGrid) -> float:
     return _Geometry(state, grid).s_volume
 
 
-# The terms of each field's equation, None for a term that is exactly 0: -R g and
-# the dA terms on a 1D base, and a rescaling term with s = 0 (c s = 0 for G).  The g
-# terms -2 Rc = -R g and 1/2 |dA|^2 g use Rc = (R/2) g and eps g^-1 eps^T = g / det g in 2D.
+# The terms of each field's equation, None for a dA term on a base without F and for
+# G's rescaling term when c s = 0.  -2 Rc = -R g and 1/2 |dA|^2 g hold on both bases
+# (Rc = 0 and dA = 0 in 1D; in 2D, Rc = (R/2) g and eps g^-1 eps^T = g / det g).
 
 
 def _g_terms(geo: _Geometry, s: float, c: float) -> dict:
     g = geo.state.g
     return {
-        "g_ricci": -geo.scalar_curvature[..., None, None] * g if geo.eps else None,
+        "g_ricci": -geo.scalar_curvature[..., None, None] * g,
         "g_gradG": 0.5 * _grid_first(geo.trace_MM, geo.n),
         "g_dA": 0.5 * geo.dA_sums["norm_sq"][..., None, None] * g if geo.F else None,
-        "g_rescale": -s * g if s else None,
+        "g_rescale": -s * g,
     }
 
 
@@ -483,7 +483,7 @@ def _A_terms(geo: _Geometry, s: float, c: float) -> dict:
     return {
         "A_codiff": -_grid_first(geo.dA_sums["delta"], geo.n) if geo.F else None,
         "A_gradG": _grid_first(geo.dA_sums["A"], geo.n) if geo.F else None,
-        "A_rescale": -0.5 * (1.0 + c) * s * geo.state.A if s else None,
+        "A_rescale": -0.5 * (1.0 + c) * s * geo.state.A,
     }
 
 
@@ -527,7 +527,7 @@ def rrfs_rhs(
     out = []
     for field in fields:
         terms = [t for t in _TERMS[field](geo, s, spec.c_coupling).values() if t is not None]
-        total = sum(terms[1:], terms[0]) if terms else np.zeros(getattr(state, field).shape)
+        total = sum(terms[1:], terms[0])
         out.append(total if field == "A" else _sym(total))
     return tuple(out)
 

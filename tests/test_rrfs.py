@@ -337,8 +337,8 @@ class TestRHS:
     @pytest.mark.parametrize("spec", [RescalingSpec("off", c_coupling=0.7),
                                       RescalingSpec("constant", s0=0.3)], ids=["off", "c0"])
     def test_vanishing_terms_reported_as_zeros(self, spec):
-        # on a 1D base -R g and the dA terms vanish; with s = 0 (c s = 0 for G)
-        # so do the rescaling terms: rrfs_rhs_terms still lists each as zeros
+        # on a 1D base R and the dA terms vanish, and with s = 0 (c s = 0 for G)
+        # so do the rescaling terms: rrfs_rhs_terms lists each as zeros
         st = random_smooth_state(2, S1_64, 2, perturb_g=True, perturb_A=True)
         T = rrfs_rhs_terms(st, S1_64, spec)
         zero = ["g_ricci", "g_dA", "A_codiff", "A_gradG", "G_dA", "G_rescale"]
