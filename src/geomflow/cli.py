@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ode.IntegrationError, rrfs.SPDFieldError,
+    except (ValueError, OSError, MemoryError, ode.IntegrationError, rrfs.SPDFieldError,
             rrfs.CFLCollapse) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -151,7 +151,7 @@ def exact_ricci_solution(t: float, A0: float, C0: float) -> Nil3State:
 
 def make_system(params: Nil3Params) -> ODESystem:
     def f(t, y):
-        return np.array(_flow(*y, params.f(t)))
+        return np.array(_flow(*y.tolist(), params.f(t)))  # floats, not numpy scalars
 
     return ODESystem(rhs=f, positive_components=(0, 1, 2))
 

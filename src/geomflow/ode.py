@@ -80,7 +80,7 @@ class Trajectory:
 
 
 # Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)  # floats: they only feed stage times
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -175,7 +175,7 @@ def integrate_adaptive(
     cfg = cfg or IntegratorConfig()
     sample_t = log_sample_times(t0, t1, cfg.samples_per_decade)  # checks t0 and t1
     y0 = np.asarray(y0, dtype=float)
-    if not np.all(np.isfinite(y0)):
+    if not np.isfinite(y0).all():
         raise NonFiniteState("initial state is not finite", t0)
     if t1 == t0:
         return Trajectory(np.array([t0]), y0[None, :].copy())
@@ -183,6 +183,7 @@ def integrate_adaptive(
     out_states = np.empty((len(sample_t), len(y0)))
     out_states[0] = y0
     next_sample = 1
+    times = sample_t.tolist()  # Python floats keep numpy scalars out of the step
 
     pos = list(sys.positive_components)
     t, y = t0, y0.copy()
@@ -206,14 +207,15 @@ def integrate_adaptive(
             k[i] = sys.rhs(t + _C[i] * h, yi)
         y_new = y + (h * _B) @ k
 
-        finite = np.all(np.isfinite(y_new))
-        if not finite or (pos and np.any(y_new[pos] <= 0.0)):
+        finite = np.isfinite(y_new).all()
+        if not finite or (pos and (y_new[pos] <= 0.0).any()):
             cause = PositivityLost if finite else NonFiniteState
             h *= 0.5
             continue
 
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean(((h * _E) @ k / scale) ** 2)))
+        e = (h * _E) @ k / scale  # RMS norm: the same double as np.sqrt(np.mean(e**2))
+        err = math.sqrt(float(np.add.reduce(e * e)) / len(e))
 
         if err <= 1.0:
             # PI controller (beta = 0.04)
@@ -223,15 +225,13 @@ def integrate_adaptive(
             cause = StepSizeUnderflow
             t_new = t + h
             # fill dense output inside (t, t_new]
-            while next_sample < len(sample_t) and sample_t[next_sample] <= t_new * (
-                1 + 1e-14
-            ):
-                ts = min(sample_t[next_sample], t_new)
+            while next_sample < len(times) and times[next_sample] <= t_new * (1 + 1e-14):
+                ts = min(times[next_sample], t_new)
                 theta = (ts - t) / h
                 out_states[next_sample] = _dense_eval(theta, y, y_new - y, h, k)
                 next_sample += 1
             t, y, k1 = t_new, y_new, k[6]  # FSAL
-            if t >= t1 * (1 - 1e-15) and next_sample >= len(sample_t):
+            if t >= t1 * (1 - 1e-15) and next_sample >= len(times):
                 out_states[-1] = y
                 return Trajectory(sample_t, out_states)
         else:

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from geomflow import cli, rrfs
+from geomflow import cli, ode, rrfs
 from geomflow.nil3 import CouplingSchedule
 
 
@@ -313,6 +313,19 @@ class TestInputBoundary:
         assert cli.main(["rrfs", "--grid", "16", f"--amplitude={amplitude}",
                          "--t-end", "0.01"]) == 1
         assert "amplitude must be finite" in capsys.readouterr().err
+
+    def test_sample_grid_too_large_for_memory(self, monkeypatch, capsys):
+        """`nil3 --t-end 1e3 --samples-per-decade 1000000000` asks numpy for
+        about 22 GiB of sample times; the MemoryError is reported like any
+        other bad input, not as a traceback.  The allocation is simulated."""
+        def too_large(t0, t1, samples_per_decade):
+            raise MemoryError("Unable to allocate 22.4 GiB for an array")
+
+        monkeypatch.setattr(ode, "log_sample_times", too_large)
+        code = cli.main(["nil3", "--t-end", "1e3", "--samples-per-decade", "1000000000"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 22.4 GiB for an array\n"
 
     def test_fit_window_from_t_zero_rejected(self, tmp_path, capsys):
         csv = tmp_path / "traj.csv"

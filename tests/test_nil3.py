@@ -23,7 +23,7 @@ from geomflow.nil3 import (
     predicted_constants,
     rhs,
 )
-from geomflow.ode import IntegratorConfig, Trajectory, log_sample_times
+from geomflow.ode import IntegratorConfig, ODESystem, Trajectory, log_sample_times
 
 
 def ricci_params(A0=1.0, B0=1.0, C0=1.0):
@@ -382,3 +382,44 @@ class TestRandomDataProperties:
         direct = integrate_nil3(p_s, t_end / s, self.CFG)
         assert direct.times[-1] == t_s.times[-1]
         npt.assert_allclose(direct.states[-1], t_s.states[-1], rtol=1e-8)
+
+
+class TestDP5Pin:
+    """The adaptive Dormand-Prince path from unit data with a = 1 to t = 1e8
+    at the default config: RHS calls (one for the first-same-as-last start
+    plus 6 per attempted step) and the final state, recorded as float.hex
+    literals."""
+
+    CASES = {
+        "zero": (CouplingSchedule.zero(), 1729,
+                 ("0x1.4eb76af09fbd4p+9", "0x1.4eb76af09fbd4p+9", "0x1.879753c5231e9p-10")),
+        "const:0.5": (CouplingSchedule.constant(0.5), 1171,
+                      ("0x1.894809cc38bc3p+26", "0x1.772e29d8b6685p+2", "0x1.5d5b7a7ecbbb6p-3")),
+        "power:0.5,1": (CouplingSchedule.power(0.5, 1.0), 1645,
+                        ("0x1.934333c1a8c91p+10", "0x1.af7565a346a39p+8", "0x1.2fc9c38c4ca7fp-9")),
+        "power:0.5,2": (CouplingSchedule.power(0.5, 2.0), 1699,
+                        ("0x1.d3d0cf0e34d0ep+9", "0x1.1b2001c103ae4p+9", "0x1.cef28a015f5fcp-10")),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_rhs_calls_and_final_state(self, name, monkeypatch):
+        coupling, calls, final = self.CASES[name]
+        make_system = nil3.make_system
+        count = [0]
+
+        def counted_system(params):
+            sys = make_system(params)
+
+            def counted(t, y):
+                count[0] += 1
+                return sys.rhs(t, y)
+
+            return ODESystem(counted, sys.positive_components)
+
+        monkeypatch.setattr(nil3, "make_system", counted_system)
+        params = Nil3Params(Nil3State(1.0, 1.0, 1.0), MapSlope(1.0), coupling)
+        traj = integrate_nil3(params, 1e8)
+        assert count[0] == calls and calls % 6 == 1
+        assert traj.times[-1] == 1e8
+        npt.assert_allclose(traj.states[-1], [float.fromhex(v) for v in final],
+                            rtol=1e-12, atol=0.0)

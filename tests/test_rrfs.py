@@ -782,6 +782,43 @@ class TestStageOneDiagnostics:
             npt.assert_array_equal(np.diff(run.step_times), [0.025, 0.025])
 
 
+class TestStageStatesSymmetric:
+    """Every g and G that ``integrate_rrfs`` hands to ``RRFSState`` (stage
+    states, step results, halved attempts) is already bitwise symmetric: RK4
+    forms y + h k elementwise from right-hand sides that are symmetrised, so
+    the ``_sym`` in ``RRFSState.__post_init__`` returns its input unchanged
+    there.  A frozen g arrives as the input state's ``_Metric`` and is not
+    counted; nor are the input states, whose ``_expm_sym`` G is not exactly
+    symmetric."""
+
+    GRID_2D = PeriodicGrid((16, 16), (2 * np.pi,) * 2)
+    # (grid, seed, amplitude, spec, t_end, kappa_cfl, whether g and A evolve, inputs)
+    RUNS = {
+        "frozen_1d": (S1_64, 0, 0.3, RescalingSpec("off"), 0.05, rrfs.KAPPA_CFL, False, 104),
+        "volume_2d": (GRID_2D, 3, 0.3, RescalingSpec("volume", c_coupling=0.5), 0.1,
+                      rrfs.KAPPA_CFL, True, 32),
+        "halving": (GRID_2D, 0, 1.5, RescalingSpec("volume"), 0.05, 2.0, True, 22),
+    }
+
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+    def test_run_hands_over_symmetric_fields(self, run, monkeypatch):
+        grid, seed, amplitude, spec, t_end, kappa, evolves, n_inputs = run
+        st = random_smooth_state(seed, grid, 2, amplitude=amplitude,
+                                 perturb_g=evolves, perturb_A=evolves)
+        state_cls, handed = rrfs.RRFSState, []
+
+        def recording(g, A, G):
+            handed.extend(f for f in (g, G) if isinstance(f, np.ndarray))
+            return state_cls(g, A, G)
+
+        monkeypatch.setattr(rrfs, "RRFSState", recording)
+        integrate_rrfs(st, grid, spec, t_end, kappa_cfl=kappa,
+                       evolve_g=evolves, evolve_A=evolves)
+        assert len(handed) == n_inputs
+        for f in handed:
+            npt.assert_array_equal(f.view(np.uint64), np.swapaxes(f, -1, -2).view(np.uint64))
+
+
 @st.composite
 def symmetric_fields(draw):
     """Symmetric k x k fields (k = 1, 2, 3) on 5 or 3 x 4 nodes, each node
