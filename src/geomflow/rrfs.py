@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, reduce
 from itertools import accumulate
 
 import numpy as np
@@ -27,6 +27,7 @@ from .spd import _christoffel_stacked, _sym, is_spd
 
 KAPPA_CFL = 0.2
 _SMOOTH_MODES = 3  # Fourier modes of each random scalar field
+_EPS = {1: (), 2: ((0, 1, 1.0), (1, 0, -1.0))}  # per base dimension, see _Geometry.eps
 
 
 class SPDFieldError(RuntimeError):
@@ -42,6 +43,16 @@ class SPDFieldError(RuntimeError):
 
 class CFLCollapse(RuntimeError):
     pass
+
+
+class _memo:
+    """A cached property without functools' lock: ``func``'s value, kept in ``__dict__``."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, cls=None):  # only called while obj.__dict__ lacks the name
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
 
 
 @dataclass(frozen=True)
@@ -69,7 +80,7 @@ class PeriodicGrid:
     def n_base(self) -> int:
         return len(self.sizes)
 
-    @cached_property
+    @_memo
     def spacing(self) -> tuple[float, ...]:
         return tuple(p / s for p, s in zip(self.period, self.sizes))
 
@@ -81,7 +92,7 @@ class PeriodicGrid:
         axes = [self.axis_coords(a) for a in range(self.n_base)]
         return list(np.meshgrid(*axes, indexing="ij"))
 
-    @cached_property
+    @_memo
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
@@ -101,7 +112,7 @@ def _raise_at_first(ok: np.ndarray, message: str):
 
 class _Metric:
     """A checked base metric g with det g, sqrt(det g) and min-eig g; ``per_grid`` is
-    None, or for a frozen g a dict per grid where its bundles keep g^-1, Gamma, gamma."""
+    None, or for a frozen g a dict per grid where its bundles keep g^-1, Gamma, gamma, R."""
 
     def __init__(self, g: np.ndarray):
         _check_spd_field(g, "base metric g")
@@ -183,7 +194,8 @@ def _neighbours(fld: np.ndarray, axis: int, grid: PeriodicGrid):
     wrapped = np.concatenate(
         [fld[lead + (slice(m - 2, m),)], fld, fld[lead + (slice(0, 2),)]], axis=axis
     )
-    return tuple(wrapped[lead + (slice(k, k + m),)] for k in (0, 1, 3, 4))
+    return (wrapped[lead + (slice(0, m),)], wrapped[lead + (slice(1, m + 1),)],
+            wrapped[lead + (slice(3, m + 3),)], wrapped[lead + (slice(4, m + 4),)])
 
 
 def d_central(fld: np.ndarray, axis: int, grid: PeriodicGrid) -> np.ndarray:
@@ -201,24 +213,30 @@ def d2_central(fld: np.ndarray, axis1: int, axis2: int, grid: PeriodicGrid) -> n
     return (16.0 * (fp1 + fm1) - 30.0 * fld - (fp2 + fm2)) / (12.0 * h * h)
 
 
+@cache
+def _rotation(ndim: int, k: int) -> tuple[int, ...]:  # moves the first k of ndim axes last
+    return (*range(k, ndim), *range(k))
+
+
 def _grid_last(fld: np.ndarray, n: int) -> np.ndarray:
     """Component-major view [<tensor axes>, *grid] of a node-major field."""
-    return fld.transpose(*range(n, fld.ndim), *range(n))
+    return fld.transpose(_rotation(fld.ndim, n))
 
 
 def _grid_first(fld: np.ndarray, n: int) -> np.ndarray:
     """Node-major view [*grid, <tensor axes>] of a component-major field."""
-    k = fld.ndim - n
-    return fld.transpose(*range(k, fld.ndim), *range(k))
+    return fld.transpose(_rotation(fld.ndim, fld.ndim - n))
 
 
 # ---------------------------------------------------------------------------
 # geometry of one state
 
 
-def _of_g(fn):  # a cached property of g alone, kept in the bundle's ``of_g`` dict
-    return property(lambda self: self.of_g[fn.__name__] if fn.__name__ in self.of_g
-                    else self.of_g.setdefault(fn.__name__, fn(self)))
+class _of_g(_memo):  # a _memo of g alone, once per of_g dict (a frozen g's bundles share one)
+    def __get__(self, obj, cls=None):
+        if obj is not None and self.name not in obj.of_g:
+            obj.of_g[self.name] = self.func(obj)
+        return self if obj is None else obj.__dict__.setdefault(self.name, obj.of_g[self.name])
 
 
 class _Geometry:
@@ -245,8 +263,7 @@ class _Geometry:
         per_grid = state._metric.per_grid
         self.of_g = {} if per_grid is None else per_grid.setdefault(grid, {})
         # (a, b, eps_ab) with a != b; the pair at position e starts on axis e
-        self.eps = [(a, b, 1.0 if a < b else -1.0)
-                    for a in range(self.n) for b in range(self.n) if a != b]
+        self.eps = _EPS[self.n]
 
     def _d(self, fields: list, axes: list) -> tuple[list, list]:
         """The fields as views of one component stack (a single field as is), and the
@@ -261,7 +278,7 @@ class _Geometry:
         return ([stack[c].reshape(f.shape) for c, f in zip(cuts, fields)],
                 [d[:, c].reshape(d.shape[:1] + f.shape) for c, f in zip(cuts, fields)])
 
-    @cached_property
+    @_memo
     def first(self) -> dict:  # G [i, j], dg [d, a, b] (while Gamma is unknown), dA (2D), dG
         # g once Gamma is known, and A on a 1D base (no F reads dA), are not differentiated
         names = [x for x, skip in (("g", "christoffels" in self.of_g), ("A", self.n == 1),
@@ -270,7 +287,7 @@ class _Geometry:
                             list(range(self.n)))
         return {"G": fields[-1], **dict(zip(("d" + x for x in names), d))}
 
-    @cached_property
+    @_memo
     def second(self) -> list:
         """Per pair (e, f): d_e Gamma^c_af [c, a], d_e F [i] and d_e d_a G [a, i, j] (a < e)."""
         return [[d[0] for d in self._d([self.christoffels[:, :, f], *self.F,
@@ -285,7 +302,7 @@ class _Geometry:
             adj[a, a] = math.prod(g[c, c] for c in range(self.n) if c != a)
         return np.divide(adj, self.state._g_det, out=adj)
 
-    @cached_property
+    @_memo
     def Ginv(self) -> np.ndarray:  # [i, j]
         return np.ascontiguousarray(_grid_last(np.linalg.inv(self.state.G), self.n))
 
@@ -300,11 +317,11 @@ class _Geometry:
     def gamma(self) -> np.ndarray:  # [c] = g^{ab} Gamma^c_ab
         return np.einsum("ab...,cab...->c...", self.ginv, self.christoffels)
 
-    @cached_property
+    @_memo
     def F(self) -> list:  # [i] = d_0 A_1 - d_1 A_0: one field on a 2D base, none on a 1D one
         return [self.first["dA"][a, b] - self.first["dA"][b, a] for a, b, s in self.eps if s > 0]
 
-    @cached_property
+    @_memo
     def dA_sums(self) -> dict:
         """delta dA [a, i], |dA|^2 and the dA terms of the A and G equations."""
         n, N, gi, G = self.n, self.state.n_fiber, self.ginv, self.first["G"]
@@ -325,7 +342,7 @@ class _Geometry:
                 out["A"][y] += s * np.einsum("b...,bik...,k...->i...", gi[x], self.M, F)
         return out
 
-    @cached_property
+    @_memo
     def laplacian_G(self) -> np.ndarray:  # [i, j]
         # g^{ab} (d_a d_b G - Gamma^c_ab d_c G), each mixed derivative once
         n, gi, G = self.n, self.ginv, _grid_first(self.first["G"], self.n)
@@ -337,23 +354,23 @@ class _Geometry:
                 out += 2.0 * gi[a, e] * ddG[a]
         return out
 
-    @cached_property
+    @_memo
     def M(self) -> np.ndarray:  # [a, i, j] = G^-1 d_a G
         return np.einsum("ik...,akj...->aij...", self.Ginv, self.first["dG"])
 
-    @cached_property
+    @_memo
     def grad_square(self) -> np.ndarray:  # [i, j] = g^{ab} d_a G G^-1 d_b G
         return np.einsum("aik...,ab...,bkj...->ij...", self.first["dG"], self.ginv, self.M)
 
-    @cached_property
+    @_memo
     def trace_MM(self) -> np.ndarray:  # [a, b] = tr(G^-1 d_a G G^-1 d_b G)
         return np.einsum("aij...,bji...->ab...", self.M, self.M)
 
-    @cached_property
+    @_memo
     def grad_G_norm_sq(self) -> np.ndarray:
         return np.einsum("ab...,ab...->...", self.ginv, self.trace_MM)
 
-    @cached_property
+    @_of_g
     def scalar_curvature(self) -> np.ndarray:
         # g^{ab} Rc_ab, Rc_ab = sum over c != b of
         # d_c Gamma^c_ab - d_b Gamma^c_ac + Gamma^c_cd Gamma^d_ab - Gamma^c_bd Gamma^d_ac
@@ -365,16 +382,16 @@ class _Geometry:
             out -= np.einsum("d...,a...,da...->...", Gam[c, b], gi[b], Gam[:, :, c])
         return out
 
-    @cached_property
+    @_memo
     def volume(self) -> float:
         return float(self.state._g_sqrt_det.sum() * self.grid.cell_volume)
 
-    @cached_property
+    @_memo
     def energy(self) -> float:
         w = self.state._g_sqrt_det
         return float(0.5 * (self.grad_G_norm_sq * w).sum() * self.grid.cell_volume)
 
-    @cached_property
+    @_memo
     def s_volume(self) -> float:
         w = self.state._g_sqrt_det
         r = self.scalar_curvature - 0.25 * self.grad_G_norm_sq
@@ -580,18 +597,19 @@ def integrate_rrfs(
     snap_req = np.linspace(0.0, t_end, max(n_snapshots, 2))
     if not evolve_g and state0._metric.per_grid is None:  # a memo: g is read-only
         state0._metric.per_grid = {}
-    fixed = {"g": state0._metric, "A": state0.A}  # unpack overrides the moving ones
     moving = [key for key, keep in zip("gAG", (evolve_g, evolve_A, True)) if keep]
-    ends = np.cumsum([getattr(state0, key).size for key in moving])
+    fixed = {key: f for key, f in (("g", state0._metric), ("A", state0.A)) if key not in moving}
+    fields = [getattr(state0, key) for key in moving]
+    cuts = [(key, slice(end - f.size, end), f.shape)
+            for key, f, end in zip(moving, fields, accumulate(f.size for f in fields))]
 
     def unpack(y) -> RRFSState:
         y.setflags(write=False)  # ours alone: read-only, so RRFSState shares A, not copies it
-        return RRFSState(**dict(fixed, **{key: p.reshape(getattr(state0, key).shape)
-                                          for key, p in zip(moving, np.split(y, ends[:-1]))}))
+        return RRFSState(**fixed, **{key: y[c].reshape(shape) for key, c, shape in cuts})
 
     def rhs_flat(st, **kwargs):
-        k = rrfs_rhs(st, grid, spec, fields=moving, **kwargs)
-        return np.concatenate([k_field.ravel() for k_field in k])
+        k = [k_field.ravel() for k_field in rrfs_rhs(st, grid, spec, fields=moving, **kwargs)]
+        return np.concatenate(k) if k[1:] else k[0]
 
     def stage(t, y):  # the RK4 right-hand side; k1 is computed once per accepted state
         return k1 if y is y_state else rhs_flat(unpack(y))
@@ -599,7 +617,7 @@ def integrate_rrfs(
     rows = []  # (t, energy, volume, s) at each accepted state
 
     t = 0.0
-    state = state0
+    state, y_state = state0, np.concatenate([f.ravel() for f in fields])
     snapshots = [state0]
     next_snap = 1
 
@@ -608,7 +626,6 @@ def integrate_rrfs(
         if dt_cfl <= 0 or not np.isfinite(dt_cfl):
             raise CFLCollapse(f"CFL step collapsed at t = {t:.6g}")
         dt = min(dt_cfl, t_end - t)
-        y_state = np.concatenate([getattr(state, key).ravel() for key in moving])
         geo = _Geometry(state, grid)
         k1 = rhs_flat(state, geometry=geo)  # stage 1, at a state that is already checked
         rows.append((t, geo.energy, geo.volume, geo.s(spec)))
@@ -616,7 +633,7 @@ def integrate_rrfs(
         rejections = 0
         while True:
             try:
-                new_state = unpack(rk4_step(stage, t, y_state, dt))
+                new_state = unpack(y := rk4_step(stage, t, y_state, dt))
                 break
             except (SPDFieldError, NonFiniteState) as err:
                 rejections += 1
@@ -625,7 +642,8 @@ def integrate_rrfs(
                                         node=getattr(err, "node", None), t=t) from err
                 dt *= 0.5
         t += dt
-        state = new_state
+        # new_state's moving fields hold y's values: A is a view, g and G are bitwise symmetric
+        state, y_state = new_state, y
         while next_snap < len(snap_req) - 1 and t >= snap_req[next_snap]:
             snapshots.append(state)
             next_snap += 1

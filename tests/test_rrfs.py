@@ -717,7 +717,7 @@ class TestStageOneDiagnostics:
     """``integrate_rrfs`` builds one ``_Geometry`` per RHS stage and one for
     the final state, and runs stage 1 once per accepted state: the energy,
     volume and s of every other accepted state come from the bundle of that
-    stage-1 RHS."""
+    stage-1 RHS.  Every state it builds runs the full ``RRFSState`` check."""
 
     GRID_2D = PeriodicGrid((16, 16), (2 * np.pi,) * 2)
     # (grid, seed, amplitude, spec, t_end, kappa_cfl, whether g and A evolve,
@@ -738,7 +738,7 @@ class TestStageOneDiagnostics:
         grid, seed, amplitude, spec, t_end, kappa, evolves, rejected = request.param
         st = random_smooth_state(seed, grid, 2, amplitude=amplitude,
                                  perturb_g=True, perturb_A=True)
-        built, calls = [0], []  # calls: (state, whether it is a stage 1) per rrfs_rhs
+        built, calls, checked = [0], [], [0]  # calls: (state, whether a stage 1) per rrfs_rhs
 
         class Counting(rrfs._Geometry):
             def __init__(self, *args):
@@ -750,23 +750,37 @@ class TestStageOneDiagnostics:
             calls.append((state, "geometry" in kwargs))
             return rhs_orig(state, grid, spec, **kwargs)
 
-        rhs_orig = rrfs.rrfs_rhs
+        def check(self):
+            checked[0] += 1
+            return check_orig(self)
+
+        rhs_orig, check_orig = rrfs.rrfs_rhs, RRFSState.__post_init__
         monkeypatch.setattr(rrfs, "_Geometry", Counting)
         monkeypatch.setattr(rrfs, "rrfs_rhs", rhs)
+        monkeypatch.setattr(RRFSState, "__post_init__", check)
         run = integrate_rrfs(st, grid, spec, t_end, kappa_cfl=kappa,
                              evolve_g=evolves, evolve_A=evolves)
         monkeypatch.undo()
-        return grid, run, rejected, built[0], calls
+        return grid, run, rejected, built[0], calls, checked[0]
 
     def test_one_bundle_per_stage_and_one_for_the_final_state(self, counted):
-        _, run, rejected, built, calls = counted
+        _, run, rejected, built, calls, _ = counted
         steps = len(run.step_times) - 1
         assert steps > 1
         assert len(calls) == 4 * steps + rejected
         assert built == len(calls) + 1
 
+    def test_one_state_check_per_stage(self, counted):
+        # stage 1 reads an accepted state, checked once as the result of its step;
+        # stages 2-4 check theirs.  The halving run also checks the stage-4 state
+        # that fails, which gets no RHS: 11 checks for 10 RHS calls
+        _, _, rejected, _, calls, checked = counted
+        assert checked == len(calls) + (1 if rejected else 0)
+        if rejected:
+            assert (checked, len(calls)) == (11, 10)
+
     def test_series_match_each_recorded_state(self, counted):
-        grid, run, rejected, _, calls = counted
+        grid, run, rejected, _, calls, _ = counted
         starts = [st for st, first in calls if first]
         # a halved step does not run stage 1 again on the same state
         assert len(starts) == len({id(st) for st in starts})
@@ -780,6 +794,94 @@ class TestStageOneDiagnostics:
             assert run.s_values[k] == s_volume(st, grid)
         if rejected:
             npt.assert_array_equal(np.diff(run.step_times), [0.025, 0.025])
+
+
+class TestGeometryMemo:
+    """``_Geometry``'s quantities are lock-free memos: each runs its function
+    (kept as ``.func``) at most once per bundle, and the quantities of g alone
+    at most once per grid for a frozen g."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """(bundle, name) -> calls of each quantity's function, through a subclass."""
+        counts = {}
+
+        def counted(memo):
+            def func(geo):
+                counts[geo, memo.name] = counts.get((geo, memo.name), 0) + 1
+                return memo.func(geo)
+            func.__name__ = memo.name
+            return type(memo)(func)
+
+        quantities = {name: counted(attr) for name, attr in vars(rrfs._Geometry).items()
+                      if isinstance(attr, rrfs._memo)}
+        monkeypatch.setattr(rrfs, "_Geometry", type("Counting", (rrfs._Geometry,), quantities))
+        return counts
+
+    @staticmethod
+    def rhs_and_diagnostics(st, grid, spec, fields):
+        geo = rrfs._Geometry(st, grid)
+        rrfs_rhs(st, grid, spec, fields=fields, geometry=geo)
+        return geo.energy, geo.volume, geo.s(spec)
+
+    def test_2d_all_fields_moving(self, counts):
+        grid = PeriodicGrid((16, 12), (2 * np.pi, 3.0))
+        st = random_smooth_state(4, grid, 2, perturb_g=True, perturb_A=True)
+        self.rhs_and_diagnostics(st, grid, RescalingSpec("volume", c_coupling=0.5), "gAG")
+        assert set(counts.values()) == {1}
+        assert {"first", "second", "Ginv", "dA_sums", "laplacian_G", "trace_MM",
+                "scalar_curvature", "s_volume", "energy"} <= {name for _, name in counts}
+
+    def test_1d_frozen_g(self, counts):
+        st = random_smooth_state(1, S1_64, 2)
+        st._metric.per_grid = {}  # a frozen g, as integrate_rrfs keeps it
+        for _ in range(2):
+            self.rhs_and_diagnostics(st, S1_64, RescalingSpec("volume"), "G")
+        assert set(counts.values()) == {1}
+        per_name = [name for _, name in counts]
+        for name in ("ginv", "christoffels", "gamma", "scalar_curvature"):
+            assert per_name.count(name) == 1  # per grid
+        for name in ("first", "Ginv", "laplacian_G", "grad_square", "s_volume"):
+            assert per_name.count(name) == 2  # per bundle
+
+    def test_scalar_curvature_once_per_grid_and_unchanged(self, counts, monkeypatch):
+        # a frozen g computes R once per grid; the run equals one that computes it per bundle
+        grid = PeriodicGrid((16, 16), (2 * np.pi,) * 2)
+        spec, t_end = RescalingSpec("volume", c_coupling=0.7), 0.1
+        st = random_smooth_state(7, grid, 2, amplitude=0.3, perturb_g=True, perturb_A=True)
+        run = integrate_rrfs(st, grid, spec, t_end, evolve_g=False)
+        assert len(run.step_times) > 3
+        assert [name for _, name in counts].count("scalar_curvature") == 1
+
+        class PerBundle(rrfs._Geometry):  # the counting subclass, with R per bundle
+            scalar_curvature = rrfs._memo(rrfs._Geometry.scalar_curvature.func)
+
+        monkeypatch.setattr(rrfs, "_Geometry", PerBundle)
+        counts.clear()
+        st = random_smooth_state(7, grid, 2, amplitude=0.3, perturb_g=True, perturb_A=True)
+        ref = integrate_rrfs(st, grid, spec, t_end, evolve_g=False)
+        bundles = 4 * (len(ref.step_times) - 1) + 1
+        assert [name for _, name in counts].count("scalar_curvature") == bundles
+        for key in ("step_times", "energies", "volumes", "s_values"):
+            npt.assert_array_equal(getattr(run, key), getattr(ref, key))
+        for key in "gAG":
+            npt.assert_array_equal(getattr(run.final_state, key), getattr(ref.final_state, key))
+
+    def test_class_access_returns_the_descriptor(self):
+        for name, kind in (("laplacian_G", rrfs._memo), ("scalar_curvature", rrfs._of_g)):
+            memo = vars(rrfs._Geometry)[name]
+            assert type(memo) is kind and getattr(rrfs._Geometry, name) is memo
+            assert memo.func.__name__ == name
+
+    def test_grid_spacing_caches_on_the_frozen_dataclass(self):
+        grid = PeriodicGrid((16, 8), (2 * np.pi, 4.0))
+        spacing = grid.spacing
+        assert spacing == (2 * np.pi / 16, 0.5)
+        assert grid.spacing is spacing and vars(grid)["spacing"] is spacing
+        assert grid == PeriodicGrid((16, 8), (2 * np.pi, 4.0))
+        assert hash(grid) == hash(PeriodicGrid((16, 8), (2 * np.pi, 4.0)))
+        with pytest.raises(AttributeError):
+            grid.sizes = (8, 8)
 
 
 class TestStageStatesSymmetric:
