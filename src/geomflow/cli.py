@@ -199,6 +199,18 @@ def cmd_rrfs(args) -> int:
     return 0
 
 
+def _tension_gap(seed: int, grid: rrfs.PeriodicGrid, n_fiber: int) -> float:
+    """Relative sup-gap of the two tension fields of one seeded state, which
+    share the state's geometry bundle; both die when this returns.  The general
+    form runs first: its node-stacked temporaries, the largest of the command,
+    then meet a bundle that does not yet hold G^-1 dG and the gradient square."""
+    state = rrfs.random_smooth_state(seed, grid, n_fiber, perturb_g=True)
+    gen = rrfs.tension_G_general(state, grid)
+    simp = rrfs.tension_G_simplified(state, grid)
+    scale = max(float(np.abs(simp).max()), 1e-30)
+    return float(np.abs(gen - simp).max()) / scale
+
+
 def verify_tension(seed: int, n_base: int, n_fiber: int, size: int,
                    n_fields: int) -> float:
     """Max relative sup-gap between the two tension-field constructions."""
@@ -209,17 +221,13 @@ def verify_tension(seed: int, n_base: int, n_fiber: int, size: int,
         (size,) * n_base, (2 * np.pi,) * n_base
     )
     for k in range(n_fields):
-        state = rrfs.random_smooth_state(
-            seed + k, grid, n_fiber, perturb_g=True
-        )
-        simp = rrfs.tension_G_simplified(state, grid)
-        gen = rrfs.tension_G_general(state, grid)
-        scale = max(float(np.abs(simp).max()), 1e-30)
-        worst = max(worst, float(np.abs(gen - simp).max()) / scale)
+        worst = max(worst, _tension_gap(seed + k, grid, n_fiber))
     return worst
 
 
 def cmd_verify_tension(args) -> int:
+    if not (np.isfinite(args.threshold) and args.threshold >= 0):
+        raise ValueError(f"--threshold must be a finite number >= 0, got {args.threshold!r}")
     worst = max(verify_tension(args.seed, n_base, args.n_fiber, args.size, args.fields)
                 for n_base in args.n_base)
     print(f"max tension identity residual: {worst:.3e}")

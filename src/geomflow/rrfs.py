@@ -28,6 +28,9 @@ from .spd import _christoffel_stacked, _sym, is_spd
 KAPPA_CFL = 0.2
 _SMOOTH_MODES = 3  # Fourier modes of each random scalar field
 _EPS = {1: (), 2: ((0, 1, 1.0), (1, 0, -1.0))}  # per base dimension, see _Geometry.eps
+# snapshot rows formatted per % operation: larger blocks format a little faster, but
+# hold more Python floats at once (256 rows raised the peak memory of a CLI session)
+_SNAPSHOT_BLOCK = 64
 
 
 class SPDFieldError(RuntimeError):
@@ -131,6 +134,8 @@ class _Metric:
                         "base metric g has a determinant outside the floating-point range")
         det = np.ldexp(det, e + n * k)
         self.g, self.det, self.sqrt_det, self.per_grid = g, det, np.sqrt(det), None
+        for arr in (self.det, self.sqrt_det):
+            arr.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -158,8 +163,8 @@ class RRFSState:
         _check_spd_field(G, "fiber metric G")
         object.__setattr__(self, "_metric", metric)
         object.__setattr__(self, "_g_min_eig", metric.min_eig)
-        for name, arr in zip(("g", "A", "G", "_g_det", "_g_sqrt_det"),
-                             (g, A, G, metric.det, metric.sqrt_det)):
+        object.__setattr__(self, "_bundles", {})  # grid -> _Geometry, see _Geometry.of
+        for name, arr in zip("gAG", (g, A, G)):
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
 
@@ -253,17 +258,30 @@ class _Geometry:
     there are none and no F, so dA, delta dA and R are exactly 0, no dA
     term is built, and the stencil leaves A out.  The bundles of a
     frozen g share ``of_g``, and once Gamma is known the stencil leaves g out.
+
+    A bundle keeps the state's fields and ``_Metric``, not the state, so a
+    state that keeps its bundle (``of``) forms no reference cycle with it.
     """
 
     def __init__(self, state: RRFSState, grid: PeriodicGrid):
         if state.g.shape != grid.sizes + (grid.n_base,) * 2:
             raise ValueError(f"state with g of shape {state.g.shape} does not fit "
                              f"grid {grid.sizes}")
-        self.state, self.grid, self.n = state, grid, grid.n_base
-        per_grid = state._metric.per_grid
+        self.g, self.A, self.G, self.metric = state.g, state.A, state.G, state._metric
+        self.grid, self.n = grid, grid.n_base
+        per_grid = self.metric.per_grid
         self.of_g = {} if per_grid is None else per_grid.setdefault(grid, {})
         # (a, b, eps_ab) with a != b; the pair at position e starts on axis e
         self.eps = _EPS[self.n]
+
+    @classmethod
+    def of(cls, state: RRFSState, grid: PeriodicGrid) -> _Geometry:
+        """The bundle ``state`` keeps for ``grid``, built on first use; it lives as
+        long as the state.  ``integrate_rrfs`` builds its own, which no state keeps."""
+        geo = state._bundles.get(grid)
+        if geo is None:
+            geo = state._bundles[grid] = cls(state, grid)
+        return geo
 
     def _d(self, fields: list, axes: list) -> tuple[list, list]:
         """The fields as views of one component stack (a single field as is), and the
@@ -283,7 +301,7 @@ class _Geometry:
         # g once Gamma is known, and A on a 1D base (no F reads dA), are not differentiated
         names = [x for x, skip in (("g", "christoffels" in self.of_g), ("A", self.n == 1),
                                    ("G", False)) if not skip]
-        fields, d = self._d([_grid_last(getattr(self.state, x), self.n) for x in names],
+        fields, d = self._d([_grid_last(getattr(self, x), self.n) for x in names],
                             list(range(self.n)))
         return {"G": fields[-1], **dict(zip(("d" + x for x in names), d))}
 
@@ -296,15 +314,15 @@ class _Geometry:
 
     @_of_g
     def ginv(self) -> np.ndarray:  # [a, b] = adj(g)_ab / det g
-        g = _grid_last(self.state.g, self.n)
+        g = _grid_last(self.g, self.n)
         adj = np.negative(g, out=np.empty(g.shape))  # adj_ab = -g_ab off the diagonal (n <= 2)
         for a in range(self.n):
             adj[a, a] = math.prod(g[c, c] for c in range(self.n) if c != a)
-        return np.divide(adj, self.state._g_det, out=adj)
+        return np.divide(adj, self.metric.det, out=adj)
 
     @_memo
     def Ginv(self) -> np.ndarray:  # [i, j]
-        return np.ascontiguousarray(_grid_last(np.linalg.inv(self.state.G), self.n))
+        return np.ascontiguousarray(_grid_last(np.linalg.inv(self.G), self.n))
 
     @_of_g
     def christoffels(self) -> np.ndarray:  # [c, a, b]
@@ -324,13 +342,13 @@ class _Geometry:
     @_memo
     def dA_sums(self) -> dict:
         """delta dA [a, i], |dA|^2 and the dA terms of the A and G equations."""
-        n, N, gi, G = self.n, self.state.n_fiber, self.ginv, self.first["G"]
+        n, N, gi, G = self.n, self.G.shape[-1], self.ginv, self.first["G"]
         out = {k: np.zeros(shape + self.grid.sizes) for k, shape in (
             ("delta", (n, N)), ("norm_sq", ()), ("A", (n, N)), ("G", (N, N)))}
         for F in self.F:  # g^{ac} g^{bd} F_cd = eps_ab F / det g gives |dA|^2 and the G term
             FG = np.einsum("i...,ij...->j...", F, G)
-            out["norm_sq"] += 2.0 * np.einsum("j...,j...->...", FG, F) / self.state._g_det
-            out["G"] -= FG[:, None] * FG / self.state._g_det
+            out["norm_sq"] += 2.0 * np.einsum("j...,j...->...", FG, F) / self.metric.det
+            out["G"] -= FG[:, None] * FG / self.metric.det
             dF = np.stack([dF_e for _, dF_e, _ in self.second])  # [d, i]
             for x, y, s in self.eps:
                 # -g^{bc} (d_b F_ca - Gamma^m_bc F_ma - Gamma^m_ba F_cm) with (x, y)
@@ -384,16 +402,16 @@ class _Geometry:
 
     @_memo
     def volume(self) -> float:
-        return float(self.state._g_sqrt_det.sum() * self.grid.cell_volume)
+        return float(self.metric.sqrt_det.sum() * self.grid.cell_volume)
 
     @_memo
     def energy(self) -> float:
-        w = self.state._g_sqrt_det
+        w = self.metric.sqrt_det
         return float(0.5 * (self.grad_G_norm_sq * w).sum() * self.grid.cell_volume)
 
     @_memo
     def s_volume(self) -> float:
-        w = self.state._g_sqrt_det
+        w = self.metric.sqrt_det
         r = self.scalar_curvature - 0.25 * self.grad_G_norm_sq
         if self.F:  # |dA|^2 = 0 without F
             r = r - 0.5 * self.dA_sums["norm_sq"]
@@ -406,14 +424,21 @@ class _Geometry:
         return spec.s0 if spec.mode == "constant" else self.s_volume
 
 
+def _view(fld: np.ndarray, n: int) -> np.ndarray:
+    """A read-only node-major view of a component-major bundle array."""
+    out = _grid_first(fld, n)
+    out.flags.writeable = False
+    return out
+
+
 def christoffels_of_g(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Christoffel symbols of g, indexed [..., c, a, b] for Gamma^c_ab."""
-    return _grid_first(_Geometry(state, grid).christoffels, grid.n_base)
+    return _view(_Geometry.of(state, grid).christoffels, grid.n_base)
 
 
 def dA_field(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Curvature 2-form of the connection, [..., a, b, i] antisymmetric in (a, b)."""
-    geo = _Geometry(state, grid)
+    geo = _Geometry.of(state, grid)
     F = np.zeros((geo.n, geo.n, state.n_fiber) + grid.sizes)
     for a, b, s in geo.eps:
         F[a, b] = s * geo.F[0]
@@ -422,17 +447,17 @@ def dA_field(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
 
 def delta_dA(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Codifferential of dA: -g^{bc} (cov d)_b (dA)_{c a}^i, shape [..., a, i]."""
-    return _grid_first(_Geometry(state, grid).dA_sums["delta"], grid.n_base)
+    return _view(_Geometry.of(state, grid).dA_sums["delta"], grid.n_base)
 
 
 def laplacian_G(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Base-metric Laplacian of G: g^{ab} (d_a d_b G - Gamma^c_ab d_c G)."""
-    return _grid_first(_Geometry(state, grid).laplacian_G, grid.n_base)
+    return _view(_Geometry.of(state, grid).laplacian_G, grid.n_base)
 
 
 def tension_G_simplified(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Tension field in divergence form: Laplacian minus the gradient square."""
-    geo = _Geometry(state, grid)
+    geo = _Geometry.of(state, grid)
     return _grid_first(geo.laplacian_G - geo.grad_square, geo.n)
 
 
@@ -443,7 +468,7 @@ def tension_G_general(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     Gamma_target(X, Y) = -1/2 (X G^-1 Y + Y G^-1 X).  Agrees with the
     divergence form identically; both share the same discrete derivatives.
     """
-    geo = _Geometry(state, grid)
+    geo = _Geometry.of(state, grid)
     ginv, Ginv, dG = (_grid_first(f, geo.n) for f in (geo.ginv, geo.Ginv, geo.first["dG"]))
     gamma = _christoffel_stacked(Ginv[..., None, None, :, :], dG[..., :, None, :, :],
                                  dG[..., None, :, :, :])  # [..., a, b, i, j]
@@ -452,33 +477,33 @@ def tension_G_general(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
 
 def grad_G_norm_sq(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """|grad G|^2 = g^{ab} tr(G^-1 d_a G G^-1 d_b G) per node."""
-    return _Geometry(state, grid).grad_G_norm_sq
+    return _view(_Geometry.of(state, grid).grad_G_norm_sq, grid.n_base)
 
 
 def dA_norm_sq(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """|dA|^2 = g^{ac} g^{bd} G_ij (dA)^i_ab (dA)^j_cd per node."""
-    return _Geometry(state, grid).dA_sums["norm_sq"]
+    return _view(_Geometry.of(state, grid).dA_sums["norm_sq"], grid.n_base)
 
 
 def volume(state: RRFSState, grid: PeriodicGrid) -> float:
     """Discrete base volume, integral of sqrt(det g)."""
-    return _Geometry(state, grid).volume
+    return _Geometry.of(state, grid).volume
 
 
 def energy_G(state: RRFSState, grid: PeriodicGrid) -> float:
     """Discrete map energy: 1/2 integral of |grad G|^2 with weight sqrt(det g)."""
-    return _Geometry(state, grid).energy
+    return _Geometry.of(state, grid).energy
 
 
 def scalar_curvature(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Scalar curvature of g per node; identically zero on a 1D base."""
-    return _Geometry(state, grid).scalar_curvature
+    return _view(_Geometry.of(state, grid).scalar_curvature, grid.n_base)
 
 
 def s_volume(state: RRFSState, grid: PeriodicGrid) -> float:
     """Volume-normalizing rescaling: -(2/n) times the sqrt(det g)-weighted
     mean of r = R - 1/4 |grad G|^2 - 1/2 |dA|^2."""
-    return _Geometry(state, grid).s_volume
+    return _Geometry.of(state, grid).s_volume
 
 
 # The terms of each field's equation, None for a dA term on a base without F and for
@@ -487,7 +512,7 @@ def s_volume(state: RRFSState, grid: PeriodicGrid) -> float:
 
 
 def _g_terms(geo: _Geometry, s: float, c: float) -> dict:
-    g = geo.state.g
+    g = geo.g
     return {
         "g_ricci": -geo.scalar_curvature[..., None, None] * g,
         "g_gradG": 0.5 * _grid_first(geo.trace_MM, geo.n),
@@ -500,7 +525,7 @@ def _A_terms(geo: _Geometry, s: float, c: float) -> dict:
     return {
         "A_codiff": -_grid_first(geo.dA_sums["delta"], geo.n) if geo.F else None,
         "A_gradG": _grid_first(geo.dA_sums["A"], geo.n) if geo.F else None,
-        "A_rescale": -0.5 * (1.0 + c) * s * geo.state.A,
+        "A_rescale": -0.5 * (1.0 + c) * s * geo.A,
     }
 
 
@@ -509,7 +534,7 @@ def _G_terms(geo: _Geometry, s: float, c: float) -> dict:
         "G_laplace": _grid_first(geo.laplacian_G, geo.n),
         "G_gradsq": -_grid_first(geo.grad_square, geo.n),
         "G_dA": _grid_first(geo.dA_sums["G"], geo.n) if geo.F else None,
-        "G_rescale": c * s * geo.state.G if c * s else None,
+        "G_rescale": c * s * geo.G if c * s else None,
     }
 
 
@@ -520,13 +545,14 @@ def rrfs_rhs_terms(
     state: RRFSState, grid: PeriodicGrid, spec: RescalingSpec
 ) -> dict[str, np.ndarray | float]:
     """Term-by-term decomposition of the flow's right-hand side: s and every
-    term of g, A and G, with an array of zeros for a term that vanishes."""
-    geo = _Geometry(state, grid)
+    term of g, A and G as a read-only array, of zeros for a term that vanishes."""
+    geo = _Geometry.of(state, grid)
     s = geo.s(spec)
     out = {"s": s}
     for field, build in _TERMS.items():
-        out.update({key: np.zeros(getattr(state, field).shape) if term is None else term
-                    for key, term in build(geo, s, spec.c_coupling).items()})
+        for key, term in build(geo, s, spec.c_coupling).items():
+            out[key] = np.zeros(getattr(state, field).shape) if term is None else term
+            out[key].flags.writeable = False  # some terms are views of the state's bundle
     return out
 
 
@@ -581,9 +607,12 @@ def integrate_rrfs(
     dt <= kappa_cfl * h_min^2 * min-eig(g); steps that lose positive
     definiteness of g or G are rejected with dt halved, up to 50 times.
     ``evolve_g`` / ``evolve_A`` freeze the respective fields (harmonic-map
-    -only mode is g frozen, A frozen).  The steps run through
-    ``ode.rk4_step`` on the evolving fields packed into one flat array.  Every
-    state shares the frozen fields, and a frozen g its checked ``_Metric``.
+    -only mode is g frozen, A frozen).  The snapshots are the initial state,
+    the first state at or past each of ``n_snapshots`` - 2 evenly spaced
+    interior times and the final state, so ``n_snapshots`` must be at least 2.
+    The steps run through ``ode.rk4_step`` on the evolving fields packed into
+    one flat array.  Every state shares the frozen fields, and a frozen g its
+    checked ``_Metric``.
 
     Stage 1 runs once per accepted state, and its k1 serves every halving.
     The energy, volume and s of each accepted state but the last come from
@@ -593,8 +622,11 @@ def integrate_rrfs(
         raise ValueError(f"t_end must be a positive finite number, got {t_end!r}")
     if not (np.isfinite(kappa_cfl) and kappa_cfl > 0):
         raise ValueError(f"kappa_cfl must be a positive finite number, got {kappa_cfl!r}")
+    if n_snapshots < 2:
+        raise ValueError(f"n_snapshots must be at least 2 (the initial and final state), "
+                         f"got {n_snapshots!r}")
     h_min = min(grid.spacing)
-    snap_req = np.linspace(0.0, t_end, max(n_snapshots, 2))
+    snap_req = np.linspace(0.0, t_end, n_snapshots)
     if not evolve_g and state0._metric.per_grid is None:  # a memo: g is read-only
         state0._metric.per_grid = {}
     moving = [key for key, keep in zip("gAG", (evolve_g, evolve_A, True)) if keep]
@@ -709,13 +741,20 @@ def random_smooth_state(
 
 def save_snapshot(state: RRFSState, grid: PeriodicGrid, path):
     """Write a field snapshot as text: a header line, then one (g | A | G)
-    row per node, floats at 17 significant digits."""
+    row per node, floats at 17 significant digits.  The bytes are those of
+    ``np.savetxt(path, rows, fmt="%.17g", header=header, comments="")``; one
+    ``%`` operation formats ``_SNAPSHOT_BLOCK`` rows at a time."""
     n, N = grid.n_base, state.n_fiber
     header = " ".join([str(n), str(N), *map(str, grid.sizes),
                        *(f"{p:.17g}" for p in grid.period)])
     rows = np.hstack([state.g.reshape(-1, n * n), state.A.reshape(-1, n * N),
                       state.G.reshape(-1, N * N)])
-    np.savetxt(path, rows, fmt="%.17g", header=header, comments="")
+    row_fmt = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(rows), _SNAPSHOT_BLOCK):
+            block = rows[start:start + _SNAPSHOT_BLOCK]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def load_snapshot(path) -> tuple[RRFSState, PeriodicGrid]:

@@ -100,6 +100,33 @@ class TestVerifyTension:
         monkeypatch.setattr(rrfs, "tension_G_general", corrupted)
         assert cli.main(["verify-tension", "--size", "32", "--fields", "1"]) == 2
 
+    @pytest.mark.parametrize("n_base", [1, 2])
+    def test_one_bundle_per_field(self, n_base, monkeypatch):
+        # both tension fields of a state read its one geometry bundle
+        built = []
+
+        class Counting(rrfs._Geometry):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(rrfs, "_Geometry", Counting)
+        assert cli.verify_tension(0, n_base, 3, 16, 2) <= 1e-10
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "-inf"])
+    def test_threshold_must_be_finite_and_non_negative(self, threshold, capsys):
+        assert cli.main(["verify-tension", "--size", "16", "--fields", "1",
+                         f"--threshold={threshold}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --threshold must be a finite number >= 0")
+        assert "residual" not in captured.out
+
+    def test_zero_and_huge_thresholds_accepted(self):
+        argv = ["verify-tension", "--size", "16", "--fields", "1", "--threshold"]
+        assert cli.main([*argv, "1e300"]) == 0
+        assert cli.main([*argv, "0"]) in (0, 2)  # 2 unless the gap is exactly 0
+
 
 class TestBlowdownCheck:
     def test_ricci_scenario(self):
@@ -220,6 +247,15 @@ class TestRRFSCommand:
         out = json.loads(capsys.readouterr().out)
         assert out.keys() == {"config", "volume_drift"}
         assert out["config"]["seed"] == 0
+
+    @pytest.mark.parametrize("n", ["0", "1", "-3"])
+    def test_fewer_than_two_snapshots_rejected(self, n, tmp_path, capsys):
+        code = cli.main(["rrfs", "--grid", "16", "--t-end", "0.01", f"--snapshots={n}",
+                         "--out-prefix", str(tmp_path / "snap")])
+        assert code == 1
+        assert f"n_snapshots must be at least 2 (the initial and final state), got {n}" \
+            in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_rescaling_mode_rejected(self, capsys):
         assert cli.main(["rrfs", "--grid", "16", "--mode", "banana",

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -586,6 +588,12 @@ class TestLibraryBoundary:
             integrate_rrfs(flat_state(grid), grid, RescalingSpec("off"), 1.0,
                            kappa_cfl=kappa)
 
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_integrate_rejects_fewer_than_two_snapshots(self, n):
+        st = flat_state(S1_64, n_fiber=2)
+        with pytest.raises(ValueError, match=f"^n_snapshots must be at least 2 .*got {n}$"):
+            integrate_rrfs(st, S1_64, RescalingSpec("off"), 0.01, n_snapshots=n)
+
     @pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf])
     def test_random_state_rejects_non_finite_amplitude(self, amplitude):
         grid = PeriodicGrid((8,), (2 * np.pi,))
@@ -884,6 +892,93 @@ class TestGeometryMemo:
             grid.sizes = (8, 8)
 
 
+class TestStateBundle:
+    """The public geometry functions and ``rrfs_rhs_terms`` share one
+    ``_Geometry`` per state and grid (``_Geometry.of``): their values equal
+    those of a fresh bundle, no caller can write into the bundle, and the
+    bundle holds no reference to its state, so the two die together."""
+
+    GRIDS = {"1d": S1_64, "2d": PeriodicGrid((16, 12), (2 * np.pi, 3.0))}
+    SPEC = RescalingSpec("volume", c_coupling=0.5)
+    # the functions whose arrays are views of the bundle's memory
+    VIEWS = (christoffels_of_g, delta_dA, laplacian_G, grad_G_norm_sq, rrfs.dA_norm_sq,
+             scalar_curvature)
+
+    @classmethod
+    def functions(cls):
+        fns = dict(TestLibraryBoundary.GEOMETRY)
+        fns["rrfs_rhs"] = lambda st, grid: rrfs_rhs(st, grid, cls.SPEC)
+        fns["rrfs_rhs_terms"] = lambda st, grid: rrfs_rhs_terms(st, grid, cls.SPEC)
+        return fns
+
+    @staticmethod
+    def make(grid):
+        return random_smooth_state(4, grid, 2, perturb_g=True, perturb_A=True)
+
+    @staticmethod
+    def assert_same(got, want):
+        if isinstance(want, dict):
+            assert got.keys() == want.keys()
+            for key in want:
+                TestStateBundle.assert_same(got[key], want[key])
+        elif isinstance(want, tuple):
+            for a, b in zip(got, want, strict=True):
+                TestStateBundle.assert_same(a, b)
+        else:
+            got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+            assert got.shape == want.shape
+            npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    def test_shared_bundle_equals_fresh_bundles(self, grid):
+        st, fns = self.make(grid), self.functions()
+        for name in reversed(fns):  # fill the shared bundle in another order
+            fns[name](st, grid)
+        assert list(st._bundles) == [grid]
+        for name, fn in fns.items():
+            self.assert_same(fn(st, grid), fn(self.make(grid), grid))
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    def test_no_caller_writes_into_the_bundle(self, grid):
+        st = self.make(grid)
+        for fn in self.VIEWS:
+            with pytest.raises(ValueError, match="read-only"):
+                fn(st, grid)[...] = 0.0
+        for key, term in rrfs_rhs_terms(st, grid, self.SPEC).items():
+            if key != "s":
+                with pytest.raises(ValueError, match="read-only"):
+                    term[...] = 0.0
+        fresh = self.make(grid)
+        for name, fn in self.functions().items():
+            first, want = fn(st, grid), fn(fresh, grid)
+            parts = first.values() if isinstance(first, dict) else (
+                first if isinstance(first, tuple) else [first])
+            for arr in parts:
+                if isinstance(arr, np.ndarray) and arr.flags.writeable:
+                    arr[...] = np.nan  # an array of its own: the next call is unchanged
+            self.assert_same(fn(st, grid), want)
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    def test_state_and_bundle_die_without_the_cycle_collector(self, grid):
+        gc.disable()
+        try:
+            st = self.make(grid)
+            for fn in self.functions().values():
+                fn(st, grid)
+            assert isinstance(st._bundles[grid], rrfs._Geometry)
+            ref = weakref.ref(st)
+            del st
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_run_snapshots_hold_no_bundle(self):
+        grid = self.GRIDS["2d"]
+        run = integrate_rrfs(self.make(grid), grid, self.SPEC, 0.02, n_snapshots=3)
+        assert len(run.snapshots) == 3
+        assert all(st._bundles == {} for st in run.snapshots)
+
+
 class TestStageStatesSymmetric:
     """Every g and G that ``integrate_rrfs`` hands to ``RRFSState`` (stage
     states, step results, halved attempts) is already bitwise symmetric: RK4
@@ -1036,8 +1131,8 @@ class TestSPDElimination:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             st = RRFSState(**f)
-        assert st._g_det[0, 0] == 1e200
-        assert st._g_det[3, 4] == pytest.approx(1.999e307, rel=1e-12)
+        assert st._metric.det[0, 0] == 1e200
+        assert st._metric.det[3, 4] == pytest.approx(1.999e307, rel=1e-12)
         assert st._g_min_eig == 1e100
 
     def test_base_metric_must_be_1x1_or_2x2(self):
@@ -1067,7 +1162,7 @@ class TestClosedFormMetric:
             st = RRFSState(g * st.g[..., :1, :1], st.A, st.G)
         w = np.linalg.eigvalsh(st.g)
         assert abs(st._g_min_eig / w[..., 0].min() - 1) <= 1e-13
-        npt.assert_allclose(st._g_sqrt_det, np.sqrt(np.linalg.det(st.g)), rtol=1e-13, atol=0)
+        npt.assert_allclose(st._metric.sqrt_det, np.sqrt(np.linalg.det(st.g)), rtol=1e-13, atol=0)
         ginv = rrfs._grid_first(rrfs._Geometry(st, grid).ginv, grid.n_base)
         want = np.linalg.inv(st.g)
         err = np.abs(ginv - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
