@@ -60,6 +60,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if not all(np.isfinite(v) and v > 0 for v in (self.rtol, self.atol)):
             raise ValueError("rtol and atol must be positive and finite")
+        n = self.samples_per_decade
+        if not float(n).is_integer():  # also NaN and inf, which would fail later
+            raise ValueError(f"samples_per_decade must be an integer, got {n!r}")
+        object.__setattr__(self, "samples_per_decade", int(n))
         if self.samples_per_decade < 1:
             raise ValueError("samples_per_decade must be at least 1")
 
@@ -79,20 +83,21 @@ class Trajectory:
         return self.states[:, index]
 
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau.  Row i < 7 of _TABLEAU holds stage i's weights
+# in [:i]; row 6 is also the 5th-order solution's weights (b7 = 0), so the 7th
+# stage is evaluated at the solution (FSAL).  Row 7 holds the error weights.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)  # floats: they only feed stage times
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+_TABLEAU = np.array(
+    [
+        [0.0] * 7,
+        [1 / 5] + [0.0] * 6,
+        [3 / 40, 9 / 40] + [0.0] * 5,
+        [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656] + [0.0] * 2,
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+        [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+    ]
 )
 # dense-output weights (Hairer's contd5)
 _D = np.array(
@@ -112,6 +117,7 @@ _H_INIT = 1e-4
 _MAX_STEPS = 1_000_000
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+_DENSE_BLOCK = 64  # dense-output samples evaluated per vectorised call
 _UNDERFLOW_MESSAGES = {
     StepSizeUnderflow: "step size underflow",
     NonFiniteState: "state became non-finite",
@@ -161,10 +167,25 @@ def log_sample_times(t0: float, t1: float, samples_per_decade: int) -> np.ndarra
 
 
 def _dense_eval(theta, y0, ydiff, h, kstack):
-    r3 = h * kstack[0] - ydiff
-    r4 = ydiff - h * kstack[6] - r3
-    r5 = (h * _D) @ kstack
+    """Hairer's contd5 interpolant at theta in [0, 1] of a step of size h from y0
+    to y0 + ydiff with stage slopes kstack: theta and h scalars with y0 of shape
+    (n,) and kstack (7, n), or (m, 1) columns with (m, n) and (m, 7, n)."""
+    r3 = h * kstack[..., 0, :] - ydiff
+    r4 = ydiff - h * kstack[..., 6, :] - r3
+    r5 = ((h * _D)[..., None, :] @ kstack)[..., 0, :]
     return y0 + theta * (ydiff + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5)))
+
+
+def _fill_dense(out_states, end, pending):
+    """Evaluate the samples recorded as (theta, h, y, y_new, k) into the rows up
+    to ``end`` of ``out_states``, and clear ``pending``."""
+    theta, h, y0, y1, k = zip(*pending)
+    theta, h = np.array([theta, h])[..., None]
+    y0 = np.array(y0)
+    out_states[end - len(pending) : end] = _dense_eval(
+        theta, y0, np.array(y1) - y0, h, np.array(k)
+    )
+    pending.clear()
 
 
 @np.errstate(invalid="ignore")  # a non-finite stage is reported as NonFiniteState
@@ -184,6 +205,9 @@ def integrate_adaptive(
     out_states[0] = y0
     next_sample = 1
     times = sample_t.tolist()  # Python floats keep numpy scalars out of the step
+    pending = []  # dense samples recorded but not yet evaluated, up to row next_sample
+    # t1 less a relative 1e-15, toward zero when t1 < 0
+    t_stop = t1 * (1 - 1e-15) if t1 >= 0 else t1 * (1 + 1e-15)
 
     pos = list(sys.positive_components)
     t, y = t0, y0.copy()
@@ -197,24 +221,27 @@ def integrate_adaptive(
 
     for _ in range(_MAX_STEPS):
         h = min(h, t1 - t)
-        if h < 1e-14 * max(abs(t), 1.0):
+        # the step that lands on t1 is taken however short; a retry of it is not
+        if h < t1 - t and h < 1e-14 * max(abs(t), 1.0):
             raise cause(_UNDERFLOW_MESSAGES[cause], t)
 
+        hw = h * _TABLEAU  # h scales the weights first, so no sum of slopes overflows
         k = np.empty((7, len(y0)))
         k[0] = k1
-        for i in range(1, 7):  # h scales the weights first, so no sum of slopes overflows
-            yi = y + (h * _A[i]) @ k[:i]
+        for i in range(1, 7):
+            yi = y + hw[i, :i] @ k[:i]
             k[i] = sys.rhs(t + _C[i] * h, yi)
-        y_new = y + (h * _B) @ k
-
-        finite = np.isfinite(y_new).all()
+        y_new = yi  # the 7th stage's state is the solution (FSAL)
+        # a non-finite k7 = f(y_new) makes it a non-finite state too, rather than
+        # an error estimate whose norm is NaN or inf
+        finite = np.isfinite(y_new).all() and np.isfinite(k[6]).all()
         if not finite or (pos and (y_new[pos] <= 0.0).any()):
             cause = PositivityLost if finite else NonFiniteState
             h *= 0.5
             continue
 
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        e = (h * _E) @ k / scale  # RMS norm: the same double as np.sqrt(np.mean(e**2))
+        e = hw[7] @ k / scale  # RMS norm: the same double as np.sqrt(np.mean(e**2))
         err = math.sqrt(float(np.add.reduce(e * e)) / len(e))
 
         if err <= 1.0:
@@ -224,14 +251,17 @@ def integrate_adaptive(
             rejects_in_a_row = 0
             cause = StepSizeUnderflow
             t_new = t + h
-            # fill dense output inside (t, t_new]
-            while next_sample < len(times) and times[next_sample] <= t_new * (1 + 1e-14):
-                ts = min(times[next_sample], t_new)
-                theta = (ts - t) / h
-                out_states[next_sample] = _dense_eval(theta, y, y_new - y, h, k)
+            # record the dense samples inside (t, t_new], t_new plus a relative 1e-14
+            t_reach = t_new * (1 + 1e-14) if t_new >= 0 else t_new * (1 - 1e-14)
+            while next_sample < len(times) and times[next_sample] <= t_reach:
+                pending.append(((min(times[next_sample], t_new) - t) / h, h, y, y_new, k))
                 next_sample += 1
+                if len(pending) == _DENSE_BLOCK:
+                    _fill_dense(out_states, next_sample, pending)
             t, y, k1 = t_new, y_new, k[6]  # FSAL
-            if t >= t1 * (1 - 1e-15) and next_sample >= len(times):
+            if t >= t_stop and next_sample >= len(times):
+                if pending:
+                    _fill_dense(out_states, next_sample, pending)
                 out_states[-1] = y
                 return Trajectory(sample_t, out_states)
         else:

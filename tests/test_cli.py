@@ -279,6 +279,11 @@ class TestInputBoundary:
         assert cli.main([*argv, f"--t-end={t_end}"]) == 1
         assert "--t-end must be a positive finite number" in capsys.readouterr().err
 
+    def test_nil3_shorter_than_step_floor(self, capsys):
+        # the one landing step h = 1e-15 is below the step floor 1e-14
+        assert cli.main(["nil3", "--t-end", "1e-15"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_zero_fiber_dimension_rejected(self, capsys):
         assert cli.main(["rrfs", "--grid", "16", "--n-fiber", "0", "--t-end", "0.01"]) == 1
         assert "fiber dimension must be at least 1" in capsys.readouterr().err

@@ -195,6 +195,60 @@ class TestAdaptive:
         with pytest.raises(ValueError, match="rtol and atol must be positive and finite"):
             IntegratorConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.5])
+    def test_non_integer_samples_per_decade_rejected(self, value):
+        with pytest.raises(ValueError, match="^samples_per_decade must be an integer, got "):
+            IntegratorConfig(samples_per_decade=value)
+
+    def test_integral_float_samples_per_decade_kept_as_int(self):
+        cfg = IntegratorConfig(samples_per_decade=8.0)
+        assert cfg.samples_per_decade == 8 and type(cfg.samples_per_decade) is int
+
+
+class TestIntervalEnds:
+    """Intervals that end below zero or are shorter than the step floor
+    1e-14 * max(|t|, 1): the step that lands on t1 is taken."""
+
+    @pytest.mark.parametrize("t0,t1", [(-0.9, -0.5), (-0.5, -1e-3), (-0.5, 0.0),
+                                       (-0.5, 0.5)])
+    def test_interval_below_zero_reaches_t1(self, t0, t1):
+        traj = integrate_adaptive(DECAY, t0, t1, [1.0])
+        assert traj.times[0] == t0 and traj.times[-1] == t1
+        npt.assert_allclose(traj.states[:, 0], np.exp(t0 - traj.times), rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("t0,t1", [(0.0, 1e-15), (0.0, 1e-300), (-0.5, -0.5 + 4e-15)])
+    def test_interval_shorter_than_step_floor(self, t0, t1):
+        calls = []
+        traj = integrate_adaptive(ODESystem(lambda t, y: (calls.append(t), -y)[1]),
+                                  t0, t1, [2.0])
+        assert traj.times[-1] == t1
+        assert len(calls) == 7  # the FSAL start and one step
+        assert traj.states[-1, 0] == pytest.approx(2.0 * np.exp(t0 - t1), rel=1e-15)
+
+    def test_halved_landing_step_still_underflows(self):
+        sys = ODESystem(lambda t, y: -y if t == 0.0 else np.full(1, np.nan))
+        with pytest.raises(NonFiniteState, match="state became non-finite") as info:
+            integrate_adaptive(sys, 0.0, 1e-15, [1.0])
+        assert info.value.t == 0.0
+
+
+class TestDP5Stages:
+    def test_non_finite_last_stage_halves_the_step(self):
+        """Only k7 = f(y_new) of the first step is inf: the step is halved as
+        a non-finite state (the retry's stage 2 at t = 0.2 * 5e-5), not
+        rejected by its error estimate."""
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return np.full_like(y, np.inf) if len(calls) == 7 else -y
+
+        traj = integrate_adaptive(ODESystem(rhs), 0.0, 1.0, [1.0])
+        assert calls[7] == 1e-5
+        assert len(calls) == 151
+        assert traj.states[-1, 0] == float.fromhex("0x1.78b56363a7f1ap-2")
+        assert abs(traj.states[-1, 0] / np.exp(-1.0) - 1.0) <= 1e-9
+
 
 class TestConvergenceOrder:
     def test_exponential_order_four(self):
@@ -241,3 +295,45 @@ def test_integrate_fixed_lands_on_endpoint():
 def test_integrate_fixed_rejects_bad_interval_or_step(t0, t1, h, message):
     with pytest.raises(ValueError, match=message):
         integrate_fixed(DECAY.rhs, t0, t1, np.array([1.0]), h)
+
+
+class TestDenseBlocks:
+    """Dense samples are recorded per step and evaluated ``_DENSE_BLOCK`` at a
+    time, and once more at the end."""
+
+    @pytest.mark.parametrize("samples_per_decade", [4096, 8],
+                             ids=["many-per-step", "fewer-than-a-block"])
+    def test_blocks_equal_per_sample_evaluation(self, samples_per_decade, monkeypatch):
+        dense_eval, calls = ode._dense_eval, []
+
+        def spy(*args):
+            calls.append((*args, dense_eval(*args)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(ode, "_dense_eval", spy)
+        cfg = IntegratorConfig(samples_per_decade=samples_per_decade)
+        traj = integrate_adaptive(DECAY, 0.0, 20.0, [1.0], cfg)
+        block, n = ode._DENSE_BLOCK, len(traj.times) - 1  # rows 1..n, row n then y(t1)
+        sizes = [block] * (n // block) + ([n % block] if n % block else [])
+        assert [len(c[0]) for c in calls] == sizes
+        thetas = np.concatenate([c[0][:, 0] for c in calls])
+        hs = np.concatenate([c[3][:, 0] for c in calls])
+        assert np.all((0 < thetas) & (thetas <= 1))
+        if samples_per_decade == 4096:
+            assert len(np.unique(hs)) < n / 10  # many samples share a step
+        else:
+            assert n < block
+        npt.assert_array_equal(np.concatenate([c[-1] for c in calls])[:-1], traj.states[1:-1])
+        for theta, y0, ydiff, h, k, out in calls:
+            for i in range(len(theta)):
+                one = dense_eval(float(theta[i, 0]), y0[i], ydiff[i], float(h[i, 0]), k[i])
+                npt.assert_allclose(out[i], one, rtol=4.5e-16, atol=0.0)  # 2 ulp
+        npt.assert_allclose(traj.states[:, 0], np.exp(-traj.times), rtol=1e-7, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 7, 10**6])
+    def test_block_size_does_not_change_samples(self, block, monkeypatch):
+        cfg = IntegratorConfig(samples_per_decade=512)
+        ref = integrate_adaptive(DECAY, 0.0, 20.0, [1.0, 2.0], cfg)
+        monkeypatch.setattr(ode, "_DENSE_BLOCK", block)
+        traj = integrate_adaptive(DECAY, 0.0, 20.0, [1.0, 2.0], cfg)
+        npt.assert_array_equal(traj.states, ref.states)
