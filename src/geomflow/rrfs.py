@@ -162,7 +162,6 @@ class RRFSState:
         metric = metric or _Metric(g)
         _check_spd_field(G, "fiber metric G")
         object.__setattr__(self, "_metric", metric)
-        object.__setattr__(self, "_g_min_eig", metric.min_eig)
         object.__setattr__(self, "_bundles", {})  # grid -> _Geometry, see _Geometry.of
         for name, arr in zip("gAG", (g, A, G)):
             object.__setattr__(self, name, arr)
@@ -277,7 +276,7 @@ class _Geometry:
     @classmethod
     def of(cls, state: RRFSState, grid: PeriodicGrid) -> _Geometry:
         """The bundle ``state`` keeps for ``grid``, built on first use; it lives as
-        long as the state.  ``integrate_rrfs`` builds its own, which no state keeps."""
+        long as the state, or until ``integrate_rrfs`` records the state."""
         geo = state._bundles.get(grid)
         if geo is None:
             geo = state._bundles[grid] = cls(state, grid)
@@ -557,15 +556,12 @@ def rrfs_rhs_terms(
 
 
 def rrfs_rhs(
-    state: RRFSState, grid: PeriodicGrid, spec: RescalingSpec, *, fields="gAG", geometry=None
+    state: RRFSState, grid: PeriodicGrid, spec: RescalingSpec, *, fields="gAG"
 ) -> tuple[np.ndarray, ...]:
     """Right-hand side of the rescaled flow system for each of ``fields`` ("g",
     "A", "G"), by default (dg/dt, dA/dt, dG/dt); no other field's terms are built.
-
-    ``geometry`` is a fresh ``_Geometry`` of ``state`` to fill in place of a
-    new one, for a caller that reads the state's diagnostics afterwards.
-    """
-    geo = _Geometry(state, grid) if geometry is None else geometry
+    It reads the state's own bundle, which the diagnostics then share."""
+    geo = _Geometry.of(state, grid)
     s = geo.s(spec)
     out = []
     for field in fields:
@@ -614,9 +610,9 @@ def integrate_rrfs(
     one flat array.  Every state shares the frozen fields, and a frozen g its
     checked ``_Metric``.
 
-    Stage 1 runs once per accepted state, and its k1 serves every halving.
-    The energy, volume and s of each accepted state but the last come from
-    the ``_Geometry`` of that ``rrfs_rhs``; the final state builds its own.
+    Stage 1 runs once per accepted state; its k1 serves every halving and its
+    bundle gives the state's energy, volume and s.  Recording a state drops
+    its bundle, so no state of the run, the input included, keeps one.
     """
     if not (np.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be a positive finite number, got {t_end!r}")
@@ -639,29 +635,31 @@ def integrate_rrfs(
         y.setflags(write=False)  # ours alone: read-only, so RRFSState shares A, not copies it
         return RRFSState(**fixed, **{key: y[c].reshape(shape) for key, c, shape in cuts})
 
-    def rhs_flat(st, **kwargs):
-        k = [k_field.ravel() for k_field in rrfs_rhs(st, grid, spec, fields=moving, **kwargs)]
+    def rhs_flat(st):
+        k = [k_field.ravel() for k_field in rrfs_rhs(st, grid, spec, fields=moving)]
         return np.concatenate(k) if k[1:] else k[0]
 
     def stage(t, y):  # the RK4 right-hand side; k1 is computed once per accepted state
         return k1 if y is y_state else rhs_flat(unpack(y))
 
-    rows = []  # (t, energy, volume, s) at each accepted state
+    def record(t, st):  # the row of an accepted state, from the bundle stage 1 left; drops it
+        geo = _Geometry.of(st, grid)
+        rows.append((t, geo.energy, geo.volume, geo.s(spec)))
+        del st._bundles[grid]
 
+    rows = []  # (t, energy, volume, s) at each accepted state
     t = 0.0
     state, y_state = state0, np.concatenate([f.ravel() for f in fields])
     snapshots = [state0]
     next_snap = 1
 
     while t < t_end * (1 - 1e-12):
-        dt_cfl = kappa_cfl * h_min * h_min * state._g_min_eig
+        dt_cfl = kappa_cfl * h_min * h_min * state._metric.min_eig
         if dt_cfl <= 0 or not np.isfinite(dt_cfl):
             raise CFLCollapse(f"CFL step collapsed at t = {t:.6g}")
         dt = min(dt_cfl, t_end - t)
-        geo = _Geometry(state, grid)
-        k1 = rhs_flat(state, geometry=geo)  # stage 1, at a state that is already checked
-        rows.append((t, geo.energy, geo.volume, geo.s(spec)))
-        del geo  # no bundle outlives its stage
+        k1 = rhs_flat(state)  # stage 1, at a state that is already checked
+        record(t, state)
         rejections = 0
         while True:
             try:
@@ -680,8 +678,7 @@ def integrate_rrfs(
             snapshots.append(state)
             next_snap += 1
 
-    geo = _Geometry(state, grid)
-    rows.append((t, geo.energy, geo.volume, geo.s(spec)))
+    record(t, state)
     snapshots.append(state)
     return RRFSRun(*np.array(rows).T, snapshots)
 

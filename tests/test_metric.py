@@ -32,7 +32,7 @@ def state_with_g(g):
 def test_min_eig_of_anisotropic_g_against_eigvalsh(g):
     st = state_with_g(g)
     want = float(np.linalg.eigvalsh(st.g)[..., 0].min())
-    assert abs(st._g_min_eig / want - 1) <= 1e-13
+    assert abs(st._metric.min_eig / want - 1) <= 1e-13
 
 
 def test_run_from_anisotropic_g_completes():

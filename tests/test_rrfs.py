@@ -529,7 +529,7 @@ class TestStencilCalls:
         rrfs_rhs(st, S1_64, RescalingSpec("off"), fields="G")  # Gamma is now known
         for calls in sizes_in.values():
             calls.clear()
-        rrfs_rhs(st, S1_64, RescalingSpec("off"), fields="G")
+        rrfs_rhs(RRFSState(st._metric, st.A, st.G), S1_64, RescalingSpec("off"), fields="G")
         assert sizes_in == {"d_central": [4 * 64], "d2_central": [4 * 64]}
 
     def test_2d_all_fields_moving(self, sizes_in):
@@ -724,8 +724,9 @@ class TestSPDGuard:
 class TestStageOneDiagnostics:
     """``integrate_rrfs`` builds one ``_Geometry`` per RHS stage and one for
     the final state, and runs stage 1 once per accepted state: the energy,
-    volume and s of every other accepted state come from the bundle of that
-    stage-1 RHS.  Every state it builds runs the full ``RRFSState`` check."""
+    volume and s of every other accepted state come from the bundle that
+    stage-1 RHS left on the state.  Every state it builds runs the full
+    ``RRFSState`` check."""
 
     GRID_2D = PeriodicGrid((16, 16), (2 * np.pi,) * 2)
     # (grid, seed, amplitude, spec, t_end, kappa_cfl, whether g and A evolve,
@@ -747,6 +748,7 @@ class TestStageOneDiagnostics:
         st = random_smooth_state(seed, grid, 2, amplitude=amplitude,
                                  perturb_g=True, perturb_A=True)
         built, calls, checked = [0], [], [0]  # calls: (state, whether a stage 1) per rrfs_rhs
+        in_rk4 = [False]  # stages 2-4 run inside rk4_step, stage 1 before it
 
         class Counting(rrfs._Geometry):
             def __init__(self, *args):
@@ -755,16 +757,24 @@ class TestStageOneDiagnostics:
 
         def rhs(state, grid, spec, **kwargs):
             assert list(kwargs["fields"]) == (["g", "A", "G"] if evolves else ["G"])
-            calls.append((state, "geometry" in kwargs))
+            calls.append((state, not in_rk4[0]))
             return rhs_orig(state, grid, spec, **kwargs)
+
+        def rk4(*args):
+            in_rk4[0] = True
+            try:
+                return rk4_orig(*args)
+            finally:
+                in_rk4[0] = False
 
         def check(self):
             checked[0] += 1
             return check_orig(self)
 
-        rhs_orig, check_orig = rrfs.rrfs_rhs, RRFSState.__post_init__
+        rhs_orig, check_orig, rk4_orig = rrfs.rrfs_rhs, RRFSState.__post_init__, rrfs.rk4_step
         monkeypatch.setattr(rrfs, "_Geometry", Counting)
         monkeypatch.setattr(rrfs, "rrfs_rhs", rhs)
+        monkeypatch.setattr(rrfs, "rk4_step", rk4)
         monkeypatch.setattr(RRFSState, "__post_init__", check)
         run = integrate_rrfs(st, grid, spec, t_end, kappa_cfl=kappa,
                              evolve_g=evolves, evolve_A=evolves)
@@ -828,8 +838,8 @@ class TestGeometryMemo:
 
     @staticmethod
     def rhs_and_diagnostics(st, grid, spec, fields):
-        geo = rrfs._Geometry(st, grid)
-        rrfs_rhs(st, grid, spec, fields=fields, geometry=geo)
+        rrfs_rhs(st, grid, spec, fields=fields)
+        geo = rrfs._Geometry.of(st, grid)
         return geo.energy, geo.volume, geo.s(spec)
 
     def test_2d_all_fields_moving(self, counts):
@@ -843,8 +853,8 @@ class TestGeometryMemo:
     def test_1d_frozen_g(self, counts):
         st = random_smooth_state(1, S1_64, 2)
         st._metric.per_grid = {}  # a frozen g, as integrate_rrfs keeps it
-        for _ in range(2):
-            self.rhs_and_diagnostics(st, S1_64, RescalingSpec("volume"), "G")
+        for state in (st, RRFSState(st._metric, st.A, st.G)):  # two bundles on one g
+            self.rhs_and_diagnostics(state, S1_64, RescalingSpec("volume"), "G")
         assert set(counts.values()) == {1}
         per_name = [name for _, name in counts]
         for name in ("ginv", "christoffels", "gamma", "scalar_curvature"):
@@ -977,6 +987,56 @@ class TestStateBundle:
         run = integrate_rrfs(self.make(grid), grid, self.SPEC, 0.02, n_snapshots=3)
         assert len(run.snapshots) == 3
         assert all(st._bundles == {} for st in run.snapshots)
+
+
+class TestRHSReadsTheStateBundle:
+    """``rrfs_rhs`` and ``integrate_rrfs`` read the state's own bundle
+    (``_Geometry.of``) like the public functions: one bundle serves the RHS
+    and the diagnostics of a state, and a run reads a bundle that is already
+    filled, gives the results of a fresh state and drops it."""
+
+    SPEC = TestStateBundle.SPEC
+    RUNS = {"coupled_2d": (TestStateBundle.GRIDS["2d"], 0.05, True),
+            "frozen_1d": (S1_64, 0.01, False)}  # (grid, t_end, whether g and A evolve)
+
+    @pytest.mark.parametrize("grid", TestStateBundle.GRIDS.values(),
+                             ids=TestStateBundle.GRIDS.keys())
+    def test_rhs_and_diagnostics_build_one_bundle(self, grid, monkeypatch):
+        built = []
+
+        class Counting(rrfs._Geometry):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        fns = {"rrfs_rhs": lambda st: rrfs_rhs(st, grid, self.SPEC),
+               "energy_G": lambda st: energy_G(st, grid), "volume": lambda st: volume(st, grid),
+               "s_volume": lambda st: s_volume(st, grid),
+               "rrfs_rhs_terms": lambda st: rrfs_rhs_terms(st, grid, self.SPEC)}
+        monkeypatch.setattr(rrfs, "_Geometry", Counting)
+        st = TestStateBundle.make(grid)
+        got = {name: fn(st) for name, fn in fns.items()}
+        assert len(built) == 1 and st._bundles == {grid: built[0]}
+        for name, fn in fns.items():
+            TestStateBundle.assert_same(got[name], fn(TestStateBundle.make(grid)))
+
+    @pytest.mark.parametrize("grid, t_end, evolves", RUNS.values(), ids=RUNS.keys())
+    def test_run_from_a_filled_bundle_equals_a_fresh_run(self, grid, t_end, evolves):
+        st = TestStateBundle.make(grid)
+        for fn in TestStateBundle.functions().values():
+            fn(st, grid)
+        assert list(st._bundles) == [grid]
+        runs = [integrate_rrfs(state, grid, self.SPEC, t_end, evolve_g=evolves,
+                               evolve_A=evolves, n_snapshots=3)
+                for state in (st, TestStateBundle.make(grid))]
+        assert len(runs[0].step_times) > 3
+        for key in ("step_times", "energies", "volumes", "s_values"):
+            TestStateBundle.assert_same(getattr(runs[0], key), getattr(runs[1], key))
+        for key in "gAG":
+            TestStateBundle.assert_same(getattr(runs[0].final_state, key),
+                                        getattr(runs[1].final_state, key))
+        assert runs[0].snapshots[0] is st and st._bundles == {}
+        assert all(state._bundles == {} for run in runs for state in run.snapshots)
 
 
 class TestStageStatesSymmetric:
@@ -1133,7 +1193,7 @@ class TestSPDElimination:
             st = RRFSState(**f)
         assert st._metric.det[0, 0] == 1e200
         assert st._metric.det[3, 4] == pytest.approx(1.999e307, rel=1e-12)
-        assert st._g_min_eig == 1e100
+        assert st._metric.min_eig == 1e100
 
     def test_base_metric_must_be_1x1_or_2x2(self):
         with pytest.raises(ValueError, match="base metric g must be 1x1 or 2x2"):
@@ -1161,7 +1221,7 @@ class TestClosedFormMetric:
             g = np.einsum("...ik,...k,...jk->...ij", R, np.stack([big, 1 / big], -1), R)
             st = RRFSState(g * st.g[..., :1, :1], st.A, st.G)
         w = np.linalg.eigvalsh(st.g)
-        assert abs(st._g_min_eig / w[..., 0].min() - 1) <= 1e-13
+        assert abs(st._metric.min_eig / w[..., 0].min() - 1) <= 1e-13
         npt.assert_allclose(st._metric.sqrt_det, np.sqrt(np.linalg.det(st.g)), rtol=1e-13, atol=0)
         ginv = rrfs._grid_first(rrfs._Geometry(st, grid).ginv, grid.n_base)
         want = np.linalg.inv(st.g)
