@@ -151,7 +151,7 @@ def exact_ricci_solution(t: float, A0: float, C0: float) -> Nil3State:
 
 def make_system(params: Nil3Params) -> ODESystem:
     def f(t, y):
-        return np.array(_flow(*y.tolist(), params.f(t)))  # floats, not numpy scalars
+        return _flow(*y.tolist(), params.f(t))  # three floats, not numpy scalars
 
     return ODESystem(rhs=f, positive_components=(0, 1, 2))
 
@@ -274,15 +274,33 @@ def predicted_constants(params: Nil3Params, alpha: float | None = None) -> dict:
     for B^2; the C-prefactor consistent with B*C = Phi is reported alongside
     its doubled variant, which conservation rules out.  ``A_slope`` is
     leading order only: A / (A_slope t) = 1 + 1/(2 log t)
-    + O(log log t / log^2 t).  Power coupling: exponents
-    (1/3, 1/3, -1/3) and, given a measured A-prefactor alpha, the implied
-    B- and C-prefactors.
+    + O(log log t / log^2 t).
+
+    Power coupling c(t) = c0 (1 + t)^(-r) splits at r = 2/3, and
+    ``power_regime`` names the branch used.  With A' = Phi/B^2 + f,
+    f ~ 2 a^2 c~0 t^(-r) (c~0 = c0 time_scale^(-r)), (B^2)' = 2 Phi/A and
+    C = Phi/B:
+
+    * ``"zero"``, a^2 c0 = 0: the zero-coupling answer.
+    * ``"fast_decay"``, r > 2/3: the forcing integral grows slower than
+      t^(1/3), so the exponents are (1/3, 1/3, -1/3) and, given a measured
+      A-prefactor alpha, B ~ sqrt(3 Phi/alpha) and C = Phi/B.
+    * ``"slow_decay"``, r < 2/3: A ~ alpha t^(1-r) and B^2 ~ beta t^r.  Then
+      (B^2)' = 2 Phi/A gives beta = 2 Phi/(alpha r), so Phi/B^2 is of the
+      forcing's order t^(-r), and A' = alpha (1 - r) t^(-r) solves to
+      ``A_prefactor`` alpha = 2 a^2 c~0 / (1 - 3r/2).  The exponents are
+      (1 - r, r/2, -r/2); given alpha, B ~ sqrt(2 Phi/(alpha r)) and C = Phi/B.
+    * ``"marginal"``, r = 2/3, where alpha has its pole: A grows as
+      t^(1/3) log t and B^2 as t^(2/3) / log t, so the exponents are
+      (1/3, 1/3, -1/3) up to logarithms and no prefactors are given.
     """
     s0 = params.state0
     K = s0.A * s0.B / (3.0 * s0.C)
     phi = params.phi0
-    out = {"K": K, "phi": phi, "regime": params.coupling.kind}
-    if params.coupling.kind == "zero":
+    coupling = params.coupling
+    out = {"K": K, "phi": phi, "regime": coupling.kind}
+    a2c = params.slope.a**2 * coupling.c0
+    if coupling.kind == "zero" or (coupling.kind == "power" and a2c == 0):
         out.update(
             exponents={"A": 1 / 3, "B": 1 / 3, "C": -1 / 3},
             prefactors={
@@ -291,8 +309,9 @@ def predicted_constants(params: Nil3Params, alpha: float | None = None) -> dict:
                 "C": s0.C * K ** (1 / 3),
             },
         )
-    elif params.coupling.kind == "constant":
-        a2c = params.slope.a**2 * params.coupling(0.0)
+        if coupling.kind == "power":
+            out["power_regime"] = "zero"
+    elif coupling.kind == "constant":
         if a2c == 0:
             raise ValueError("constant regime requires a^2 c > 0")
         out.update(
@@ -301,13 +320,27 @@ def predicted_constants(params: Nil3Params, alpha: float | None = None) -> dict:
             C_prefactor=np.sqrt(a2c * phi),
             C_prefactor_doubled=2.0 * np.sqrt(a2c * phi),
         )
+    elif coupling.r < 2 / 3:
+        r = coupling.r
+        out.update(
+            power_regime="slow_decay",
+            exponents={"A": 1 - r, "B": r / 2, "C": -r / 2},
+            A_prefactor=2.0 * a2c * coupling.time_scale ** (-r) / (1 - 1.5 * r),
+        )
+        if alpha is not None:
+            B = float(np.sqrt(2.0 * phi / (alpha * r)))
+            out.update(B_prefactor=B, C_prefactor=phi / B)
     else:
         out.update(exponents={"A": 1 / 3, "B": 1 / 3, "C": -1 / 3})
-        if alpha is not None:
-            out.update(
-                B_prefactor=float(np.sqrt(3.0 * phi / alpha)),
-                C_prefactor=float(np.sqrt(alpha * phi / 3.0)),
-            )
+        if coupling.r == 2 / 3:
+            out["power_regime"] = "marginal"
+        else:
+            out["power_regime"] = "fast_decay"
+            if alpha is not None:
+                out.update(
+                    B_prefactor=float(np.sqrt(3.0 * phi / alpha)),
+                    C_prefactor=float(np.sqrt(alpha * phi / 3.0)),
+                )
     return out
 
 

@@ -45,7 +45,12 @@ class DegenerateOrder(RuntimeError):
 
 @dataclass(frozen=True)
 class ODESystem:
-    """The input of ``integrate_adaptive``: rhs and the components it keeps positive."""
+    """The input of ``integrate_adaptive``: rhs and the components it keeps positive.
+
+    ``rhs(t, y)`` returns dy/dt as any length-n sequence of floats (an ndarray,
+    a list or a tuple), n = len(y); each positive component is an integer index
+    in range(-n, n).
+    """
 
     rhs: callable  # (t, y) -> dy/dt, pure and deterministic
     positive_components: tuple[int, ...] = ()
@@ -143,6 +148,14 @@ def rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _positive_indices(components, n: int) -> list[int]:
+    """The flagged components as a list, each checked to be an integer in range(-n, n)."""
+    for i in components:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not -n <= i < n:
+            raise ValueError(f"positive component {i!r} is not an integer in range({-n}, {n})")
+    return list(components)
+
+
 def _check_interval(t0: float, t1: float):
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValueError(f"t0 and t1 must be finite, got {t0!r} and {t1!r}")
@@ -196,6 +209,7 @@ def integrate_adaptive(
     cfg = cfg or IntegratorConfig()
     sample_t = log_sample_times(t0, t1, cfg.samples_per_decade)  # checks t0 and t1
     y0 = np.asarray(y0, dtype=float)
+    pos = _positive_indices(sys.positive_components, len(y0))
     if not np.isfinite(y0).all():
         raise NonFiniteState("initial state is not finite", t0)
     if t1 == t0:
@@ -209,8 +223,8 @@ def integrate_adaptive(
     # t1 less a relative 1e-15, toward zero when t1 < 0
     t_stop = t1 * (1 - 1e-15) if t1 >= 0 else t1 * (1 + 1e-15)
 
-    pos = list(sys.positive_components)
     t, y = t0, y0.copy()
+    abs_y = np.abs(y)
     k1 = np.asarray(sys.rhs(t, y))
     h = min(_H_INIT, t1 - t0)
     err_prev = 1.0
@@ -233,14 +247,17 @@ def integrate_adaptive(
             k[i] = sys.rhs(t + _C[i] * h, yi)
         y_new = yi  # the 7th stage's state is the solution (FSAL)
         # a non-finite k7 = f(y_new) makes it a non-finite state too, rather than
-        # an error estimate whose norm is NaN or inf
-        finite = np.isfinite(y_new).all() and np.isfinite(k[6]).all()
-        if not finite or (pos and (y_new[pos] <= 0.0).any()):
+        # an error estimate whose norm is NaN or inf; the tests run on Python
+        # floats, finiteness first, so min() below never sees a NaN
+        y_list = y_new.tolist()
+        finite = all(map(math.isfinite, y_list)) and all(map(math.isfinite, k[6].tolist()))
+        if not finite or (pos and min([y_list[i] for i in pos]) <= 0.0):
             cause = PositivityLost if finite else NonFiniteState
             h *= 0.5
             continue
 
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        abs_new = np.abs(y_new)
+        scale = cfg.atol + cfg.rtol * np.maximum(abs_y, abs_new)
         e = hw[7] @ k / scale  # RMS norm: the same double as np.sqrt(np.mean(e**2))
         err = math.sqrt(float(np.add.reduce(e * e)) / len(e))
 
@@ -258,7 +275,7 @@ def integrate_adaptive(
                 next_sample += 1
                 if len(pending) == _DENSE_BLOCK:
                     _fill_dense(out_states, next_sample, pending)
-            t, y, k1 = t_new, y_new, k[6]  # FSAL
+            t, y, k1, abs_y = t_new, y_new, k[6], abs_new  # FSAL
             if t >= t_stop and next_sample >= len(times):
                 if pending:
                     _fill_dense(out_states, next_sample, pending)

@@ -314,6 +314,64 @@ class TestPredictedConstants:
         assert out["B_prefactor"] == pytest.approx(np.sqrt(3.0 / 3.0 ** (1 / 3)))
 
 
+class TestPowerRegimes:
+    """Power coupling c0 (1 + t)^(-r) splits at r = 2/3 (``power_regime``)."""
+
+    @staticmethod
+    def params(r, a=1.0, c0=0.5):
+        return Nil3Params(Nil3State(1, 1, 1), MapSlope(a), CouplingSchedule.power(c0, r))
+
+    @pytest.mark.parametrize("r,name", [(0.3, "slow_decay"), (2 / 3, "marginal"),
+                                        (0.8, "fast_decay"), (2.0, "fast_decay")])
+    def test_regime_named(self, r, name):
+        out = predicted_constants(self.params(r))
+        assert out["regime"] == "power" and out["power_regime"] == name
+
+    def test_slow_decay_exponents_and_prefactor(self):
+        out = predicted_constants(self.params(0.3))
+        assert out["exponents"] == {"A": 0.7, "B": 0.15, "C": -0.15}
+        assert out["A_prefactor"] == pytest.approx(2 * 0.5 / (1 - 0.45))
+        assert "B_prefactor" not in out
+        out = predicted_constants(self.params(0.3), alpha=2.0)
+        assert out["B_prefactor"] == pytest.approx(np.sqrt(2.0 / (2.0 * 0.3)))
+        assert out["C_prefactor"] * out["B_prefactor"] == pytest.approx(1.0)
+
+    def test_slow_decay_prefactor_follows_blowdown(self):
+        # c(t) = c0 s^2 (1 + s t)^(-r) ~ c0 s^(2-r) t^(-r); A_s(t) = A(s t)/s
+        p = self.params(0.3)
+        s = 10.0
+        p_s, _ = blowdown(p, oracle_trajectory(1.0), s)
+        alpha, alpha_s = (predicted_constants(q)["A_prefactor"] for q in (p, p_s))
+        assert alpha_s == pytest.approx(alpha * s ** (1 - 0.3) / s)
+
+    def test_marginal_has_no_prefactors(self):
+        out = predicted_constants(self.params(2 / 3), alpha=1.0)
+        assert out["exponents"] == {"A": 1 / 3, "B": 1 / 3, "C": -1 / 3}
+        assert not [k for k in out if "prefactor" in k]
+
+    @pytest.mark.parametrize("a,c0", [(0.0, 0.5), (1.0, 0.0)])
+    @pytest.mark.parametrize("r", [0.3, 2 / 3, 2.0])
+    def test_zero_coupling_answer(self, a, c0, r):
+        out = predicted_constants(self.params(r, a, c0))
+        assert out.pop("regime") == "power" and out.pop("power_regime") == "zero"
+        ref = predicted_constants(ricci_params(1.0, 1.0, 1.0))
+        assert out == {k: v for k, v in ref.items() if k != "regime"}
+
+    @pytest.mark.parametrize("r", [0.3, 0.5])
+    def test_slow_decay_fits(self, r):
+        # unit data, a = 1, c0 = 0.5, fitted on the last three of twelve decades
+        p = self.params(r)
+        traj = integrate_nil3(p, 1e12)
+        fits = {c: fit_power_law(traj, c, (1e9, 1e12)) for c in "ABC"}
+        pred = predicted_constants(p, alpha=fits["A"].prefactor)
+        for c in "ABC":
+            assert fits[c].exponent == pytest.approx(pred["exponents"][c], abs=0.02)
+        assert fits["B"].prefactor == pytest.approx(pred["B_prefactor"], rel=0.05)
+        assert fits["C"].prefactor == pytest.approx(pred["C_prefactor"], rel=0.05)
+        if r == 0.3:  # at r = 0.5 the t^(-r) corrections are still large at 1e12
+            assert fits["A"].prefactor == pytest.approx(pred["A_prefactor"], rel=0.02)
+
+
 class TestBounds:
     def test_oracle_run_satisfies_bounds(self):
         p = ricci_params()
