@@ -202,8 +202,9 @@ def cmd_rrfs(args) -> int:
 def _tension_gap(seed: int, grid: rrfs.PeriodicGrid, n_fiber: int) -> float:
     """Relative sup-gap of the two tension fields of one seeded state, which
     share the state's geometry bundle; both die when this returns.  The general
-    form runs first: its node-stacked temporaries, the largest of the command,
-    then meet a bundle that does not yet hold G^-1 dG and the gradient square."""
+    form runs first and forms its connection terms one base-index pair at a
+    time, so its temporaries are a few [i, j] fields and meet a bundle that
+    does not yet hold G^-1 dG and the gradient square."""
     state = rrfs.random_smooth_state(seed, grid, n_fiber, perturb_g=True)
     gen = rrfs.tension_G_general(state, grid)
     simp = rrfs.tension_G_simplified(state, grid)

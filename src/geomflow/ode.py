@@ -209,6 +209,8 @@ def integrate_adaptive(
     cfg = cfg or IntegratorConfig()
     sample_t = log_sample_times(t0, t1, cfg.samples_per_decade)  # checks t0 and t1
     y0 = np.asarray(y0, dtype=float)
+    if y0.ndim != 1 or not len(y0):  # a scalar has no len(), [] no RMS error norm
+        raise ValueError(f"y0 must be a non-empty 1-D vector, got shape {y0.shape}")
     pos = _positive_indices(sys.positive_components, len(y0))
     if not np.isfinite(y0).all():
         raise NonFiniteState("initial state is not finite", t0)

@@ -27,6 +27,7 @@ from .spd import _christoffel_stacked, _sym, is_spd
 
 KAPPA_CFL = 0.2
 _SMOOTH_MODES = 3  # Fourier modes of each random scalar field
+_TAYLOR_DEGREE = 14  # of exp on a row-sum norm of at most 1/2, see _expm_sym
 _EPS = {1: (), 2: ((0, 1, 1.0), (1, 0, -1.0))}  # per base dimension, see _Geometry.eps
 # snapshot rows formatted per % operation: larger blocks format a little faster, but
 # hold more Python floats at once (256 rows raised the peak memory of a CLI session)
@@ -466,12 +467,15 @@ def tension_G_general(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     g^{ab} (d_a d_b G - Gamma^c_ab d_c G + Gamma_target(d_a G, d_b G)) with
     Gamma_target(X, Y) = -1/2 (X G^-1 Y + Y G^-1 X).  Agrees with the
     divergence form identically; both share the same discrete derivatives.
+    Gamma_target is formed by ``spd._christoffel_stacked`` for one (a, b) at a
+    time, component-major, before g^{ab} weighs it into one [i, j] sum.
     """
     geo = _Geometry.of(state, grid)
-    ginv, Ginv, dG = (_grid_first(f, geo.n) for f in (geo.ginv, geo.Ginv, geo.first["dG"]))
-    gamma = _christoffel_stacked(Ginv[..., None, None, :, :], dG[..., :, None, :, :],
-                                 dG[..., None, :, :, :])  # [..., a, b, i, j]
-    return _grid_first(geo.laplacian_G, geo.n) + np.einsum("...ab,...abij->...ij", ginv, gamma)
+    dG, out = geo.first["dG"], geo.laplacian_G.copy()
+    for a in range(geo.n):
+        for b in range(geo.n):
+            out += geo.ginv[a, b] * _christoffel_stacked(geo.Ginv, dG[a], dG[b])
+    return _grid_first(out, geo.n)
 
 
 def grad_G_norm_sq(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
@@ -701,8 +705,31 @@ def _smooth_scalar(rng: np.random.Generator, grid: PeriodicGrid):
 
 
 def _expm_sym(S: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(_sym(S))
-    return np.einsum("...ik,...k,...jk->...ij", v, np.exp(w), v)
+    """exp(S) per node of a symmetric component-major [i, j, *grid] field, by scaling
+    and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005): S = mu I + X with
+    mu = tr S / N, X halved s times (exactly) to a row-sum norm of at most 1/2, the
+    degree-14 Taylor polynomial of X by Horner, s squarings, then e^mu.  Each node's
+    value depends on its own S alone; N = 1 gives e^S, and N = 0 passes through."""
+    N = len(S)
+    if not N:
+        return S
+    mu = sum(S[i, i] for i in range(N)) / N
+    X = S.copy()
+    for i in range(N):
+        X[i, i] -= mu
+    norm = reduce(np.maximum, [sum(map(np.abs, row)) for row in X])  # row-sum norm per node
+    s = np.maximum(np.frexp(2.0 * norm)[1], 0)  # 2 norm < 2^s, so |X 2^-s| <= 1/2
+    X = np.ldexp(X, -s)
+    E = X / _TAYLOR_DEGREE  # Taylor remainder < eps / 9, and |exp X| >= 1 as tr X = 0
+    for k in range(_TAYLOR_DEGREE - 1, -1, -1):
+        for i in range(N):
+            E[i, i] += 1.0
+        if k:
+            E = np.einsum("ik...,kj...->ij...", X, E)
+            E /= k
+    for r in range(int(s.max())):  # only the nodes halved more than r times square again
+        E = np.where(s > r, np.einsum("ik...,kj...->ij...", E, E), E)
+    return E * np.exp(mu)
 
 
 def random_smooth_state(
@@ -719,10 +746,10 @@ def random_smooth_state(
     rng = np.random.default_rng(seed)
     n = grid.n_base
     shape = tuple(grid.sizes)
-    S = np.zeros(shape + (n_fiber, n_fiber))
+    S = np.empty((n_fiber, n_fiber) + shape)
     for i, j in zip(*np.triu_indices(n_fiber)):
-        S[..., i, j] = S[..., j, i] = amplitude * _smooth_scalar(rng, grid)
-    G = _expm_sym(S)
+        S[i, j] = S[j, i] = amplitude * _smooth_scalar(rng, grid)
+    G = np.ascontiguousarray(_grid_first(_expm_sym(S), n))
     g = np.broadcast_to(np.eye(n), shape + (n, n)).copy()
     if perturb_g:
         for a, b in zip(*np.triu_indices(n)):

@@ -31,10 +31,10 @@ def _as_square(entries) -> np.ndarray:
     return arr
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    """(m + m^T) / 2 over the last two axes."""
+def _sym(m: np.ndarray, axes=(-2, -1)) -> np.ndarray:
+    """(m + m^T) / 2 over two axes, by default the last two."""
     h = 0.5 * m  # halve first: exact, and the sum cannot overflow
-    return h + np.swapaxes(h, -1, -2)
+    return h + np.swapaxes(h, *axes)
 
 
 def is_spd(fld: np.ndarray) -> np.ndarray:
@@ -122,9 +122,11 @@ def christoffel(G: SPDMatrix, X: TangentVector, Y: TangentVector) -> TangentVect
 
 
 def _christoffel_stacked(Ginv: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The connection -1/2 (X G^-1 Y + Y G^-1 X) for symmetric X and Y, on
-    node-stacked [..., N, N] arrays that broadcast together, given G^-1."""
-    return -_sym(X @ Ginv @ Y)
+    """The connection -1/2 (X G^-1 Y + Y G^-1 X) for symmetric X and Y, given G^-1,
+    on component-major [N, N, ...] arrays whose node axes broadcast together: two
+    einsums over whole fields, no per-node matrix product."""
+    XG = np.einsum("ik...,kl...->il...", X, Ginv)
+    return -_sym(np.einsum("il...,lj...->ij...", XG, Y), (0, 1))
 
 
 def project_unit_det(G: SPDMatrix) -> SPDMatrix:

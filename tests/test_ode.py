@@ -178,6 +178,15 @@ class TestAdaptive:
         with pytest.raises(ValueError, match="^t1 must be >= t0$"):
             integrate_adaptive(DECAY, 1.0, 0.0, [1.0])
 
+    @pytest.mark.parametrize("y0, t1", [(1.0, 1.0), (1.0, 0.0), ([], 1.0), ([[1.0]], 1.0)],
+                             ids=["scalar", "scalar-empty-interval", "empty", "2d"])
+    def test_non_vector_initial_state_rejected_before_any_rhs_call(self, y0, t1):
+        calls = []
+        system = ODESystem(lambda t, y: calls.append(t) or -y)
+        with pytest.raises(ValueError, match="^y0 must be a non-empty 1-D vector, got shape "):
+            integrate_adaptive(system, 0.0, t1, y0)
+        assert calls == []
+
     @pytest.mark.parametrize("t0", [-1.0, -2.0])
     def test_start_at_or_below_minus_one_rejected(self, t0):
         with pytest.raises(ValueError, match=r"^t0 must be > -1, samples are log-spaced in 1 \+ t"):

@@ -147,24 +147,26 @@ class TestChristoffel:
 
 
 class TestChristoffelStacked:
-    """The node-stacked connection that ``rrfs.tension_G_general`` builds on."""
+    """The component-major connection that ``rrfs.tension_G_general`` builds on."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_single_node_form(self, n):
         # per node against christoffel(), which solves with G instead of
-        # multiplying by G^-1; X and Y broadcast over an (a, b) pair of axes
-        # as in the tension field
+        # multiplying by G^-1; X and Y broadcast over an (a, b) pair of node
+        # axes, which the tension field takes one pair at a time
         rng = np.random.default_rng(n)
         Gs = [random_spd(20 + k, n) for k in range(5)]
-        X = (lambda m: m + np.swapaxes(m, -1, -2))(rng.standard_normal((5, 2, n, n)))
-        Ginv = np.linalg.inv(np.stack([G.entries for G in Gs]))
-        got = _christoffel_stacked(Ginv[:, None, None], X[:, :, None], X[:, None, :])
-        assert got.shape == (5, 2, 2, n, n)
+        X = (lambda m: m + np.swapaxes(m, 0, 1))(rng.standard_normal((n, n, 5, 2)))
+        Ginv = np.moveaxis(np.linalg.inv(np.stack([G.entries for G in Gs])), 0, -1)
+        got = _christoffel_stacked(Ginv[..., None, None], X[..., :, None], X[..., None, :])
+        assert got.shape == (n, n, 5, 2, 2)
         for k, G in enumerate(Gs):
             for a in range(2):
                 for b in range(2):
-                    want = christoffel(G, TangentVector(X[k, a]), TangentVector(X[k, b]))
-                    npt.assert_allclose(got[k, a, b], want.entries, rtol=1e-12, atol=1e-12)
+                    want = christoffel(G, TangentVector(X[:, :, k, a]),
+                                       TangentVector(X[:, :, k, b]))
+                    npt.assert_allclose(got[:, :, k, a, b], want.entries, rtol=1e-12,
+                                        atol=1e-12)
 
     def test_geodesic_residual_stacked(self):
         # the geodesic check of TestChristoffel on a stack of curves at once
@@ -177,8 +179,9 @@ class TestChristoffelStacked:
                          for s, x in zip(roots, X)] for u in h * np.arange(-2, 3)])
         d1 = (-pts[4] + 8 * pts[3] - 8 * pts[1] + pts[0]) / (12 * h)
         d2 = (-pts[4] + 16 * pts[3] - 30 * pts[2] + 16 * pts[1] - pts[0]) / (12 * h * h)
-        gamma = _christoffel_stacked(np.linalg.inv(pts[2]), d1, d1)
-        assert np.abs(d2 + gamma).max() <= 1e-8
+        Ginv, d1 = (np.moveaxis(m, 0, -1) for m in (np.linalg.inv(pts[2]), d1))
+        gamma = _christoffel_stacked(Ginv, d1, d1)  # component-major [i, j, curve]
+        assert np.abs(np.moveaxis(d2, 0, -1) + gamma).max() <= 1e-8
 
 
 class TestUnitDet:
