@@ -51,8 +51,10 @@ class MapSlope:
 class CouplingSchedule:
     """Coupling c(t): zero, a positive constant, or c0 (1+t)^(-r).
 
-    A blowdown by s multiplies ``c0`` by s^2 and ``time_scale`` by s, so the
-    transformed schedule evaluates to s^2 * c(s t) without leaving the type.
+    Each kind is stated by its values: zero has c0 = 0 and r = 0, constant
+    r = 0, power r > 0, and every kind a finite c0 >= 0.  A blowdown by s
+    multiplies ``c0`` by s^2 and ``time_scale`` by s, so the transformed
+    schedule evaluates to s^2 * c(s t) without leaving the type.
     """
 
     kind: str  # "zero" | "constant" | "power"
@@ -65,10 +67,14 @@ class CouplingSchedule:
             raise ValueError(f"unknown coupling kind {self.kind!r}")
         if not (np.isfinite(self.c0) and np.isfinite(self.r)):
             raise ValueError("coupling c0 and r must be finite")
-        if self.kind != "zero" and self.c0 < 0:
+        if self.c0 < 0:
             raise ValueError("c0 must be nonnegative")
+        if self.kind == "zero" and self.c0 != 0:
+            raise ValueError("zero coupling needs c0 = 0")
         if self.kind == "power" and self.r <= 0:
             raise ValueError("power coupling needs r > 0")
+        if self.kind != "power" and self.r != 0:
+            raise ValueError(f"{self.kind} coupling needs r = 0")
 
     @staticmethod
     def zero() -> "CouplingSchedule":
@@ -269,78 +275,54 @@ def fit_log_growth(
 def predicted_constants(params: Nil3Params, alpha: float | None = None) -> dict:
     """Predicted asymptotic constants for the active coupling regime.
 
-    Zero coupling: power-law prefactors from K = A0 B0 / (3 C0).  Constant
-    coupling: the leading-order A-slope 2 a^2 c and log-growth slope kappa
-    for B^2; the C-prefactor consistent with B*C = Phi is reported alongside
-    its doubled variant, which conservation rules out.  ``A_slope`` is
-    leading order only: A / (A_slope t) = 1 + 1/(2 log t)
-    + O(log log t / log^2 t).
+    With f = 2 a^2 c(t), A' = Phi/B^2 + f, (B^2)' = 2 Phi/A and C = Phi/B.
+    Constant coupling: the leading-order A-slope 2 a^2 c, the log-growth slope kappa of
+    B^2, and the C-prefactor consistent with B*C = Phi beside its doubled variant, which
+    conservation rules out.  ``A_slope`` is leading order only:
+    A / (A_slope t) = 1 + 1/(2 log t) + O(log log t / log^2 t).  B^2 grows like log t,
+    the r -> 0 limit of (t^r - 1)/r, so no power law covers this kind.
 
-    Power coupling c(t) = c0 (1 + t)^(-r) splits at r = 2/3, and
-    ``power_regime`` names the branch used.  With A' = Phi/B^2 + f,
-    f ~ 2 a^2 c~0 t^(-r) (c~0 = c0 time_scale^(-r)), (B^2)' = 2 Phi/A and
-    C = Phi/B:
+    Zero and power coupling c0 (1 + t)^(-r) share one regime rule, which the power kind
+    reports as ``power_regime``, and the exponents (1 - 2e, e, -e), e = r/2 in slow
+    decay and 1/3 otherwise:
 
-    * ``"zero"``, a^2 c0 = 0: the zero-coupling answer.
-    * ``"fast_decay"``, r > 2/3: the forcing integral grows slower than
-      t^(1/3), so the exponents are (1/3, 1/3, -1/3) and, given a measured
-      A-prefactor alpha, B ~ sqrt(3 Phi/alpha) and C = Phi/B.
-    * ``"slow_decay"``, r < 2/3: A ~ alpha t^(1-r) and B^2 ~ beta t^r.  Then
-      (B^2)' = 2 Phi/A gives beta = 2 Phi/(alpha r), so Phi/B^2 is of the
-      forcing's order t^(-r), and A' = alpha (1 - r) t^(-r) solves to
-      ``A_prefactor`` alpha = 2 a^2 c~0 / (1 - 3r/2).  The exponents are
-      (1 - r, r/2, -r/2); given alpha, B ~ sqrt(2 Phi/(alpha r)) and C = Phi/B.
-    * ``"marginal"``, r = 2/3, where alpha has its pole: A grows as
-      t^(1/3) log t and B^2 as t^(2/3) / log t, so the exponents are
-      (1/3, 1/3, -1/3) up to logarithms and no prefactors are given.
+    * ``"zero"``, a^2 c0 = 0: ``prefactors`` from K = A0 B0 / (3 C0).
+    * ``"slow_decay"``, r < 2/3: Phi/B^2 is of the forcing's order t^(-r), so
+      A' = f gives ``A_prefactor`` alpha = 2 a^2 c0 time_scale^(-r) / (1 - 3r/2).
+    * ``"fast_decay"``, r > 2/3: the forcing integral grows slower than t^(1/3).
+    * ``"marginal"``, r = 2/3, the pole of alpha: A ~ t^(1/3) log t and
+      B^2 ~ t^(2/3) / log t, so no prefactors are given.
+
+    In slow and fast decay, a measured ``alpha`` with A ~ alpha t^(1 - 2e) gives
+    B^2 ~ Phi t^(2e)/(alpha e): ``B_prefactor`` sqrt(Phi/(alpha e)), ``C_prefactor`` Phi/B.
     """
     s0 = params.state0
     K = s0.A * s0.B / (3.0 * s0.C)
     phi = params.phi0
-    coupling = params.coupling
+    coupling, r = params.coupling, params.coupling.r
     out = {"K": K, "phi": phi, "regime": coupling.kind}
     a2c = params.slope.a**2 * coupling.c0
-    if coupling.kind == "zero" or (coupling.kind == "power" and a2c == 0):
-        out.update(
-            exponents={"A": 1 / 3, "B": 1 / 3, "C": -1 / 3},
-            prefactors={
-                "A": s0.A * K ** (-1 / 3),
-                "B": s0.B * K ** (-1 / 3),
-                "C": s0.C * K ** (1 / 3),
-            },
-        )
-        if coupling.kind == "power":
-            out["power_regime"] = "zero"
-    elif coupling.kind == "constant":
+    if coupling.kind == "constant":
         if a2c == 0:
             raise ValueError("constant regime requires a^2 c > 0")
-        out.update(
-            A_slope=2.0 * a2c,
-            kappa_B2=phi / a2c,
-            C_prefactor=np.sqrt(a2c * phi),
-            C_prefactor_doubled=2.0 * np.sqrt(a2c * phi),
-        )
-    elif coupling.r < 2 / 3:
-        r = coupling.r
-        out.update(
-            power_regime="slow_decay",
-            exponents={"A": 1 - r, "B": r / 2, "C": -r / 2},
-            A_prefactor=2.0 * a2c * coupling.time_scale ** (-r) / (1 - 1.5 * r),
-        )
-        if alpha is not None:
-            B = float(np.sqrt(2.0 * phi / (alpha * r)))
-            out.update(B_prefactor=B, C_prefactor=phi / B)
-    else:
-        out.update(exponents={"A": 1 / 3, "B": 1 / 3, "C": -1 / 3})
-        if coupling.r == 2 / 3:
-            out["power_regime"] = "marginal"
-        else:
-            out["power_regime"] = "fast_decay"
-            if alpha is not None:
-                out.update(
-                    B_prefactor=float(np.sqrt(3.0 * phi / alpha)),
-                    C_prefactor=float(np.sqrt(alpha * phi / 3.0)),
-                )
+        out.update(A_slope=2.0 * a2c, kappa_B2=phi / a2c, C_prefactor=np.sqrt(a2c * phi),
+                   C_prefactor_doubled=2.0 * np.sqrt(a2c * phi))
+        return out
+    regime = ("zero" if a2c == 0 else "slow_decay" if r < 2 / 3
+              else "marginal" if r == 2 / 3 else "fast_decay")
+    if coupling.kind == "power":
+        out["power_regime"] = regime
+    slow = regime == "slow_decay"
+    e = r / 2 if slow else 1 / 3
+    out["exponents"] = {"A": 1 - r if slow else 1 / 3, "B": e, "C": -e}
+    if regime == "zero":
+        out["prefactors"] = {"A": s0.A * K ** (-1 / 3), "B": s0.B * K ** (-1 / 3),
+                             "C": s0.C * K ** (1 / 3)}
+    if slow:
+        out["A_prefactor"] = 2.0 * a2c * coupling.time_scale ** (-r) / (1 - 1.5 * r)
+    if alpha is not None and regime in ("slow_decay", "fast_decay"):
+        B = float(np.sqrt(phi / (alpha * e)))
+        out.update(B_prefactor=B, C_prefactor=phi / B)
     return out
 
 

@@ -622,6 +622,9 @@ def integrate_rrfs(
         raise ValueError(f"t_end must be a positive finite number, got {t_end!r}")
     if not (np.isfinite(kappa_cfl) and kappa_cfl > 0):
         raise ValueError(f"kappa_cfl must be a positive finite number, got {kappa_cfl!r}")
+    if not float(n_snapshots).is_integer():  # also NaN and inf
+        raise ValueError(f"n_snapshots must be an integer, got {n_snapshots!r}")
+    n_snapshots = int(n_snapshots)
     if n_snapshots < 2:
         raise ValueError(f"n_snapshots must be at least 2 (the initial and final state), "
                          f"got {n_snapshots!r}")
@@ -709,10 +712,8 @@ def _expm_sym(S: np.ndarray) -> np.ndarray:
     and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005): S = mu I + X with
     mu = tr S / N, X halved s times (exactly) to a row-sum norm of at most 1/2, the
     degree-14 Taylor polynomial of X by Horner, s squarings, then e^mu.  Each node's
-    value depends on its own S alone; N = 1 gives e^S, and N = 0 passes through."""
+    value depends on its own S alone, N = 1 gives e^S, and N must be at least 1."""
     N = len(S)
-    if not N:
-        return S
     mu = sum(S[i, i] for i in range(N)) / N
     X = S.copy()
     for i in range(N):
@@ -743,13 +744,16 @@ def random_smooth_state(
     """Seeded smooth periodic state: G = exp(symmetric Fourier field), flat-ish g."""
     if not np.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude!r}")
+    if n_fiber < 1:
+        raise ValueError("fiber dimension must be at least 1")
     rng = np.random.default_rng(seed)
     n = grid.n_base
     shape = tuple(grid.sizes)
     S = np.empty((n_fiber, n_fiber) + shape)
-    for i, j in zip(*np.triu_indices(n_fiber)):
-        S[i, j] = S[j, i] = amplitude * _smooth_scalar(rng, grid)
-    G = np.ascontiguousarray(_grid_first(_expm_sym(S), n))
+    with np.errstate(over="ignore", invalid="ignore"):  # RRFSState reports a non-finite G
+        for i, j in zip(*np.triu_indices(n_fiber)):
+            S[i, j] = S[j, i] = amplitude * _smooth_scalar(rng, grid)
+        G = np.ascontiguousarray(_grid_first(_expm_sym(S), n))
     g = np.broadcast_to(np.eye(n), shape + (n, n)).copy()
     if perturb_g:
         for a, b in zip(*np.triu_indices(n)):

@@ -285,8 +285,14 @@ class TestInputBoundary:
         assert capsys.readouterr().err == ""
 
     def test_zero_fiber_dimension_rejected(self, capsys):
-        assert cli.main(["rrfs", "--grid", "16", "--n-fiber", "0", "--t-end", "0.01"]) == 1
-        assert "fiber dimension must be at least 1" in capsys.readouterr().err
+        for n_fiber in ("0", "-1"):
+            assert cli.main(["rrfs", "--grid", "16", "--n-fiber", n_fiber, "--t-end", "0.01"]) == 1
+            assert "fiber dimension must be at least 1" in capsys.readouterr().err
+
+    def test_overflowing_amplitude_rejected_without_warning(self, capsys):
+        assert cli.main(["rrfs", "--grid", "16", "--n-fiber", "2", "--amplitude", "1000",
+                         "--t-end", "0.01"]) == 1
+        assert "fiber metric G has non-finite entries" in capsys.readouterr().err
 
     def test_zero_fiber_snapshot_rejected(self, tmp_path, capsys):
         snap = tmp_path / "n0.txt"

@@ -66,6 +66,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             CouplingSchedule("sinusoid")
 
+    @pytest.mark.parametrize("kind,c0,r", [("zero", 5.0, 0.0), ("zero", -1.0, 0.0),
+                                           ("zero", 0.0, 1.0), ("constant", 1.0, 3.0)])
+    def test_kind_states_its_values(self, kind, c0, r):
+        # zero: c0 = 0 and r = 0; constant: r = 0; power: r > 0; every kind c0 >= 0
+        with pytest.raises(ValueError):
+            CouplingSchedule(kind, c0=c0, r=r)
+
     @pytest.mark.parametrize("a", [np.nan, np.inf])
     def test_slope_must_be_finite(self, a):
         with pytest.raises(ValueError, match="^slope must be finite$"):
@@ -356,6 +363,24 @@ class TestPowerRegimes:
         assert out.pop("regime") == "power" and out.pop("power_regime") == "zero"
         ref = predicted_constants(ricci_params(1.0, 1.0, 1.0))
         assert out == {k: v for k, v in ref.items() if k != "regime"}
+
+    @pytest.mark.parametrize("r,e", [(0.3, 0.15), (2.0, 1 / 3)])
+    @pytest.mark.parametrize("alpha", [0.123456789, 2.0, 17.3])
+    def test_prefactor_law(self, r, e, alpha):
+        # A ~ alpha t^(1 - 2e) and (B^2)' = 2 Phi/A give B^2 alpha e = Phi, C = Phi/B
+        p = Nil3Params(Nil3State(0.7, 3.1, 0.2), MapSlope(1.0), CouplingSchedule.power(0.5, r))
+        out = predicted_constants(p, alpha=alpha)
+        B, C, phi = out["B_prefactor"], out["C_prefactor"], p.phi0
+        assert out["exponents"]["B"] == e
+        assert B * B * alpha * e == pytest.approx(phi, rel=1e-15)
+        assert B * C == pytest.approx(phi, rel=1e-15)
+
+    @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.6])
+    @pytest.mark.parametrize("alpha", [0.123456789, 1.0, 2.0, 17.3])
+    def test_slow_decay_prefactor_bit_equal(self, r, alpha):
+        p = Nil3Params(Nil3State(0.7, 3.1, 0.2), MapSlope(1.0), CouplingSchedule.power(0.5, r))
+        out = predicted_constants(p, alpha=alpha)
+        assert out["B_prefactor"] == float(np.sqrt(2.0 * p.phi0 / (alpha * r)))
 
     @pytest.mark.parametrize("r", [0.3, 0.5])
     def test_slow_decay_fits(self, r):

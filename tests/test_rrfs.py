@@ -600,6 +600,39 @@ class TestLibraryBoundary:
         with pytest.raises(ValueError, match="^amplitude must be finite, got "):
             random_smooth_state(0, grid, 2, amplitude=amplitude)
 
+    @pytest.mark.parametrize("amplitude", [1e3, 1e6, 1e300, 1.7e308])
+    @pytest.mark.parametrize("n_fiber", [1, 2, 3])
+    @pytest.mark.parametrize("sizes", [(16,), (8, 8)], ids=["1d", "2d"])
+    def test_random_state_overflow_is_an_input_error(self, sizes, n_fiber, amplitude):
+        # an exp(S) past the largest double is a non-finite G, reported as such with no
+        # numpy warning; at amplitude 1e3 a seeded G may still be finite, SPD or not
+        grid = PeriodicGrid(sizes, (2 * np.pi,) * len(sizes))
+        want = "fiber metric G " if amplitude == 1e3 else "fiber metric G has non-finite entries"
+        try:
+            random_smooth_state(0, grid, n_fiber, amplitude=amplitude)
+        except rrfs.SPDFieldError as err:
+            assert str(err).startswith(want)
+        else:
+            assert amplitude == 1e3
+
+    @pytest.mark.parametrize("n_fiber", [0, -1])
+    def test_random_state_rejects_fiber_dimension_below_one(self, n_fiber):
+        grid = PeriodicGrid((8,), (2 * np.pi,))
+        with pytest.raises(ValueError, match="^fiber dimension must be at least 1$"):
+            random_smooth_state(0, grid, n_fiber)
+
+    @pytest.mark.parametrize("n", [2.5, np.nan, np.inf])
+    def test_integrate_rejects_non_integer_snapshot_count(self, n, monkeypatch):
+        st = flat_state(S1_64, n_fiber=2)
+        monkeypatch.setattr(rrfs, "rrfs_rhs", None)  # any RHS call would raise TypeError
+        with pytest.raises(ValueError, match=f"^n_snapshots must be an integer, got {n}$"):
+            integrate_rrfs(st, S1_64, RescalingSpec("off"), 0.01, n_snapshots=n)
+
+    def test_integrate_keeps_an_integral_float_snapshot_count(self):
+        st = flat_state(S1_64, n_fiber=2)
+        run = integrate_rrfs(st, S1_64, RescalingSpec("off"), 0.01, n_snapshots=3.0)
+        assert len(run.snapshots) == 3
+
     def test_state_leaves_the_callers_A_writable(self):
         A = np.zeros((8, 1, 2))
         st = RRFSState(np.ones((8, 1, 1)), A, np.broadcast_to(np.eye(2), (8, 2, 2)))
