@@ -29,8 +29,7 @@ def parse_coupling(text: str) -> nil3.CouplingSchedule:
 
 
 def _write_csv(path, header: str, columns):
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=header, comments="")
+    rrfs._write_table(path, header, np.column_stack(columns), ",")
 
 
 def write_nil3_csv(path, traj: ode.Trajectory):
@@ -101,11 +100,7 @@ def cmd_nil3(args) -> int:
             kf = nil3.fit_log_growth(traj, "B", window)
             kappa_fit = {"kappa": kf.prefactor, "r_squared": kf.r_squared}
 
-    alpha = fits.get("A", {}).get("prefactor")
-    try:
-        constants = nil3.predicted_constants(params, alpha=alpha)
-    except ValueError:
-        constants = {"K": params.state0.A * params.state0.B / (3 * params.state0.C)}
+    constants = nil3.predicted_constants(params, alpha=fits.get("A", {}).get("prefactor"))
 
     summary = {
         "config": {"scenario": "nil3", **{k: v for k, v in vars(args).items()

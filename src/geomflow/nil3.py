@@ -49,12 +49,12 @@ class MapSlope:
 
 @dataclass(frozen=True)
 class CouplingSchedule:
-    """Coupling c(t): zero, a positive constant, or c0 (1+t)^(-r).
+    """Coupling c(t) = c0 (1 + time_scale t)^(-r) of kind zero, constant or power.
 
-    Each kind is stated by its values: zero has c0 = 0 and r = 0, constant
-    r = 0, power r > 0, and every kind a finite c0 >= 0.  A blowdown by s
-    multiplies ``c0`` by s^2 and ``time_scale`` by s, so the transformed
-    schedule evaluates to s^2 * c(s t) without leaving the type.
+    Each kind is stated by its values: zero has c0 = 0 and r = 0, constant r = 0,
+    power r > 0, and every kind a finite c0 >= 0 and a finite ``time_scale`` > 0.
+    A blowdown by s multiplies ``c0`` by s^2 and ``time_scale`` by s, so the
+    transformed schedule evaluates to s^2 * c(s t) without leaving the type.
     """
 
     kind: str  # "zero" | "constant" | "power"
@@ -67,6 +67,8 @@ class CouplingSchedule:
             raise ValueError(f"unknown coupling kind {self.kind!r}")
         if not (np.isfinite(self.c0) and np.isfinite(self.r)):
             raise ValueError("coupling c0 and r must be finite")
+        if not (np.isfinite(self.time_scale) and self.time_scale > 0):
+            raise ValueError("coupling time_scale must be finite and > 0")
         if self.c0 < 0:
             raise ValueError("c0 must be nonnegative")
         if self.kind == "zero" and self.c0 != 0:
@@ -89,12 +91,7 @@ class CouplingSchedule:
         return CouplingSchedule("power", c0=c0, r=r)
 
     def __call__(self, t: float) -> float:
-        ts = self.time_scale * t
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return self.c0
-        return self.c0 * (1.0 + ts) ** (-self.r)
+        return self.c0 * (1.0 + self.time_scale * t) ** -self.r  # x ** -0.0 == 1.0 for all x
 
     def blowdown(self, s: float) -> "CouplingSchedule":
         return replace(self, c0=self.c0 * (s * s), time_scale=self.time_scale * s)
@@ -276,17 +273,17 @@ def predicted_constants(params: Nil3Params, alpha: float | None = None) -> dict:
     """Predicted asymptotic constants for the active coupling regime.
 
     With f = 2 a^2 c(t), A' = Phi/B^2 + f, (B^2)' = 2 Phi/A and C = Phi/B.
-    Constant coupling: the leading-order A-slope 2 a^2 c, the log-growth slope kappa of
-    B^2, and the C-prefactor consistent with B*C = Phi beside its doubled variant, which
-    conservation rules out.  ``A_slope`` is leading order only:
+    Constant coupling with a^2 c0 > 0: the leading-order A-slope 2 a^2 c, the log-growth
+    slope kappa of B^2, and the C-prefactor consistent with B*C = Phi beside its doubled
+    variant, which conservation rules out.  ``A_slope`` is leading order only:
     A / (A_slope t) = 1 + 1/(2 log t) + O(log log t / log^2 t).  B^2 grows like log t,
     the r -> 0 limit of (t^r - 1)/r, so no power law covers this kind.
 
-    Zero and power coupling c0 (1 + t)^(-r) share one regime rule, which the power kind
+    Every other schedule takes one regime rule, which the power kind c0 (1 + t)^(-r)
     reports as ``power_regime``, and the exponents (1 - 2e, e, -e), e = r/2 in slow
     decay and 1/3 otherwise:
 
-    * ``"zero"``, a^2 c0 = 0: ``prefactors`` from K = A0 B0 / (3 C0).
+    * ``"zero"``, a^2 c0 = 0 for any kind: ``prefactors`` from K = A0 B0 / (3 C0).
     * ``"slow_decay"``, r < 2/3: Phi/B^2 is of the forcing's order t^(-r), so
       A' = f gives ``A_prefactor`` alpha = 2 a^2 c0 time_scale^(-r) / (1 - 3r/2).
     * ``"fast_decay"``, r > 2/3: the forcing integral grows slower than t^(1/3).
@@ -302,9 +299,7 @@ def predicted_constants(params: Nil3Params, alpha: float | None = None) -> dict:
     coupling, r = params.coupling, params.coupling.r
     out = {"K": K, "phi": phi, "regime": coupling.kind}
     a2c = params.slope.a**2 * coupling.c0
-    if coupling.kind == "constant":
-        if a2c == 0:
-            raise ValueError("constant regime requires a^2 c > 0")
+    if coupling.kind == "constant" and a2c != 0:
         out.update(A_slope=2.0 * a2c, kappa_B2=phi / a2c, C_prefactor=np.sqrt(a2c * phi),
                    C_prefactor_doubled=2.0 * np.sqrt(a2c * phi))
         return out

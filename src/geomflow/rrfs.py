@@ -29,9 +29,9 @@ KAPPA_CFL = 0.2
 _SMOOTH_MODES = 3  # Fourier modes of each random scalar field
 _TAYLOR_DEGREE = 14  # of exp on a row-sum norm of at most 1/2, see _expm_sym
 _EPS = {1: (), 2: ((0, 1, 1.0), (1, 0, -1.0))}  # per base dimension, see _Geometry.eps
-# snapshot rows formatted per % operation: larger blocks format a little faster, but
+# text-table rows formatted per % operation: larger blocks format a little faster, but
 # hold more Python floats at once (256 rows raised the peak memory of a CLI session)
-_SNAPSHOT_BLOCK = 64
+_TABLE_BLOCK = 64
 
 
 class SPDFieldError(RuntimeError):
@@ -767,22 +767,28 @@ def random_smooth_state(
     return RRFSState(g, A, G)
 
 
+def _write_table(path, header: str, rows: np.ndarray, delimiter: str):
+    """Write a header line, then the 2D ``rows`` with floats at 17 significant
+    digits.  The bytes are those of ``np.savetxt(path, rows, fmt="%.17g",
+    delimiter=delimiter, header=header, comments="")``; one ``%`` operation
+    formats ``_TABLE_BLOCK`` rows at a time."""
+    row_fmt = delimiter.join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(rows), _TABLE_BLOCK):
+            block = rows[start:start + _TABLE_BLOCK]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
 def save_snapshot(state: RRFSState, grid: PeriodicGrid, path):
     """Write a field snapshot as text: a header line, then one (g | A | G)
-    row per node, floats at 17 significant digits.  The bytes are those of
-    ``np.savetxt(path, rows, fmt="%.17g", header=header, comments="")``; one
-    ``%`` operation formats ``_SNAPSHOT_BLOCK`` rows at a time."""
+    row per node, floats at 17 significant digits."""
     n, N = grid.n_base, state.n_fiber
     header = " ".join([str(n), str(N), *map(str, grid.sizes),
                        *(f"{p:.17g}" for p in grid.period)])
     rows = np.hstack([state.g.reshape(-1, n * n), state.A.reshape(-1, n * N),
                       state.G.reshape(-1, N * N)])
-    row_fmt = " ".join(["%.17g"] * rows.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(rows), _SNAPSHOT_BLOCK):
-            block = rows[start:start + _SNAPSHOT_BLOCK]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    _write_table(path, header, rows, " ")
 
 
 def load_snapshot(path) -> tuple[RRFSState, PeriodicGrid]:

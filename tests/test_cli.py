@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from geomflow import cli, ode, rrfs
+from geomflow import cli, nil3, ode, rrfs
 from geomflow.nil3 import CouplingSchedule
 
 
@@ -73,11 +73,17 @@ class TestNil3Command:
         assert np.all(data[:, 1:4] > 0)
         assert np.abs(data[:, 4] / data[0, 4] - 1).max() <= 1e-6
 
-    def test_zero_constant_coupling_predicts_k_only(self, capsys):
-        # a^2 c = 0 has no constant-coupling prediction; the summary keeps K
+    def test_zero_constant_coupling_predicts_zero_regime(self, capsys):
+        # a^2 c0 = 0 is the zero regime for every kind: Ricci-flow exponents and prefactors
         assert cli.main(["nil3", "--coupling", "const:0", "--t-end", "1e4"]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["predicted_constants"] == {"K": 1 / 3}
+        fits, pred = summary["fits"], summary["predicted_constants"]
+        assert pred["exponents"] == {"A": 1 / 3, "B": 1 / 3, "C": -1 / 3}
+        ricci = nil3.predicted_constants(nil3.Nil3Params(nil3.Nil3State(1.0, 1.0, 1.0)))
+        assert pred["prefactors"] == ricci["prefactors"]
+        for c in "ABC":
+            assert fits[c]["exponent"] == pytest.approx(pred["exponents"][c], abs=0.02)
+            assert fits[c]["prefactor"] == pytest.approx(pred["prefactors"][c], rel=0.05)
 
     def test_parse_error_exit_code(self):
         assert cli.main(["nil3", "--coupling", "bogus"]) == 1

@@ -73,6 +73,40 @@ class TestTypes:
         with pytest.raises(ValueError):
             CouplingSchedule(kind, c0=c0, r=r)
 
+    @staticmethod
+    def per_kind(sched, t):
+        """c(t) as each kind stated it: 0, c0, and c0 (1 + time_scale t)^(-r)."""
+        if sched.kind == "zero":
+            return 0.0
+        if sched.kind == "constant":
+            return sched.c0
+        return sched.c0 * (1.0 + sched.time_scale * t) ** (-sched.r)
+
+    @pytest.mark.parametrize("sched", [
+        CouplingSchedule.zero(), CouplingSchedule.constant(0.5),
+        CouplingSchedule.constant(5e-324), CouplingSchedule.constant(1e300),
+        CouplingSchedule.power(2.0, 1.5), CouplingSchedule.power(0.5, 2 / 3),
+        CouplingSchedule.zero().blowdown(10.0), CouplingSchedule.constant(0.5).blowdown(1e-3),
+        CouplingSchedule.power(2.0, 1.3).blowdown(4.0)], ids=repr)
+    def test_one_formula_equals_per_kind_values(self, sched):
+        times = [0.0, 5e-324, 1.0, 1e8, 1e300, np.inf, np.float64(3.5)]
+        for t in times:
+            got, want = sched(t), self.per_kind(sched, t)
+            assert got == want and np.signbit(got) == np.signbit(want), t
+        ts = np.concatenate([times, log_sample_times(0.0, 1e8, 16)])
+        got = sched(ts)  # flow_residual evaluates c on its sample array
+        want = np.broadcast_to(self.per_kind(sched, ts), ts.shape)
+        assert got.shape == ts.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("time_scale", [-2.0, -0.0, 0.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind,c0,r", [("zero", 0.0, 0.0), ("constant", 1.0, 0.0),
+                                           ("power", 1.0, 1.5)])
+    def test_time_scale_must_be_finite_and_positive(self, kind, c0, r, time_scale):
+        # time_scale = -2 made the power kind's c(1) complex, and nan made it nan
+        with pytest.raises(ValueError, match="^coupling time_scale must be finite and > 0$"):
+            CouplingSchedule(kind, c0=c0, r=r, time_scale=time_scale)
+
     @pytest.mark.parametrize("a", [np.nan, np.inf])
     def test_slope_must_be_finite(self, a):
         with pytest.raises(ValueError, match="^slope must be finite$"):
@@ -309,10 +343,15 @@ class TestPredictedConstants:
         assert out["kappa_B2"] == pytest.approx(2.0)
         assert out["C_prefactor_doubled"] == pytest.approx(2 * out["C_prefactor"])
 
-    def test_constant_regime_requires_coupling(self):
-        p = Nil3Params(Nil3State(1, 1, 1), MapSlope(0.0), CouplingSchedule.constant(0.5))
-        with pytest.raises(ValueError):
-            predicted_constants(p)
+    def test_constant_regime_without_coupling_is_zero_regime(self):
+        # a^2 c0 = 0 selects the zero regime for every kind
+        state = Nil3State(2.0, 1.0, 3.0)
+        ref = predicted_constants(Nil3Params(state))
+        assert ref.pop("regime") == "zero"
+        for a, c0 in ((0.0, 0.5), (1.0, 0.0)):
+            p = Nil3Params(state, MapSlope(a), CouplingSchedule.constant(c0))
+            out = predicted_constants(p)
+            assert out.pop("regime") == "constant" and out == ref
 
     def test_power_regime_with_alpha(self):
         p = Nil3Params(Nil3State(1, 1, 1), MapSlope(1.0), CouplingSchedule.power(1.0, 2.0))

@@ -182,38 +182,58 @@ class TestRoundTripProperties:
         assert (d / "b.txt").read_bytes() == (d / "a.txt").read_bytes()
 
     # around the writer's 64-row block: one block, one row over, two blocks, three and
-    # a partial one; 2D grids need 8 nodes per axis, so 72 stands in for 65 there
-    BLOCK_SIZES = [(64,), (65,), (128,), (200,), (8, 8), (8, 9), (8, 16), (10, 20)]
+    # a partial one; 2D grids need 8 nodes per axis, so 72 stands in for 65 there.  The
+    # CSV form takes the rrfs series' 4 columns and the nil3 trajectory's 5.
+    BLOCK_CASES = [
+        *(pytest.param(s, None, id="x".join(map(str, s)))
+          for s in [(64,), (65,), (128,), (200,), (8, 8), (8, 9), (8, 16), (10, 20)]),
+        *(pytest.param((m,), k, id=f"csv{k}-{m}") for k in (4, 5) for m in (64, 65, 128, 200)),
+    ]
 
-    @pytest.mark.parametrize("sizes", BLOCK_SIZES, ids=lambda s: "x".join(map(str, s)))
-    def test_block_writer_equals_savetxt(self, tmp_path, sizes):
+    @pytest.mark.parametrize("sizes,csv_columns", BLOCK_CASES)
+    def test_block_writer_equals_savetxt(self, tmp_path, sizes, csv_columns):
         n, N = len(sizes), 3
-        rng = np.random.default_rng(len(sizes) * 1000 + int(np.prod(sizes)))
         nodes = int(np.prod(sizes))
-        A = rng.normal(size=(nodes, n, N)) * 10.0 ** rng.integers(-300, 300, (nodes, n, N))
-        A.flat[[0, nodes, 2 * nodes, A.size - 1]] = -0.0, 5e-324, 1e300, -1e300
+        rng = np.random.default_rng(len(sizes) * 1000 + nodes + (csv_columns or 0))
+        if csv_columns:
+            delimiter, header = ",", ",".join("tABCD"[:csv_columns])
+            rows = rng.normal(size=(nodes, csv_columns)) * 10.0 ** rng.integers(
+                -300, 300, (nodes, csv_columns))
+            rows.flat[[1, csv_columns + 2, 2 * csv_columns, rows.size - 1]] = (
+                -0.0, 5e-324, 1e300, -1e300)
+            cli._write_csv(tmp_path / "block.txt", header, rows.T)
+        else:
+            delimiter = " "
+            A = rng.normal(size=(nodes, n, N)) * 10.0 ** rng.integers(-300, 300, (nodes, n, N))
+            A.flat[[0, nodes, 2 * nodes, A.size - 1]] = -0.0, 5e-324, 1e300, -1e300
 
-        def spd(k):  # diagonally dominant, so SPD at every node
-            return (np.eye(k) * rng.uniform(1, 4, (nodes, k, 1)) + 0.1 / k).reshape(
-                sizes + (k, k))
+            def spd(k):  # diagonally dominant, so SPD at every node
+                return (np.eye(k) * rng.uniform(1, 4, (nodes, k, 1)) + 0.1 / k).reshape(
+                    sizes + (k, k))
 
-        state = rrfs.RRFSState(spd(n), A.reshape(sizes + (n, N)), spd(N))
-        grid = rrfs.PeriodicGrid(sizes, (2 * np.pi, np.e)[:n])
-        rrfs.save_snapshot(state, grid, tmp_path / "block.txt")
+            state = rrfs.RRFSState(spd(n), A.reshape(sizes + (n, N)), spd(N))
+            grid = rrfs.PeriodicGrid(sizes, (2 * np.pi, np.e)[:n])
+            rrfs.save_snapshot(state, grid, tmp_path / "block.txt")
+            header = " ".join([str(n), str(N), *map(str, sizes),
+                               *(f"{p:.17g}" for p in grid.period)])
+            rows = np.hstack([state.g.reshape(nodes, -1), state.A.reshape(nodes, -1),
+                              state.G.reshape(nodes, -1)])
 
-        header = " ".join([str(n), str(N), *map(str, sizes),
-                           *(f"{p:.17g}" for p in grid.period)])
-        rows = np.hstack([state.g.reshape(nodes, -1), state.A.reshape(nodes, -1),
-                          state.G.reshape(nodes, -1)])
-        np.savetxt(tmp_path / "savetxt.txt", rows, fmt="%.17g", header=header, comments="")
+        np.savetxt(tmp_path / "savetxt.txt", rows, fmt="%.17g", delimiter=delimiter,
+                   header=header, comments="")
         text = (tmp_path / "block.txt").read_bytes()
         assert text == (tmp_path / "savetxt.txt").read_bytes()
         assert text.count(b"\n") == nodes + 1
-        assert b" -0 " in text and b" 4.9406564584124654e-324 " in text
-        loaded, loaded_grid = rrfs.load_snapshot(tmp_path / "block.txt")
-        assert loaded_grid == grid
-        for name in ("g", "A", "G"):
-            assert_bits_equal(getattr(loaded, name), getattr(state, name))
+        for word in ("-0", "4.9406564584124654e-324"):
+            assert f"{delimiter}{word}{delimiter}".encode() in text
+        if csv_columns:
+            loaded = np.loadtxt(tmp_path / "block.txt", delimiter=",", skiprows=1)
+            assert_bits_equal(loaded, rows)
+        else:
+            loaded, loaded_grid = rrfs.load_snapshot(tmp_path / "block.txt")
+            assert loaded_grid == grid
+            for name in ("g", "A", "G"):
+                assert_bits_equal(getattr(loaded, name), getattr(state, name))
 
     @settings(max_examples=60)
     @given(nil3_trajectories())
