@@ -96,11 +96,11 @@ def cmd_nil3(args) -> int:
                 "prefactor": f.prefactor,
                 "r_squared": f.r_squared,
             }
-        if params.coupling.kind == "constant":
-            kf = nil3.fit_log_growth(traj, "B", window)
-            kappa_fit = {"kappa": kf.prefactor, "r_squared": kf.r_squared}
 
     constants = nil3.predicted_constants(params, alpha=fits.get("A", {}).get("prefactor"))
+    if fits and constants["regime"] == "constant":
+        kf = nil3.fit_log_growth(traj, "B", window)
+        kappa_fit = {"kappa": kf.prefactor, "r_squared": kf.r_squared}
 
     summary = {
         "config": {"scenario": "nil3", **{k: v for k, v in vars(args).items()

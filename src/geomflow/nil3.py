@@ -49,46 +49,40 @@ class MapSlope:
 
 @dataclass(frozen=True)
 class CouplingSchedule:
-    """Coupling c(t) = c0 (1 + time_scale t)^(-r) of kind zero, constant or power.
+    """Coupling c(t) = c0 (1 + time_scale t)^(-r), with finite c0 >= 0 and r >= 0
+    and a finite ``time_scale`` > 0.
 
-    Each kind is stated by its values: zero has c0 = 0 and r = 0, constant r = 0,
-    power r > 0, and every kind a finite c0 >= 0 and a finite ``time_scale`` > 0.
-    A blowdown by s multiplies ``c0`` by s^2 and ``time_scale`` by s, so the
-    transformed schedule evaluates to s^2 * c(s t) without leaving the type.
+    A schedule is its values: ``zero()`` is c0 = 0, ``constant(c0)`` is r = 0, and
+    ``power(c0, 0)`` equals ``constant(c0)``.  A blowdown by s multiplies ``c0`` by
+    s^2 and ``time_scale`` by s, so the transformed schedule evaluates to
+    s^2 * c(s t) without leaving the type.
     """
 
-    kind: str  # "zero" | "constant" | "power"
     c0: float = 0.0
     r: float = 0.0
     time_scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "constant", "power"):
-            raise ValueError(f"unknown coupling kind {self.kind!r}")
         if not (np.isfinite(self.c0) and np.isfinite(self.r)):
             raise ValueError("coupling c0 and r must be finite")
         if not (np.isfinite(self.time_scale) and self.time_scale > 0):
             raise ValueError("coupling time_scale must be finite and > 0")
         if self.c0 < 0:
             raise ValueError("c0 must be nonnegative")
-        if self.kind == "zero" and self.c0 != 0:
-            raise ValueError("zero coupling needs c0 = 0")
-        if self.kind == "power" and self.r <= 0:
-            raise ValueError("power coupling needs r > 0")
-        if self.kind != "power" and self.r != 0:
-            raise ValueError(f"{self.kind} coupling needs r = 0")
+        if self.r < 0:
+            raise ValueError("r must be nonnegative")
 
     @staticmethod
     def zero() -> "CouplingSchedule":
-        return CouplingSchedule("zero")
+        return CouplingSchedule()
 
     @staticmethod
     def constant(c0: float) -> "CouplingSchedule":
-        return CouplingSchedule("constant", c0=c0)
+        return CouplingSchedule(c0)
 
     @staticmethod
     def power(c0: float, r: float) -> "CouplingSchedule":
-        return CouplingSchedule("power", c0=c0, r=r)
+        return CouplingSchedule(c0, r)
 
     def __call__(self, t: float) -> float:
         return self.c0 * (1.0 + self.time_scale * t) ** -self.r  # x ** -0.0 == 1.0 for all x
@@ -270,43 +264,43 @@ def fit_log_growth(
 
 
 def predicted_constants(params: Nil3Params, alpha: float | None = None) -> dict:
-    """Predicted asymptotic constants for the active coupling regime.
+    """Predicted asymptotic constants for the regime of the coupling c0 (1 + t)^(-r).
 
-    With f = 2 a^2 c(t), A' = Phi/B^2 + f, (B^2)' = 2 Phi/A and C = Phi/B.
-    Constant coupling with a^2 c0 > 0: the leading-order A-slope 2 a^2 c, the log-growth
-    slope kappa of B^2, and the C-prefactor consistent with B*C = Phi beside its doubled
-    variant, which conservation rules out.  ``A_slope`` is leading order only:
-    A / (A_slope t) = 1 + 1/(2 log t) + O(log log t / log^2 t).  B^2 grows like log t,
-    the r -> 0 limit of (t^r - 1)/r, so no power law covers this kind.
+    With f = 2 a^2 c(t), A' = Phi/B^2 + f, (B^2)' = 2 Phi/A and C = Phi/B.  One rule
+    names the ``regime`` of every schedule:
 
-    Every other schedule takes one regime rule, which the power kind c0 (1 + t)^(-r)
-    reports as ``power_regime``, and the exponents (1 - 2e, e, -e), e = r/2 in slow
-    decay and 1/3 otherwise:
-
-    * ``"zero"``, a^2 c0 = 0 for any kind: ``prefactors`` from K = A0 B0 / (3 C0).
-    * ``"slow_decay"``, r < 2/3: Phi/B^2 is of the forcing's order t^(-r), so
+    * ``"zero"``, a^2 c0 = 0: exponents (1/3, 1/3, -1/3) and ``prefactors`` from
+      K = A0 B0 / (3 C0).
+    * ``"constant"``, r = 0 and a^2 c0 > 0: the leading-order A-slope 2 a^2 c0, the
+      log-growth slope kappa of B^2, and the C-prefactor consistent with B*C = Phi
+      beside its doubled variant, which conservation rules out.  ``A_slope`` is
+      leading order only: A / (A_slope t) = 1 + 1/(2 log t) + O(log log t / log^2 t).
+      B^2 grows like log t, the r -> 0 limit of (t^r - 1)/r, so no power law covers it.
+    * ``"slow_decay"``, 0 < r < 2/3: Phi/B^2 is of the forcing's order t^(-r), so
       A' = f gives ``A_prefactor`` alpha = 2 a^2 c0 time_scale^(-r) / (1 - 3r/2).
     * ``"fast_decay"``, r > 2/3: the forcing integral grows slower than t^(1/3).
     * ``"marginal"``, r = 2/3, the pole of alpha: A ~ t^(1/3) log t and
       B^2 ~ t^(2/3) / log t, so no prefactors are given.
 
-    In slow and fast decay, a measured ``alpha`` with A ~ alpha t^(1 - 2e) gives
-    B^2 ~ Phi t^(2e)/(alpha e): ``B_prefactor`` sqrt(Phi/(alpha e)), ``C_prefactor`` Phi/B.
+    The zero, slow, marginal and fast regimes give exponents (1 - 2e, e, -e), e = r/2
+    in slow decay and 1/3 otherwise.  In slow and fast decay, a measured ``alpha`` > 0
+    with A ~ alpha t^(1 - 2e) gives B^2 ~ Phi t^(2e)/(alpha e): ``B_prefactor``
+    sqrt(Phi/(alpha e)), ``C_prefactor`` Phi/B.
     """
+    if alpha is not None and not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"A-prefactor alpha must be finite and > 0, got {alpha!r}")
     s0 = params.state0
     K = s0.A * s0.B / (3.0 * s0.C)
     phi = params.phi0
     coupling, r = params.coupling, params.coupling.r
-    out = {"K": K, "phi": phi, "regime": coupling.kind}
     a2c = params.slope.a**2 * coupling.c0
-    if coupling.kind == "constant" and a2c != 0:
+    regime = ("zero" if a2c == 0 else "constant" if r == 0 else "slow_decay" if r < 2 / 3
+              else "marginal" if r == 2 / 3 else "fast_decay")
+    out = {"K": K, "phi": phi, "regime": regime}
+    if regime == "constant":
         out.update(A_slope=2.0 * a2c, kappa_B2=phi / a2c, C_prefactor=np.sqrt(a2c * phi),
                    C_prefactor_doubled=2.0 * np.sqrt(a2c * phi))
         return out
-    regime = ("zero" if a2c == 0 else "slow_decay" if r < 2 / 3
-              else "marginal" if r == 2 / 3 else "fast_decay")
-    if coupling.kind == "power":
-        out["power_regime"] = regime
     slow = regime == "slow_decay"
     e = r / 2 if slow else 1 / 3
     out["exponents"] = {"A": 1 - r if slow else 1 / 3, "B": e, "C": -e}

@@ -184,6 +184,8 @@ class RescalingSpec:
             raise ValueError(f"unknown rescaling mode {self.mode!r}")
         if not (np.isfinite(self.s0) and np.isfinite(self.c_coupling)):
             raise ValueError("rescaling s0 and c_coupling must be finite")
+        if self.s0 != 0 and self.mode != "constant":
+            raise ValueError(f"rescaling mode {self.mode!r} takes no s0, got {self.s0!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +421,7 @@ class _Geometry:
 
     def s(self, spec: RescalingSpec) -> float:
         """The rescaling value that ``spec`` prescribes at this state."""
-        if spec.mode == "off":
-            return 0.0
-        return spec.s0 if spec.mode == "constant" else self.s_volume
+        return self.s_volume if spec.mode == "volume" else spec.s0
 
 
 def _view(fld: np.ndarray, n: int) -> np.ndarray:

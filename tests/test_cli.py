@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ class TestCouplingParsing:
         assert cli.parse_coupling("zero") == CouplingSchedule.zero()
         assert cli.parse_coupling("const:0.5") == CouplingSchedule.constant(0.5)
         assert cli.parse_coupling("power:1,2") == CouplingSchedule.power(1.0, 2.0)
+        assert cli.parse_coupling("power:0.5,0") == cli.parse_coupling("const:0.5")
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
@@ -74,16 +76,29 @@ class TestNil3Command:
         assert np.abs(data[:, 4] / data[0, 4] - 1).max() <= 1e-6
 
     def test_zero_constant_coupling_predicts_zero_regime(self, capsys):
-        # a^2 c0 = 0 is the zero regime for every kind: Ricci-flow exponents and prefactors
+        # a^2 c0 = 0 is the zero regime for every schedule: Ricci-flow exponents and
+        # prefactors, and no log-growth fit of B^2, which grows like t^(2/3) here
         assert cli.main(["nil3", "--coupling", "const:0", "--t-end", "1e4"]) == 0
         summary = json.loads(capsys.readouterr().out)
         fits, pred = summary["fits"], summary["predicted_constants"]
+        assert pred["regime"] == "zero" and summary["log_growth_B"] is None
         assert pred["exponents"] == {"A": 1 / 3, "B": 1 / 3, "C": -1 / 3}
         ricci = nil3.predicted_constants(nil3.Nil3Params(nil3.Nil3State(1.0, 1.0, 1.0)))
         assert pred["prefactors"] == ricci["prefactors"]
         for c in "ABC":
             assert fits[c]["exponent"] == pytest.approx(pred["exponents"][c], abs=0.02)
             assert fits[c]["prefactor"] == pytest.approx(pred["prefactors"][c], rel=0.05)
+
+    def test_overflowing_a_prefactor_exits_1(self, monkeypatch, capsys):
+        fit = nil3.fit_power_law
+
+        def overflowing(traj, component, window):
+            return dataclasses.replace(fit(traj, component, window), prefactor=np.inf)
+
+        monkeypatch.setattr(nil3, "fit_power_law", overflowing)
+        assert cli.main(["nil3", "--coupling", "power:0.5,2", "--t-end", "1e4"]) == 1
+        assert capsys.readouterr().err == (
+            "error: A-prefactor alpha must be finite and > 0, got inf\n")
 
     def test_parse_error_exit_code(self):
         assert cli.main(["nil3", "--coupling", "bogus"]) == 1

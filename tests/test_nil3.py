@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -49,6 +51,10 @@ class TestTypes:
         c = CouplingSchedule.power(2.0, 1.5)
         assert c(0.0) == 2.0
         assert c(3.0) == pytest.approx(2.0 * 4.0**-1.5)
+        # the factories fill in values of one formula; a schedule has no kind
+        assert CouplingSchedule.power(0.5, 0.0) == CouplingSchedule.constant(0.5)
+        assert [f.name for f in dataclasses.fields(CouplingSchedule)] == [
+            "c0", "r", "time_scale"]
 
     def test_coupling_non_increasing(self):
         for c in (CouplingSchedule.zero(), CouplingSchedule.constant(1.0),
@@ -59,26 +65,24 @@ class TestTypes:
             assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_coupling_validation(self):
-        with pytest.raises(ValueError):
-            CouplingSchedule("power", c0=1.0, r=-1.0)
-        with pytest.raises(ValueError):
-            CouplingSchedule("constant", c0=-1.0)
-        with pytest.raises(ValueError):
-            CouplingSchedule("sinusoid")
+        with pytest.raises(ValueError, match="^r must be nonnegative$"):
+            CouplingSchedule(c0=1.0, r=-1.0)
+        with pytest.raises(ValueError, match="^c0 must be nonnegative$"):
+            CouplingSchedule.power(-1.0, 1.5)
 
-    @pytest.mark.parametrize("kind,c0,r", [("zero", 5.0, 0.0), ("zero", -1.0, 0.0),
-                                           ("zero", 0.0, 1.0), ("constant", 1.0, 3.0)])
+    @pytest.mark.parametrize("kind,c0,r", [("zero", -1.0, 0.0)])
     def test_kind_states_its_values(self, kind, c0, r):
-        # zero: c0 = 0 and r = 0; constant: r = 0; power: r > 0; every kind c0 >= 0
-        with pytest.raises(ValueError):
-            CouplingSchedule(kind, c0=c0, r=r)
+        # a schedule is its values, and every value set has c0 >= 0; ``kind`` names
+        # the factory the values would fall under
+        with pytest.raises(ValueError, match="^c0 must be nonnegative$"):
+            CouplingSchedule(c0=c0, r=r)
 
     @staticmethod
-    def per_kind(sched, t):
-        """c(t) as each kind stated it: 0, c0, and c0 (1 + time_scale t)^(-r)."""
-        if sched.kind == "zero":
+    def by_values(sched, t):
+        """c(t) case by case: 0 for c0 = 0, c0 for r = 0, else c0 (1 + time_scale t)^(-r)."""
+        if sched.c0 == 0:
             return 0.0
-        if sched.kind == "constant":
+        if sched.r == 0:
             return sched.c0
         return sched.c0 * (1.0 + sched.time_scale * t) ** (-sched.r)
 
@@ -87,25 +91,28 @@ class TestTypes:
         CouplingSchedule.constant(5e-324), CouplingSchedule.constant(1e300),
         CouplingSchedule.power(2.0, 1.5), CouplingSchedule.power(0.5, 2 / 3),
         CouplingSchedule.zero().blowdown(10.0), CouplingSchedule.constant(0.5).blowdown(1e-3),
-        CouplingSchedule.power(2.0, 1.3).blowdown(4.0)], ids=repr)
-    def test_one_formula_equals_per_kind_values(self, sched):
+        CouplingSchedule.power(2.0, 1.3).blowdown(4.0)],
+        ids=["zero", "constant-0.5", "constant-5e-324", "constant-1e300", "power-2-1.5",
+             "power-0.5-2/3", "zero-blowdown-10", "constant-0.5-blowdown-1e-3",
+             "power-2-1.3-blowdown-4"])
+    def test_one_formula_equals_case_by_case_values(self, sched):
         times = [0.0, 5e-324, 1.0, 1e8, 1e300, np.inf, np.float64(3.5)]
         for t in times:
-            got, want = sched(t), self.per_kind(sched, t)
+            got, want = sched(t), self.by_values(sched, t)
             assert got == want and np.signbit(got) == np.signbit(want), t
         ts = np.concatenate([times, log_sample_times(0.0, 1e8, 16)])
         got = sched(ts)  # flow_residual evaluates c on its sample array
-        want = np.broadcast_to(self.per_kind(sched, ts), ts.shape)
+        want = np.broadcast_to(self.by_values(sched, ts), ts.shape)
         assert got.shape == ts.shape
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("time_scale", [-2.0, -0.0, 0.0, np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("kind,c0,r", [("zero", 0.0, 0.0), ("constant", 1.0, 0.0),
+    @pytest.mark.parametrize("name,c0,r", [("zero", 0.0, 0.0), ("constant", 1.0, 0.0),
                                            ("power", 1.0, 1.5)])
-    def test_time_scale_must_be_finite_and_positive(self, kind, c0, r, time_scale):
-        # time_scale = -2 made the power kind's c(1) complex, and nan made it nan
+    def test_time_scale_must_be_finite_and_positive(self, name, c0, r, time_scale):
+        # time_scale = -2 made the power schedule's c(1) complex, and nan made it nan
         with pytest.raises(ValueError, match="^coupling time_scale must be finite and > 0$"):
-            CouplingSchedule(kind, c0=c0, r=r, time_scale=time_scale)
+            CouplingSchedule(c0=c0, r=r, time_scale=time_scale)
 
     @pytest.mark.parametrize("a", [np.nan, np.inf])
     def test_slope_must_be_finite(self, a):
@@ -217,7 +224,7 @@ class TestBlowdown:
 
     def test_coupling_c0_absorbs_s_squared(self):
         sched = CouplingSchedule.power(2.0, 1.3).blowdown(4.0)
-        assert sched == CouplingSchedule("power", c0=32.0, r=1.3, time_scale=4.0)
+        assert sched == CouplingSchedule(c0=32.0, r=1.3, time_scale=4.0)
         assert sched(0.5) == 32.0 * 3.0 ** -1.3
 
     def test_oracle_blowdown_state(self):
@@ -344,14 +351,24 @@ class TestPredictedConstants:
         assert out["C_prefactor_doubled"] == pytest.approx(2 * out["C_prefactor"])
 
     def test_constant_regime_without_coupling_is_zero_regime(self):
-        # a^2 c0 = 0 selects the zero regime for every kind
+        # a^2 c0 = 0 selects the zero regime for every schedule
         state = Nil3State(2.0, 1.0, 3.0)
         ref = predicted_constants(Nil3Params(state))
-        assert ref.pop("regime") == "zero"
+        assert ref["regime"] == "zero"
         for a, c0 in ((0.0, 0.5), (1.0, 0.0)):
             p = Nil3Params(state, MapSlope(a), CouplingSchedule.constant(c0))
-            out = predicted_constants(p)
-            assert out.pop("regime") == "constant" and out == ref
+            assert predicted_constants(p) == ref
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.0, -1.0, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("coupling", [CouplingSchedule.power(0.5, 2.0),
+                                          CouplingSchedule.power(0.5, 0.3),
+                                          CouplingSchedule.constant(0.5)],
+                             ids=["fast", "slow", "constant"])
+    def test_alpha_must_be_finite_and_positive(self, coupling, alpha):
+        # 0 and inf raised ZeroDivisionError, -1 and nan gave a NaN B_prefactor
+        p = Nil3Params(Nil3State(1, 1, 1), MapSlope(1.0), coupling)
+        with pytest.raises(ValueError, match="^A-prefactor alpha must be finite and > 0"):
+            predicted_constants(p, alpha=alpha)
 
     def test_power_regime_with_alpha(self):
         p = Nil3Params(Nil3State(1, 1, 1), MapSlope(1.0), CouplingSchedule.power(1.0, 2.0))
@@ -361,7 +378,7 @@ class TestPredictedConstants:
 
 
 class TestPowerRegimes:
-    """Power coupling c0 (1 + t)^(-r) splits at r = 2/3 (``power_regime``)."""
+    """Power coupling c0 (1 + t)^(-r), r > 0, splits at r = 2/3 (``regime``)."""
 
     @staticmethod
     def params(r, a=1.0, c0=0.5):
@@ -371,7 +388,7 @@ class TestPowerRegimes:
                                         (0.8, "fast_decay"), (2.0, "fast_decay")])
     def test_regime_named(self, r, name):
         out = predicted_constants(self.params(r))
-        assert out["regime"] == "power" and out["power_regime"] == name
+        assert out["regime"] == name and "power_regime" not in out
 
     def test_slow_decay_exponents_and_prefactor(self):
         out = predicted_constants(self.params(0.3))
@@ -399,9 +416,8 @@ class TestPowerRegimes:
     @pytest.mark.parametrize("r", [0.3, 2 / 3, 2.0])
     def test_zero_coupling_answer(self, a, c0, r):
         out = predicted_constants(self.params(r, a, c0))
-        assert out.pop("regime") == "power" and out.pop("power_regime") == "zero"
-        ref = predicted_constants(ricci_params(1.0, 1.0, 1.0))
-        assert out == {k: v for k, v in ref.items() if k != "regime"}
+        assert out["regime"] == "zero"
+        assert out == predicted_constants(ricci_params(1.0, 1.0, 1.0))
 
     @pytest.mark.parametrize("r,e", [(0.3, 0.15), (2.0, 1 / 3)])
     @pytest.mark.parametrize("alpha", [0.123456789, 2.0, 17.3])

@@ -356,7 +356,7 @@ class TestRHS:
     def test_fields_subset_equals_full_rhs(self, sizes, mode, fields):
         grid = PeriodicGrid(sizes, (2 * np.pi, 3.0)[: len(sizes)])
         st = random_smooth_state(5, grid, 2, perturb_g=True, perturb_A=True)
-        spec = RescalingSpec(mode, s0=0.3, c_coupling=0.7)
+        spec = RescalingSpec(mode, s0=0.3 if mode == "constant" else 0.0, c_coupling=0.7)
         full = dict(zip("gAG", rrfs_rhs(st, grid, spec)))
         got = rrfs_rhs(st, grid, spec, fields=fields)
         assert len(got) == len(fields)
@@ -574,6 +574,13 @@ class TestLibraryBoundary:
     def test_unknown_rescaling_mode_rejected(self):
         with pytest.raises(ValueError, match="^unknown rescaling mode 'banana'$"):
             RescalingSpec("banana")
+
+    @pytest.mark.parametrize("s0", [3.0, -1e-300])
+    @pytest.mark.parametrize("mode", ["off", "volume"])
+    def test_s0_outside_constant_mode_rejected(self, mode, s0):
+        # both modes ran with s0 silently ignored
+        with pytest.raises(ValueError, match=f"^rescaling mode '{mode}' takes no s0"):
+            RescalingSpec(mode, s0=s0)
 
     @pytest.mark.parametrize("t_end", [np.nan, np.inf, -np.inf, -1.0, 0.0])
     def test_integrate_rejects_bad_t_end(self, t_end):
