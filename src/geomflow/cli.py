@@ -42,25 +42,15 @@ def read_nil3_csv(path) -> ode.Trajectory:
     return ode.Trajectory(data[:, 0], data[:, 1:4])
 
 
-def _json_default(o):
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not serializable: {type(o)}")
-
-
 def _emit_json(path, payload):
-    """Write ``payload`` as sorted, indented JSON to ``path``, or to stdout."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    """Write ``payload`` as sorted, indented, strict JSON to ``path``, or to stdout;
+    a NaN or infinite number is a ValueError, and then nothing is written."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if not path:
         sys.stdout.write(text)
         return
     with open(path, "w") as fh:
         fh.write(text)
-
-
-def _check_t_end(t_end: float):
-    if not (np.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"--t-end must be a positive finite number, got {t_end!r}")
 
 
 def _nil3_params(args) -> nil3.Nil3Params:
@@ -72,7 +62,6 @@ def _nil3_params(args) -> nil3.Nil3Params:
 
 
 def cmd_nil3(args) -> int:
-    _check_t_end(args.t_end)
     params = _nil3_params(args)
     cfg = ode.IntegratorConfig(
         rtol=args.rtol, atol=args.atol, samples_per_decade=args.samples_per_decade
@@ -129,7 +118,6 @@ def cmd_nil3(args) -> int:
 
 
 def cmd_rrfs(args) -> int:
-    _check_t_end(args.t_end)
     if args.init_file:
         state0, grid = rrfs.load_snapshot(args.init_file)
         source = {"init_file": args.init_file}
@@ -142,26 +130,11 @@ def cmd_rrfs(args) -> int:
                 "perturb_A": args.perturb_A}
         state0 = rrfs.random_smooth_state(args.seed, grid, args.n_fiber, **init)
         source = {"seed": args.seed, **init}
-    if args.mode == "volume":
-        spec = rrfs.RescalingSpec("volume", c_coupling=args.c)
-    elif args.mode.startswith("constant:"):
-        spec = rrfs.RescalingSpec(
-            "constant", s0=float(args.mode.split(":", 1)[1]), c_coupling=args.c
-        )
-    elif args.mode == "off":
-        spec = rrfs.RescalingSpec("off", c_coupling=args.c)
-    else:
-        raise ValueError(f"bad rescaling mode {args.mode!r}")
+    mode, sep, s0 = args.mode.partition(":")  # constant mode needs its s0
+    spec = rrfs.RescalingSpec(mode, float(s0) if sep or mode == "constant" else 0.0, args.c)
 
-    run = rrfs.integrate_rrfs(
-        state0,
-        grid,
-        spec,
-        args.t_end,
-        evolve_g=not args.freeze_g,
-        evolve_A=not args.freeze_A,
-        n_snapshots=args.snapshots,
-    )
+    run = rrfs.integrate_rrfs(state0, grid, spec, args.t_end, evolve_g=not args.freeze_g,
+                              evolve_A=not args.freeze_A, n_snapshots=args.snapshots)
     if args.csv:
         _write_csv(args.csv, "t,energy,volume,s",
                    (run.step_times, run.energies, run.volumes, run.s_values))
@@ -181,10 +154,10 @@ def cmd_rrfs(args) -> int:
             "freeze_g": args.freeze_g,
             "freeze_A": args.freeze_A,
         },
-        "times": run.step_times,
-        "energy": run.energies,
-        "volume": run.volumes,
-        "s": run.s_values,
+        "times": run.step_times.tolist(),
+        "energy": run.energies.tolist(),
+        "volume": run.volumes.tolist(),
+        "s": run.s_values.tolist(),
         "volume_drift": float(
             np.max(np.abs(run.volumes / run.volumes[0] - 1.0))
         ),
@@ -231,7 +204,6 @@ def cmd_verify_tension(args) -> int:
 
 
 def cmd_blowdown_check(args) -> int:
-    _check_t_end(args.t_end)
     params = _nil3_params(args)
     cfg = ode.IntegratorConfig(samples_per_decade=args.samples_per_decade)
     traj = nil3.integrate_nil3(params, args.t_end, cfg)

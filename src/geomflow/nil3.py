@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ode import IntegratorConfig, ODESystem, Trajectory, integrate_adaptive
+from .ode import IntegratorConfig, ODESystem, Trajectory, _check_positive, integrate_adaptive
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,8 @@ class Nil3State:
     C: float
 
     def __post_init__(self):
-        if not (self.A > 0 and self.B > 0 and self.C > 0):
-            raise ValueError(f"metric coefficients must be positive: {self}")
+        if not all(0 < x < np.inf for x in (self.A, self.B, self.C)):
+            raise ValueError(f"metric coefficients must be positive and finite: {self}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.A, self.B, self.C])
@@ -42,6 +42,8 @@ class MapSlope:
     def __post_init__(self):
         if not np.isfinite(self.a):
             raise ValueError("slope must be finite")
+        if abs(self.a) > 2.0**511:  # the largest |a| whose forcing factor 2 a^2 is finite
+            raise ValueError(f"slope |a| must be at most 2^511, got {self.a!r}")
 
     def blowdown(self, s: float) -> "MapSlope":
         return MapSlope(self.a / s)
@@ -84,7 +86,9 @@ class CouplingSchedule:
     def power(c0: float, r: float) -> "CouplingSchedule":
         return CouplingSchedule(c0, r)
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):  # t: a time >= 0, or an array of them
+        if t < 0.0 if isinstance(t, float) else np.any(t < 0.0):  # a float per RHS call
+            raise ValueError(f"coupling time must be >= 0, got {t!r}")
         return self.c0 * (1.0 + self.time_scale * t) ** -self.r  # x ** -0.0 == 1.0 for all x
 
     def blowdown(self, s: float) -> "CouplingSchedule":
@@ -156,6 +160,7 @@ def make_system(params: Nil3Params) -> ODESystem:
 def integrate_nil3(
     params: Nil3Params, t_end: float, cfg: IntegratorConfig | None = None
 ) -> Trajectory:
+    _check_positive("t_end", t_end)
     cfg = cfg or IntegratorConfig()
     return integrate_adaptive(
         make_system(params), 0.0, t_end, params.state0.as_array(), cfg
@@ -170,15 +175,19 @@ def blowdown(
     The sample times t/s reuse the source samples, so the transformed
     trajectory covers exactly [t0/s, t1/s].
     """
-    if s <= 0:
-        raise ValueError("blowdown scale must be positive")
+    if not (np.isfinite(s) and s > 0):
+        raise ValueError(f"blowdown scale must be positive and finite, got {s!r}")
     st0 = params.state0
     new_params = Nil3Params(
         state0=Nil3State(st0.A / s, st0.B / s, st0.C / s),
         slope=params.slope.blowdown(s),
         coupling=params.coupling.blowdown(s),
     )
-    return new_params, Trajectory(traj.times / s, traj.states / s)
+    with np.errstate(over="ignore"):  # an overflowing sample is rejected below
+        times, states = traj.times / s, traj.states / s
+    if not (np.isfinite(times[-1]) and np.isfinite(states).all()):
+        raise ValueError(f"the blowdown by s = {s!r} overflows the trajectory")
+    return new_params, Trajectory(times, states)
 
 
 def _fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -205,6 +214,7 @@ def _fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return du / (1.0 + times[2 : n - 2]).reshape(shape)
 
 
+@np.errstate(over="ignore")  # A B may round to inf here as in the float right-hand side
 def flow_residual(traj: Trajectory, params: Nil3Params) -> float:
     """Max normalized gap between finite-difference d(state)/dt and the rhs."""
     if len(traj.times) < 5:
@@ -231,7 +241,10 @@ def _fit_line(traj: Trajectory, component: str, window: tuple[float, float], tra
     q = traj.component(_COMPONENTS[component])[mask]
     if np.any(q <= 0):
         raise ValueError("nonpositive samples in fit window")
-    x, y = np.log(times[mask]), transform(q)
+    with np.errstate(over="ignore"):  # an overflowing sample is rejected below
+        x, y = np.log(times[mask]), transform(q)
+    if not np.isfinite(y).all():
+        raise ValueError(f"{component} samples in the fit window transform to non-finite values")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -310,6 +323,8 @@ def predicted_constants(params: Nil3Params, alpha: float | None = None) -> dict:
     if slow:
         out["A_prefactor"] = 2.0 * a2c * coupling.time_scale ** (-r) / (1 - 1.5 * r)
     if alpha is not None and regime in ("slow_decay", "fast_decay"):
+        if not alpha * e > 0:
+            raise ValueError(f"alpha * e underflows to 0 (alpha = {alpha!r}, e = {e!r})")
         B = float(np.sqrt(phi / (alpha * e)))
         out.update(B_prefactor=B, C_prefactor=phi / B)
     return out

@@ -65,10 +65,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if not all(np.isfinite(v) and v > 0 for v in (self.rtol, self.atol)):
             raise ValueError("rtol and atol must be positive and finite")
-        n = self.samples_per_decade
-        if not float(n).is_integer():  # also NaN and inf, which would fail later
-            raise ValueError(f"samples_per_decade must be an integer, got {n!r}")
-        object.__setattr__(self, "samples_per_decade", int(n))
+        object.__setattr__(self, "samples_per_decade",
+                           _integer("samples_per_decade", self.samples_per_decade))
         if self.samples_per_decade < 1:
             raise ValueError("samples_per_decade must be at least 1")
 
@@ -130,11 +128,24 @@ _UNDERFLOW_MESSAGES = {
 }
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, or a ValueError naming ``name`` (NaN and inf are no integers)."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_positive(name: str, value: float):  # e.g. the horizon t_end of a run from t = 0
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
 def _check_step(h: float):
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size must be positive and finite, got {h:.6g}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite step is reported as NonFiniteState
 def rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
     """One classical 4-stage Runge-Kutta step of y' = rhs(t, y)."""
     _check_step(h)
@@ -171,9 +182,9 @@ def log_sample_times(t0: float, t1: float, samples_per_decade: int) -> np.ndarra
         raise ValueError(f"t0 must be > -1, samples are log-spaced in 1 + t, got {t0!r}")
     u0 = np.log10(1.0 + t0)
     u1 = np.log10(1.0 + t1)
-    n = max(int(np.ceil((u1 - u0) * samples_per_decade)), 1)
-    u = np.linspace(u0, u1, n + 1)
-    times = 10.0**u - 1.0
+    with np.errstate(over="ignore"):  # linspace rejects the capped count; t1 is set below
+        n = min((u1 - u0) * _integer("samples_per_decade", samples_per_decade), 2.0**62)
+        times = 10.0 ** np.linspace(u0, u1, max(int(np.ceil(n)), 1) + 1) - 1.0
     times[0] = t0
     times[-1] = t1
     return times
@@ -201,7 +212,9 @@ def _fill_dense(out_states, end, pending):
     pending.clear()
 
 
-@np.errstate(invalid="ignore")  # a non-finite stage is reported as NonFiniteState
+# a non-finite stage is reported as NonFiniteState; an error scale rtol |y| past the
+# largest double is inf, and the step's error reads 0
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_adaptive(
     sys: ODESystem, t0: float, t1: float, y0, cfg: IntegratorConfig | None = None
 ) -> Trajectory:
@@ -214,6 +227,8 @@ def integrate_adaptive(
     pos = _positive_indices(sys.positive_components, len(y0))
     if not np.isfinite(y0).all():
         raise NonFiniteState("initial state is not finite", t0)
+    if pos and min(y0[pos]) <= 0:
+        raise PositivityLost("initial state has a non-positive flagged component", t0)
     if t1 == t0:
         return Trajectory(np.array([t0]), y0[None, :].copy())
 

@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .ode import NonFiniteState, rk4_step
+from .ode import NonFiniteState, _check_positive, _integer, rk4_step
 from .spd import _christoffel_stacked, _sym, is_spd
 
 KAPPA_CFL = 0.2
@@ -592,6 +592,7 @@ class RRFSRun:
         return self.snapshots[-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite step is rejected as one
 def integrate_rrfs(
     state0: RRFSState,
     grid: PeriodicGrid,
@@ -618,13 +619,9 @@ def integrate_rrfs(
     bundle gives the state's energy, volume and s.  Recording a state drops
     its bundle, so no state of the run, the input included, keeps one.
     """
-    if not (np.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be a positive finite number, got {t_end!r}")
-    if not (np.isfinite(kappa_cfl) and kappa_cfl > 0):
-        raise ValueError(f"kappa_cfl must be a positive finite number, got {kappa_cfl!r}")
-    if not float(n_snapshots).is_integer():  # also NaN and inf
-        raise ValueError(f"n_snapshots must be an integer, got {n_snapshots!r}")
-    n_snapshots = int(n_snapshots)
+    _check_positive("t_end", t_end)
+    _check_positive("kappa_cfl", kappa_cfl)
+    n_snapshots = _integer("n_snapshots", n_snapshots)
     if n_snapshots < 2:
         raise ValueError(f"n_snapshots must be at least 2 (the initial and final state), "
                          f"got {n_snapshots!r}")
@@ -744,9 +741,10 @@ def random_smooth_state(
     """Seeded smooth periodic state: G = exp(symmetric Fourier field), flat-ish g."""
     if not np.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude!r}")
+    n_fiber = _integer("n_fiber", n_fiber)
     if n_fiber < 1:
         raise ValueError("fiber dimension must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed))
     n = grid.n_base
     shape = tuple(grid.sizes)
     S = np.empty((n_fiber, n_fiber) + shape)

@@ -281,7 +281,7 @@ class TestRRFSCommand:
     def test_bad_rescaling_mode_rejected(self, capsys):
         assert cli.main(["rrfs", "--grid", "16", "--mode", "banana",
                          "--t-end", "0.01"]) == 1
-        assert "bad rescaling mode 'banana'" in capsys.readouterr().err
+        assert "unknown rescaling mode 'banana'" in capsys.readouterr().err
 
 
 class TestInputBoundary:
@@ -298,7 +298,7 @@ class TestInputBoundary:
     @pytest.mark.parametrize("t_end", ["nan", "inf", "-1", "0"])
     def test_bad_t_end_rejected(self, argv, t_end, capsys):
         assert cli.main([*argv, f"--t-end={t_end}"]) == 1
-        assert "--t-end must be a positive finite number" in capsys.readouterr().err
+        assert "t_end must be a positive finite number" in capsys.readouterr().err
 
     def test_nil3_shorter_than_step_floor(self, capsys):
         # the one landing step h = 1e-15 is below the step floor 1e-14
