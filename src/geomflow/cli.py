@@ -130,8 +130,11 @@ def cmd_rrfs(args) -> int:
                 "perturb_A": args.perturb_A}
         state0 = rrfs.random_smooth_state(args.seed, grid, args.n_fiber, **init)
         source = {"seed": args.seed, **init}
-    mode, sep, s0 = args.mode.partition(":")  # constant mode needs its s0
-    spec = rrfs.RescalingSpec(mode, float(s0) if sep or mode == "constant" else 0.0, args.c)
+    mode, sep, s0 = args.mode.partition(":")
+    if (sep or mode == "constant") and not s0:  # RescalingSpec cannot tell a missing s0 from 0
+        raise ValueError(f"rescaling mode {args.mode!r} has no s0; "
+                         f"constant mode takes the form constant:<s0>")
+    spec = rrfs.RescalingSpec(mode, float(s0) if sep else 0.0, args.c)
 
     run = rrfs.integrate_rrfs(state0, grid, spec, args.t_end, evolve_g=not args.freeze_g,
                               evolve_A=not args.freeze_A, n_snapshots=args.snapshots)

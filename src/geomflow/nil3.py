@@ -14,6 +14,7 @@ checks, and power-law / log-growth asymptotic fits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -101,13 +102,15 @@ class Nil3Params:
     slope: MapSlope = MapSlope(0.0)
     coupling: CouplingSchedule = CouplingSchedule.zero()
     phi0: float = field(init=False)
+    forcing: float = field(init=False)  # 2 a^2, the factor of c(t) in the A-equation
 
     def __post_init__(self):
         object.__setattr__(self, "phi0", self.state0.B * self.state0.C)
+        object.__setattr__(self, "forcing", 2.0 * self.slope.a**2)
 
     def f(self, t: float) -> float:
         """Effective forcing 2 a^2 c(t) in the A-equation."""
-        return 2.0 * self.slope.a**2 * self.coupling(t)
+        return self.forcing * self.coupling(t)
 
 
 @dataclass(frozen=True)
@@ -151,8 +154,10 @@ def exact_ricci_solution(t: float, A0: float, C0: float) -> Nil3State:
 
 
 def make_system(params: Nil3Params) -> ODESystem:
-    def f(t, y):
-        return _flow(*y.tolist(), params.f(t))  # three floats, not numpy scalars
+    forcing, coupling = params.forcing, params.coupling
+
+    def f(t, y):  # params.f(t), with its factor read once
+        return _flow(*y.tolist(), forcing * coupling(t))  # three floats, not numpy scalars
 
     return ODESystem(rhs=f, positive_components=(0, 1, 2))
 
@@ -299,6 +304,8 @@ def predicted_constants(params: Nil3Params, alpha: float | None = None) -> dict:
     in slow decay and 1/3 otherwise.  In slow and fast decay, a measured ``alpha`` > 0
     with A ~ alpha t^(1 - 2e) gives B^2 ~ Phi t^(2e)/(alpha e): ``B_prefactor``
     sqrt(Phi/(alpha e)), ``C_prefactor`` Phi/B.
+
+    A constant that is not finite, such as K for a subnormal C0, is None.
     """
     if alpha is not None and not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"A-prefactor alpha must be finite and > 0, got {alpha!r}")
@@ -313,7 +320,7 @@ def predicted_constants(params: Nil3Params, alpha: float | None = None) -> dict:
     if regime == "constant":
         out.update(A_slope=2.0 * a2c, kappa_B2=phi / a2c, C_prefactor=np.sqrt(a2c * phi),
                    C_prefactor_doubled=2.0 * np.sqrt(a2c * phi))
-        return out
+        return _finite_or_none(out)
     slow = regime == "slow_decay"
     e = r / 2 if slow else 1 / 3
     out["exponents"] = {"A": 1 - r if slow else 1 / 3, "B": e, "C": -e}
@@ -327,7 +334,14 @@ def predicted_constants(params: Nil3Params, alpha: float | None = None) -> dict:
             raise ValueError(f"alpha * e underflows to 0 (alpha = {alpha!r}, e = {e!r})")
         B = float(np.sqrt(phi / (alpha * e)))
         out.update(B_prefactor=B, C_prefactor=phi / B)
-    return out
+    return _finite_or_none(out)
+
+
+def _finite_or_none(constants: dict) -> dict:
+    """``constants`` with each number that is not finite, nested ones too, as None."""
+    return {key: _finite_or_none(v) if isinstance(v, dict)
+            else None if isinstance(v, float) and not math.isfinite(v) else v
+            for key, v in constants.items()}
 
 
 @dataclass(frozen=True)

@@ -241,7 +241,8 @@ def integrate_adaptive(
     t_stop = t1 * (1 - 1e-15) if t1 >= 0 else t1 * (1 + 1e-15)
 
     t, y = t0, y0.copy()
-    abs_y = np.abs(y)
+    abs_y = [abs(v) for v in y.tolist()]
+    atol, rtol = cfg.atol, cfg.rtol
     k1 = np.asarray(sys.rhs(t, y))
     h = min(_H_INIT, t1 - t0)
     err_prev = 1.0
@@ -260,7 +261,7 @@ def integrate_adaptive(
         k = np.empty((7, len(y0)))
         k[0] = k1
         for i in range(1, 7):
-            yi = y + hw[i, :i] @ k[:i]
+            yi = y + hw[i, :i].dot(k[:i])  # the same double as @, at less call cost
             k[i] = sys.rhs(t + _C[i] * h, yi)
         y_new = yi  # the 7th stage's state is the solution (FSAL)
         # a non-finite k7 = f(y_new) makes it a non-finite state too, rather than
@@ -273,10 +274,12 @@ def integrate_adaptive(
             h *= 0.5
             continue
 
-        abs_new = np.abs(y_new)
-        scale = cfg.atol + cfg.rtol * np.maximum(abs_y, abs_new)
-        e = hw[7] @ k / scale  # RMS norm: the same double as np.sqrt(np.mean(e**2))
-        err = math.sqrt(float(np.add.reduce(e * e)) / len(e))
+        # the RMS error norm on Python floats, each operation as numpy's; x * x, not
+        # x**2, which raises OverflowError, and numpy's pairwise sum of the squares
+        abs_new = [abs(v) for v in y_list]
+        e = [d / (atol + rtol * max(a, b))
+             for d, a, b in zip(hw[7].dot(k).tolist(), abs_y, abs_new)]
+        err = math.sqrt(float(np.add.reduce([x * x for x in e])) / len(e))
 
         if err <= 1.0:
             # PI controller (beta = 0.04)

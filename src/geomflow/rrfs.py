@@ -22,7 +22,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .ode import NonFiniteState, _check_positive, _integer, rk4_step
+from .ode import (_MAX_STEPS, MaxStepsExceeded, NonFiniteState, _check_positive, _integer,
+                  rk4_step)
 from .spd import _christoffel_stacked, _sym, is_spd
 
 KAPPA_CFL = 0.2
@@ -611,6 +612,9 @@ def integrate_rrfs(
     -only mode is g frozen, A frozen).  The snapshots are the initial state,
     the first state at or past each of ``n_snapshots`` - 2 evenly spaced
     interior times and the final state, so ``n_snapshots`` must be at least 2.
+    A run takes at most ``ode._MAX_STEPS`` steps: a ``t_end`` past that many initial
+    CFL steps is refused before the first step, and a run that the cap stops
+    raises ``MaxStepsExceeded``.
     The steps run through ``ode.rk4_step`` on the evolving fields packed into
     one flat array.  Every state shares the frozen fields, and a frozen g its
     checked ``_Metric``.
@@ -626,6 +630,11 @@ def integrate_rrfs(
         raise ValueError(f"n_snapshots must be at least 2 (the initial and final state), "
                          f"got {n_snapshots!r}")
     h_min = min(grid.spacing)
+    cfl = kappa_cfl * h_min * h_min  # the CFL step per unit of min-eig(g)
+    dt0 = cfl * state0._metric.min_eig
+    if t_end > _MAX_STEPS * float(dt0) > 0:  # a collapsed dt0 is the loop's CFLCollapse
+        raise MaxStepsExceeded(f"t_end = {t_end:.6g} is more than {_MAX_STEPS} steps of "
+                               f"the initial CFL step {dt0:.6g}", 0.0)
     snap_req = np.linspace(0.0, t_end, n_snapshots)
     if not evolve_g and state0._metric.per_grid is None:  # a memo: g is read-only
         state0._metric.per_grid = {}
@@ -657,8 +666,11 @@ def integrate_rrfs(
     snapshots = [state0]
     next_snap = 1
 
-    while t < t_end * (1 - 1e-12):
-        dt_cfl = kappa_cfl * h_min * h_min * state._metric.min_eig
+    t_stop = t_end * (1 - 1e-12)
+    for _ in range(_MAX_STEPS):
+        if t >= t_stop:
+            break
+        dt_cfl = cfl * state._metric.min_eig
         if dt_cfl <= 0 or not np.isfinite(dt_cfl):
             raise CFLCollapse(f"CFL step collapsed at t = {t:.6g}")
         dt = min(dt_cfl, t_end - t)
@@ -681,6 +693,9 @@ def integrate_rrfs(
         while next_snap < len(snap_req) - 1 and t >= snap_req[next_snap]:
             snapshots.append(state)
             next_snap += 1
+    else:
+        if t < t_stop:  # the CFL step shrank as g evolved, or steps were halved
+            raise MaxStepsExceeded(f"{_MAX_STEPS} steps did not reach t_end = {t_end:.6g}", t)
 
     record(t, state)
     snapshots.append(state)

@@ -60,7 +60,6 @@ NIL3_DATA = ["--A0", "--B0", "--C0", "--a", "--coupling=const:{}", "--coupling=p
              "--coupling=power:0.5,{}"]
 FLOAT_OPTIONS = {
     "nil3": NIL3_DATA + ["--t-end", "--rtol", "--atol"],
-    # a CFL-limited run to t = 1e300 takes about 1e301 steps, so those two are left out
     "rrfs": ["--period", "--amplitude", "--c", "--mode=constant:{}", "--t-end"],
     "verify-tension": ["--threshold"],
     "blowdown-check": NIL3_DATA + ["--t-end", "--s"],
@@ -73,7 +72,16 @@ INT_OPTIONS = {
     "verify-tension": ["--n-base", "--n-fiber", "--size", "--fields", "--seed"],
     "blowdown-check": ["--samples-per-decade"],
 }
-UNBOUNDED_RUNS = {("rrfs", "--t-end", "1e300"), ("rrfs", "--t-end", "1.7976931348623157e308")}
+# outcomes fixed beyond the contract, by (command, option, value): the exit code, and
+# the predicted constant that the JSON summary gives as null
+PINNED = {
+    # about 1e301 CFL steps, past the step cap: refused before the first step
+    ("rrfs", "--t-end", "1e300"): (1, None),
+    ("rrfs", "--t-end", "1.7976931348623157e308"): (1, None),
+    # valid runs whose K = A0 B0 / (3 C0) or kappa_B2 = Phi / (a^2 c0) overflows
+    ("nil3", "--C0", "5e-324"): (0, "K"),
+    ("nil3", "--coupling=const:{}", "5e-324"): (0, "kappa_B2"),
+}
 
 
 def _swap(argv: list, option: str, value: str) -> list:
@@ -97,7 +105,6 @@ CLI_CASES = [
     for options, values in ((FLOAT_OPTIONS, EDGES), (INT_OPTIONS, INT_EDGES))
     for option in options.get(command, [])
     for value in values
-    if (command, option, value) not in UNBOUNDED_RUNS
 ]
 
 
@@ -151,6 +158,8 @@ def test_cli_case(command, option, value, trajectory, tmp_path, monkeypatch, cap
             code, usage_error = exc.code, True
     out, err = capsys.readouterr()
     assert code in (0, 1, 2)
+    pinned_code, null = PINNED.get((command, option, value), (code, None))
+    assert code == pinned_code, err
     assert "Traceback" not in err
     if usage_error:
         assert code == 2 and re.match(r"geomflow [\w-]+: error: ", err.splitlines()[-1]), err
@@ -158,6 +167,19 @@ def test_cli_case(command, option, value, trajectory, tmp_path, monkeypatch, cap
         assert re.fullmatch(r"error: [^\n]+\n", err), err
     elif code == 0:
         _check_outputs(tmp_path, out)
+        if null:
+            summary = json.loads((tmp_path / "summary.json").read_text())
+            assert summary["predicted_constants"][null] is None
+
+
+@pytest.mark.parametrize("mode", ["constant", "constant:"])
+def test_rrfs_constant_mode_without_s0(mode, tmp_path, monkeypatch, capsys):
+    """A missing s0 is named as such, with the form that constant mode takes."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(_swap(COMMANDS["rrfs"], "--mode", mode)) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: [^\n]*\bconstant:<s0>[^\n]*\n", err), err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_cases_cover_every_numeric_option():

@@ -143,6 +143,17 @@ class TestRHS:
         for state in (Nil3State(1, 1, 1), Nil3State(0.3, 2.0, 7.0)):
             assert rhs(state, 3.0, p) == minus_two_ricci(state)
 
+    def test_system_rhs_is_public_rhs(self):
+        # the system's RHS reads the forcing factor 2 a^2 once; Nil3Params.f too
+        p = Nil3Params(Nil3State(1, 1, 1), MapSlope(3.0), CouplingSchedule.power(0.5, 0.3))
+        assert p.forcing == 18.0
+        assert dataclasses.replace(p, slope=MapSlope(0.5)).forcing == 0.5
+        system = nil3.make_system(p)
+        y = np.array([1.3, 0.7, 2.1])
+        for t in (0.0, 0.7, 1e8):
+            assert p.f(t) == 2.0 * 3.0**2 * p.coupling(t)
+            assert system.rhs(t, y) == rhs(Nil3State(*y), t, p)
+
     def test_rhs_with_coupling(self):
         p = Nil3Params(Nil3State(1, 1, 1), MapSlope(1.0), CouplingSchedule.constant(0.5))
         assert rhs(Nil3State(1, 1, 1), 0.0, p) == (2.0, 1.0, -1.0)
@@ -359,6 +370,16 @@ class TestPredictedConstants:
             p = Nil3Params(state, MapSlope(a), CouplingSchedule.constant(c0))
             assert predicted_constants(p) == ref
 
+    def test_constant_that_is_not_finite_is_none(self):
+        # K = A0 B0 / (3 C0) overflows, and in the zero regime C's prefactor with it;
+        # in the constant regime kappa_B2 = Phi / (a^2 c0) overflows for a subnormal c0
+        zero = predicted_constants(ricci_params(1.0, 1.0, 5e-324))
+        assert zero["K"] is None and zero["prefactors"]["C"] is None
+        assert zero["prefactors"]["A"] == 0.0 and zero["phi"] == 5e-324
+        p = Nil3Params(Nil3State(1, 1, 1), MapSlope(1.0), CouplingSchedule.constant(5e-324))
+        out = predicted_constants(p)
+        assert out["kappa_B2"] is None and out["K"] == 1 / 3 and out["A_slope"] == 1e-323
+
     @pytest.mark.parametrize("alpha", [0.0, -0.0, -1.0, np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("coupling", [CouplingSchedule.power(0.5, 2.0),
                                           CouplingSchedule.power(0.5, 0.3),
@@ -537,6 +558,13 @@ class TestDP5Pin:
                         ("0x1.934333c1a8c91p+10", "0x1.af7565a346a39p+8", "0x1.2fc9c38c4ca7fp-9")),
         "power:0.5,2": (CouplingSchedule.power(0.5, 2.0), 1699,
                         ("0x1.d3d0cf0e34d0ep+9", "0x1.1b2001c103ae4p+9", "0x1.cef28a015f5fcp-10")),
+        "power:0.5,0.3": (CouplingSchedule.power(0.5, 0.3), 1231,  # slow decay
+                          ("0x1.62a097fa955dcp+19", "0x1.e2eb5e2ee2467p+4",
+                           "0x1.0f6a77b4b440dp-5")),
+        # c0 = 8, time_scale = 4: the power:0.5,1 schedule blown down by s = 4
+        "power:0.5,1 blowdown 4": (CouplingSchedule.power(0.5, 1.0).blowdown(4.0), 1645,
+                                   ("0x1.48ad9605818a4p+12", "0x1.ddf6613393e35p+7",
+                                    "0x1.123b136660bc2p-8")),
     }
 
     @pytest.mark.parametrize("name", list(CASES))

@@ -260,6 +260,26 @@ class TestDP5Stages:
         assert traj.states[-1, 0] == float.fromhex("0x1.78b56363a7f1ap-2")
         assert abs(traj.states[-1, 0] / np.exp(-1.0) - 1.0) <= 1e-9
 
+    def test_eleven_component_linear_system_pinned(self):
+        """y' = M y with n = 11, where numpy's pairwise sum of the squared error
+        components is not a sequential one: the RHS count and the final state,
+        recorded as float.hex literals, exactly."""
+        n = 11
+        M = -np.diag(1.0 + np.arange(n) / 4) + 0.5 * (np.eye(n, k=1) - np.eye(n, k=-1))
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return M @ y
+
+        traj = integrate_adaptive(ODESystem(rhs), 0.0, 5.0, np.linspace(1.0, 2.0, n))
+        assert len(calls) == 1327
+        final = ["0x1.5e3d31c67976cp-8", "-0x1.797fe82aa9c44p-8", "0x1.e0a9b9f6bc85ap-9",
+                 "-0x1.91627ea5d2c00p-10", "0x1.0524b3c8a0352p-11", "-0x1.0cd9d8cd0559dp-13",
+                 "0x1.da7f6a2221d2dp-16", "-0x1.65bb41c19bb80p-18", "0x1.caddc9cf7f49fp-21",
+                 "-0x1.24e5819d21043p-23", "0x1.5cccff481194ap-26"]
+        assert traj.states[-1].tolist() == [float.fromhex(v) for v in final]
+
 
 class TestRejectionRules:
     """Which trial steps are rejected, and as what: finiteness of y_new and

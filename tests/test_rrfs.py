@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from geomflow import rrfs
+from geomflow.ode import MaxStepsExceeded
 from geomflow.spd import SPDError, SPDMatrix
 from geomflow.rrfs import (
     PeriodicGrid,
@@ -568,6 +569,45 @@ class TestIntegration:
         d1 = np.abs(finals[64][::2] - finals[32]).max()
         d2 = np.abs(finals[128][::2] - finals[64]).max()
         assert np.log2(d1 / d2) >= 2.0
+
+
+class TestStepCap:
+    """A run takes at most ``_MAX_STEPS`` steps, the cap of ``ode.integrate_adaptive``."""
+
+    GRID = PeriodicGrid((16,), (2 * np.pi,))
+
+    def initial_cfl_step(self, state):
+        h = min(self.GRID.spacing)
+        return rrfs.KAPPA_CFL * h * h * state._metric.min_eig
+
+    @pytest.mark.parametrize("t_end", [1e300, np.finfo(float).max])
+    def test_unreachable_horizon_refused_before_the_first_step(self, t_end, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rrfs, "rrfs_rhs", lambda *args, **kw: calls.append(args))
+        state = random_smooth_state(0, self.GRID, 2)
+        with pytest.raises(MaxStepsExceeded, match="is more than 1000000 steps of the initial"):
+            integrate_rrfs(state, self.GRID, RescalingSpec("volume"), t_end)
+        assert calls == []
+
+    def test_horizon_at_the_cap_is_run(self, monkeypatch):
+        # g frozen: every step is the initial CFL step, so 3 steps reach 3 dt0
+        monkeypatch.setattr(rrfs, "_MAX_STEPS", 3)
+        state = random_smooth_state(0, self.GRID, 2)
+        run = integrate_rrfs(state, self.GRID, RescalingSpec("off"),
+                             3 * self.initial_cfl_step(state), evolve_g=False)
+        assert len(run.step_times) == 4
+
+    def test_loop_stops_at_the_cap(self, monkeypatch):
+        # g evolves in volume mode and the CFL step shrinks: 20 initial CFL
+        # steps take 21 steps, so a cap of 20 passes the first check and stops the loop
+        state = random_smooth_state(0, self.GRID, 2, perturb_g=True)
+        t_end = 20 * self.initial_cfl_step(state)
+        spec = RescalingSpec("volume")
+        assert len(integrate_rrfs(state, self.GRID, spec, t_end).step_times) == 22
+        monkeypatch.setattr(rrfs, "_MAX_STEPS", 20)
+        with pytest.raises(MaxStepsExceeded, match="^20 steps did not reach t_end") as info:
+            integrate_rrfs(state, self.GRID, spec, t_end)
+        assert 0 < info.value.t < t_end
 
 
 class TestLibraryBoundary:
