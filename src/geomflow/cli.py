@@ -16,16 +16,28 @@ import numpy as np
 from . import nil3, ode, rrfs
 
 
+def _parse(option: str, form: str, text: str, parse):
+    """``parse(text)``, where a ValueError is a malformed ``text``: it names ``option``
+    and the ``form`` that the option takes."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{option} takes {form}, got {text!r}") from None
+
+
+def _coupling_values(text: str) -> tuple[float, ...]:
+    """The values of ``zero``, ``const:<c0>`` or ``power:<c0>,<r>``."""
+    kind, _, values = text.partition(":")
+    numbers = () if text == "zero" else tuple(float(v) for v in values.split(","))
+    if (kind, len(numbers)) not in (("zero", 0), ("const", 1), ("power", 2)):
+        raise ValueError(text)
+    return numbers
+
+
 def parse_coupling(text: str) -> nil3.CouplingSchedule:
-    """Parse ``zero``, ``const:<c0>`` or ``power:<c0>,<r>``."""
-    if text == "zero":
-        return nil3.CouplingSchedule.zero()
-    if text.startswith("const:"):
-        return nil3.CouplingSchedule.constant(float(text.split(":", 1)[1]))
-    if text.startswith("power:") and text.count(",") == 1:
-        c0, r = text.split(":", 1)[1].split(",")
-        return nil3.CouplingSchedule.power(float(c0), float(r))
-    raise ValueError(f"bad coupling spec {text!r}")
+    """Parse ``zero``, ``const:<c0>`` or ``power:<c0>,<r>``: the schedule of those values."""
+    return nil3.CouplingSchedule(*_parse(
+        "--coupling", "the form zero | const:<c0> | power:<c0>,<r>", text, _coupling_values))
 
 
 def _write_csv(path, header: str, columns):
@@ -77,7 +89,7 @@ def cmd_nil3(args) -> int:
     window = (max(args.t_end / 100.0, traj.times[1]), args.t_end)
     fits = {}
     kappa_fit = None
-    if window[1] / window[0] >= 100 * (1 - 1e-9):
+    if nil3.spans_two_decades(*window):
         for comp in "ABC":
             f = nil3.fit_power_law(traj, comp, window)
             fits[comp] = {
@@ -117,24 +129,30 @@ def cmd_nil3(args) -> int:
     return 0
 
 
+def _mode_values(text: str) -> tuple[str, float]:
+    """The mode and s0 of ``--mode``, where a missing s0 is float(""), a ValueError:
+    RescalingSpec cannot tell it from 0."""
+    mode, sep, s0 = text.partition(":")
+    return mode, float(s0) if sep or mode == "constant" else 0.0
+
+
 def cmd_rrfs(args) -> int:
     if args.init_file:
         state0, grid = rrfs.load_snapshot(args.init_file)
         source = {"init_file": args.init_file}
     else:
-        sizes = tuple(int(x) for x in args.grid.split(","))
-        period = (tuple(float(x) for x in args.period.split(",")) if args.period
-                  else (2 * np.pi,) * len(sizes))
+        sizes = _parse("--grid", "comma-separated integer axis sizes, such as 64 or 32,32",
+                       args.grid, lambda text: [int(x) for x in text.split(",")])
+        period = (_parse("--period", "comma-separated axis periods, such as 6.28 or 6.28,1",
+                         args.period, lambda text: [float(x) for x in text.split(",")])
+                  if args.period else (2 * np.pi,) * len(sizes))
         grid = rrfs.PeriodicGrid(sizes, period)
         init = {"amplitude": args.amplitude, "perturb_g": args.perturb_g,
                 "perturb_A": args.perturb_A}
         state0 = rrfs.random_smooth_state(args.seed, grid, args.n_fiber, **init)
         source = {"seed": args.seed, **init}
-    mode, sep, s0 = args.mode.partition(":")
-    if (sep or mode == "constant") and not s0:  # RescalingSpec cannot tell a missing s0 from 0
-        raise ValueError(f"rescaling mode {args.mode!r} has no s0; "
-                         f"constant mode takes the form constant:<s0>")
-    spec = rrfs.RescalingSpec(mode, float(s0) if sep else 0.0, args.c)
+    spec = rrfs.RescalingSpec(*_parse("--mode", "the form off | constant:<s0> | volume",
+                                      args.mode, _mode_values), args.c)
 
     run = rrfs.integrate_rrfs(state0, grid, spec, args.t_end, evolve_g=not args.freeze_g,
                               evolve_A=not args.freeze_A, n_snapshots=args.snapshots)
@@ -198,8 +216,7 @@ def verify_tension(seed: int, n_base: int, n_fiber: int, size: int,
 
 
 def cmd_verify_tension(args) -> int:
-    if not (np.isfinite(args.threshold) and args.threshold >= 0):
-        raise ValueError(f"--threshold must be a finite number >= 0, got {args.threshold!r}")
+    ode._check_nonnegative("--threshold", args.threshold)
     worst = max(verify_tension(args.seed, n_base, args.n_fiber, args.size, args.fields)
                 for n_base in args.n_base)
     print(f"max tension identity residual: {worst:.3e}")

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ode import IntegratorConfig, ODESystem, Trajectory, _check_positive, integrate_adaptive
+from .ode import (IntegratorConfig, ODESystem, Trajectory, _check_finite, _check_nonnegative,
+                  _check_positive, integrate_adaptive)
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,8 @@ class Nil3State:
     C: float
 
     def __post_init__(self):
-        if not all(0 < x < np.inf for x in (self.A, self.B, self.C)):
-            raise ValueError(f"metric coefficients must be positive and finite: {self}")
+        for name in "ABC":
+            _check_positive(name, getattr(self, name))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.A, self.B, self.C])
@@ -41,8 +42,7 @@ class MapSlope:
     a: float
 
     def __post_init__(self):
-        if not np.isfinite(self.a):
-            raise ValueError("slope must be finite")
+        _check_finite("slope a", self.a)
         if abs(self.a) > 2.0**511:  # the largest |a| whose forcing factor 2 a^2 is finite
             raise ValueError(f"slope |a| must be at most 2^511, got {self.a!r}")
 
@@ -66,14 +66,9 @@ class CouplingSchedule:
     time_scale: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.c0) and np.isfinite(self.r)):
-            raise ValueError("coupling c0 and r must be finite")
-        if not (np.isfinite(self.time_scale) and self.time_scale > 0):
-            raise ValueError("coupling time_scale must be finite and > 0")
-        if self.c0 < 0:
-            raise ValueError("c0 must be nonnegative")
-        if self.r < 0:
-            raise ValueError("r must be nonnegative")
+        _check_nonnegative("c0", self.c0)
+        _check_nonnegative("r", self.r)
+        _check_positive("time_scale", self.time_scale)
 
     @staticmethod
     def zero() -> "CouplingSchedule":
@@ -180,8 +175,7 @@ def blowdown(
     The sample times t/s reuse the source samples, so the transformed
     trajectory covers exactly [t0/s, t1/s].
     """
-    if not (np.isfinite(s) and s > 0):
-        raise ValueError(f"blowdown scale must be positive and finite, got {s!r}")
+    _check_positive("blowdown scale s", s)
     st0 = params.state0
     new_params = Nil3Params(
         state0=Nil3State(st0.A / s, st0.B / s, st0.C / s),
@@ -229,6 +223,12 @@ def flow_residual(traj: Trajectory, params: Nil3Params) -> float:
     return float(np.max(np.abs(d_fd - f) / (1.0 + np.abs(f))))
 
 
+def spans_two_decades(t_lo: float, t_hi: float) -> bool:
+    """Whether a fit window 0 < t_lo < t_hi spans the two decades a fit needs,
+    to within 1e-9 of a decade."""
+    return bool(np.log10(t_hi / t_lo) >= 2 - 1e-9)
+
+
 def _fit_line(traj: Trajectory, component: str, window: tuple[float, float], transform):
     """Least-squares line y = slope * log t + intercept with y = transform(Q)
     over the samples in ``window``; returns (slope, intercept, r^2)."""
@@ -240,7 +240,7 @@ def _fit_line(traj: Trajectory, component: str, window: tuple[float, float], tra
         raise ValueError("fit window must start at a positive time")
     if t_lo < times[0] * (1 - 1e-12) or t_hi > times[-1] * (1 + 1e-12):
         raise ValueError("window outside trajectory range")
-    if np.log10(t_hi / t_lo) < 2 - 1e-9:
+    if not spans_two_decades(t_lo, t_hi):
         raise ValueError("window must span at least 2 decades")
     mask = (times >= t_lo) & (times <= t_hi) & (times > 0)
     q = traj.component(_COMPONENTS[component])[mask]
@@ -307,8 +307,8 @@ def predicted_constants(params: Nil3Params, alpha: float | None = None) -> dict:
 
     A constant that is not finite, such as K for a subnormal C0, is None.
     """
-    if alpha is not None and not (np.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"A-prefactor alpha must be finite and > 0, got {alpha!r}")
+    if alpha is not None:
+        _check_positive("A-prefactor alpha", alpha)
     s0 = params.state0
     K = s0.A * s0.B / (3.0 * s0.C)
     phi = params.phi0

@@ -63,8 +63,8 @@ class IntegratorConfig:
     samples_per_decade: int = 32
 
     def __post_init__(self):
-        if not all(np.isfinite(v) and v > 0 for v in (self.rtol, self.atol)):
-            raise ValueError("rtol and atol must be positive and finite")
+        _check_positive("rtol", self.rtol)
+        _check_positive("atol", self.atol)
         object.__setattr__(self, "samples_per_decade",
                            _integer("samples_per_decade", self.samples_per_decade))
         if self.samples_per_decade < 1:
@@ -128,27 +128,34 @@ _UNDERFLOW_MESSAGES = {
 }
 
 
+# The numeric-input rules, each written once: a value that breaks one is a
+# ValueError naming the input (NaN and inf are no integers and not finite).
 def _integer(name: str, value) -> int:
-    """``value`` as an int, or a ValueError naming ``name`` (NaN and inf are no integers)."""
+    """``value`` as an int."""
     if not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value}")
     return int(value)
 
 
+def _check_finite(name: str, value: float):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _check_positive(name: str, value: float):  # e.g. the horizon t_end of a run from t = 0
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _check_step(h: float):
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step size must be positive and finite, got {h:.6g}")
+def _check_nonnegative(name: str, value: float):
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step is reported as NonFiniteState
 def rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
     """One classical 4-stage Runge-Kutta step of y' = rhs(t, y)."""
-    _check_step(h)
+    _check_positive("step size", h)
     k1 = np.asarray(rhs(t, y))
     k2 = np.asarray(rhs(t + h / 2, y + h / 2 * k1))
     k3 = np.asarray(rhs(t + h / 2, y + h / 2 * k2))
@@ -168,8 +175,8 @@ def _positive_indices(components, n: int) -> list[int]:
 
 
 def _check_interval(t0: float, t1: float):
-    if not (np.isfinite(t0) and np.isfinite(t1)):
-        raise ValueError(f"t0 and t1 must be finite, got {t0!r} and {t1!r}")
+    _check_finite("t0", t0)
+    _check_finite("t1", t1)
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
 
@@ -314,7 +321,7 @@ def integrate_adaptive(
 def integrate_fixed(rhs, t0: float, t1: float, y0, h: float) -> np.ndarray:
     """Fixed-step RK4 endpoint of y' = rhs(t, y); the last step is shortened to land on t1."""
     _check_interval(t0, t1)
-    _check_step(h)  # here too: h = inf would take no step at all
+    _check_positive("step size", h)  # here too: h = inf would take no step at all
     y = np.asarray(y0, dtype=float).copy()
     t = t0
     n_full = int(np.floor((t1 - t0) / h * (1 + 1e-12)))

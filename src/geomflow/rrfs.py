@@ -22,8 +22,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .ode import (_MAX_STEPS, MaxStepsExceeded, NonFiniteState, _check_positive, _integer,
-                  rk4_step)
+from .ode import (_MAX_STEPS, MaxStepsExceeded, NonFiniteState, _check_finite, _check_positive,
+                  _integer, rk4_step)
 from .spd import _christoffel_stacked, _sym, is_spd
 
 KAPPA_CFL = 0.2
@@ -66,9 +66,7 @@ class PeriodicGrid:
     period: tuple[float, ...]
 
     def __post_init__(self):
-        if not all(float(s).is_integer() for s in self.sizes):
-            raise ValueError(f"grid sizes must be integers, got {self.sizes}")
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(_integer("grid size", s) for s in self.sizes)
         period = tuple(float(p) for p in self.period)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "period", period)
@@ -78,8 +76,8 @@ class PeriodicGrid:
             raise ValueError(f"{len(period)} periods given for {len(sizes)} grid axes")
         if any(s < 8 for s in sizes):
             raise ValueError("each axis needs at least 8 points")
-        if not all(np.isfinite(p) and p > 0 for p in period):
-            raise ValueError("periods must be positive and finite")
+        for p in period:
+            _check_positive("period", p)
 
     @property
     def n_base(self) -> int:
@@ -183,8 +181,8 @@ class RescalingSpec:
     def __post_init__(self):
         if self.mode not in ("off", "constant", "volume"):
             raise ValueError(f"unknown rescaling mode {self.mode!r}")
-        if not (np.isfinite(self.s0) and np.isfinite(self.c_coupling)):
-            raise ValueError("rescaling s0 and c_coupling must be finite")
+        _check_finite("s0", self.s0)
+        _check_finite("c_coupling", self.c_coupling)
         if self.s0 != 0 and self.mode != "constant":
             raise ValueError(f"rescaling mode {self.mode!r} takes no s0, got {self.s0!r}")
 
@@ -754,8 +752,7 @@ def random_smooth_state(
     perturb_A: bool = False,
 ) -> RRFSState:
     """Seeded smooth periodic state: G = exp(symmetric Fourier field), flat-ish g."""
-    if not np.isfinite(amplitude):
-        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
+    _check_finite("amplitude", amplitude)
     n_fiber = _integer("n_fiber", n_fiber)
     if n_fiber < 1:
         raise ValueError("fiber dimension must be at least 1")

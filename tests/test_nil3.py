@@ -65,16 +65,16 @@ class TestTypes:
             assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_coupling_validation(self):
-        with pytest.raises(ValueError, match="^r must be nonnegative$"):
+        with pytest.raises(ValueError, match="^r must be finite and >= 0, got -1.0$"):
             CouplingSchedule(c0=1.0, r=-1.0)
-        with pytest.raises(ValueError, match="^c0 must be nonnegative$"):
+        with pytest.raises(ValueError, match="^c0 must be finite and >= 0, got -1.0$"):
             CouplingSchedule.power(-1.0, 1.5)
 
     @pytest.mark.parametrize("kind,c0,r", [("zero", -1.0, 0.0)])
     def test_kind_states_its_values(self, kind, c0, r):
         # a schedule is its values, and every value set has c0 >= 0; ``kind`` names
         # the factory the values would fall under
-        with pytest.raises(ValueError, match="^c0 must be nonnegative$"):
+        with pytest.raises(ValueError, match=f"^c0 must be finite and >= 0, got {c0}$"):
             CouplingSchedule(c0=c0, r=r)
 
     @staticmethod
@@ -111,12 +111,13 @@ class TestTypes:
                                            ("power", 1.0, 1.5)])
     def test_time_scale_must_be_finite_and_positive(self, name, c0, r, time_scale):
         # time_scale = -2 made the power schedule's c(1) complex, and nan made it nan
-        with pytest.raises(ValueError, match="^coupling time_scale must be finite and > 0$"):
+        message = f"^time_scale must be positive and finite, got {time_scale}$"
+        with pytest.raises(ValueError, match=message):
             CouplingSchedule(c0=c0, r=r, time_scale=time_scale)
 
     @pytest.mark.parametrize("a", [np.nan, np.inf])
     def test_slope_must_be_finite(self, a):
-        with pytest.raises(ValueError, match="^slope must be finite$"):
+        with pytest.raises(ValueError, match=f"^slope a must be finite, got {a}$"):
             MapSlope(a)
 
     def test_phi0_recorded(self):
@@ -329,6 +330,16 @@ class TestFits:
         with pytest.raises(ValueError):
             fit_power_law(traj, "A", (1.0, 1e7))  # outside range
 
+    @pytest.mark.parametrize("fit", [fit_power_law, fit_log_growth])
+    def test_window_a_rounding_short_of_two_decades_is_fitted(self, fit):
+        # t_hi / t_lo = 100 * 10^(-5e-10) lies below 100 (1 - 1e-9), yet within the
+        # 1e-9 of a decade that the one window rule allows
+        t_lo, t_hi = 1e4 / (100 * 10 ** -5e-10), 1e4
+        assert t_hi / t_lo < 100 * (1 - 1e-9)
+        assert nil3.spans_two_decades(t_lo, t_hi)
+        assert not nil3.spans_two_decades(t_lo * 10**2e-9, t_hi)
+        assert fit(oracle_trajectory(1e4), "B", (t_lo, t_hi)).window == (t_lo, t_hi)
+
     def test_window_from_t_zero_rejected(self):
         traj = oracle_trajectory(1e4)
         for fit in (fit_power_law, fit_log_growth):
@@ -388,7 +399,8 @@ class TestPredictedConstants:
     def test_alpha_must_be_finite_and_positive(self, coupling, alpha):
         # 0 and inf raised ZeroDivisionError, -1 and nan gave a NaN B_prefactor
         p = Nil3Params(Nil3State(1, 1, 1), MapSlope(1.0), coupling)
-        with pytest.raises(ValueError, match="^A-prefactor alpha must be finite and > 0"):
+        message = f"^A-prefactor alpha must be positive and finite, got {alpha}$"
+        with pytest.raises(ValueError, match=message):
             predicted_constants(p, alpha=alpha)
 
     def test_power_regime_with_alpha(self):

@@ -57,7 +57,8 @@ def flat_state(grid, n_fiber=1, g_field=None, A_field=None, G_field=None):
 class TestGrid:
     @pytest.mark.parametrize("sizes", [(8.9,), (8, 9.5), (np.inf,), (np.nan,)])
     def test_non_integral_size_rejected(self, sizes):
-        with pytest.raises(ValueError, match=r"^grid sizes must be integers, got \("):
+        bad = next(s for s in sizes if not float(s).is_integer())
+        with pytest.raises(ValueError, match=f"^grid size must be an integer, got {bad}$"):
             PeriodicGrid(sizes, (1.0,) * len(sizes))
 
     def test_validation(self):
@@ -625,13 +626,14 @@ class TestLibraryBoundary:
     @pytest.mark.parametrize("t_end", [np.nan, np.inf, -np.inf, -1.0, 0.0])
     def test_integrate_rejects_bad_t_end(self, t_end):
         grid = PeriodicGrid((8,), (2 * np.pi,))
-        with pytest.raises(ValueError, match="t_end must be a positive finite number"):
+        with pytest.raises(ValueError, match=f"^t_end must be positive and finite, got {t_end}$"):
             integrate_rrfs(flat_state(grid), grid, RescalingSpec("off"), t_end)
 
     @pytest.mark.parametrize("kappa", [np.nan, np.inf, 0.0, -1.0])
     def test_integrate_rejects_bad_kappa_cfl(self, kappa):
         grid = PeriodicGrid((8,), (2 * np.pi,))
-        with pytest.raises(ValueError, match="^kappa_cfl must be a positive finite number"):
+        message = f"^kappa_cfl must be positive and finite, got {kappa}$"
+        with pytest.raises(ValueError, match=message):
             integrate_rrfs(flat_state(grid), grid, RescalingSpec("off"), 1.0,
                            kappa_cfl=kappa)
 
@@ -644,7 +646,7 @@ class TestLibraryBoundary:
     @pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf])
     def test_random_state_rejects_non_finite_amplitude(self, amplitude):
         grid = PeriodicGrid((8,), (2 * np.pi,))
-        with pytest.raises(ValueError, match="^amplitude must be finite, got "):
+        with pytest.raises(ValueError, match=f"^amplitude must be finite, got {amplitude}$"):
             random_smooth_state(0, grid, 2, amplitude=amplitude)
 
     @pytest.mark.parametrize("amplitude", [1e3, 1e6, 1e300, 1.7e308])
