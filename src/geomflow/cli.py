@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -248,7 +249,10 @@ def cmd_fit(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, which ``main`` parses every call with; its
+    defaults are immutable, so no call sees a value that another changed."""
     p = argparse.ArgumentParser(
         prog="geomflow",
         description="Coupled Ricci / harmonic-map flow scenarios",
@@ -295,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vt = sub.add_parser("verify-tension", help="check the tension-field identity")
     vt.add_argument("--seed", type=int, default=0)
-    vt.add_argument("--n-base", type=int, nargs="+", default=[1, 2])
+    vt.add_argument("--n-base", type=int, nargs="+", default=(1, 2))
     vt.add_argument("--n-fiber", type=int, default=2)
     vt.add_argument("--size", type=int, default=64)
     vt.add_argument("--fields", type=int, default=5)
@@ -306,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="check blowdown solution closure")
     bd.add_argument("--t-end", type=float, default=1e4)
     bd.add_argument("--samples-per-decade", type=int, default=64)
-    bd.add_argument("--s", type=float, nargs="+", default=[0.5, 4.0])
+    bd.add_argument("--s", type=float, nargs="+", default=(0.5, 4.0))
     bd.set_defaults(func=cmd_blowdown_check)
 
     ft = sub.add_parser("fit", help="fit asymptotics from a trajectory CSV")

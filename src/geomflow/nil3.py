@@ -177,13 +177,18 @@ def blowdown(
     """
     _check_positive("blowdown scale s", s)
     st0 = params.state0
+    with np.errstate(over="ignore"):  # an overflowing or vanishing value is rejected below
+        A, B, C = st0.A / s, st0.B / s, st0.C / s
+        times, states = traj.times / s, traj.states / s
+    if not math.isfinite(max(A, B, C)):
+        raise ValueError(f"the blowdown by s = {s!r} overflows the initial state")
+    if min(A, B, C) == 0.0:
+        raise ValueError(f"the blowdown by s = {s!r} underflows the initial state to 0")
     new_params = Nil3Params(
-        state0=Nil3State(st0.A / s, st0.B / s, st0.C / s),
+        state0=Nil3State(A, B, C),
         slope=params.slope.blowdown(s),
         coupling=params.coupling.blowdown(s),
     )
-    with np.errstate(over="ignore"):  # an overflowing sample is rejected below
-        times, states = traj.times / s, traj.states / s
     if not (np.isfinite(times[-1]) and np.isfinite(states).all()):
         raise ValueError(f"the blowdown by s = {s!r} overflows the trajectory")
     return new_params, Trajectory(times, states)

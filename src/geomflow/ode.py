@@ -319,12 +319,20 @@ def integrate_adaptive(
 
 
 def integrate_fixed(rhs, t0: float, t1: float, y0, h: float) -> np.ndarray:
-    """Fixed-step RK4 endpoint of y' = rhs(t, y); the last step is shortened to land on t1."""
+    """Fixed-step RK4 endpoint of y' = rhs(t, y); the last step is shortened to land on t1.
+
+    A run takes at most ``_MAX_STEPS`` steps: a longer one raises ``MaxStepsExceeded``
+    before the first step."""
     _check_interval(t0, t1)
     _check_positive("step size", h)  # here too: h = inf would take no step at all
+    span = float(t1) - float(t0)  # on Python floats, an overflow is inf, not a warning
+    steps = span / float(h)
+    if steps > _MAX_STEPS:
+        raise MaxStepsExceeded(f"t1 - t0 = {span:.6g} is more than {_MAX_STEPS} steps of "
+                               f"h = {h:.6g}", t0)
     y = np.asarray(y0, dtype=float).copy()
     t = t0
-    n_full = int(np.floor((t1 - t0) / h * (1 + 1e-12)))
+    n_full = int(math.floor(steps * (1 + 1e-12)))
     for _ in range(n_full):
         y = rk4_step(rhs, t, y, h)
         t += h

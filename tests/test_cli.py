@@ -15,6 +15,32 @@ from geomflow import cli, nil3, ode, rrfs
 from geomflow.nil3 import CouplingSchedule
 
 
+class TestParser:
+    """``cli.main`` parses every call with the one parser of the process."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reuse_leaves_no_trace(self, tmp_path):
+        """A run after other commands and a usage error writes the bytes of the first."""
+        csv, js = tmp_path / "traj.csv", tmp_path / "summary.json"
+        nil3_argv = ["nil3", "--coupling", "const:0.5", "--t-end", "1e4",
+                     "--csv", str(csv), "--json", str(js)]
+        assert cli.main(nil3_argv) == 0
+        first = csv.read_bytes(), js.read_bytes()
+        assert cli.main(["fit", "--csv", str(csv), "--t-lo", "100", "--t-hi", "1e4"]) == 0
+        with pytest.raises(SystemExit) as info:
+            cli.main(["nil3", "--t-end", "x"])
+        assert info.value.code == 2
+        assert cli.main(nil3_argv) == 0
+        assert (csv.read_bytes(), js.read_bytes()) == first
+
+    def test_list_defaults_are_tuples(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["verify-tension"]).n_base == (1, 2)
+        assert parser.parse_args(["blowdown-check"]).s == (0.5, 4.0)
+
+
 class TestCouplingParsing:
     def test_kinds(self):
         assert cli.parse_coupling("zero") == CouplingSchedule.zero()

@@ -261,6 +261,9 @@ LIBRARY = {
     "integrate_adaptive.t0": lambda v: _adaptive(t0=v),
     "integrate_adaptive.t1": lambda v: _adaptive(t1=v),
     "integrate_adaptive.y0": lambda v: _adaptive(B0=v),
+    # a step count past the step cap is refused before the first step
+    "integrate_fixed.h": lambda v: ode.integrate_fixed(_decay, 0.0, 1.0, np.ones(2), v),
+    "integrate_fixed.t1": lambda v: ode.integrate_fixed(_decay, 0.0, v, np.ones(2), 0.1),
     "PeriodicGrid.period": lambda v: rrfs.PeriodicGrid((16,), (v,)),
     "RescalingSpec.s0": lambda v: rrfs.RescalingSpec("constant", s0=v),
     "RescalingSpec.c_coupling": lambda v: rrfs.RescalingSpec("volume", c_coupling=v),
@@ -340,6 +343,9 @@ CLI_MESSAGES = {
     ("nil3", "--coupling", "const:"): f"{COUPLING_FORM}, got 'const:'",
     ("nil3", "--coupling", "power:1"): f"{COUPLING_FORM}, got 'power:1'",
     ("blowdown-check", "--coupling", "zero:1"): f"{COUPLING_FORM}, got 'zero:1'",
+    # bounds beyond the four rules: A0 / s overflows for the first s, 0.5
+    ("blowdown-check", "--A0", "1.7976931348623157e308"):
+        "the blowdown by s = 0.5 overflows the initial state",
 }
 
 # The message of a library rejection, by case; the case raises ValueError.

@@ -259,6 +259,17 @@ class TestBlowdown:
         with pytest.raises(ValueError):
             blowdown(ricci_params(), oracle_trajectory(10.0), -1.0)
 
+    @pytest.mark.parametrize("state0, s, message", [
+        (Nil3State(1.7976931348623157e308, 1.0, 1.0), 0.5,
+         "the blowdown by s = 0.5 overflows the initial state"),
+        (Nil3State(1.0, 1.0, 5e-324), 4.0,
+         "the blowdown by s = 4.0 underflows the initial state to 0"),
+    ], ids=["overflow", "underflow"])
+    def test_scaled_initial_state_out_of_range(self, state0, s, message):
+        with pytest.raises(ValueError) as info:
+            blowdown(Nil3Params(state0), oracle_trajectory(10.0), s)
+        assert str(info.value) == message
+
 
 class TestFlowResidual:
     def test_oracle_residual_small(self):

@@ -393,6 +393,26 @@ def test_integrate_fixed_rejects_bad_interval_or_step(t0, t1, h, message):
         integrate_fixed(DECAY.rhs, t0, t1, np.array([1.0]), h)
 
 
+@pytest.mark.parametrize("t0,t1,h,message", [
+    (0.0, 1.0, 5e-324, "t1 - t0 = 1 is more than 1000000 steps of h = 4.94066e-324 (at t = 0)"),
+    (0.0, 1.0, 1e-300, "t1 - t0 = 1 is more than 1000000 steps of h = 1e-300 (at t = 0)"),
+    (-1e308, 1e308, 1.0, "t1 - t0 = inf is more than 1000000 steps of h = 1 (at t = -1e+308)"),
+])
+def test_integrate_fixed_refuses_more_than_max_steps(t0, t1, h, message):
+    """The step count is checked before the first step, which would raise TypeError."""
+    with pytest.raises(MaxStepsExceeded) as info:
+        integrate_fixed(None, t0, t1, np.array([1.0]), h)
+    assert str(info.value) == message
+
+
+def test_integrate_fixed_runs_max_steps(monkeypatch):
+    monkeypatch.setattr(ode, "_MAX_STEPS", 5)
+    assert integrate_fixed(DECAY.rhs, 0.0, 1.0, np.array([1.0]), 0.2)[0] == pytest.approx(
+        np.exp(-1.0), rel=1e-4)
+    with pytest.raises(MaxStepsExceeded):
+        integrate_fixed(None, 0.0, 1.0, np.array([1.0]), 0.19)
+
+
 class TestDenseBlocks:
     """Dense samples are recorded per step and evaluated ``_DENSE_BLOCK`` at a
     time, and once more at the end."""
