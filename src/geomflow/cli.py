@@ -205,8 +205,7 @@ def _tension_gap(seed: int, grid: rrfs.PeriodicGrid, n_fiber: int) -> float:
 def verify_tension(seed: int, n_base: int, n_fiber: int, size: int,
                    n_fields: int) -> float:
     """Max relative sup-gap between the two tension-field constructions."""
-    if n_fields < 1:
-        raise ValueError(f"n_fields must be at least 1, got {n_fields}")
+    n_fields = ode._count("n_fields", n_fields, 1)
     worst = 0.0
     grid = rrfs.PeriodicGrid(
         (size,) * n_base, (2 * np.pi,) * n_base
@@ -228,10 +227,10 @@ def cmd_blowdown_check(args) -> int:
     params = _nil3_params(args)
     cfg = ode.IntegratorConfig(samples_per_decade=args.samples_per_decade)
     traj = nil3.integrate_nil3(params, args.t_end, cfg)
+    blowdowns = [(s, *nil3.blowdown(params, traj, s)) for s in args.s]  # each s is checked first
     res0 = nil3.flow_residual(traj, params)
     worst_ratio = 0.0
-    for s in args.s:
-        p_s, t_s = nil3.blowdown(params, traj, s)
+    for s, p_s, t_s in blowdowns:
         res_s = nil3.flow_residual(t_s, p_s)
         worst_ratio = max(worst_ratio, res_s / max(res0, 1e-300))
         print(f"s = {s:g}: residual {res_s:.3e} (source {res0:.3e})")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ode import (IntegratorConfig, ODESystem, Trajectory, _check_finite, _check_nonnegative,
-                  _check_positive, integrate_adaptive)
+                  _check_positive, _count, integrate_adaptive)
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,16 @@ class CouplingSchedule:
         return self.c0 * (1.0 + self.time_scale * t) ** -self.r  # x ** -0.0 == 1.0 for all x
 
     def blowdown(self, s: float) -> "CouplingSchedule":
-        return replace(self, c0=self.c0 * (s * s), time_scale=self.time_scale * s)
+        c0, time_scale = self.c0 * (s * s), self.time_scale * s
+        _check_blowdown(s, "coupling", (self.c0, self.time_scale), (c0, time_scale))
+        return replace(self, c0=c0, time_scale=time_scale)
+
+
+def _check_blowdown(s: float, what: str, values, scaled):
+    if not math.isfinite(max(scaled)):
+        raise ValueError(f"the blowdown by s = {s!r} overflows the {what}")
+    if any(new == 0.0 < old for old, new in zip(values, scaled)):
+        raise ValueError(f"the blowdown by s = {s!r} underflows the {what} to 0")
 
 
 @dataclass(frozen=True)
@@ -177,18 +186,12 @@ def blowdown(
     """
     _check_positive("blowdown scale s", s)
     st0 = params.state0
-    with np.errstate(over="ignore"):  # an overflowing or vanishing value is rejected below
-        A, B, C = st0.A / s, st0.B / s, st0.C / s
+    with np.errstate(over="ignore"):  # an overflowing or vanishing value is rejected
+        state0 = (st0.A / s, st0.B / s, st0.C / s)
+        _check_blowdown(s, "initial state", (st0.A, st0.B, st0.C), state0)
+        new_params = Nil3Params(Nil3State(*state0), params.slope.blowdown(s),
+                                params.coupling.blowdown(s))
         times, states = traj.times / s, traj.states / s
-    if not math.isfinite(max(A, B, C)):
-        raise ValueError(f"the blowdown by s = {s!r} overflows the initial state")
-    if min(A, B, C) == 0.0:
-        raise ValueError(f"the blowdown by s = {s!r} underflows the initial state to 0")
-    new_params = Nil3Params(
-        state0=Nil3State(A, B, C),
-        slope=params.slope.blowdown(s),
-        coupling=params.coupling.blowdown(s),
-    )
     if not (np.isfinite(times[-1]) and np.isfinite(states).all()):
         raise ValueError(f"the blowdown by s = {s!r} overflows the trajectory")
     return new_params, Trajectory(times, states)
@@ -218,14 +221,15 @@ def _fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return du / (1.0 + times[2 : n - 2]).reshape(shape)
 
 
-@np.errstate(over="ignore")  # A B may round to inf here as in the float right-hand side
+@np.errstate(over="ignore", invalid="ignore")  # A B may round to inf: see the last check
 def flow_residual(traj: Trajectory, params: Nil3Params) -> float:
     """Max normalized gap between finite-difference d(state)/dt and the rhs."""
-    if len(traj.times) < 5:
-        raise ValueError("need at least 5 samples for the residual stencil")
+    _count("number of samples for the residual stencil", len(traj.times), 5)
     d_fd = _fd_derivative(traj.times, traj.states)
     f = np.stack(_flow(*traj.states[2:-2].T, params.f(traj.times[2:-2])), axis=1)
-    return float(np.max(np.abs(d_fd - f) / (1.0 + np.abs(f))))
+    residual = float(np.max(np.abs(d_fd - f) / (1.0 + np.abs(f))))
+    _check_finite("flow residual", residual)
+    return residual
 
 
 def spans_two_decades(t_lo: float, t_hi: float) -> bool:
@@ -371,8 +375,9 @@ def bounds_check(traj: Trajectory, params: Nil3Params) -> BoundsReport:
     f0 = params.f(0.0)
     t = traj.times
     A, B, C = traj.states.T
-    checks = [
-        ("C_lower", C - A0 * B0 * C0 / (A0 * B0 + C0 * t)),
+    AB = A0 * B0
+    checks = [  # C_lower tends to C0 as A0 B0 grows, and is C0 where A0 B0 overflows
+        ("C_lower", C - (AB * C0 / (AB + C0 * t) if math.isfinite(AB) else C0)),
         ("C_upper", C0 - C),
         ("A_upper", A0 + (C0 / B0 + f0) * t - A),
         ("A_monotone", np.diff(A, prepend=A0)),

@@ -66,9 +66,7 @@ class IntegratorConfig:
         _check_positive("rtol", self.rtol)
         _check_positive("atol", self.atol)
         object.__setattr__(self, "samples_per_decade",
-                           _integer("samples_per_decade", self.samples_per_decade))
-        if self.samples_per_decade < 1:
-            raise ValueError("samples_per_decade must be at least 1")
+                           _count("samples_per_decade", self.samples_per_decade, 1))
 
 
 @dataclass(frozen=True)
@@ -130,10 +128,10 @@ _UNDERFLOW_MESSAGES = {
 
 # The numeric-input rules, each written once: a value that breaks one is a
 # ValueError naming the input (NaN and inf are no integers and not finite).
-def _integer(name: str, value) -> int:
-    """``value`` as an int."""
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value}")
+def _count(name: str, value, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``."""
+    if not (float(value).is_integer() and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
     return int(value)
 
 
@@ -190,7 +188,7 @@ def log_sample_times(t0: float, t1: float, samples_per_decade: int) -> np.ndarra
     u0 = np.log10(1.0 + t0)
     u1 = np.log10(1.0 + t1)
     with np.errstate(over="ignore"):  # linspace rejects the capped count; t1 is set below
-        n = min((u1 - u0) * _integer("samples_per_decade", samples_per_decade), 2.0**62)
+        n = min((u1 - u0) * _count("samples_per_decade", samples_per_decade, 1), 2.0**62)
         times = 10.0 ** np.linspace(u0, u1, max(int(np.ceil(n)), 1) + 1) - 1.0
     times[0] = t0
     times[-1] = t1
@@ -250,7 +248,10 @@ def integrate_adaptive(
     t, y = t0, y0.copy()
     abs_y = [abs(v) for v in y.tolist()]
     atol, rtol = cfg.atol, cfg.rtol
-    k1 = np.asarray(sys.rhs(t, y))
+    try:  # an RHS on Python floats raises where numpy would give inf or NaN
+        k1 = np.asarray(sys.rhs(t, y))
+    except (ZeroDivisionError, OverflowError):  # every stage weighs k1: no step can be taken
+        raise NonFiniteState("right-hand side is not finite at the initial state", t0) from None
     h = min(_H_INIT, t1 - t0)
     err_prev = 1.0
     rejects_in_a_row = 0
@@ -267,15 +268,18 @@ def integrate_adaptive(
         hw = h * _TABLEAU  # h scales the weights first, so no sum of slopes overflows
         k = np.empty((7, len(y0)))
         k[0] = k1
-        for i in range(1, 7):
-            yi = y + hw[i, :i].dot(k[:i])  # the same double as @, at less call cost
-            k[i] = sys.rhs(t + _C[i] * h, yi)
-        y_new = yi  # the 7th stage's state is the solution (FSAL)
-        # a non-finite k7 = f(y_new) makes it a non-finite state too, rather than
-        # an error estimate whose norm is NaN or inf; the tests run on Python
-        # floats, finiteness first, so min() below never sees a NaN
-        y_list = y_new.tolist()
-        finite = all(map(math.isfinite, y_list)) and all(map(math.isfinite, k[6].tolist()))
+        try:
+            for i in range(1, 7):
+                yi = y + hw[i, :i].dot(k[:i])  # the same double as @, at less call cost
+                k[i] = sys.rhs(t + _C[i] * h, yi)
+            y_new = yi  # the 7th stage's state is the solution (FSAL)
+            # a non-finite k7 = f(y_new) makes it a non-finite state too, rather than
+            # an error estimate whose norm is NaN or inf; the tests run on Python
+            # floats, finiteness first, so min() below never sees a NaN
+            y_list = y_new.tolist()
+            finite = all(map(math.isfinite, y_list)) and all(map(math.isfinite, k[6].tolist()))
+        except (ZeroDivisionError, OverflowError):  # a stage the RHS cannot evaluate
+            finite = False
         if not finite or (pos and min([y_list[i] for i in pos]) <= 0.0):
             cause = PositivityLost if finite else NonFiniteState
             h *= 0.5
@@ -349,8 +353,7 @@ def convergence_order(rhs, exact, t_end: float, h_list) -> float:
     exactly (errors at rounding level).
     """
     h_list = np.asarray(h_list, dtype=float)
-    if len(h_list) < 3:
-        raise ValueError("need at least 3 step sizes")
+    _count("number of step sizes", len(h_list), 3)
     y0 = np.asarray(exact(0.0), dtype=float)
     ref = np.asarray(exact(t_end), dtype=float)
     errs = np.array(

@@ -23,7 +23,7 @@ from itertools import accumulate
 import numpy as np
 
 from .ode import (_MAX_STEPS, MaxStepsExceeded, NonFiniteState, _check_finite, _check_positive,
-                  _integer, rk4_step)
+                  _count, rk4_step)
 from .spd import _christoffel_stacked, _sym, is_spd
 
 KAPPA_CFL = 0.2
@@ -66,7 +66,7 @@ class PeriodicGrid:
     period: tuple[float, ...]
 
     def __post_init__(self):
-        sizes = tuple(_integer("grid size", s) for s in self.sizes)
+        sizes = tuple(_count("grid size", s, 8) for s in self.sizes)
         period = tuple(float(p) for p in self.period)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "period", period)
@@ -74,8 +74,6 @@ class PeriodicGrid:
             raise ValueError("grid must be 1- or 2-dimensional")
         if len(period) != len(sizes):
             raise ValueError(f"{len(period)} periods given for {len(sizes)} grid axes")
-        if any(s < 8 for s in sizes):
-            raise ValueError("each axis needs at least 8 points")
         for p in period:
             _check_positive("period", p)
 
@@ -151,8 +149,7 @@ class RRFSState:
         if A.flags.writeable:  # the caller's A stays writable; a read-only A is shared
             A = A.copy()
         G = _sym(np.asarray(self.G, dtype=float))
-        if G.shape[-1] < 1:
-            raise ValueError("fiber dimension must be at least 1")
+        _count("fiber dimension", G.shape[-1], 1)
         if g.shape[-1] not in (1, 2):
             raise ValueError(f"base metric g must be 1x1 or 2x2 per node, got {g.shape[-2:]}")
         if A.shape != g.shape[:-1] + G.shape[-1:] or G.shape[:-2] != g.shape[:-2]:
@@ -623,10 +620,7 @@ def integrate_rrfs(
     """
     _check_positive("t_end", t_end)
     _check_positive("kappa_cfl", kappa_cfl)
-    n_snapshots = _integer("n_snapshots", n_snapshots)
-    if n_snapshots < 2:
-        raise ValueError(f"n_snapshots must be at least 2 (the initial and final state), "
-                         f"got {n_snapshots!r}")
+    n_snapshots = _count("n_snapshots", n_snapshots, 2)
     h_min = min(grid.spacing)
     cfl = kappa_cfl * h_min * h_min  # the CFL step per unit of min-eig(g)
     dt0 = cfl * state0._metric.min_eig
@@ -753,10 +747,8 @@ def random_smooth_state(
 ) -> RRFSState:
     """Seeded smooth periodic state: G = exp(symmetric Fourier field), flat-ish g."""
     _check_finite("amplitude", amplitude)
-    n_fiber = _integer("n_fiber", n_fiber)
-    if n_fiber < 1:
-        raise ValueError("fiber dimension must be at least 1")
-    rng = np.random.default_rng(_integer("seed", seed))
+    n_fiber = _count("n_fiber", n_fiber, 1)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     n = grid.n_base
     shape = tuple(grid.sizes)
     S = np.empty((n_fiber, n_fiber) + shape)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ode import _count
+
 SYM_RTOL = 1e-14
 
 
@@ -138,11 +140,10 @@ def project_unit_det(G: SPDMatrix) -> SPDMatrix:
 
 def random_spd(seed: int, N: int, cond_max: float = 10.0) -> SPDMatrix:
     """Deterministic random SPD matrix with condition number <= cond_max."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    N = _count("N", N, 1)
     if cond_max < 1:
         raise ValueError(f"cond_max must be >= 1, got {cond_max}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     q, _ = np.linalg.qr(rng.standard_normal((N, N)))
     # eigenvalues in [1, cond_max); ratio of extremes stays below cond_max
     lam = 1.0 + (cond_max - 1.0) * rng.random(N)

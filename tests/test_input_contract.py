@@ -5,11 +5,11 @@ it fills.  Each case below swaps one argument for one value of ``EDGES`` and
 has a stable id, ``<command or call>-<argument>=<value>``.
 
 * CLI: each README command runs through ``cli.main`` in process, in its own
-  directory, with one numeric option swapped.  The exit code is 0, 1 or 2 and
-  no traceback or warning escapes.  Exit 1 writes one ``error: ...`` line to
-  stderr and nothing else there; argparse's exit 2 for a value its type cannot
-  read ends stderr with ``geomflow <command>: error: ...``; a returned 2 is a
-  verification failure.
+  directory, with one numeric option swapped (or a pair of them, ``PAIRS``).
+  The exit code is 0, 1 or 2 and no traceback or warning escapes.  Exit 1
+  writes one ``error: ...`` line to stderr and nothing else there; argparse's
+  exit 2 for a value its type cannot read ends stderr with
+  ``geomflow <command>: error: ...``; a returned 2 is a verification failure.
   On exit 0 every JSON output is strict JSON, every CSV and snapshot parses,
   and every number in them, and in the text on stdout, is finite (or null).
 * Library: the public constructors and functions return a value or raise one
@@ -76,8 +76,8 @@ INT_OPTIONS = {
     "verify-tension": ["--n-base", "--n-fiber", "--size", "--fields", "--seed"],
     "blowdown-check": ["--samples-per-decade"],
 }
-# outcomes fixed beyond the contract, by (command, option, value): the exit code, and
-# the predicted constant that the JSON summary gives as null
+# outcomes fixed beyond the contract, by case (a pair's options and values are tuples):
+# the exit code, and the predicted constant that the JSON summary gives as null
 PINNED = {
     # about 1e301 CFL steps, past the step cap: refused before the first step
     ("rrfs", "--t-end", "1e300"): (1, None),
@@ -85,7 +85,37 @@ PINNED = {
     # valid runs whose K = A0 B0 / (3 C0) or kappa_B2 = Phi / (a^2 c0) overflows
     ("nil3", "--C0", "5e-324"): (0, "K"),
     ("nil3", "--coupling=const:{}", "5e-324"): (0, "kappa_B2"),
+    # the trajectory is written, then B^2 of the log-growth fit overflows
+    ("nil3", ("--A0", "--B0"), ("1e200", "1e200")): (1, None),
+    # PAIRS refused with a message form that CLI_MESSAGES pins for another pair
+    ("nil3", ("--A0", "--B0"), ("1e-300", "1e-300")): (1, None),
+    ("blowdown-check", ("--A0", "--s"), ("1.7976931348623157e308", "4")): (1, None),
+    ("blowdown-check", ("--a", "--s"), ("0", "1e-200")): (1, None),
 }
+# pairs of values that are each fine alone but not together, as (command, options,
+# values); each ended in a traceback, a NaN verdict or a message naming another value
+PAIRS = [
+    ("nil3", ("--A0", "--B0"), ("1e-200", "1e-200")),  # A B underflows to 0 in the RHS
+    ("nil3", ("--A0", "--B0"), ("1e-300", "1e-300")),
+    # A0 B0 overflows in the lower bound of C, which is checked before the fits
+    ("nil3", ("--A0", "--B0"), ("1e200", "1e200")),
+    # A B and C^2 overflow in the residual: of the blown-down run, or of the source
+    ("blowdown-check", ("--a", "--s"), ("0", "1e-160")),
+    ("blowdown-check", ("--A0", "--s"), ("1.7976931348623157e308", "4")),
+    # the blowdown overflows the coupling, or takes a positive c0 to 0
+    ("blowdown-check", ("--coupling=const:{}", "--s"), ("1e300", "1e5")),
+    ("blowdown-check", ("--coupling=const:{}", "--s"), ("5e-324", "0.5")),
+    ("blowdown-check", ("--a", "--s"), ("0", "1e-200")),
+]
+
+
+def _settings(option, value):
+    """The (option, value) pairs of a case, which sets one option or a tuple of them."""
+    return zip(option, value) if isinstance(option, tuple) else [(option, value)]
+
+
+def _case_id(command, option, value) -> str:
+    return f"{command}-" + ",".join(f"{o}={v}" for o, v in _settings(option, value))
 
 
 def _swap(argv: list, option: str, value: str) -> list:
@@ -103,13 +133,13 @@ def _swap(argv: list, option: str, value: str) -> list:
     return out + [f"{flag}={(template or '{}').format(value)}"]
 
 
-CLI_CASES = [
-    pytest.param(command, option, value, id=f"{command}-{option}={value}")
+CLI_CASES = [pytest.param(*case, id=_case_id(*case)) for case in [
+    (command, option, value)
     for command in COMMANDS
     for options, values in ((FLOAT_OPTIONS, EDGES), (INT_OPTIONS, INT_EDGES))
     for option in options.get(command, [])
     for value in values
-]
+] + PAIRS]
 
 
 @pytest.fixture(scope="module")
@@ -150,8 +180,11 @@ def _check_outputs(directory: Path, stdout: str):
     assert not re.search(r"\b(nan|inf)", stdout, re.IGNORECASE), stdout
 
 
-def _argv(command: str, option: str, value: str, trajectory: Path) -> list:
-    return [str(trajectory) if a == TRAJ else a for a in _swap(COMMANDS[command], option, value)]
+def _argv(command: str, option, value, trajectory: Path) -> list:
+    argv = COMMANDS[command]
+    for o, v in _settings(option, value):
+        argv = _swap(argv, o, v)
+    return [str(trajectory) if a == TRAJ else a for a in argv]
 
 
 @pytest.mark.parametrize("command, option, value", CLI_CASES)
@@ -217,6 +250,7 @@ def _trajectory(t_end: float = 10.0, a: float = 1.0) -> ode.Trajectory:
 
 
 GRID = rrfs.PeriodicGrid((16,), (2 * np.pi,))
+OFF = rrfs.RescalingSpec("off")
 
 
 def _state(**fields) -> rrfs.RRFSState:
@@ -271,6 +305,9 @@ LIBRARY = {
     "RRFSState.A": lambda v: _state(A=np.full((16, 1, 2), v)),
     "RRFSState.G": lambda v: _state(G=np.broadcast_to(np.diag([v, v]), (16, 2, 2))),
     "random_smooth_state.amplitude": lambda v: rrfs.random_smooth_state(0, GRID, 2, v),
+    "integrate_rrfs.t_end": lambda v: rrfs.integrate_rrfs(_state(), GRID, OFF, v),
+    "integrate_rrfs.kappa_cfl": lambda v: rrfs.integrate_rrfs(_state(), GRID, OFF, 0.01,
+                                                              kappa_cfl=v),
     "SPDMatrix": lambda v: spd.SPDMatrix(np.diag([v, v])),
 }
 INT_LIBRARY = {
@@ -280,6 +317,10 @@ INT_LIBRARY = {
     "PeriodicGrid.sizes": lambda v: rrfs.PeriodicGrid((v,), (2 * np.pi,)),
     "random_smooth_state.seed": lambda v: rrfs.random_smooth_state(v, GRID, 2),
     "random_smooth_state.n_fiber": lambda v: rrfs.random_smooth_state(0, GRID, v),
+    "integrate_rrfs.n_snapshots": lambda v: rrfs.integrate_rrfs(_state(), GRID, OFF, 0.01,
+                                                                n_snapshots=v),
+    # the 4-node grid is refused once the count passes, so no count runs a field
+    "verify_tension.n_fields": lambda v: cli.verify_tension(0, 1, 2, 4, v),
 }
 LIBRARY_CASES = [
     pytest.param(call, float(value), id=f"{name}={value}")
@@ -330,6 +371,10 @@ CLI_MESSAGES = {
     ("nil3", "--coupling=const:{}", "-1"): "c0 must be finite and >= 0, got -1.0",
     ("blowdown-check", "--coupling=power:0.5,{}", "inf"): "r must be finite and >= 0, got inf",
     ("verify-tension", "--threshold", "nan"): "--threshold must be finite and >= 0, got nan",
+    # ode._count
+    ("rrfs", "--n-fiber", "0"): "n_fiber must be an integer >= 1, got 0",
+    ("rrfs", "--seed", "-1"): "seed must be an integer >= 0, got -1",
+    ("verify-tension", "--fields", "0"): "n_fields must be an integer >= 1, got 0",
     # grammar
     ("rrfs", "--grid", "16,"): f"{GRID_FORM}, got '16,'",
     ("rrfs", "--grid", ",16"): f"{GRID_FORM}, got ',16'",
@@ -339,6 +384,7 @@ CLI_MESSAGES = {
     ("rrfs", "--mode", "off:"): f"{MODE_FORM}, got 'off:'",
     ("rrfs", "--mode", "constant:x"): f"{MODE_FORM}, got 'constant:x'",
     ("rrfs", "--mode", "volume:3"): "rescaling mode 'volume' takes no s0, got 3.0",
+    ("rrfs", "--mode", "banana"): "unknown rescaling mode 'banana'",
     ("nil3", "--coupling", "bogus"): f"{COUPLING_FORM}, got 'bogus'",
     ("nil3", "--coupling", "const:"): f"{COUPLING_FORM}, got 'const:'",
     ("nil3", "--coupling", "power:1"): f"{COUPLING_FORM}, got 'power:1'",
@@ -346,6 +392,15 @@ CLI_MESSAGES = {
     # bounds beyond the four rules: A0 / s overflows for the first s, 0.5
     ("blowdown-check", "--A0", "1.7976931348623157e308"):
         "the blowdown by s = 0.5 overflows the initial state",
+    # PAIRS
+    ("nil3", ("--A0", "--B0"), ("1e-200", "1e-200")):
+        "right-hand side is not finite at the initial state (at t = 0)",
+    ("blowdown-check", ("--a", "--s"), ("0", "1e-160")):
+        "flow residual must be finite, got nan",
+    ("blowdown-check", ("--coupling=const:{}", "--s"), ("1e300", "1e5")):
+        "the blowdown by s = 100000.0 overflows the coupling",
+    ("blowdown-check", ("--coupling=const:{}", "--s"), ("5e-324", "0.5")):
+        "the blowdown by s = 0.5 underflows the coupling to 0",
 }
 
 # The message of a library rejection, by case; the case raises ValueError.
@@ -370,18 +425,27 @@ LIBRARY_MESSAGES = {
     # ode._check_nonnegative
     ("CouplingSchedule.c0", "-1"): "c0 must be finite and >= 0, got -1.0",
     ("CouplingSchedule.r", "nan"): "r must be finite and >= 0, got nan",
-    # ode._integer
-    ("PeriodicGrid.sizes", "2.5"): "grid size must be an integer, got 2.5",
-    ("IntegratorConfig.samples_per_decade", "inf"): "samples_per_decade must be an integer, got inf",
-    ("random_smooth_state.seed", "nan"): "seed must be an integer, got nan",
+    ("integrate_rrfs.t_end", "0"): "t_end must be positive and finite, got 0.0",
+    ("integrate_rrfs.kappa_cfl", "-inf"): "kappa_cfl must be positive and finite, got -inf",
+    # ode._count
+    ("PeriodicGrid.sizes", "2.5"): "grid size must be an integer >= 8, got 2.5",
+    ("PeriodicGrid.sizes", "7"): "grid size must be an integer >= 8, got 7.0",
+    ("IntegratorConfig.samples_per_decade", "inf"):
+        "samples_per_decade must be an integer >= 1, got inf",
+    ("log_sample_times.samples_per_decade", "0"):
+        "samples_per_decade must be an integer >= 1, got 0.0",
+    ("random_smooth_state.seed", "nan"): "seed must be an integer >= 0, got nan",
+    ("random_smooth_state.n_fiber", "-1"): "n_fiber must be an integer >= 1, got -1.0",
+    ("integrate_rrfs.n_snapshots", "2.5"): "n_snapshots must be an integer >= 2, got 2.5",
     # bounds beyond the four rules
     ("MapSlope.a", "1e300"): "slope |a| must be at most 2^511, got 1e+300",
-    ("PeriodicGrid.sizes", "7"): "each axis needs at least 8 points",
+    ("log_sample_times.t0", "-1"): "t0 must be > -1, samples are log-spaced in 1 + t, got -1.0",
+    ("log_sample_times.t1", "-1"): "t1 must be >= t0",
 }
 
 
 @pytest.mark.parametrize("command, option, value, message", [
-    pytest.param(*case, message, id=f"{case[0]}-{case[1]}={case[2]}")
+    pytest.param(*case, message, id=_case_id(*case))
     for case, message in CLI_MESSAGES.items()
 ])
 def test_cli_message(command, option, value, message, trajectory, tmp_path, monkeypatch,

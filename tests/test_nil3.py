@@ -70,13 +70,6 @@ class TestTypes:
         with pytest.raises(ValueError, match="^c0 must be finite and >= 0, got -1.0$"):
             CouplingSchedule.power(-1.0, 1.5)
 
-    @pytest.mark.parametrize("kind,c0,r", [("zero", -1.0, 0.0)])
-    def test_kind_states_its_values(self, kind, c0, r):
-        # a schedule is its values, and every value set has c0 >= 0; ``kind`` names
-        # the factory the values would fall under
-        with pytest.raises(ValueError, match=f"^c0 must be finite and >= 0, got {c0}$"):
-            CouplingSchedule(c0=c0, r=r)
-
     @staticmethod
     def by_values(sched, t):
         """c(t) case by case: 0 for c0 = 0, c0 for r = 0, else c0 (1 + time_scale t)^(-r)."""
@@ -518,6 +511,13 @@ class TestBounds:
         report = bounds_check(Trajectory(times, states), p)
         assert not report.ok
         assert any(name == "C_upper" for name, _, _ in report.violations)
+
+    def test_c_lower_is_c0_where_a0_b0_overflows(self):
+        # C0 A0 B0 / (A0 B0 + C0 t) was inf / inf, a NaN slack that no check could fail
+        times = log_sample_times(0.0, 10.0, 16)
+        report = bounds_check(Trajectory(times, np.tile([1e200, 1e200, 0.5], (len(times), 1))),
+                              ricci_params(1e200, 1e200))
+        assert report.worst_slack == -0.5  # C - C0
 
 
 @st.composite

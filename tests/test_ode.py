@@ -182,6 +182,21 @@ class TestAdaptive:
         with pytest.raises(ValueError):
             IntegratorConfig(rtol=0.0)
 
+    @pytest.mark.parametrize("t_bad, message", [
+        (0.5, "state became non-finite"),
+        (0.0, "right-hand side is not finite at the initial state")], ids=["stage", "initial"])
+    @pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
+    def test_float_error_in_rhs_is_a_non_finite_state(self, error, t_bad, message):
+        """A right-hand side on Python floats raises where numpy gives inf or NaN."""
+        def rhs(t, y):
+            if t >= t_bad:
+                raise error
+            return -y
+
+        with pytest.raises(NonFiniteState, match=f"^{message} ") as info:
+            integrate_adaptive(ODESystem(rhs), 0.0, 2.0, [1.0])
+        assert info.value.t == pytest.approx(t_bad, abs=1e-12)
+
     def test_non_finite_initial_state_rejected(self):
         with pytest.raises(NonFiniteState, match="initial state is not finite"):
             integrate_adaptive(DECAY, 0.0, 1.0, [np.nan])
@@ -220,7 +235,7 @@ class TestAdaptive:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.5])
     def test_non_integer_samples_per_decade_rejected(self, value):
-        with pytest.raises(ValueError, match="^samples_per_decade must be an integer, got "):
+        with pytest.raises(ValueError, match="^samples_per_decade must be an integer >= 1, got "):
             IntegratorConfig(samples_per_decade=value)
 
     def test_integral_float_samples_per_decade_kept_as_int(self):
