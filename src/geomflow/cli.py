@@ -204,12 +204,13 @@ def _tension_gap(seed: int, grid: rrfs.PeriodicGrid, n_fiber: int) -> float:
 
 def verify_tension(seed: int, n_base: int, n_fiber: int, size: int,
                    n_fields: int) -> float:
-    """Max relative sup-gap between the two tension-field constructions."""
-    n_fields = ode._count("n_fields", n_fields, 1)
+    """Max relative sup-gap between the two tension-field constructions, over the
+    states seeded ``seed``, ..., ``seed + n_fields - 1``."""
+    n_fields = ode._count("n_fields", n_fields, 1, ode._MAX_STEPS)
+    ode._count("seed", seed, 0, ode._MAX_SEED - (n_fields - 1))
+    n_base = ode._count("n_base", n_base, 1, 2)
     worst = 0.0
-    grid = rrfs.PeriodicGrid(
-        (size,) * n_base, (2 * np.pi,) * n_base
-    )
+    grid = rrfs.PeriodicGrid((size,) * n_base, (2 * np.pi,) * n_base)
     for k in range(n_fields):
         worst = max(worst, _tension_gap(seed + k, grid, n_fiber))
     return worst

@@ -197,27 +197,33 @@ def blowdown(
     return new_params, Trajectory(times, states)
 
 
+_OUTER = (0, 1, 3, 4)  # the stencil's nodes other than its centre, 2
+_DIAG = np.arange(4)
+
+
 def _fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     """4th-order five-point d(values)/dt at interior points (index 2..n-3).
 
     Differencing runs in u = log(1 + t), where log-sampled trajectories are
     (near-)uniform and the flow's slow power-law behavior keeps higher
-    u-derivatives tame; the chain rule converts back to d/dt.  Stencil
-    weights are solved per point from the local Vandermonde system, so
-    non-uniform samples (e.g. blowdown-transformed) are handled.
+    u-derivatives tame; the chain rule converts back to d/dt.  The weights are
+    the derivatives at the centre of the five Lagrange basis polynomials on the
+    offsets d_k of each stencil (d_c = 0 at the centre; Fornberg, Math. Comp. 51,
+    1988): w_k = prod_{j != k, c} (-d_j) / prod_{j != k} (d_k - d_j) and
+    w_c = -sum_{j != c} 1 / d_j, in closed form per point, so non-uniform samples
+    (e.g. blowdown-transformed) are handled without a linear solve.
     """
     n = len(times)
-    m = n - 4
     u = np.log1p(times)
-    # offsets of the 5 stencil points around each interior center
-    idx = np.arange(m)[:, None] + np.arange(5)[None, :]
-    dx = u[idx] - u[2 : n - 2][:, None]  # (m, 5)
-    powers = dx[:, None, :] ** np.arange(5)[None, :, None]  # (m, 5, 5)
-    target = np.zeros((m, 5, 1))
-    target[:, 1, 0] = 1.0
-    w = np.linalg.solve(powers, target)[..., 0]  # (m, 5)
-    du = np.einsum("mk,mk...->m...", w, values[idx])
-    shape = (m,) + (1,) * (values.ndim - 1)
+    d = np.stack([u[k : n - 4 + k] - u[2 : n - 2] for k in _OUTER])  # (4, n - 4) offsets
+    gaps = d[:, None] - d[None]  # d_k - d_j between outer nodes,
+    gaps[_DIAG, _DIAG] = d  # with d_k - d_c in place of the zero d_k - d_k
+    # prod_{j != k, c} (-d_j) is prod(-d) / (-d_k)
+    w = np.prod(-d, axis=0) / (-d * np.prod(gaps, axis=1))
+    shape = (n - 4,) + (1,) * (values.ndim - 1)
+    du = -np.sum(1.0 / d, axis=0).reshape(shape) * values[2 : n - 2]
+    for w_k, k in zip(w, _OUTER):
+        du += w_k.reshape(shape) * values[k : n - 4 + k]
     return du / (1.0 + times[2 : n - 2]).reshape(shape)
 
 
@@ -253,17 +259,21 @@ def _fit_line(traj: Trajectory, component: str, window: tuple[float, float], tra
         raise ValueError("window must span at least 2 decades")
     mask = (times >= t_lo) & (times <= t_hi) & (times > 0)
     q = traj.component(_COMPONENTS[component])[mask]
+    _count("number of samples in the fit window", len(q), 2)  # two for a line
     if np.any(q <= 0):
         raise ValueError("nonpositive samples in fit window")
     with np.errstate(over="ignore"):  # an overflowing sample is rejected below
         x, y = np.log(times[mask]), transform(q)
     if not np.isfinite(y).all():
         raise ValueError(f"{component} samples in the fit window transform to non-finite values")
-    slope, intercept = np.polyfit(x, y, 1)
+    x_mean, y_mean = x.mean(), y.mean()
+    dx, dy = x - x_mean, y - y_mean
+    slope = float(dx @ dy / (dx @ dx))  # the centred least-squares line
+    intercept = float(y_mean - slope * x_mean)
     resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    ss_tot = float(np.sum(dy**2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    return slope, intercept, r2
 
 
 def fit_power_law(
@@ -368,7 +378,8 @@ def bounds_check(traj: Trajectory, params: Nil3Params) -> BoundsReport:
 
     Bounds: C0 * A0 B0 / (A0 B0 + C0 t) <= C(t) <= C0,
     A(t) <= A0 + (C0/B0 + f(0)) t, and monotonicity of A, B (up) and C (down),
-    each to within 1e-9 times max(A0, B0, C0, 1).
+    each to within 1e-9 times the largest value of the component it bounds,
+    its initial value included.
     """
     s0 = params.state0
     A0, B0, C0 = s0.A, s0.B, s0.C
@@ -376,6 +387,7 @@ def bounds_check(traj: Trajectory, params: Nil3Params) -> BoundsReport:
     t = traj.times
     A, B, C = traj.states.T
     AB = A0 * B0
+    bounded = {"A": (A0, A), "B": (B0, B), "C": (C0, C)}  # by the first letter of a check
     checks = [  # C_lower tends to C0 as A0 B0 grows, and is C0 where A0 B0 overflows
         ("C_lower", C - (AB * C0 / (AB + C0 * t) if math.isfinite(AB) else C0)),
         ("C_upper", C0 - C),
@@ -389,6 +401,8 @@ def bounds_check(traj: Trajectory, params: Nil3Params) -> BoundsReport:
     for name, slack in checks:
         i = int(np.argmin(slack))
         worst = min(worst, float(slack[i]))
-        if slack[i] < -_BOUNDS_TOL * max(A0, B0, C0, 1.0):
-            violations.append((name, float(t[i]), float(slack[i])))
+        if slack[i] < 0:  # a violation if beyond the tolerance of the component it bounds
+            q0, q = bounded[name[0]]
+            if slack[i] < -_BOUNDS_TOL * max(q0, float(q.max())):
+                violations.append((name, float(t[i]), float(slack[i])))
     return BoundsReport(ok=not violations, worst_slack=worst, violations=violations)

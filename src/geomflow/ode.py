@@ -66,7 +66,7 @@ class IntegratorConfig:
         _check_positive("rtol", self.rtol)
         _check_positive("atol", self.atol)
         object.__setattr__(self, "samples_per_decade",
-                           _count("samples_per_decade", self.samples_per_decade, 1))
+                           _count("samples_per_decade", self.samples_per_decade, 1, _MAX_SAMPLES))
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,8 @@ _D = np.array(
 _SAFETY = 0.9
 _H_INIT = 1e-4
 _MAX_STEPS = 1_000_000
+_MAX_SEED = 2**64 - 1  # a seed is one unsigned 64-bit integer
+_MAX_SAMPLES = 2**62  # more samples than numpy can lay out: linspace refuses this count
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _DENSE_BLOCK = 64  # dense-output samples evaluated per vectorised call
@@ -128,10 +130,13 @@ _UNDERFLOW_MESSAGES = {
 
 # The numeric-input rules, each written once: a value that breaks one is a
 # ValueError naming the input (NaN and inf are no integers and not finite).
-def _count(name: str, value, minimum: int) -> int:
-    """``value`` as an int of at least ``minimum``."""
-    if not (float(value).is_integer() and value >= minimum):
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+def _count(name: str, value, minimum: int, maximum: float = math.inf) -> int:
+    """``value`` as an int from ``minimum`` to ``maximum``.  An int is compared as it
+    is, with no ``float``, which overflows past the largest double."""
+    if not (minimum <= value <= maximum and (isinstance(value, int) or float(value).is_integer())):
+        # a finite value above the maximum breaks that; any other is too small or no integer
+        bound = f"<= {maximum}" if maximum < value < math.inf else f">= {minimum}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value}")
     return int(value)
 
 
@@ -188,7 +193,8 @@ def log_sample_times(t0: float, t1: float, samples_per_decade: int) -> np.ndarra
     u0 = np.log10(1.0 + t0)
     u1 = np.log10(1.0 + t1)
     with np.errstate(over="ignore"):  # linspace rejects the capped count; t1 is set below
-        n = min((u1 - u0) * _count("samples_per_decade", samples_per_decade, 1), 2.0**62)
+        n = min((u1 - u0) * _count("samples_per_decade", samples_per_decade, 1, _MAX_SAMPLES),
+                _MAX_SAMPLES)
         times = 10.0 ** np.linspace(u0, u1, max(int(np.ceil(n)), 1) + 1) - 1.0
     times[0] = t0
     times[-1] = t1

@@ -22,11 +22,12 @@ from itertools import accumulate
 
 import numpy as np
 
-from .ode import (_MAX_STEPS, MaxStepsExceeded, NonFiniteState, _check_finite, _check_positive,
-                  _count, rk4_step)
+from .ode import (_MAX_SEED, _MAX_STEPS, MaxStepsExceeded, NonFiniteState, _check_finite,
+                  _check_positive, _count, rk4_step)
 from .spd import _christoffel_stacked, _sym, is_spd
 
 KAPPA_CFL = 0.2
+_MAX_SNAPSHOTS = _MAX_STEPS + 1  # the states of the longest run
 _SMOOTH_MODES = 3  # Fourier modes of each random scalar field
 _TAYLOR_DEGREE = 14  # of exp on a row-sum norm of at most 1/2, see _expm_sym
 _EPS = {1: (), 2: ((0, 1, 1.0), (1, 0, -1.0))}  # per base dimension, see _Geometry.eps
@@ -606,7 +607,8 @@ def integrate_rrfs(
     ``evolve_g`` / ``evolve_A`` freeze the respective fields (harmonic-map
     -only mode is g frozen, A frozen).  The snapshots are the initial state,
     the first state at or past each of ``n_snapshots`` - 2 evenly spaced
-    interior times and the final state, so ``n_snapshots`` must be at least 2.
+    interior times and the final state, so ``n_snapshots`` must be at least 2, and
+    at most ``_MAX_SNAPSHOTS``, the ``ode._MAX_STEPS`` + 1 states of the longest run.
     A run takes at most ``ode._MAX_STEPS`` steps: a ``t_end`` past that many initial
     CFL steps is refused before the first step, and a run that the cap stops
     raises ``MaxStepsExceeded``.
@@ -620,7 +622,7 @@ def integrate_rrfs(
     """
     _check_positive("t_end", t_end)
     _check_positive("kappa_cfl", kappa_cfl)
-    n_snapshots = _count("n_snapshots", n_snapshots, 2)
+    n_snapshots = _count("n_snapshots", n_snapshots, 2, _MAX_SNAPSHOTS)
     h_min = min(grid.spacing)
     cfl = kappa_cfl * h_min * h_min  # the CFL step per unit of min-eig(g)
     dt0 = cfl * state0._metric.min_eig
@@ -748,7 +750,7 @@ def random_smooth_state(
     """Seeded smooth periodic state: G = exp(symmetric Fourier field), flat-ish g."""
     _check_finite("amplitude", amplitude)
     n_fiber = _count("n_fiber", n_fiber, 1)
-    rng = np.random.default_rng(_count("seed", seed, 0))
+    rng = np.random.default_rng(_count("seed", seed, 0, _MAX_SEED))
     n = grid.n_base
     shape = tuple(grid.sizes)
     S = np.empty((n_fiber, n_fiber) + shape)

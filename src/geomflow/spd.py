@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import _count
+from .ode import _MAX_SEED, _count
 
 SYM_RTOL = 1e-14
 
@@ -143,7 +143,7 @@ def random_spd(seed: int, N: int, cond_max: float = 10.0) -> SPDMatrix:
     N = _count("N", N, 1)
     if cond_max < 1:
         raise ValueError(f"cond_max must be >= 1, got {cond_max}")
-    rng = np.random.default_rng(_count("seed", seed, 0))
+    rng = np.random.default_rng(_count("seed", seed, 0, _MAX_SEED))
     q, _ = np.linalg.qr(rng.standard_normal((N, N)))
     # eigenvalues in [1, cond_max); ratio of extremes stays below cond_max
     lam = 1.0 + (cond_max - 1.0) * rng.random(N)

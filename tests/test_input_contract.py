@@ -35,7 +35,10 @@ from geomflow import cli, nil3, ode, rrfs, spd
 
 EDGES = ["0", "-0.0", "5e-324", "1e-300", "-1", "1e300", "1.7976931348623157e308",
          "inf", "-inf", "nan"]
-INT_EDGES = EDGES + ["2.5"]  # integer options and arguments also get a non-integer
+# integer options and arguments also get a non-integer, and integers past int64 and
+# past the largest double, which a case id names by their power
+BIG_INTS = {"2**63": 2**63, "10**400": 10**400}
+INT_EDGES = EDGES + ["2.5", *BIG_INTS]
 
 OWN_ERRORS = (ValueError, rrfs.SPDFieldError, ode.IntegrationError, rrfs.CFLCollapse)
 
@@ -106,6 +109,11 @@ PAIRS = [
     ("blowdown-check", ("--coupling=const:{}", "--s"), ("1e300", "1e5")),
     ("blowdown-check", ("--coupling=const:{}", "--s"), ("5e-324", "0.5")),
     ("blowdown-check", ("--a", "--s"), ("0", "1e-200")),
+    # fit windows in the trajectory's range that hold no sample, or only t = 0.0746
+    ("fit", ("--t-lo", "--t-hi"), ("1e-6", "1e-4")),
+    ("fit", ("--t-lo", "--t-hi"), ("1e-3", "1e-1")),
+    ("fit-log", ("--t-lo", "--t-hi"), ("1e-6", "1e-4")),
+    ("fit-log", ("--t-lo", "--t-hi"), ("1e-3", "1e-1")),
 ]
 
 
@@ -183,7 +191,7 @@ def _check_outputs(directory: Path, stdout: str):
 def _argv(command: str, option, value, trajectory: Path) -> list:
     argv = COMMANDS[command]
     for o, v in _settings(option, value):
-        argv = _swap(argv, o, v)
+        argv = _swap(argv, o, str(BIG_INTS.get(v, v)))
     return [str(trajectory) if a == TRAJ else a for a in argv]
 
 
@@ -322,8 +330,15 @@ INT_LIBRARY = {
     # the 4-node grid is refused once the count passes, so no count runs a field
     "verify_tension.n_fields": lambda v: cli.verify_tension(0, 1, 2, 4, v),
 }
+
+
+def _value(text: str):
+    """The number of an edge: an int for ``BIG_INTS``, else a float."""
+    return BIG_INTS[text] if text in BIG_INTS else float(text)
+
+
 LIBRARY_CASES = [
-    pytest.param(call, float(value), id=f"{name}={value}")
+    pytest.param(call, _value(value), id=f"{name}={value}")
     for table, values in ((LIBRARY, EDGES), (INT_LIBRARY, INT_EDGES))
     for name, call in table.items()
     for value in values
@@ -375,6 +390,13 @@ CLI_MESSAGES = {
     ("rrfs", "--n-fiber", "0"): "n_fiber must be an integer >= 1, got 0",
     ("rrfs", "--seed", "-1"): "seed must be an integer >= 0, got -1",
     ("verify-tension", "--fields", "0"): "n_fields must be an integer >= 1, got 0",
+    ("rrfs", "--seed", "10**400"): f"seed must be an integer <= {2**64 - 1}, got {10**400}",
+    ("rrfs", "--snapshots", "2**63"): f"n_snapshots must be an integer <= 1000001, got {2**63}",
+    # the line of a fit needs two samples
+    ("fit", ("--t-lo", "--t-hi"), ("1e-6", "1e-4")):
+        "number of samples in the fit window must be an integer >= 2, got 0",
+    ("fit-log", ("--t-lo", "--t-hi"), ("1e-3", "1e-1")):
+        "number of samples in the fit window must be an integer >= 2, got 1",
     # grammar
     ("rrfs", "--grid", "16,"): f"{GRID_FORM}, got '16,'",
     ("rrfs", "--grid", ",16"): f"{GRID_FORM}, got ',16'",
@@ -437,6 +459,10 @@ LIBRARY_MESSAGES = {
     ("random_smooth_state.seed", "nan"): "seed must be an integer >= 0, got nan",
     ("random_smooth_state.n_fiber", "-1"): "n_fiber must be an integer >= 1, got -1.0",
     ("integrate_rrfs.n_snapshots", "2.5"): "n_snapshots must be an integer >= 2, got 2.5",
+    ("integrate_rrfs.n_snapshots", "2**63"):
+        f"n_snapshots must be an integer <= 1000001, got {2**63}",
+    ("random_smooth_state.seed", "10**400"):
+        f"seed must be an integer <= {2**64 - 1}, got {10**400}",
     # bounds beyond the four rules
     ("MapSlope.a", "1e300"): "slope |a| must be at most 2^511, got 1e+300",
     ("log_sample_times.t0", "-1"): "t0 must be > -1, samples are log-spaced in 1 + t, got -1.0",
@@ -462,5 +488,5 @@ def test_cli_message(command, option, value, message, trajectory, tmp_path, monk
 ])
 def test_library_message(name, value, message):
     with pytest.raises(ValueError) as info:
-        {**LIBRARY, **INT_LIBRARY}[name](float(value))
+        {**LIBRARY, **INT_LIBRARY}[name](_value(value))
     assert str(info.value) == message
