@@ -16,6 +16,10 @@ import numpy as np
 
 from . import nil3, ode, rrfs
 
+# A chosen cap, not a limit of the check: a field takes 0.6 ms or more (2-core x86),
+# so a million fields is ten minutes or more; a count such as 2^63 ran without end.
+_MAX_FIELDS = 1_000_000
+
 
 def _parse(option: str, form: str, text: str, parse):
     """``parse(text)``, where a ValueError is a malformed ``text``: it names ``option``
@@ -206,7 +210,7 @@ def verify_tension(seed: int, n_base: int, n_fiber: int, size: int,
                    n_fields: int) -> float:
     """Max relative sup-gap between the two tension-field constructions, over the
     states seeded ``seed``, ..., ``seed + n_fields - 1``."""
-    n_fields = ode._count("n_fields", n_fields, 1, ode._MAX_STEPS)
+    n_fields = ode._count("n_fields", n_fields, 1, _MAX_FIELDS)
     ode._count("seed", seed, 0, ode._MAX_SEED - (n_fields - 1))
     n_base = ode._count("n_base", n_base, 1, 2)
     worst = 0.0

@@ -378,8 +378,8 @@ def bounds_check(traj: Trajectory, params: Nil3Params) -> BoundsReport:
 
     Bounds: C0 * A0 B0 / (A0 B0 + C0 t) <= C(t) <= C0,
     A(t) <= A0 + (C0/B0 + f(0)) t, and monotonicity of A, B (up) and C (down),
-    each to within 1e-9 times the largest value of the component it bounds,
-    its initial value included.
+    each at each sample to within 1e-9 times the larger of the initial value
+    and the sample's value of the component it bounds.
     """
     s0 = params.state0
     A0, B0, C0 = s0.A, s0.B, s0.C
@@ -387,22 +387,20 @@ def bounds_check(traj: Trajectory, params: Nil3Params) -> BoundsReport:
     t = traj.times
     A, B, C = traj.states.T
     AB = A0 * B0
-    bounded = {"A": (A0, A), "B": (B0, B), "C": (C0, C)}  # by the first letter of a check
     checks = [  # C_lower tends to C0 as A0 B0 grows, and is C0 where A0 B0 overflows
-        ("C_lower", C - (AB * C0 / (AB + C0 * t) if math.isfinite(AB) else C0)),
-        ("C_upper", C0 - C),
-        ("A_upper", A0 + (C0 / B0 + f0) * t - A),
-        ("A_monotone", np.diff(A, prepend=A0)),
-        ("B_monotone", np.diff(B, prepend=B0)),
-        ("C_monotone", -np.diff(C, prepend=C0)),
+        ("C_lower", C0, C, C - (AB * C0 / (AB + C0 * t) if math.isfinite(AB) else C0)),
+        ("C_upper", C0, C, C0 - C),
+        ("A_upper", A0, A, A0 + (C0 / B0 + f0) * t - A),
+        ("A_monotone", A0, A, np.diff(A, prepend=A0)),
+        ("B_monotone", B0, B, np.diff(B, prepend=B0)),
+        ("C_monotone", C0, C, -np.diff(C, prepend=C0)),
     ]
     worst = np.inf
     violations = []
-    for name, slack in checks:
-        i = int(np.argmin(slack))
-        worst = min(worst, float(slack[i]))
-        if slack[i] < 0:  # a violation if beyond the tolerance of the component it bounds
-            q0, q = bounded[name[0]]
-            if slack[i] < -_BOUNDS_TOL * max(q0, float(q.max())):
-                violations.append((name, float(t[i]), float(slack[i])))
+    for name, q0, q, slack in checks:
+        worst = min(worst, float(slack.min()))
+        excess = slack + _BOUNDS_TOL * np.maximum(q0, q)
+        i = int(np.argmin(excess))
+        if excess[i] < 0:
+            violations.append((name, float(t[i]), float(slack[i])))
     return BoundsReport(ok=not violations, worst_slack=worst, violations=violations)

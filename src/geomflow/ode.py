@@ -116,7 +116,9 @@ _D = np.array(
 _SAFETY = 0.9
 _H_INIT = 1e-4
 _MAX_STEPS = 1_000_000
-_MAX_SEED = 2**64 - 1  # a seed is one unsigned 64-bit integer
+# A chosen seed limit, not numpy's (SeedSequence takes any int >= 0): 64 bits name
+# more streams than any run uses, and a mistyped 400-digit seed is refused at once.
+_MAX_SEED = 2**64 - 1
 _MAX_SAMPLES = 2**62  # more samples than numpy can lay out: linspace refuses this count
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0

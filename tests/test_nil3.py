@@ -1,5 +1,4 @@
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -421,9 +420,19 @@ class TestKernels:
         assert r2 == pytest.approx(1.0 - np.sum(resid**2) / np.sum((y - y.mean()) ** 2),
                                    abs=1e-14)
 
-    def test_no_linear_algebra(self):
-        source = Path(nil3.__file__).read_text()
-        assert "linalg" not in source and "polyfit" not in source
+    def test_no_linear_algebra(self, regime_run, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("nil3's analysis called a linear-algebra routine")
+
+        for name in ("solve", "lstsq", "inv", "pinv", "svd", "qr"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np, "polyfit", refuse)
+        params, traj = regime_run
+        flow_residual(traj, params)
+        flow_residual(*blowdown(params, traj, 4.0)[::-1])
+        for component in "ABC":
+            fit_power_law(traj, component, (1e6, 1e8))
+            fit_log_growth(traj, component, (1e6, 1e8))
 
 
 class TestPredictedConstants:
@@ -602,6 +611,18 @@ class TestBounds:
         states[:, 0] += times
         states[-1, 0] = states[-2, 0] * (1 - 1e-12)
         assert bounds_check(Trajectory(times, states), ricci_params()).ok
+
+    def test_tolerance_follows_the_sample(self):
+        # A = 1 + t saturates A_upper; at t ~ 1 it is 1e-3 above it.  A tolerance
+        # scaled by A's largest value, 1e8, took that for rounding
+        times = log_sample_times(0.0, 1e8, 16)
+        states = np.ones((len(times), 3))
+        states[:, 0] += times
+        i = int(np.argmin(np.abs(times - 1.0)))
+        states[i, 0] += 1e-3
+        report = bounds_check(Trajectory(times, states), ricci_params())
+        assert [(name, t) for name, t, _ in report.violations] == [("A_upper", times[i])]
+        assert report.violations[0][2] == pytest.approx(-1e-3)
 
 
 @st.composite
