@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ode import (IntegratorConfig, ODESystem, Trajectory, _check_finite, _check_nonnegative,
-                  _check_positive, _count, integrate_adaptive)
+                  _check_positive, _count, _least_squares_line, integrate_adaptive)
 
 
 @dataclass(frozen=True)
@@ -266,14 +266,7 @@ def _fit_line(traj: Trajectory, component: str, window: tuple[float, float], tra
         x, y = np.log(times[mask]), transform(q)
     if not np.isfinite(y).all():
         raise ValueError(f"{component} samples in the fit window transform to non-finite values")
-    x_mean, y_mean = x.mean(), y.mean()
-    dx, dy = x - x_mean, y - y_mean
-    slope = float(dx @ dy / (dx @ dx))  # the centred least-squares line
-    intercept = float(y_mean - slope * x_mean)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum(dy**2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return slope, intercept, r2
+    return _least_squares_line(x, y)
 
 
 def fit_power_law(

@@ -119,6 +119,10 @@ _MAX_STEPS = 1_000_000
 # A chosen seed limit, not numpy's (SeedSequence takes any int >= 0): 64 bits name
 # more streams than any run uses, and a mistyped 400-digit seed is refused at once.
 _MAX_SEED = 2**64 - 1
+# A chosen cap on a grid axis and on the fiber dimension, not numpy's 2^63 bytes, whose
+# errors name no input: in _MAX_STEPS CFL steps a run with g = 1 on a 2^20-node axis of
+# period 2 pi reaches t = 7e-6, and one node's G of fiber dimension 2^20 is 8 TiB.
+_MAX_SIZE = 2**20
 _MAX_SAMPLES = 2**62  # more samples than numpy can lay out: linspace refuses this count
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -364,13 +368,18 @@ def convergence_order(rhs, exact, t_end: float, h_list) -> float:
     _count("number of step sizes", len(h_list), 3)
     y0 = np.asarray(exact(0.0), dtype=float)
     ref = np.asarray(exact(t_end), dtype=float)
-    errs = np.array(
-        [
-            np.linalg.norm(integrate_fixed(rhs, 0.0, t_end, y0, h) - ref)
-            for h in h_list
-        ]
-    )
+    errs = np.array([np.linalg.norm(integrate_fixed(rhs, 0.0, t_end, y0, h) - ref)
+                     for h in h_list])
     if np.all(errs < 1e-13 * max(np.linalg.norm(ref), 1.0)):
         raise DegenerateOrder("errors at rounding level; system integrated exactly")
-    slope, _ = np.polyfit(np.log(h_list), np.log(errs), 1)
-    return float(slope)
+    return _least_squares_line(np.log(h_list), np.log(errs))[0]
+
+
+def _least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """The centred least-squares line y = slope x + intercept: (slope, intercept, r^2)."""
+    x_mean, y_mean = x.mean(), y.mean()
+    dx, dy = x - x_mean, y - y_mean
+    slope = float(dx @ dy / (dx @ dx))
+    intercept = float(y_mean - slope * x_mean)
+    ss_res, ss_tot = float(np.sum((y - (slope * x + intercept))**2)), float(np.sum(dy**2))
+    return slope, intercept, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0

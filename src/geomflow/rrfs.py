@@ -22,9 +22,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .ode import (_MAX_SEED, _MAX_STEPS, MaxStepsExceeded, NonFiniteState, _check_finite,
-                  _check_positive, _count, rk4_step)
-from .spd import _christoffel_stacked, _sym, is_spd
+from .ode import (_MAX_SEED, _MAX_SIZE, _MAX_STEPS, MaxStepsExceeded, NonFiniteState,
+                  _check_finite, _check_positive, _count, rk4_step)
+from .spd import _sym, connection, inv, inv_times, is_spd, trace_form
 
 KAPPA_CFL = 0.2
 _MAX_SNAPSHOTS = _MAX_STEPS + 1  # the states of the longest run
@@ -67,7 +67,7 @@ class PeriodicGrid:
     period: tuple[float, ...]
 
     def __post_init__(self):
-        sizes = tuple(_count("grid size", s, 8) for s in self.sizes)
+        sizes = tuple(_count("grid size", s, 8, _MAX_SIZE) for s in self.sizes)
         period = tuple(float(p) for p in self.period)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "period", period)
@@ -149,8 +149,8 @@ class RRFSState:
         A = np.asarray(self.A, dtype=float)
         if A.flags.writeable:  # the caller's A stays writable; a read-only A is shared
             A = A.copy()
+        _count("fiber dimension", (np.shape(self.G) or (0,))[-1], 1, _MAX_SIZE)  # before any copy
         G = _sym(np.asarray(self.G, dtype=float))
-        _count("fiber dimension", G.shape[-1], 1)
         if g.shape[-1] not in (1, 2):
             raise ValueError(f"base metric g must be 1x1 or 2x2 per node, got {g.shape[-2:]}")
         if A.shape != g.shape[:-1] + G.shape[-1:] or G.shape[:-2] != g.shape[:-2]:
@@ -321,7 +321,7 @@ class _Geometry:
 
     @_memo
     def Ginv(self) -> np.ndarray:  # [i, j]
-        return np.ascontiguousarray(_grid_last(np.linalg.inv(self.G), self.n))
+        return inv(_grid_last(self.G, self.n))
 
     @_of_g
     def christoffels(self) -> np.ndarray:  # [c, a, b]
@@ -373,7 +373,7 @@ class _Geometry:
 
     @_memo
     def M(self) -> np.ndarray:  # [a, i, j] = G^-1 d_a G
-        return np.einsum("ik...,akj...->aij...", self.Ginv, self.first["dG"])
+        return inv_times(self.Ginv, self.first["dG"])
 
     @_memo
     def grad_square(self) -> np.ndarray:  # [i, j] = g^{ab} d_a G G^-1 d_b G
@@ -381,7 +381,7 @@ class _Geometry:
 
     @_memo
     def trace_MM(self) -> np.ndarray:  # [a, b] = tr(G^-1 d_a G G^-1 d_b G)
-        return np.einsum("aij...,bji...->ab...", self.M, self.M)
+        return trace_form(self.M)
 
     @_memo
     def grad_G_norm_sq(self) -> np.ndarray:
@@ -464,14 +464,14 @@ def tension_G_general(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     g^{ab} (d_a d_b G - Gamma^c_ab d_c G + Gamma_target(d_a G, d_b G)) with
     Gamma_target(X, Y) = -1/2 (X G^-1 Y + Y G^-1 X).  Agrees with the
     divergence form identically; both share the same discrete derivatives.
-    Gamma_target is formed by ``spd._christoffel_stacked`` for one (a, b) at a
-    time, component-major, before g^{ab} weighs it into one [i, j] sum.
+    ``spd.connection`` forms Gamma_target one (a, b) at a time, component-major,
+    before g^{ab} weighs it into one [i, j] sum.
     """
     geo = _Geometry.of(state, grid)
     dG, out = geo.first["dG"], geo.laplacian_G.copy()
     for a in range(geo.n):
         for b in range(geo.n):
-            out += geo.ginv[a, b] * _christoffel_stacked(geo.Ginv, dG[a], dG[b])
+            out += geo.ginv[a, b] * connection(geo.Ginv, dG[a], dG[b])
     return _grid_first(out, geo.n)
 
 
@@ -749,7 +749,7 @@ def random_smooth_state(
 ) -> RRFSState:
     """Seeded smooth periodic state: G = exp(symmetric Fourier field), flat-ish g."""
     _check_finite("amplitude", amplitude)
-    n_fiber = _count("n_fiber", n_fiber, 1)
+    n_fiber = _count("n_fiber", n_fiber, 1, _MAX_SIZE)
     rng = np.random.default_rng(_count("seed", seed, 0, _MAX_SEED))
     n = grid.n_base
     shape = tuple(grid.sizes)

@@ -26,13 +26,6 @@ class DimensionMismatchError(ValueError):
     """Raised when operands of an operation have different sizes."""
 
 
-def _as_square(entries) -> np.ndarray:
-    arr = np.array(entries, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise SPDError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
-
-
 def _sym(m: np.ndarray, axes=(-2, -1)) -> np.ndarray:
     """(m + m^T) / 2 over two axes, by default the last two."""
     h = 0.5 * m  # halve first: exact, and the sum cannot overflow
@@ -57,85 +50,90 @@ def is_spd(fld: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _check_symmetric(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise SPDError(f"{what} has non-finite entries")
-    sym = _sym(arr)  # |arr - sym| is |arr - arr^T| / 2, which cannot overflow
-    if np.abs(arr - sym).max() > 500 * SYM_RTOL * max(np.abs(arr).max(), 1.0):
-        raise SPDError(f"{what} is not symmetric")
-    return sym
-
-
 @dataclass(frozen=True)
-class SPDMatrix:
+class _Symmetric:
+    """A square, finite matrix, symmetric to rounding and then symmetrized; read-only."""
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        arr = np.array(self.entries, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise SPDError(f"expected a square matrix, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise SPDError(f"{self.what} has non-finite entries")
+        sym = _sym(arr)  # |arr - sym| is |arr - arr^T| / 2, which cannot overflow
+        if np.abs(arr - sym).max() > 500 * SYM_RTOL * max(np.abs(arr).max(), 1.0):
+            raise SPDError(f"{self.what} is not symmetric")
+        sym.setflags(write=False)
+        object.__setattr__(self, "entries", sym)
+
+
+class SPDMatrix(_Symmetric):
     """A symmetric positive-definite matrix; symmetrized on construction."""
 
-    entries: np.ndarray
+    what = "SPD matrix"
 
     def __post_init__(self):
-        arr = _check_symmetric(_as_square(self.entries), "SPD matrix")
-        if not is_spd(arr):
+        super().__post_init__()
+        if not is_spd(self.entries):
             raise SPDError("matrix is not positive definite")
-        object.__setattr__(self, "entries", arr)
-        self.entries.setflags(write=False)
-
-    @property
-    def n_dim(self) -> int:
-        return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(_Symmetric):
     """A symmetric matrix viewed as a tangent vector at some base point."""
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _check_symmetric(_as_square(self.entries), "tangent vector")
-        object.__setattr__(self, "entries", arr)
-        self.entries.setflags(write=False)
-
-    @property
-    def n_dim(self) -> int:
-        return self.entries.shape[0]
+    what = "tangent vector"
 
 
-def _check_dims(G: SPDMatrix, *vectors: TangentVector):
-    for X in vectors:
-        if X.n_dim != G.n_dim:
-            raise DimensionMismatchError(
-                f"base point is {G.n_dim}x{G.n_dim}, operand is {X.n_dim}x{X.n_dim}"
-            )
+def inv(fld: np.ndarray) -> np.ndarray:
+    """G^-1 of a checked SPD field [N, N, *nodes], as a contiguous field of that layout:
+    one LAPACK inverse of the node-major view."""
+    k = fld.ndim - 2  # node axes
+    out = np.linalg.inv(fld.transpose(*range(2, k + 2), 0, 1))
+    return np.ascontiguousarray(out.transpose(k, k + 1, *range(k)))
 
 
-def metric_at(G: SPDMatrix, X: TangentVector, Y: TangentVector) -> float:
-    """Trace-form inner product tr(G^-1 X G^-1 Y) at base point G."""
-    _check_dims(G, X, Y)
-    GX = np.linalg.solve(G.entries, X.entries)
-    GY = np.linalg.solve(G.entries, Y.entries)
-    return float(np.trace(GX @ GY))
+def inv_times(Ginv: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """G^-1 X_a [a, i, j, *nodes] of a stack of fields X [a, i, j, *nodes], given G^-1."""
+    return np.einsum("ik...,akj...->aij...", Ginv, X)
 
 
-def christoffel(G: SPDMatrix, X: TangentVector, Y: TangentVector) -> TangentVector:
-    """Connection bilinear form -1/2 (X G^-1 Y + Y G^-1 X) at base point G."""
-    _check_dims(G, X, Y)
-    XGY = X.entries @ np.linalg.solve(G.entries, Y.entries)
-    return TangentVector(-_sym(XGY))
+def trace_form(M: np.ndarray) -> np.ndarray:
+    """The metric tr(G^-1 X_a G^-1 X_b) [a, b, *nodes] from M = inv_times(G^-1, X)."""
+    return np.einsum("aij...,bji...->ab...", M, M)
 
 
-def _christoffel_stacked(Ginv: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The connection -1/2 (X G^-1 Y + Y G^-1 X) for symmetric X and Y, given G^-1,
-    on component-major [N, N, ...] arrays whose node axes broadcast together: two
-    einsums over whole fields, no per-node matrix product."""
+def connection(Ginv: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The connection -1/2 (X G^-1 Y + Y G^-1 X) of symmetric X and Y, given G^-1, on
+    fields [N, N, ...] whose node axes broadcast together: two einsums, no per-node loop."""
     XG = np.einsum("ik...,kl...->il...", X, Ginv)
     return -_sym(np.einsum("il...,lj...->ij...", XG, Y), (0, 1))
 
 
+def _inv_at(G: SPDMatrix, *vectors: TangentVector) -> np.ndarray:
+    """G^-1 at base point G, once each operand is checked to have G's size."""
+    n = len(G.entries)
+    for m in (len(X.entries) for X in vectors):
+        if m != n:
+            raise DimensionMismatchError(f"base point is {n}x{n}, operand is {m}x{m}")
+    return inv(G.entries)
+
+
+def metric_at(G: SPDMatrix, X: TangentVector, Y: TangentVector) -> float:
+    """Trace-form inner product tr(G^-1 X G^-1 Y) at base point G."""
+    return float(trace_form(inv_times(_inv_at(G, X, Y), np.stack([X.entries, Y.entries])))[0, 1])
+
+
+def christoffel(G: SPDMatrix, X: TangentVector, Y: TangentVector) -> TangentVector:
+    """Connection bilinear form -1/2 (X G^-1 Y + Y G^-1 X) at base point G."""
+    return TangentVector(connection(_inv_at(G, X, Y), X.entries, Y.entries))
+
+
 def project_unit_det(G: SPDMatrix) -> SPDMatrix:
     """Rescale G to the unit-determinant slice, G / det(G)^{1/N}."""
-    sign, logdet = np.linalg.slogdet(G.entries)
-    n = G.n_dim
-    return SPDMatrix(G.entries * np.exp(-logdet / n))
+    logdet = np.linalg.slogdet(G.entries)[1]
+    return SPDMatrix(G.entries * np.exp(-logdet / len(G.entries)))
 
 
 def random_spd(seed: int, N: int, cond_max: float = 10.0) -> SPDMatrix:

@@ -392,6 +392,9 @@ CLI_MESSAGES = {
     ("verify-tension", "--fields", "0"): "n_fields must be an integer >= 1, got 0",
     ("rrfs", "--seed", "10**400"): f"seed must be an integer <= {2**64 - 1}, got {10**400}",
     ("rrfs", "--snapshots", "2**63"): f"n_snapshots must be an integer <= 1000001, got {2**63}",
+    ("rrfs", "--grid", "2**63"): f"grid size must be an integer <= 1048576, got {2**63}",
+    ("rrfs", "--n-fiber", "2**63"): f"n_fiber must be an integer <= 1048576, got {2**63}",
+    ("verify-tension", "--size", "2**63"): f"grid size must be an integer <= 1048576, got {2**63}",
     # the line of a fit needs two samples
     ("fit", ("--t-lo", "--t-hi"), ("1e-6", "1e-4")):
         "number of samples in the fit window must be an integer >= 2, got 0",
@@ -463,6 +466,9 @@ LIBRARY_MESSAGES = {
         f"n_snapshots must be an integer <= 1000001, got {2**63}",
     ("random_smooth_state.seed", "10**400"):
         f"seed must be an integer <= {2**64 - 1}, got {10**400}",
+    ("PeriodicGrid.sizes", "2**63"): f"grid size must be an integer <= 1048576, got {2**63}",
+    ("random_smooth_state.n_fiber", "2**63"):
+        f"n_fiber must be an integer <= 1048576, got {2**63}",
     # bounds beyond the four rules
     ("MapSlope.a", "1e300"): "slope |a| must be at most 2^511, got 1e+300",
     ("log_sample_times.t0", "-1"): "t0 must be > -1, samples are log-spaced in 1 + t, got -1.0",
@@ -490,3 +496,13 @@ def test_library_message(name, value, message):
     with pytest.raises(ValueError) as info:
         {**LIBRARY, **INT_LIBRARY}[name](_value(value))
     assert str(info.value) == message
+
+
+def test_fiber_dimension_past_the_cap_is_refused_before_g_is_copied():
+    """A G whose fiber dimension passes ``ode._MAX_SIZE`` = 2^20 is refused by its shape:
+    this one has no memory of its own, and a copy of its 2^20 + 1 fiber would be 128 TiB."""
+    N = 2**20 + 1
+    G = np.broadcast_to(0.0, (16, N, N))
+    with pytest.raises(ValueError, match=f"^fiber dimension must be an integer <= {2**20}, "
+                                         f"got {N}$"):
+        rrfs.RRFSState(np.ones((16, 1, 1)), np.broadcast_to(0.0, (16, 1, N)), G)

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from geomflow import ode
+from geomflow import nil3, ode
 from geomflow.ode import (
     DegenerateOrder,
     IntegratorConfig,
@@ -387,6 +387,36 @@ class TestConvergenceOrder:
     def test_needs_three_steps(self):
         with pytest.raises(ValueError):
             convergence_order(GROWTH.rhs, lambda t: np.array([np.exp(t)]), 1.0, [0.1, 0.05])
+
+    # RK4-order cases: (rhs, exact, t_end, step sizes)
+    ORDER_CASES = {
+        "growth": (GROWTH.rhs, lambda t: np.array([np.exp(t)]), 1.0, [0.1, 0.05, 0.025, 0.0125]),
+        "decay": (DECAY.rhs, lambda t: np.array([np.exp(-t)]), 2.0, [0.2, 0.1, 0.05]),
+        "rotation": (lambda t, y: np.array([-y[1], y[0]]),
+                     lambda t: np.array([np.cos(t), np.sin(t)]), 3.0, [0.3, 0.2, 0.1, 0.05]),
+        "nil3-ricci": (nil3.make_system(nil3.Nil3Params(nil3.Nil3State(1, 1, 1))).rhs,
+                       lambda t: nil3.exact_ricci_solution(t, 1.0, 1.0).as_array(), 5.0,
+                       [0.5, 0.25, 0.125, 0.0625]),
+    }
+
+    @pytest.mark.parametrize("case", ORDER_CASES.values(), ids=ORDER_CASES.keys())
+    def test_slope_matches_polyfit(self, case):
+        rhs, exact, t_end, h_list = case
+        errs = [np.linalg.norm(integrate_fixed(rhs, 0.0, t_end, exact(0.0), h) - exact(t_end))
+                for h in h_list]
+        ref_slope = np.polyfit(np.log(h_list), np.log(errs), 1)[0]
+        slope = convergence_order(rhs, exact, t_end, h_list)
+        assert 3.8 <= slope <= 4.2
+        assert slope == pytest.approx(ref_slope, rel=0, abs=1e-12)
+
+    def test_no_polyfit_or_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("convergence_order called a linear-algebra routine")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np, "polyfit", refuse)
+        for rhs, exact, t_end, h_list in self.ORDER_CASES.values():
+            convergence_order(rhs, exact, t_end, h_list)
 
 
 def test_integrate_fixed_lands_on_endpoint():

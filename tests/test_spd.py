@@ -9,8 +9,8 @@ from geomflow.spd import (
     SPDError,
     SPDMatrix,
     TangentVector,
-    _christoffel_stacked,
     christoffel,
+    connection,
     metric_at,
     project_unit_det,
     random_spd,
@@ -25,6 +25,16 @@ def _sqrtm(m):
 def _expm(m):
     w, v = np.linalg.eigh(m)
     return (v * np.exp(w)) @ v.T
+
+
+# References that solve with G instead of multiplying by spd.inv's G^-1
+def _metric_by_solve(G, X, Y):
+    return float(np.trace(np.linalg.solve(G, X) @ np.linalg.solve(G, Y)))
+
+
+def _christoffel_by_solve(G, X, Y):
+    XGY = X @ np.linalg.solve(G, Y)
+    return -0.5 * (XGY + XGY.T)
 
 
 class TestConstruction:
@@ -95,6 +105,8 @@ class TestMetric:
             a, b = metric_at(G, X, Y), metric_at(G, Y, X)
             assert a == pytest.approx(b, rel=1e-13)
             assert metric_at(G, X, X) > 0
+            ref = _metric_by_solve(G.entries, X.entries, Y.entries)
+            assert a == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -151,22 +163,20 @@ class TestChristoffelStacked:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_single_node_form(self, n):
-        # per node against christoffel(), which solves with G instead of
-        # multiplying by G^-1; X and Y broadcast over an (a, b) pair of node
-        # axes, which the tension field takes one pair at a time
+        # per node against a reference that solves with G instead of multiplying
+        # by G^-1; X and Y broadcast over an (a, b) pair of node axes, which the
+        # tension field takes one pair at a time
         rng = np.random.default_rng(n)
         Gs = [random_spd(20 + k, n) for k in range(5)]
         X = (lambda m: m + np.swapaxes(m, 0, 1))(rng.standard_normal((n, n, 5, 2)))
         Ginv = np.moveaxis(np.linalg.inv(np.stack([G.entries for G in Gs])), 0, -1)
-        got = _christoffel_stacked(Ginv[..., None, None], X[..., :, None], X[..., None, :])
+        got = connection(Ginv[..., None, None], X[..., :, None], X[..., None, :])
         assert got.shape == (n, n, 5, 2, 2)
         for k, G in enumerate(Gs):
             for a in range(2):
                 for b in range(2):
-                    want = christoffel(G, TangentVector(X[:, :, k, a]),
-                                       TangentVector(X[:, :, k, b]))
-                    npt.assert_allclose(got[:, :, k, a, b], want.entries, rtol=1e-12,
-                                        atol=1e-12)
+                    want = _christoffel_by_solve(G.entries, X[:, :, k, a], X[:, :, k, b])
+                    npt.assert_allclose(got[:, :, k, a, b], want, rtol=1e-12, atol=1e-12)
 
     def test_geodesic_residual_stacked(self):
         # the geodesic check of TestChristoffel on a stack of curves at once
@@ -180,8 +190,25 @@ class TestChristoffelStacked:
         d1 = (-pts[4] + 8 * pts[3] - 8 * pts[1] + pts[0]) / (12 * h)
         d2 = (-pts[4] + 16 * pts[3] - 30 * pts[2] + 16 * pts[1] - pts[0]) / (12 * h * h)
         Ginv, d1 = (np.moveaxis(m, 0, -1) for m in (np.linalg.inv(pts[2]), d1))
-        gamma = _christoffel_stacked(Ginv, d1, d1)  # component-major [i, j, curve]
+        gamma = connection(Ginv, d1, d1)  # component-major [i, j, curve]
         assert np.abs(np.moveaxis(d2, 0, -1) + gamma).max() <= 1e-8
+
+
+class TestNoSolve:
+    def test_metric_and_christoffel_without_solve_or_polyfit(self, monkeypatch):
+        # both form G^-1 once, by spd.inv; the references above keep the solves
+        def refuse(*args, **kwargs):
+            raise AssertionError("spd called a linear-algebra solve")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np, "polyfit", refuse)
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3):
+            G = random_spd(40 + n, n)
+            X, Y = (TangentVector((lambda m: m + m.T)(rng.standard_normal((n, n))))
+                    for _ in range(2))
+            metric_at(G, X, Y)
+            christoffel(G, X, Y)
 
 
 class TestUnitDet:
