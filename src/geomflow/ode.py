@@ -123,6 +123,10 @@ _MAX_SEED = 2**64 - 1
 # errors name no input: in _MAX_STEPS CFL steps a run with g = 1 on a 2^20-node axis of
 # period 2 pi reaches t = 7e-6, and one node's G of fiber dimension 2^20 is 8 TiB.
 _MAX_SIZE = 2**20
+# A chosen cap on the floats of one grid state, nodes x (n^2 + nN + N^2), since each
+# count alone passes _MAX_SIZE: 2^27 floats are 1 GiB, and a right-hand side holds dozens
+# of such fields.  A 2^20-node axis with N = 2 has 7 * 2^20, a 2^20 x 2^20 grid 12 * 2^40.
+_MAX_STATE_SIZE = 2**27
 _MAX_SAMPLES = 2**62  # more samples than numpy can lay out: linspace refuses this count
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0

@@ -22,8 +22,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .ode import (_MAX_SEED, _MAX_SIZE, _MAX_STEPS, MaxStepsExceeded, NonFiniteState,
-                  _check_finite, _check_positive, _count, rk4_step)
+from .ode import (_MAX_SEED, _MAX_SIZE, _MAX_STATE_SIZE, _MAX_STEPS, MaxStepsExceeded,
+                  NonFiniteState, _check_finite, _check_positive, _count, rk4_step)
 from .spd import _sym, connection, inv, inv_times, is_spd, trace_form
 
 KAPPA_CFL = 0.2
@@ -77,6 +77,10 @@ class PeriodicGrid:
             raise ValueError(f"{len(period)} periods given for {len(sizes)} grid axes")
         for p in period:
             _check_positive("period", p)
+        object.__setattr__(self, "_hash", hash((sizes, period)))  # the dataclass's hash, once
+
+    def __hash__(self):  # a grid keys each state's bundle dict, several lookups per stage
+        return self._hash
 
     @property
     def n_base(self) -> int:
@@ -137,6 +141,24 @@ class _Metric:
             arr.setflags(write=False)
 
 
+class _Stepped(np.ndarray):
+    """A field that ``integrate_rrfs`` vouches for: a g or G that RK4 formed from its
+    checked input and symmetrised right-hand sides, so bitwise symmetric with the
+    input's fiber dimension, or the input's checked A while A is frozen.
+    ``RRFSState`` keeps the unmarked array ``plain``, so no state's field carries the mark."""
+
+    @classmethod
+    def of(cls, fld: np.ndarray) -> _Stepped:
+        out = fld.view(cls)
+        out.plain = fld
+        return out
+
+
+def _symmetrised(fld) -> np.ndarray:
+    """(f + f^T) / 2 per node, or a _Stepped field's plain array: symmetric already."""
+    return fld.plain if type(fld) is _Stepped else _sym(np.asarray(fld, dtype=float))
+
+
 @dataclass(frozen=True)
 class RRFSState:
     g: np.ndarray  # (*sizes, n, n), or the _Metric of an already checked g
@@ -145,17 +167,19 @@ class RRFSState:
 
     def __post_init__(self):
         metric = self.g if isinstance(self.g, _Metric) else None
-        g = metric.g if metric else _sym(np.asarray(self.g, dtype=float))
-        A = np.asarray(self.A, dtype=float)
+        g = metric.g if metric else _symmetrised(self.g)
+        checked_A = type(self.A) is _Stepped
+        A = self.A.plain if checked_A else np.asarray(self.A, dtype=float)
         if A.flags.writeable:  # the caller's A stays writable; a read-only A is shared
             A = A.copy()
-        _count("fiber dimension", (np.shape(self.G) or (0,))[-1], 1, _MAX_SIZE)  # before any copy
-        G = _sym(np.asarray(self.G, dtype=float))
+        if type(self.G) is not _Stepped:  # before any copy
+            _count("fiber dimension", (np.shape(self.G) or (0,))[-1], 1, _MAX_SIZE)
+        G = _symmetrised(self.G)
         if g.shape[-1] not in (1, 2):
             raise ValueError(f"base metric g must be 1x1 or 2x2 per node, got {g.shape[-2:]}")
         if A.shape != g.shape[:-1] + G.shape[-1:] or G.shape[:-2] != g.shape[:-2]:
             raise ValueError(f"fields of shapes {g.shape}, {A.shape}, {G.shape} do not fit")
-        if not np.isfinite(A).all():
+        if not checked_A and not np.isfinite(A).all():
             raise SPDFieldError("connection A has non-finite entries")
         metric = metric or _Metric(g)
         _check_spd_field(G, "fiber metric G")
@@ -291,6 +315,8 @@ class _Geometry:
         d = np.empty((len(axes),) + stack.shape)
         for k, e in enumerate(axes):
             d[k] = _grid_last(d_central(_grid_first(stack, self.n), e, self.grid), self.n)
+        if rows is fields:
+            return fields, [d]
         cuts = [slice(end - len(r), end) for r, end in zip(rows, accumulate(map(len, rows)))]
         return ([stack[c].reshape(f.shape) for c, f in zip(cuts, fields)],
                 [d[:, c].reshape(d.shape[:1] + f.shape) for c, f in zip(cuts, fields)])
@@ -614,7 +640,9 @@ def integrate_rrfs(
     raises ``MaxStepsExceeded``.
     The steps run through ``ode.rk4_step`` on the evolving fields packed into
     one flat array.  Every state shares the frozen fields, and a frozen g its
-    checked ``_Metric``.
+    checked ``_Metric``.  Each state the loop builds still runs the ``RRFSState``
+    check, less what the step guarantees (see ``_Stepped``): no symmetrisation of
+    the moving g and G, no finiteness test of a frozen A, no count of N.
 
     Stage 1 runs once per accepted state; its k1 serves every halving and its
     bundle gives the state's energy, volume and s.  Recording a state drops
@@ -633,14 +661,18 @@ def integrate_rrfs(
     if not evolve_g and state0._metric.per_grid is None:  # a memo: g is read-only
         state0._metric.per_grid = {}
     moving = [key for key, keep in zip("gAG", (evolve_g, evolve_A, True)) if keep]
-    fixed = {key: f for key, f in (("g", state0._metric), ("A", state0.A)) if key not in moving}
+    # the frozen fields as checked in state0; RK4 keeps a moving g and G bitwise symmetric,
+    # and a moving A, which RK4 may take past the largest double, stays unmarked
+    fixed = {key: f for key, f in (("g", state0._metric), ("A", _Stepped.of(state0.A)))
+             if key not in moving}
     fields = [getattr(state0, key) for key in moving]
-    cuts = [(key, slice(end - f.size, end), f.shape)
+    cuts = [(key, slice(end - f.size, end), f.shape, np.asarray if key == "A" else _Stepped.of)
             for key, f, end in zip(moving, fields, accumulate(f.size for f in fields))]
 
     def unpack(y) -> RRFSState:
         y.setflags(write=False)  # ours alone: read-only, so RRFSState shares A, not copies it
-        return RRFSState(**fixed, **{key: y[c].reshape(shape) for key, c, shape in cuts})
+        return RRFSState(**fixed, **{key: mark(y[c].reshape(shape))
+                                     for key, c, shape, mark in cuts})
 
     def rhs_flat(st):
         k = [k_field.ravel() for k_field in rrfs_rhs(st, grid, spec, fields=moving)]
@@ -682,7 +714,7 @@ def integrate_rrfs(
                                         node=getattr(err, "node", None), t=t) from err
                 dt *= 0.5
         t += dt
-        # new_state's moving fields hold y's values: A is a view, g and G are bitwise symmetric
+        # new_state's moving fields are views of y; g and G are bitwise symmetric
         state, y_state = new_state, y
         while next_snap < len(snap_req) - 1 and t >= snap_req[next_snap]:
             snapshots.append(state)
@@ -747,11 +779,17 @@ def random_smooth_state(
     perturb_g: bool = False,
     perturb_A: bool = False,
 ) -> RRFSState:
-    """Seeded smooth periodic state: G = exp(symmetric Fourier field), flat-ish g."""
+    """Seeded smooth periodic state: G = exp(symmetric Fourier field), flat-ish g.
+    A state of more than ``ode._MAX_STATE_SIZE`` floats is refused before any field
+    is allocated."""
     _check_finite("amplitude", amplitude)
     n_fiber = _count("n_fiber", n_fiber, 1, _MAX_SIZE)
     rng = np.random.default_rng(_count("seed", seed, 0, _MAX_SEED))
     n = grid.n_base
+    size = math.prod(grid.sizes) * (n * n + n * n_fiber + n_fiber * n_fiber)
+    if size > _MAX_STATE_SIZE:  # before the first field is allocated
+        raise ValueError(f"grid {'x'.join(map(str, grid.sizes))} with fiber dimension "
+                         f"{n_fiber} needs {size} floats per state, more than {_MAX_STATE_SIZE}")
     shape = tuple(grid.sizes)
     S = np.empty((n_fiber, n_fiber) + shape)
     with np.errstate(over="ignore", invalid="ignore"):  # RRFSState reports a non-finite G

@@ -395,6 +395,13 @@ CLI_MESSAGES = {
     ("rrfs", "--grid", "2**63"): f"grid size must be an integer <= 1048576, got {2**63}",
     ("rrfs", "--n-fiber", "2**63"): f"n_fiber must be an integer <= 1048576, got {2**63}",
     ("verify-tension", "--size", "2**63"): f"grid size must be an integer <= 1048576, got {2**63}",
+    # each count within ode._MAX_SIZE, their state past ode._MAX_STATE_SIZE floats: refused
+    # before the first field is allocated
+    ("rrfs", "--grid", "1048576,1048576"): "grid 1048576x1048576 with fiber dimension 2 "
+                                           "needs 13194139533312 floats per state, more "
+                                           "than 134217728",
+    ("rrfs", "--n-fiber", "1048576"): "grid 16 with fiber dimension 1048576 needs "
+                                      "17592202821648 floats per state, more than 134217728",
     # the line of a fit needs two samples
     ("fit", ("--t-lo", "--t-hi"), ("1e-6", "1e-4")):
         "number of samples in the fit window must be an integer >= 2, got 0",
@@ -469,6 +476,9 @@ LIBRARY_MESSAGES = {
     ("PeriodicGrid.sizes", "2**63"): f"grid size must be an integer <= 1048576, got {2**63}",
     ("random_smooth_state.n_fiber", "2**63"):
         f"n_fiber must be an integer <= 1048576, got {2**63}",
+    ("random_smooth_state.n_fiber", "1048576"):
+        "grid 16 with fiber dimension 1048576 needs 17592202821648 floats per state, more "
+        "than 134217728",
     # bounds beyond the four rules
     ("MapSlope.a", "1e300"): "slope |a| must be at most 2^511, got 1e+300",
     ("log_sample_times.t0", "-1"): "t0 must be > -1, samples are log-spaced in 1 + t, got -1.0",

@@ -1158,6 +1158,92 @@ class TestStageStatesSymmetric:
             npt.assert_array_equal(f.view(np.uint64), np.swapaxes(f, -1, -2).view(np.uint64))
 
 
+class TestStateCheckOutsideTheStep:
+    """``integrate_rrfs`` lets the states it builds skip the symmetrisation of g and G,
+    the finiteness test of a frozen A and the count of N.  A public ``RRFSState`` skips
+    none of them, read-only fields included, and a stage state that fails its check
+    still halves the step."""
+
+    GRID_2D = PeriodicGrid((16, 16), (2 * np.pi,) * 2)
+
+    @pytest.mark.parametrize("field", ["g", "G"])
+    def test_read_only_asymmetric_field_is_symmetrised(self, field):
+        shape = self.GRID_2D.sizes
+        fields = {"g": np.broadcast_to(np.eye(2), shape + (2, 2)), "A": np.zeros(shape + (2, 2)),
+                  "G": np.broadcast_to(np.eye(2), shape + (2, 2))}
+        fields[field] = np.broadcast_to([[2.0, 0.5], [0.25, 1.0]], shape + (2, 2))
+        assert not fields[field].flags.writeable
+        st = RRFSState(**fields)
+        npt.assert_array_equal(getattr(st, field),
+                               np.broadcast_to([[2.0, 0.375], [0.375, 1.0]], shape + (2, 2)))
+
+    def test_read_only_A_with_nan_is_refused(self):
+        A = np.zeros((16, 1, 2))
+        A[3, 0, 1] = np.nan
+        A.setflags(write=False)
+        with pytest.raises(rrfs.SPDFieldError, match="^connection A has non-finite entries$"):
+            RRFSState(np.ones((16, 1, 1)), A, np.broadcast_to(np.eye(2), (16, 2, 2)))
+
+    def test_non_spd_stage_G_halves_the_step(self):
+        # TestSPDGuard's halving case: its halved run is the chain of two runs of the
+        # halved step, bitwise
+        st = random_smooth_state(0, self.GRID_2D, 2, amplitude=1.5, perturb_g=True,
+                                 perturb_A=True)
+        spec = RescalingSpec("volume")
+        run = integrate_rrfs(st, self.GRID_2D, spec, 0.05, kappa_cfl=2.0)
+        first = integrate_rrfs(st, self.GRID_2D, spec, 0.025, kappa_cfl=2.0)
+        second = integrate_rrfs(first.final_state, self.GRID_2D, spec, 0.025, kappa_cfl=2.0)
+        npt.assert_array_equal(np.diff(run.step_times), [0.025, 0.025])
+        for key in "gAG":
+            npt.assert_array_equal(getattr(run.final_state, key),
+                                   getattr(second.final_state, key))
+        for key in ("energies", "volumes", "s_values"):
+            npt.assert_array_equal(getattr(run, key), np.concatenate(
+                [getattr(first, key), getattr(second, key)[1:]]))
+
+    RUNS = {  # (grid, whether g and A evolve, spec)
+        "frozen_1d": (S1_64, False, RescalingSpec("off")),
+        "volume_2d": (GRID_2D, True, RescalingSpec("volume", c_coupling=0.5)),
+    }
+
+    @staticmethod
+    def poisoned_run(monkeypatch, grid, evolves, spec, bad):
+        """A run of 2.5 initial CFL steps whose RHS calls numbered in ``bad`` (the
+        first call is 0, stage 1 at the input state) return an infinite dG/dt."""
+        st = random_smooth_state(7, grid, 2, perturb_g=evolves, perturb_A=evolves)
+        rhs, calls = rrfs.rrfs_rhs, [0]
+
+        def poisoned(*args, **kwargs):
+            out = rhs(*args, **kwargs)
+            calls[0] += 1
+            return out[:-1] + (np.full_like(out[-1], np.inf),) if calls[0] - 1 in bad else out
+
+        h = min(grid.spacing)
+        dt0 = rrfs.KAPPA_CFL * h * h * np.linalg.eigvalsh(st.g)[..., 0].min()
+        monkeypatch.setattr(rrfs, "rrfs_rhs", poisoned)
+        try:
+            return integrate_rrfs(st, grid, spec, 2.5 * dt0, evolve_g=evolves,
+                                  evolve_A=evolves)
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("case", RUNS.values(), ids=RUNS.keys())
+    def test_non_finite_stage_G_halves_the_step(self, case, monkeypatch):
+        # call 1 is stage 2 of the first attempt: its stage-3 state has G = inf, and
+        # the halved attempt, whose calls are finite, is taken
+        run = self.poisoned_run(monkeypatch, *case, bad={1})
+        clean = self.poisoned_run(monkeypatch, *case, bad=())
+        assert run.step_times[1] == 0.5 * clean.step_times[1]
+        assert np.isfinite(run.final_state.G).all()
+
+    @pytest.mark.parametrize("case", RUNS.values(), ids=RUNS.keys())
+    def test_non_finite_stage_G_on_every_attempt_raises(self, case, monkeypatch):
+        with pytest.raises(rrfs.SPDFieldError, match="^SPD structure lost after 50 step "
+                                                     "halvings at t = 0$") as info:
+            self.poisoned_run(monkeypatch, *case, bad=range(1, 100))
+        assert str(info.value.__cause__) == "fiber metric G has non-finite entries"
+
+
 @st.composite
 def symmetric_fields(draw):
     """Symmetric k x k fields (k = 1, 2, 3) on 5 or 3 x 4 nodes, each node
