@@ -55,8 +55,14 @@ def write_nil3_csv(path, traj: ode.Trajectory):
 
 
 def read_nil3_csv(path) -> ode.Trajectory:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return ode.Trajectory(data[:, 0], data[:, 1:4])
+    """The trajectory of a CSV that ``write_nil3_csv`` wrote: rows of t, A, B, C, Phi."""
+    with open(path) as fh:
+        fh.readline()
+        data = rrfs._read_table(fh, f"trajectory CSV {path}", 5, ",")
+    try:
+        return ode.Trajectory(data[:, 0], data[:, 1:4])
+    except ValueError as err:
+        raise ValueError(f"trajectory CSV {path}: {err}") from None
 
 
 def _emit_json(path, payload):

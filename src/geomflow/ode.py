@@ -75,9 +75,14 @@ class Trajectory:
     states: np.ndarray  # shape (len(times), dimension)
 
     def __post_init__(self):
+        if np.ndim(self.states) != 2:
+            raise ValueError(f"states must be a 2-D array, one row per time, got shape "
+                             f"{np.shape(self.states)}")
         if len(self.times) != len(self.states):
             raise ValueError("times and states lengths differ")
-        if len(self.times) > 1 and np.any(np.diff(self.times) <= 0):
+        if len(self.times) == 0:
+            raise ValueError("a trajectory needs at least one sample")
+        if not np.all(np.diff(self.times) > 0):  # a NaN time is not increasing
             raise ValueError("times must be strictly increasing")
 
     def component(self, index: int) -> np.ndarray:

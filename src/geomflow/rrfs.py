@@ -16,6 +16,7 @@ is the d-derivative of ``g_ab`` as a grid-shaped array.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate
@@ -833,20 +834,39 @@ def save_snapshot(state: RRFSState, grid: PeriodicGrid, path):
     _write_table(path, header, rows, " ")
 
 
+def _read_table(fh, name: str, columns: int, delimiter=None) -> np.ndarray:
+    """The rows of floats after the header line of the open text file ``fh``: at least
+    one row, each of ``columns`` numbers.  Any other table is a ValueError that names
+    ``name``; numpy's warning for a file with no rows becomes that refusal."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        try:
+            rows = np.loadtxt(fh, delimiter=delimiter, ndmin=2)
+        except UserWarning:
+            raise ValueError(f"{name} holds no rows after its header") from None
+        except ValueError as err:
+            raise ValueError(f"{name}: {err}") from None
+    if rows.shape[1] != columns:
+        raise ValueError(f"{name} has rows of {rows.shape[1]} numbers, not {columns}")
+    return rows
+
+
 def load_snapshot(path) -> tuple[RRFSState, PeriodicGrid]:
     with open(path) as fh:
-        header = fh.readline().split()
-        n = int(header[0]) if header and header[0].isdigit() else 0
-        if n not in (1, 2) or len(header) != 2 + 2 * n:
-            raise ValueError(f"malformed snapshot header in {path}")
-        N = int(header[1])
-        sizes = tuple(int(x) for x in header[2 : 2 + n])
-        period = tuple(float(x) for x in header[2 + n : 2 + 2 * n])
+        header = fh.readline()
+        try:
+            n, N, *axes = header.split()
+            n, N = int(n), int(N)
+            if n not in (1, 2) or N < 0 or len(axes) != 2 * n:
+                raise ValueError
+            sizes, period = tuple(map(int, axes[:n])), tuple(map(float, axes[n:]))
+        except ValueError:
+            raise ValueError(f"malformed snapshot header in {path}: {header.strip()!r}") from None
         grid = PeriodicGrid(sizes, period)
-        data = np.loadtxt(fh, ndmin=2)
+        data = _read_table(fh, f"snapshot {path}", n * n + n * N + N * N)
     n_nodes = int(np.prod(sizes))
-    if data.shape != (n_nodes, n * n + n * N + N * N):
-        raise ValueError("snapshot node data has wrong shape")
+    if len(data) != n_nodes:
+        raise ValueError(f"snapshot {path} has {len(data)} node rows, not {n_nodes}")
     g = data[:, : n * n].reshape(sizes + (n, n))
     A = data[:, n * n : n * n + n * N].reshape(sizes + (n, N))
     G = data[:, n * n + n * N :].reshape(sizes + (N, N))

@@ -137,6 +137,17 @@ class TestNil3Command:
         assert capsys.readouterr().err == (
             "error: A-prefactor alpha must be positive and finite, got inf\n")
 
+    def test_bounds_failure_exits_2_after_writing_the_summary(self, tmp_path, monkeypatch,
+                                                              capsys):
+        report = nil3.BoundsReport(ok=False, worst_slack=-1.0,
+                                   violations=[("C_upper", 2.0, -1.0)])
+        monkeypatch.setattr(nil3, "bounds_check", lambda traj, params: report)
+        js = tmp_path / "s.json"
+        assert cli.main(["nil3", "--t-end", "100", "--json", str(js)]) == 2
+        assert capsys.readouterr() == ("", "bounds check failed: [('C_upper', 2.0, -1.0)]\n")
+        assert json.loads(js.read_text())["bounds"] == {
+            "ok": False, "worst_slack": -1.0, "violations": [["C_upper", 2.0, -1.0]]}
+
 
 class TestVerifyTension:
     def test_default_passes(self):
@@ -308,11 +319,6 @@ class TestRRFSCommand:
         assert code == 1
         assert f"n_snapshots must be an integer >= 2, got {n}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-    def test_bad_rescaling_mode_rejected(self, capsys):
-        assert cli.main(["rrfs", "--grid", "16", "--mode", "banana",
-                         "--t-end", "0.01"]) == 1
-        assert "unknown rescaling mode 'banana'" in capsys.readouterr().err
 
 
 class TestInputBoundary:

@@ -12,6 +12,8 @@ has a stable id, ``<command or call>-<argument>=<value>``.
   ``geomflow <command>: error: ...``; a returned 2 is a verification failure.
   On exit 0 every JSON output is strict JSON, every CSV and snapshot parses,
   and every number in them, and in the text on stdout, is finite (or null).
+  A few cases read a trajectory CSV or a snapshot of ``FILES`` that its reader
+  refuses, by a message that names the file.
 * Library: the public constructors and functions return a value or raise one
   of the package's own exceptions, never ``ZeroDivisionError``,
   ``OverflowError``, ``TypeError``, ``IndexError`` or a numpy warning.
@@ -115,6 +117,18 @@ PAIRS = [
     ("fit-log", ("--t-lo", "--t-hi"), ("1e-6", "1e-4")),
     ("fit-log", ("--t-lo", "--t-hi"), ("1e-3", "1e-1")),
 ]
+# text inputs that their reader refuses, by file name; a case reads one from its directory
+FILES = {
+    "header.csv": "t,A,B,C,Phi\n",
+    "t_and_A.csv": "t,A\n0,1\n1,2\n",
+    "nan_time.csv": "t,A,B,C,Phi\n0,1,1,1,1\nnan,2,2,1,2\n10,3,3,1,3\n",
+    "header.txt": "1 1 8 6.2831853071795862\n",
+    "size_x.txt": "1 x 8 6.28\n",
+    "size_8.5.txt": "1 1 8.5 6.28\n",
+    "period_abc.txt": "1 1 8 abc\n",
+}
+FILE_CASES = [("fit", "--csv", name) if name.endswith(".csv") else ("rrfs", "--init-file", name)
+              for name in FILES]
 
 
 def _settings(option, value):
@@ -147,7 +161,7 @@ CLI_CASES = [pytest.param(*case, id=_case_id(*case)) for case in [
     for options, values in ((FLOAT_OPTIONS, EDGES), (INT_OPTIONS, INT_EDGES))
     for option in options.get(command, [])
     for value in values
-] + PAIRS]
+] + PAIRS + FILE_CASES]
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +202,15 @@ def _check_outputs(directory: Path, stdout: str):
     assert not re.search(r"\b(nan|inf)", stdout, re.IGNORECASE), stdout
 
 
+def _write_input(directory: Path, value) -> list:
+    """Write the file of ``FILES`` that a case's value names into ``directory``: its
+    name, or no name."""
+    if value not in FILES:
+        return []
+    (directory / value).write_text(FILES[value])
+    return [value]
+
+
 def _argv(command: str, option, value, trajectory: Path) -> list:
     argv = COMMANDS[command]
     for o, v in _settings(option, value):
@@ -199,6 +222,7 @@ def _argv(command: str, option, value, trajectory: Path) -> list:
 def test_cli_case(command, option, value, trajectory, tmp_path, monkeypatch, capsys):
     argv = _argv(command, option, value, trajectory)
     monkeypatch.chdir(tmp_path)
+    _write_input(tmp_path, value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -247,14 +271,14 @@ def test_cli_cases_cover_every_numeric_option():
 
 
 @functools.cache
-def _params(r: float = 0.3, a: float = 1.0) -> nil3.Nil3Params:
+def _params(r: float = 0.3, a: float = 1.0, c0: float = 0.5) -> nil3.Nil3Params:
     return nil3.Nil3Params(nil3.Nil3State(1.0, 1.0, 1.0), nil3.MapSlope(a),
-                           nil3.CouplingSchedule.power(0.5, r))
+                           nil3.CouplingSchedule.power(c0, r))
 
 
 @functools.cache
-def _trajectory(t_end: float = 10.0, a: float = 1.0) -> ode.Trajectory:
-    return nil3.integrate_nil3(_params(a=a), t_end)
+def _trajectory(t_end: float = 10.0, a: float = 1.0, c0: float = 0.5) -> ode.Trajectory:
+    return nil3.integrate_nil3(_params(a=a, c0=c0), t_end)
 
 
 GRID = rrfs.PeriodicGrid((16,), (2 * np.pi,))
@@ -291,8 +315,12 @@ LIBRARY = {
     "predicted_constants.alpha.r2": lambda v: nil3.predicted_constants(_params(2.0), v),
     "predicted_constants.a": lambda v: nil3.predicted_constants(_params(a=v), 1.0),
     "blowdown.s": lambda v: nil3.blowdown(_params(), _trajectory(), v),
-    # with a = 0 no slope bound stops a small s first: times / s overflow past t = 1.8e8
+    # with a = 0 a small s still stops before the times: 1 / s overflows the initial
+    # state (s = 5e-324), or s^2 c0 underflows the coupling to 0 (s = 1e-300)
     "blowdown.s.a0.t1e9": lambda v: nil3.blowdown(_params(a=0.0), _trajectory(1e9, 0.0), v),
+    # with zero coupling too, s = 1e-300 reaches the times: t / s overflows past t = 1.8e8
+    "blowdown.s.zero.a0.t1e9": lambda v: nil3.blowdown(_params(a=0.0, c0=0.0),
+                                                       _trajectory(1e9, 0.0, 0.0), v),
     "IntegratorConfig.rtol": lambda v: ode.IntegratorConfig(rtol=v),
     "IntegratorConfig.atol": lambda v: ode.IntegratorConfig(atol=v),
     "log_sample_times.t0": lambda v: ode.log_sample_times(v, 10.0, 32),
@@ -433,6 +461,18 @@ CLI_MESSAGES = {
         "the blowdown by s = 100000.0 overflows the coupling",
     ("blowdown-check", ("--coupling=const:{}", "--s"), ("5e-324", "0.5")):
         "the blowdown by s = 0.5 underflows the coupling to 0",
+    # FILES
+    ("fit", "--csv", "header.csv"): "trajectory CSV header.csv holds no rows after its header",
+    ("fit", "--csv", "t_and_A.csv"): "trajectory CSV t_and_A.csv has rows of 2 numbers, not 5",
+    ("fit", "--csv", "nan_time.csv"):
+        "trajectory CSV nan_time.csv: times must be strictly increasing",
+    ("rrfs", "--init-file", "header.txt"): "snapshot header.txt holds no rows after its header",
+    ("rrfs", "--init-file", "size_x.txt"):
+        "malformed snapshot header in size_x.txt: '1 x 8 6.28'",
+    ("rrfs", "--init-file", "size_8.5.txt"):
+        "malformed snapshot header in size_8.5.txt: '1 1 8.5 6.28'",
+    ("rrfs", "--init-file", "period_abc.txt"):
+        "malformed snapshot header in period_abc.txt: '1 1 8 abc'",
 }
 
 # The message of a library rejection, by case; the case raises ValueError.
@@ -447,6 +487,8 @@ LIBRARY_MESSAGES = {
         "A-prefactor alpha must be positive and finite, got -inf",
     ("PeriodicGrid.period", "0"): "period must be positive and finite, got 0.0",
     ("rk4_step.h", "nan"): "step size must be positive and finite, got nan",
+    ("rk4_step.h", "-1"): "step size must be positive and finite, got -1.0",
+    ("IntegratorConfig.rtol", "0"): "rtol must be positive and finite, got 0.0",
     # ode._check_finite
     ("MapSlope.a", "-inf"): "slope a must be finite, got -inf",
     ("RescalingSpec.s0", "nan"): "s0 must be finite, got nan",
@@ -483,6 +525,8 @@ LIBRARY_MESSAGES = {
     ("MapSlope.a", "1e300"): "slope |a| must be at most 2^511, got 1e+300",
     ("log_sample_times.t0", "-1"): "t0 must be > -1, samples are log-spaced in 1 + t, got -1.0",
     ("log_sample_times.t1", "-1"): "t1 must be >= t0",
+    ("integrate_adaptive.t1", "-1"): "t1 must be >= t0",
+    ("blowdown.s.zero.a0.t1e9", "1e-300"): "the blowdown by s = 1e-300 overflows the trajectory",
 }
 
 
@@ -493,9 +537,10 @@ LIBRARY_MESSAGES = {
 def test_cli_message(command, option, value, message, trajectory, tmp_path, monkeypatch,
                      capsys):
     monkeypatch.chdir(tmp_path)
+    inputs = _write_input(tmp_path, value)
     assert cli.main(_argv(command, option, value, trajectory)) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert not list(tmp_path.iterdir())
+    assert [path.name for path in tmp_path.iterdir()] == inputs
 
 
 @pytest.mark.parametrize("name, value, message", [
@@ -516,3 +561,15 @@ def test_fiber_dimension_past_the_cap_is_refused_before_g_is_copied():
     with pytest.raises(ValueError, match=f"^fiber dimension must be an integer <= {2**20}, "
                                          f"got {N}$"):
         rrfs.RRFSState(np.ones((16, 1, 1)), np.broadcast_to(0.0, (16, 1, N)), G)
+
+
+@pytest.mark.parametrize("states, message", [
+    (np.zeros((0, 3)), "a trajectory needs at least one sample"),
+    (np.zeros(2), "states must be a 2-D array, one row per time, got shape (2,)"),
+], ids=["empty", "1d-states"])
+def test_trajectory_shape_message(states, message):
+    """A trajectory holds a row per time and at least one row, which the fits, the
+    bounds check and the blowdown index."""
+    with pytest.raises(ValueError) as info:
+        ode.Trajectory(np.zeros(len(states)), states)
+    assert str(info.value) == message

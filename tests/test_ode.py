@@ -41,10 +41,6 @@ class TestRK4Step:
         out = rk4_step(GROWTH.rhs, 0.0, np.array([1.0]), 0.1)
         assert abs(out[0] - np.e**0.1) <= 1e-7
 
-    def test_invalid_step(self):
-        with pytest.raises(ValueError):
-            rk4_step(GROWTH.rhs, 0.0, np.array([1.0]), -0.1)
-
     @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
     def test_non_finite_step_rejected_before_any_stage(self, h):
         # not reported as a non-finite state, and no stage runs to warn first
@@ -178,10 +174,6 @@ class TestAdaptive:
         with pytest.raises(ValueError, match="^t[01] must be finite, got (nan|-?inf)$"):
             integrate_adaptive(DECAY, t0, t1, [1.0])
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(rtol=0.0)
-
     @pytest.mark.parametrize("t_bad, message", [
         (0.5, "state became non-finite"),
         (0.0, "right-hand side is not finite at the initial state")], ids=["stage", "initial"])
@@ -200,10 +192,6 @@ class TestAdaptive:
     def test_non_finite_initial_state_rejected(self):
         with pytest.raises(NonFiniteState, match="initial state is not finite"):
             integrate_adaptive(DECAY, 0.0, 1.0, [np.nan])
-
-    def test_backward_interval_rejected(self):
-        with pytest.raises(ValueError, match="^t1 must be >= t0$"):
-            integrate_adaptive(DECAY, 1.0, 0.0, [1.0])
 
     @pytest.mark.parametrize("y0, t1", [(1.0, 1.0), (1.0, 0.0), ([], 1.0), ([[1.0]], 1.0)],
                              ids=["scalar", "scalar-empty-interval", "empty", "2d"])

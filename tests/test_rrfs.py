@@ -612,10 +612,6 @@ class TestStepCap:
 
 
 class TestLibraryBoundary:
-    def test_unknown_rescaling_mode_rejected(self):
-        with pytest.raises(ValueError, match="^unknown rescaling mode 'banana'$"):
-            RescalingSpec("banana")
-
     @pytest.mark.parametrize("s0", [3.0, -1e-300])
     @pytest.mark.parametrize("mode", ["off", "volume"])
     def test_s0_outside_constant_mode_rejected(self, mode, s0):
@@ -1416,8 +1412,9 @@ class TestSnapshots:
         save_snapshot(flat_state(grid), grid, path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:-1]))
-        with pytest.raises(ValueError, match="^snapshot node data has wrong shape$"):
+        with pytest.raises(ValueError) as info:
             load_snapshot(path)
+        assert str(info.value) == f"snapshot {path} has 7 node rows, not 8"
 
     @pytest.mark.parametrize("grid", [S1_64, PeriodicGrid((16, 16), (1.0, 1.0)),
                                       PeriodicGrid((24, 16), (2.0, 0.7))],

@@ -14,6 +14,11 @@ alone move values and flip signs, so each node's arithmetic is the same:
 bitwise in mode off, while in volume mode s_volume sums the nodes in another
 order.  A fiber permutation or the axis swap also reorders the sums over fiber
 or base indices, and the LAPACK inverse pivots on other entries.
+
+The Nil3 flow at slope a = 0, A' = C/B, B' = C/A, C' = -C^2/(AB), is symmetric in
+A and B, whatever the coupling.  So is each adaptive step: its error norm adds the
+squared errors of A, B and C in that order, and a + b = b + a.  Swapping A0 and B0
+swaps the trajectory bitwise.
 """
 
 import functools
@@ -21,6 +26,7 @@ import functools
 import numpy as np
 import pytest
 
+from geomflow.nil3 import CouplingSchedule, MapSlope, Nil3Params, Nil3State, integrate_nil3
 from geomflow.rrfs import (PeriodicGrid, RescalingSpec, RRFSState, integrate_rrfs,
                            random_smooth_state, rrfs_rhs)
 
@@ -143,3 +149,25 @@ def test_lattice_map_of_a_run(grid, N, name, mode):
         assert _relative_gap(getattr(image_fin, field), w) <= bound, field
     for series in ("step_times", "energies", "volumes", "s_values"):
         assert _relative_gap(getattr(image_run, series), getattr(run, series)) <= SERIES_BOUND
+
+
+NIL3_COUPLINGS = {
+    "zero": lambda rng: CouplingSchedule.zero(),
+    "constant": lambda rng: CouplingSchedule.constant(rng.uniform(0.1, 2.0)),
+    "power": lambda rng: CouplingSchedule.power(rng.uniform(0.1, 2.0), rng.uniform(0.1, 3.0)),
+}
+
+
+@pytest.mark.parametrize("seed", range(7))
+@pytest.mark.parametrize("coupling", NIL3_COUPLINGS)
+def test_nil3_swap_of_A_and_B_at_zero_slope(coupling, seed):
+    rng = np.random.default_rng(seed)
+    A0, B0, C0 = np.exp(rng.uniform(-2.0, 2.0, 3)).tolist()
+    schedule = NIL3_COUPLINGS[coupling](rng)
+
+    def run(A, B):
+        return integrate_nil3(Nil3Params(Nil3State(A, B, C0), MapSlope(0.0), schedule), 1e6)
+
+    traj, image = run(A0, B0), run(B0, A0)
+    assert np.array_equal(image.times, traj.times)
+    assert np.array_equal(image.states, traj.states[:, [1, 0, 2]])
