@@ -320,6 +320,11 @@ class TestRRFSCommand:
         assert f"n_snapshots must be an integer >= 2, got {n}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_bad_rescaling_mode_rejected(self, capsys):
+        assert cli.main(["rrfs", "--grid", "16", "--mode", "banana",
+                         "--t-end", "0.01"]) == 1
+        assert "unknown rescaling mode 'banana'" in capsys.readouterr().err
+
 
 class TestInputBoundary:
     def test_one_token_snapshot_header(self, tmp_path, capsys):

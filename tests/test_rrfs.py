@@ -612,6 +612,10 @@ class TestStepCap:
 
 
 class TestLibraryBoundary:
+    def test_unknown_rescaling_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown rescaling mode 'banana'$"):
+            RescalingSpec("banana")
+
     @pytest.mark.parametrize("s0", [3.0, -1e-300])
     @pytest.mark.parametrize("mode", ["off", "volume"])
     def test_s0_outside_constant_mode_rejected(self, mode, s0):
