@@ -47,6 +47,7 @@ class MapSlope:
             raise ValueError(f"slope |a| must be at most 2^511, got {self.a!r}")
 
     def blowdown(self, s: float) -> "MapSlope":
+        _check_positive("blowdown scale s", s)
         return MapSlope(self.a / s)
 
 
@@ -88,7 +89,10 @@ class CouplingSchedule:
         return self.c0 * (1.0 + self.time_scale * t) ** -self.r  # x ** -0.0 == 1.0 for all x
 
     def blowdown(self, s: float) -> "CouplingSchedule":
-        c0, time_scale = self.c0 * (s * s), self.time_scale * s
+        _check_positive("blowdown scale s", s)
+        # left to right: for s >= 1 c0 s overflows only if c0 s^2 does, for s <= 1 it
+        # underflows only if c0 s^2 does, and a zero c0 stays 0
+        c0, time_scale = self.c0 * s * s, self.time_scale * s
         _check_blowdown(s, "coupling", (self.c0, self.time_scale), (c0, time_scale))
         return replace(self, c0=c0, time_scale=time_scale)
 
@@ -150,11 +154,21 @@ def conserved_phi(state: Nil3State) -> float:
 def exact_ricci_solution(t: float, A0: float, C0: float) -> Nil3State:
     """Zero-coupling closed form for symmetric data B0 = A0.
 
-    A(t) = B(t) = (A0^3 + 3 Phi t)^(1/3) with Phi = A0 C0, and C = Phi/A.
+    A(t) = B(t) = (A0^3 + 3 Phi t)^(1/3) with Phi = A0 C0, and C = Phi/A, for t >= 0.
     """
+    _check_nonnegative("t", t)
+    _check_positive("A0", A0)
+    _check_positive("C0", C0)
     phi = A0 * C0
-    A = (A0**3 + 3.0 * phi * t) ** (1.0 / 3.0)
-    return Nil3State(A, A, phi / A)
+    try:
+        A = (A0**3 + 3.0 * phi * t) ** (1.0 / 3.0)
+        C = phi / A
+    except (OverflowError, ZeroDivisionError):  # float ** and / raise where numpy gives inf
+        A = C = math.nan
+    if not (0.0 < A < math.inf and 0.0 < C < math.inf):
+        raise ValueError(f"the closed form at t = {t!r} from A0 = {A0!r}, C0 = {C0!r} "
+                         "leaves the float range")
+    return Nil3State(A, A, C)
 
 
 def make_system(params: Nil3Params) -> ODESystem:

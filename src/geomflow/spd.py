@@ -9,11 +9,12 @@ through :func:`project_unit_det`.  The metric is the trace form
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import _MAX_SEED, _count
+from .ode import _MAX_SEED, _MAX_SIZE, _count
 
 SYM_RTOL = 1e-14
 
@@ -138,9 +139,9 @@ def project_unit_det(G: SPDMatrix) -> SPDMatrix:
 
 def random_spd(seed: int, N: int, cond_max: float = 10.0) -> SPDMatrix:
     """Deterministic random SPD matrix with condition number <= cond_max."""
-    N = _count("N", N, 1)
-    if cond_max < 1:
-        raise ValueError(f"cond_max must be >= 1, got {cond_max}")
+    N = _count("N", N, 1, _MAX_SIZE)
+    if not 1 <= cond_max < math.inf:
+        raise ValueError(f"cond_max must be finite and >= 1, got {cond_max}")
     rng = np.random.default_rng(_count("seed", seed, 0, _MAX_SEED))
     q, _ = np.linalg.qr(rng.standard_normal((N, N)))
     # eigenvalues in [1, cond_max); ratio of extremes stays below cond_max

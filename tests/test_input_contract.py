@@ -306,14 +306,19 @@ LIBRARY = {
     "Nil3State.B": lambda v: nil3.Nil3State(1.0, v, 1.0),
     "Nil3State.C": lambda v: nil3.Nil3State(1.0, 1.0, v),
     "MapSlope.a": nil3.MapSlope,
+    "MapSlope.blowdown.s": lambda v: nil3.MapSlope(1.0).blowdown(v),
     "CouplingSchedule.c0": lambda v: nil3.CouplingSchedule(v, 0.3),
     "CouplingSchedule.r": lambda v: nil3.CouplingSchedule(0.5, v),
     "CouplingSchedule.time_scale": lambda v: nil3.CouplingSchedule(0.5, 0.3, v),
+    "CouplingSchedule.blowdown.s": lambda v: nil3.CouplingSchedule(0.5, 0.3).blowdown(v),
     "Nil3Params.f.t": lambda v: _params().f(v),
     "Nil3Params.f.a": lambda v: _params(a=v).f(1.0),
     "predicted_constants.alpha.r0.3": lambda v: nil3.predicted_constants(_params(), v),
     "predicted_constants.alpha.r2": lambda v: nil3.predicted_constants(_params(2.0), v),
     "predicted_constants.a": lambda v: nil3.predicted_constants(_params(a=v), 1.0),
+    "exact_ricci_solution.t": lambda v: nil3.exact_ricci_solution(v, 1.0, 1.0),
+    "exact_ricci_solution.A0": lambda v: nil3.exact_ricci_solution(1.0, v, 1.0),
+    "exact_ricci_solution.C0": lambda v: nil3.exact_ricci_solution(1.0, 1.0, v),
     "blowdown.s": lambda v: nil3.blowdown(_params(), _trajectory(), v),
     # with a = 0 a small s still stops before the times: 1 / s overflows the initial
     # state (s = 5e-324), or s^2 c0 underflows the coupling to 0 (s = 1e-300)
@@ -345,6 +350,7 @@ LIBRARY = {
     "integrate_rrfs.kappa_cfl": lambda v: rrfs.integrate_rrfs(_state(), GRID, OFF, 0.01,
                                                               kappa_cfl=v),
     "SPDMatrix": lambda v: spd.SPDMatrix(np.diag([v, v])),
+    "random_spd.cond_max": lambda v: spd.random_spd(0, 2, v),
 }
 INT_LIBRARY = {
     "IntegratorConfig.samples_per_decade": lambda v: ode.IntegratorConfig(
@@ -357,6 +363,8 @@ INT_LIBRARY = {
                                                                 n_snapshots=v),
     # the 4-node grid is refused once the count passes, so no count runs a field
     "verify_tension.n_fields": lambda v: cli.verify_tension(0, 1, 2, 4, v),
+    "random_spd.seed": lambda v: spd.random_spd(v, 2),
+    "random_spd.N": lambda v: spd.random_spd(0, v),
 }
 
 
@@ -401,9 +409,14 @@ CLI_MESSAGES = {
     ("nil3", "--C0", "nan"): "C must be positive and finite, got nan",
     ("nil3", "--rtol", "-0.0"): "rtol must be positive and finite, got -0.0",
     ("nil3", "--atol", "inf"): "atol must be positive and finite, got inf",
+    ("nil3", "--rtol", "nan"): "rtol must be positive and finite, got nan",
+    ("nil3", "--atol", "nan"): "atol must be positive and finite, got nan",
     ("nil3", "--t-end", "0"): "t_end must be positive and finite, got 0.0",
     ("blowdown-check", "--s", "-inf"): "blowdown scale s must be positive and finite, got -inf",
     ("rrfs", "--period", "-1"): "period must be positive and finite, got -1.0",
+    ("rrfs", "--period", "nan"): "period must be positive and finite, got nan",
+    ("rrfs", "--period", "inf"): "period must be positive and finite, got inf",
+    ("rrfs", "--period", "-inf"): "period must be positive and finite, got -inf",
     ("rrfs", "--t-end", "nan"): "t_end must be positive and finite, got nan",
     # ode._check_finite
     ("nil3", "--a", "nan"): "slope a must be finite, got nan",
@@ -448,6 +461,8 @@ CLI_MESSAGES = {
     ("nil3", "--coupling", "bogus"): f"{COUPLING_FORM}, got 'bogus'",
     ("nil3", "--coupling", "const:"): f"{COUPLING_FORM}, got 'const:'",
     ("nil3", "--coupling", "power:1"): f"{COUPLING_FORM}, got 'power:1'",
+    ("nil3", "--coupling", "power:1,2,3"): f"{COUPLING_FORM}, got 'power:1,2,3'",
+    ("nil3", "--coupling", "power:"): f"{COUPLING_FORM}, got 'power:'",
     ("blowdown-check", "--coupling", "zero:1"): f"{COUPLING_FORM}, got 'zero:1'",
     # bounds beyond the four rules: A0 / s overflows for the first s, 0.5
     ("blowdown-check", "--A0", "1.7976931348623157e308"):
@@ -456,6 +471,9 @@ CLI_MESSAGES = {
     ("nil3", ("--A0", "--B0"), ("1e-200", "1e-200")):
         "right-hand side is not finite at the initial state (at t = 0)",
     ("blowdown-check", ("--a", "--s"), ("0", "1e-160")):
+        "flow residual must be finite, got nan",
+    # c0 s s keeps a zero coupling 0; the residual's stencil weights underflow to NaN
+    ("blowdown-check", ("--a", "--coupling", "--s"), ("0", "zero", "1e200")):
         "flow residual must be finite, got nan",
     ("blowdown-check", ("--coupling=const:{}", "--s"), ("1e300", "1e5")):
         "the blowdown by s = 100000.0 overflows the coupling",
@@ -483,6 +501,14 @@ LIBRARY_MESSAGES = {
     ("IntegratorConfig.atol", "-1"): "atol must be positive and finite, got -1.0",
     ("CouplingSchedule.time_scale", "-0.0"): "time_scale must be positive and finite, got -0.0",
     ("blowdown.s", "inf"): "blowdown scale s must be positive and finite, got inf",
+    ("MapSlope.blowdown.s", "0"): "blowdown scale s must be positive and finite, got 0.0",
+    ("MapSlope.blowdown.s", "-1"): "blowdown scale s must be positive and finite, got -1.0",
+    ("CouplingSchedule.blowdown.s", "-1"):
+        "blowdown scale s must be positive and finite, got -1.0",
+    ("CouplingSchedule.blowdown.s", "nan"):
+        "blowdown scale s must be positive and finite, got nan",
+    ("exact_ricci_solution.A0", "-1"): "A0 must be positive and finite, got -1.0",
+    ("exact_ricci_solution.C0", "-1"): "C0 must be positive and finite, got -1.0",
     ("predicted_constants.alpha.r2", "-inf"):
         "A-prefactor alpha must be positive and finite, got -inf",
     ("PeriodicGrid.period", "0"): "period must be positive and finite, got 0.0",
@@ -499,6 +525,7 @@ LIBRARY_MESSAGES = {
     # ode._check_nonnegative
     ("CouplingSchedule.c0", "-1"): "c0 must be finite and >= 0, got -1.0",
     ("CouplingSchedule.r", "nan"): "r must be finite and >= 0, got nan",
+    ("exact_ricci_solution.t", "-1"): "t must be finite and >= 0, got -1.0",
     ("integrate_rrfs.t_end", "0"): "t_end must be positive and finite, got 0.0",
     ("integrate_rrfs.kappa_cfl", "-inf"): "kappa_cfl must be positive and finite, got -inf",
     # ode._count
@@ -518,6 +545,7 @@ LIBRARY_MESSAGES = {
     ("PeriodicGrid.sizes", "2**63"): f"grid size must be an integer <= 1048576, got {2**63}",
     ("random_smooth_state.n_fiber", "2**63"):
         f"n_fiber must be an integer <= 1048576, got {2**63}",
+    ("random_spd.N", "2**63"): f"N must be an integer <= 1048576, got {2**63}",
     ("random_smooth_state.n_fiber", "1048576"):
         "grid 16 with fiber dimension 1048576 needs 17592202821648 floats per state, more "
         "than 134217728",
@@ -527,6 +555,10 @@ LIBRARY_MESSAGES = {
     ("log_sample_times.t1", "-1"): "t1 must be >= t0",
     ("integrate_adaptive.t1", "-1"): "t1 must be >= t0",
     ("blowdown.s.zero.a0.t1e9", "1e-300"): "the blowdown by s = 1e-300 overflows the trajectory",
+    ("random_spd.cond_max", "nan"): "cond_max must be finite and >= 1, got nan",
+    ("random_spd.cond_max", "inf"): "cond_max must be finite and >= 1, got inf",
+    ("exact_ricci_solution.A0", "1e300"):
+        "the closed form at t = 1.0 from A0 = 1e+300, C0 = 1.0 leaves the float range",
 }
 
 
@@ -551,6 +583,15 @@ def test_library_message(name, value, message):
     with pytest.raises(ValueError) as info:
         {**LIBRARY, **INT_LIBRARY}[name](_value(value))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("c0, s, scaled", [(0.0, 1e200, 0.0), (1e-300, 1e200, 1e100),
+                                           (1e300, 1e-200, 1e-100)],
+                         ids=["zero", "tiny-c0", "huge-c0"])
+def test_blowdown_coupling_is_c0_s_s(c0, s, scaled):
+    """The blown-down c0 is formed as c0 s s, which leaves the float range only where
+    c0 s^2 does, though s s overflows at s = 1e200 and underflows at s = 1e-200."""
+    assert nil3.CouplingSchedule(c0).blowdown(s).c0 == scaled
 
 
 def test_fiber_dimension_past_the_cap_is_refused_before_g_is_copied():
