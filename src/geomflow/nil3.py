@@ -15,12 +15,14 @@ checks, and power-law / log-growth asymptotic fits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ode import (IntegratorConfig, ODESystem, Trajectory, _check_finite, _check_nonnegative,
-                  _check_positive, _count, _least_squares_line, integrate_adaptive)
+from .ode import (IntegratorConfig, NonFiniteState, ODESystem, Trajectory, _check_finite,
+                  _check_nonnegative, _check_positive, _count, _least_squares_line,
+                  integrate_adaptive, log_sample_times)
 
 
 @dataclass(frozen=True)
@@ -43,12 +45,17 @@ class MapSlope:
 
     def __post_init__(self):
         _check_finite("slope a", self.a)
-        if abs(self.a) > 2.0**511:  # the largest |a| whose forcing factor 2 a^2 is finite
+        if abs(self.a) > _MAX_SLOPE:
             raise ValueError(f"slope |a| must be at most 2^511, got {self.a!r}")
 
     def blowdown(self, s: float) -> "MapSlope":
         _check_positive("blowdown scale s", s)
-        return MapSlope(self.a / s)
+        a = self.a / s
+        _check_blowdown(s, "slope", (abs(self.a),), (abs(a),), _MAX_SLOPE)
+        return MapSlope(a)
+
+
+_MAX_SLOPE = 2.0**511  # the largest |a| whose forcing factor 2 a^2 is finite
 
 
 @dataclass(frozen=True)
@@ -97,8 +104,8 @@ class CouplingSchedule:
         return replace(self, c0=c0, time_scale=time_scale)
 
 
-def _check_blowdown(s: float, what: str, values, scaled):
-    if not math.isfinite(max(scaled)):
+def _check_blowdown(s: float, what: str, values, scaled, limit: float = sys.float_info.max):
+    if not max(scaled) <= limit:
         raise ValueError(f"the blowdown by s = {s!r} overflows the {what}")
     if any(new == 0.0 < old for old, new in zip(values, scaled)):
         raise ValueError(f"the blowdown by s = {s!r} underflows the {what} to 0")
@@ -151,43 +158,130 @@ def conserved_phi(state: Nil3State) -> float:
     return state.B * state.C
 
 
-def exact_ricci_solution(t: float, A0: float, C0: float) -> Nil3State:
-    """Zero-coupling closed form for symmetric data B0 = A0.
+def exact_ricci_solution(t: float, A0: float, C0: float, B0: float | None = None) -> Nil3State:
+    """Zero-coupling closed form from (A0, B0, C0), with B0 = A0 where it is not given.
 
-    A(t) = B(t) = (A0^3 + 3 Phi t)^(1/3) with Phi = A0 C0, and C = Phi/A, for t >= 0.
+    With f = 0, (A/B)' = 0, so A = k B with k = A0/B0; then (B^3)' = 3 Phi / k, so
+    B(t) = (B0^3 + 3 Phi t / k)^(1/3) with Phi = B0 C0, and C = Phi/B, for t >= 0.
     """
     _check_nonnegative("t", t)
     _check_positive("A0", A0)
     _check_positive("C0", C0)
-    phi = A0 * C0
+    B0 = A0 if B0 is None else B0
+    _check_positive("B0", B0)
+    phi, k = B0 * C0, A0 / B0
     try:
-        A = (A0**3 + 3.0 * phi * t) ** (1.0 / 3.0)
-        C = phi / A
+        B = (B0**3 + 3.0 * phi * t / k) ** (1.0 / 3.0)
+        A, C = k * B, phi / B
     except (OverflowError, ZeroDivisionError):  # float ** and / raise where numpy gives inf
-        A = C = math.nan
-    if not (0.0 < A < math.inf and 0.0 < C < math.inf):
-        raise ValueError(f"the closed form at t = {t!r} from A0 = {A0!r}, C0 = {C0!r} "
-                         "leaves the float range")
-    return Nil3State(A, A, C)
+        A = B = C = math.nan
+    if not all(0.0 < v < math.inf for v in (A, B, C)):
+        raise ValueError(f"the closed form at t = {t!r} from A0 = {A0!r}, B0 = {B0!r}, "
+                         f"C0 = {C0!r} leaves the float range")
+    return Nil3State(A, B, C)
+
+
+def _regime(params: Nil3Params) -> tuple[str, float, float]:
+    """The regime of the coupling, and its exponents (p, e): A ~ t^p, B ~ t^e and
+    C ~ t^(-e), with p + 2e = 1 (the constant regime's A ~ t, B^2 ~ log t give (1, 0))."""
+    r = params.coupling.r
+    if params.slope.a**2 * params.coupling.c0 == 0:
+        return "zero", 1 / 3, 1 / 3
+    if r == 0:
+        return "constant", 1.0, 0.0
+    if r < 2 / 3:
+        return "slow_decay", 1 - r, r / 2
+    return ("marginal" if r == 2 / 3 else "fast_decay"), 1 / 3, 1 / 3
+
+
+def _log_frame(params: Nil3Params) -> tuple[float, float, float, float | None]:
+    """(log t_s, p, e, log(t_s 2a^2 c0)) of ``make_system``'s variables; the last is
+    None where 2a^2 c0 = 0.  Sums of logs, so no product of the data over- or
+    underflows."""
+    s0 = params.state0
+    _, p, e = _regime(params)
+    log_A0 = math.log(s0.A)
+    log_ts = min(0.0, log_A0 + math.log(s0.B) - math.log(s0.C))  # A0 B0 / C0
+    if not (params.forcing and params.coupling.c0):
+        return log_ts, p, e, None
+    log_f0 = math.log(params.forcing) + math.log(params.coupling.c0)  # 2a^2 c0
+    log_ts = min(log_ts, log_A0 - log_f0)
+    return log_ts, p, e, log_ts + log_f0
 
 
 def make_system(params: Nil3Params) -> ODESystem:
-    forcing, coupling = params.forcing, params.coupling
+    """The flow in tau = log(1 + t/t_s) for (a, b, c) = (log A - p tau, log B - e tau,
+    log C + e tau), with (p, e) the exponents of the regime (``_regime``):
 
-    def f(t, y):  # params.f(t), with its factor read once
-        return _flow(*y.tolist(), forcing * coupling(t))  # three floats, not numpy scalars
+        regime                        p        e
+        zero, fast_decay, marginal    1/3      1/3
+        slow_decay                    1 - r    r/2
+        constant                      1        0
 
-    return ODESystem(rhs=f, positive_components=(0, 1, 2))
+    Each regime's law A ~ t^p, B ~ t^e, C ~ t^(-e) is then a fixed point, or, where
+    it is not one, a slow drift, so the steps grow with tau instead of following the
+    growth in t.  With dt/dtau = t_s e^tau, d(log A)/dt = C/(AB) + f/A,
+    d(log B)/dt = C/(AB) = -d(log C)/dt and C/(AB) = e^(c - (a + b)) e^(-(p + 2e) tau):
+
+        a' = t_s q + t_s f(t) e^((1 - p) tau - a) - p,   b' = t_s q - e = -c',
+
+    where q = e^(c - (a + b)) needs no factor of tau since 1 - 2e - p = 0 in every
+    regime, and f = 2 a^2 c(t).  b' and c' are one value with opposite signs, so
+    Phi = e^(b + c) moves only by rounding.  t_s = min(1, A0/(2a^2 c0), A0 B0/C0),
+    with the middle term left out where 2a^2 c0 = 0, is the datum's own time scale:
+    at tau = 0 each term of a' and b' is at most 1 in size.  t_s enters the
+    exponents as log t_s, and c(t) as -r log1p(time_scale t), so no factor leaves
+    the float range before the state does.  In these variables an absolute error
+    is a relative error of A, B and C, so ``integrate_nil3`` holds each step's error
+    to an absolute scale.
+    """
+    log_ts, p, e, log_drive = _log_frame(params)
+    r, time_scale = params.coupling.r, params.coupling.time_scale
+    p_tau = 1.0 - p  # the factor of tau in the forcing's exponent
+
+    def f(tau, y):
+        a, b, c = y.tolist()  # three floats, not numpy scalars
+        tq = math.exp(c - (a + b) + log_ts)  # t_s q; c - (a + b) keeps the A <-> B swap
+        if log_drive is None:
+            return (tq - p, tq - e, e - tq)
+        x = log_drive + p_tau * tau - a
+        if r:  # t = t_s (e^tau - 1), formed so that it overflows only past the float range
+            x -= r * math.log1p(time_scale * math.exp(log_ts + tau) * -math.expm1(-tau))
+        return (tq + math.exp(x) - p, tq - e, e - tq)
+
+    return ODESystem(rhs=f)
+
+
+# The least rtol that IntegratorConfig takes: times any |log A| <= 745 it rounds away
+# beside the atol of a Nil3 run, whose error scale in (a, b, c) is thus absolute
+_NO_RELATIVE_PART = 5e-324
 
 
 def integrate_nil3(
     params: Nil3Params, t_end: float, cfg: IntegratorConfig | None = None
 ) -> Trajectory:
+    """The flow from ``params`` to ``t_end``, sampled at ``log_sample_times``: it runs
+    in ``make_system``'s variables and maps each sample back to (A, B, C) in t.
+    ``cfg.rtol`` / 10 + ``cfg.atol`` bounds each step's error in log A, log B and
+    log C, that is the relative error of A, B and C.  A sample whose A, B, C or
+    Phi = BC leaves the float range is a ``NonFiniteState``."""
     _check_positive("t_end", t_end)
     cfg = cfg or IntegratorConfig()
-    return integrate_adaptive(
-        make_system(params), 0.0, t_end, params.state0.as_array(), cfg
-    )
+    log_ts, p, e, _ = _log_frame(params)
+    times = log_sample_times(0.0, t_end, cfg.samples_per_decade)
+    with np.errstate(divide="ignore"):  # log 0 = -inf gives tau = 0 at t = 0
+        tau = np.logaddexp(0.0, np.log(times) - log_ts)  # log1p(t / t_s), with no overflow
+    s0 = params.state0
+    log_cfg = IntegratorConfig(_NO_RELATIVE_PART, cfg.rtol / 10 + cfg.atol)
+    traj = integrate_adaptive(make_system(params), tau,
+                              [math.log(s0.A), math.log(s0.B), math.log(s0.C)], log_cfg)
+    with np.errstate(over="ignore"):  # a sample past the float range is refused below
+        states = np.exp(traj.states + np.outer(tau, (p, e, -e)))
+        values = np.column_stack([states, states[:, 1] * states[:, 2]])  # A, B, C, Phi
+    outside = ~((values > 0) & (values < np.inf)).all(axis=1)
+    if outside.any():
+        raise NonFiniteState("the solution leaves the float range", times[np.argmax(outside)])
+    return Trajectory(times, states)
 
 
 def blowdown(
@@ -225,17 +319,22 @@ def _fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     offsets d_k of each stencil (d_c = 0 at the centre; Fornberg, Math. Comp. 51,
     1988): w_k = prod_{j != k, c} (-d_j) / prod_{j != k} (d_k - d_j) and
     w_c = -sum_{j != c} 1 / d_j, in closed form per point, so non-uniform samples
-    (e.g. blowdown-transformed) are handled without a linear solve.
+    (e.g. blowdown-transformed) are handled without a linear solve.  A weight is
+    1/offset in size, so each stencil's are formed on its offsets over their
+    largest |d_k| and divided by it after: the products of four offsets neither
+    under- nor overflow, however far a blowdown moves the times.
     """
     n = len(times)
     u = np.log1p(times)
     d = np.stack([u[k : n - 4 + k] - u[2 : n - 2] for k in _OUTER])  # (4, n - 4) offsets
+    scale = np.abs(d).max(axis=0)
+    d = d / scale
     gaps = d[:, None] - d[None]  # d_k - d_j between outer nodes,
     gaps[_DIAG, _DIAG] = d  # with d_k - d_c in place of the zero d_k - d_k
     # prod_{j != k, c} (-d_j) is prod(-d) / (-d_k)
-    w = np.prod(-d, axis=0) / (-d * np.prod(gaps, axis=1))
+    w = np.prod(-d, axis=0) / (-d * np.prod(gaps, axis=1)) / scale
     shape = (n - 4,) + (1,) * (values.ndim - 1)
-    du = -np.sum(1.0 / d, axis=0).reshape(shape) * values[2 : n - 2]
+    du = (-np.sum(1.0 / d, axis=0) / scale).reshape(shape) * values[2 : n - 2]
     for w_k, k in zip(w, _OUTER):
         du += w_k.reshape(shape) * values[k : n - 4 + k]
     return du / (1.0 + times[2 : n - 2]).reshape(shape)
@@ -340,26 +439,24 @@ def predicted_constants(params: Nil3Params, alpha: float | None = None) -> dict:
     phi = params.phi0
     coupling, r = params.coupling, params.coupling.r
     a2c = params.slope.a**2 * coupling.c0
-    regime = ("zero" if a2c == 0 else "constant" if r == 0 else "slow_decay" if r < 2 / 3
-              else "marginal" if r == 2 / 3 else "fast_decay")
+    regime, p, e = _regime(params)
     out = {"K": K, "phi": phi, "regime": regime}
     if regime == "constant":
         out.update(A_slope=2.0 * a2c, kappa_B2=phi / a2c, C_prefactor=np.sqrt(a2c * phi),
                    C_prefactor_doubled=2.0 * np.sqrt(a2c * phi))
         return _finite_or_none(out)
     slow = regime == "slow_decay"
-    e = r / 2 if slow else 1 / 3
-    out["exponents"] = {"A": 1 - r if slow else 1 / 3, "B": e, "C": -e}
+    out["exponents"] = {"A": p, "B": e, "C": -e}
     if regime == "zero":
-        out["prefactors"] = {"A": s0.A * K ** (-1 / 3), "B": s0.B * K ** (-1 / 3),
-                             "C": s0.C * K ** (1 / 3)}
+        K_13 = K ** (-1 / 3) if K else math.inf  # a K that underflows to 0 has no ** -1/3
+        out["prefactors"] = {"A": s0.A * K_13, "B": s0.B * K_13, "C": s0.C * K ** (1 / 3)}
     if slow:
         out["A_prefactor"] = 2.0 * a2c * coupling.time_scale ** (-r) / (1 - 1.5 * r)
     if alpha is not None and regime in ("slow_decay", "fast_decay"):
         if not alpha * e > 0:
             raise ValueError(f"alpha * e underflows to 0 (alpha = {alpha!r}, e = {e!r})")
         B = float(np.sqrt(phi / (alpha * e)))
-        out.update(B_prefactor=B, C_prefactor=phi / B)
+        out.update(B_prefactor=B, C_prefactor=phi / B if B else math.inf)
     return _finite_or_none(out)
 
 
@@ -380,6 +477,7 @@ class BoundsReport:
 _BOUNDS_TOL = 1e-9
 
 
+@np.errstate(over="ignore")  # a bound, slack or tolerance past the float range is inf
 def bounds_check(traj: Trajectory, params: Nil3Params) -> BoundsReport:
     """Check the a-priori growth bounds at every trajectory sample.
 
@@ -390,14 +488,18 @@ def bounds_check(traj: Trajectory, params: Nil3Params) -> BoundsReport:
     """
     s0 = params.state0
     A0, B0, C0 = s0.A, s0.B, s0.C
-    f0 = params.f(0.0)
+    A_rate = C0 / B0 + params.f(0.0)  # inf where C0 / B0 overflows
     t = traj.times
     A, B, C = traj.states.T
-    AB = A0 * B0
-    checks = [  # C_lower tends to C0 as A0 B0 grows, and is C0 where A0 B0 overflows
-        ("C_lower", C0, C, C - (AB * C0 / (AB + C0 * t) if math.isfinite(AB) else C0)),
+    # C_lower = C0 r / (r + t) with r = A0 B0 / C0, formed from logs: C0 throughout where
+    # r overflows, and C0 at t = 0 and 0 after where it underflows
+    r = np.exp(math.log(A0) + math.log(B0) - math.log(C0))
+    C_lower = C0 / (1.0 + t / r) if r > 0 else np.where(t > 0, 0.0, C0)
+    A_upper = A0 + (A_rate * t if math.isfinite(A_rate) else np.where(t > 0, np.inf, 0.0))
+    checks = [
+        ("C_lower", C0, C, C - C_lower),
         ("C_upper", C0, C, C0 - C),
-        ("A_upper", A0, A, A0 + (C0 / B0 + f0) * t - A),
+        ("A_upper", A0, A, A_upper - A),
         ("A_monotone", A0, A, np.diff(A, prepend=A0)),
         ("B_monotone", B0, B, np.diff(B, prepend=B0)),
         ("C_monotone", C0, C, -np.diff(C, prepend=C0)),

@@ -1,10 +1,11 @@
 """Explicit time integration: fixed-step RK4 and an adaptive embedded pair.
 
 The adaptive integrator is a Dormand-Prince 5(4) pair with a PI step-size
-controller and a 4th-order dense-output interpolant.  Output is sampled on
-a grid that is logarithmically spaced in ``1 + t``, which is what the
-asymptotic-exponent fits downstream need.  An optional positivity guard
-rejects any step that drives a flagged component to zero or below.
+controller and a 4th-order dense-output interpolant.  Output is sampled at the
+times its caller gives, such as ``log_sample_times``, a grid logarithmically
+spaced in ``1 + t``, which is what the asymptotic-exponent fits downstream
+need.  An optional positivity guard rejects any step that drives a flagged
+component to zero or below.
 """
 
 from __future__ import annotations
@@ -200,8 +201,8 @@ def _check_interval(t0: float, t1: float):
 
 
 def log_sample_times(t0: float, t1: float, samples_per_decade: int) -> np.ndarray:
-    """Sample times log-spaced in 1 + t, always including t0 and t1; needs finite
-    -1 < t0 <= t1."""
+    """Sample times log-spaced in 1 + t, always including t0 and t1 (one sample
+    where they are equal); needs finite -1 < t0 <= t1."""
     _check_interval(t0, t1)
     if t0 <= -1:
         raise ValueError(f"t0 must be > -1, samples are log-spaced in 1 + t, got {t0!r}")
@@ -210,7 +211,9 @@ def log_sample_times(t0: float, t1: float, samples_per_decade: int) -> np.ndarra
     with np.errstate(over="ignore"):  # linspace rejects the capped count; t1 is set below
         n = min((u1 - u0) * _count("samples_per_decade", samples_per_decade, 1, _MAX_SAMPLES),
                 _MAX_SAMPLES)
-        times = 10.0 ** np.linspace(u0, u1, max(int(np.ceil(n)), 1) + 1) - 1.0
+        # t1 > t0 has two samples at least, though 1 + t1 may round to 1 + t0
+        count = 1 if t1 == t0 else max(int(np.ceil(n)), 1) + 1
+        times = 10.0 ** np.linspace(u0, u1, count) - 1.0
     times[0] = t0
     times[-1] = t1
     return times
@@ -242,11 +245,19 @@ def _fill_dense(out_states, end, pending):
 # largest double is inf, and the step's error reads 0
 @np.errstate(over="ignore", invalid="ignore")
 def integrate_adaptive(
-    sys: ODESystem, t0: float, t1: float, y0, cfg: IntegratorConfig | None = None
+    sys: ODESystem, times, y0, cfg: IntegratorConfig | None = None
 ) -> Trajectory:
-    """Integrate with the embedded 5(4) pair and log-spaced dense output."""
+    """Integrate with the embedded 5(4) pair from ``times[0]`` to ``times[-1]``, with
+    dense output at each of ``times``: finite and strictly increasing, one or more.
+    ``cfg`` gives rtol and atol; its ``samples_per_decade`` is the caller's to use."""
     cfg = cfg or IntegratorConfig()
-    sample_t = log_sample_times(t0, t1, cfg.samples_per_decade)  # checks t0 and t1
+    sample_t = np.array(times, dtype=float)  # a copy: the trajectory keeps it
+    if sample_t.ndim != 1 or not len(sample_t):
+        raise ValueError(f"times must be a non-empty 1-D vector, got shape {sample_t.shape}")
+    t0, t1 = float(sample_t[0]), float(sample_t[-1])
+    _check_interval(t0, t1)
+    if not np.all(np.diff(sample_t) > 0):  # the ends are finite, so every time is
+        raise ValueError("times must be strictly increasing")
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1 or not len(y0):  # a scalar has no len(), [] no RMS error norm
         raise ValueError(f"y0 must be a non-empty 1-D vector, got shape {y0.shape}")
@@ -256,7 +267,7 @@ def integrate_adaptive(
     if pos and min(y0[pos]) <= 0:
         raise PositivityLost("initial state has a non-positive flagged component", t0)
     if t1 == t0:
-        return Trajectory(np.array([t0]), y0[None, :].copy())
+        return Trajectory(sample_t, y0[None, :].copy())
 
     out_states = np.empty((len(sample_t), len(y0)))
     out_states[0] = y0
@@ -385,10 +396,14 @@ def convergence_order(rhs, exact, t_end: float, h_list) -> float:
 
 
 def _least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """The centred least-squares line y = slope x + intercept: (slope, intercept, r^2)."""
+    """The centred least-squares line y = slope x + intercept: (slope, intercept, r^2).
+    It is fitted to y / 2^k, with 2^k at the scale of the largest |y|, so that no sum of
+    squares overflows; a power of two scales exactly, so the line is the unscaled one."""
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(y).max()))[1] - 1)
+    y = y / scale
     x_mean, y_mean = x.mean(), y.mean()
     dx, dy = x - x_mean, y - y_mean
     slope = float(dx @ dy / (dx @ dx))
     intercept = float(y_mean - slope * x_mean)
     ss_res, ss_tot = float(np.sum((y - (slope * x + intercept))**2)), float(np.sum(dy**2))
-    return slope, intercept, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope * scale, intercept * scale, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0

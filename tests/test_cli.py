@@ -70,6 +70,17 @@ class TestNil3Command:
         assert summary["bounds"]["ok"]
         assert summary["config"]["coupling"] == "zero"
 
+    def test_far_horizon_run(self, tmp_path):
+        """At t = 1e300 the unit-data run holds Phi to rounding and meets the closed form;
+        in (A, B, C) variables it drifted by 6.1e28 and exited 2."""
+        code, _, js = self.run(tmp_path, "--coupling", "zero", "--t-end", "1e300")
+        assert code == 0
+        summary = json.loads(js.read_text())
+        assert summary["phi_drift"] <= 1e-13
+        final = [summary["final_state"][c] for c in "ABC"]
+        exact = nil3.exact_ricci_solution(1e300, 1.0, 1.0).as_array()
+        assert np.abs(np.array(final) / exact - 1.0).max() <= 1e-7
+
     def test_constant_coupling_linear_growth(self, tmp_path):
         code, csv, js = self.run(tmp_path, "--coupling", "const:0.5", "--a", "1",
                                  "--t-end", "1e6")
@@ -118,7 +129,7 @@ class TestNil3Command:
         ``nil3.fit_power_law`` accepts that window."""
         t_end = 1e4
         t_1 = t_end / (100 * 10 ** -5e-10)
-        monkeypatch.setattr(ode, "log_sample_times", lambda t0, t1, samples_per_decade: (
+        monkeypatch.setattr(nil3, "log_sample_times", lambda t0, t1, samples_per_decade: (
             np.concatenate([[0.0], np.geomspace(t_1, t1, 65)])))
         code, _, js = self.run(tmp_path)
         assert code == 0
@@ -406,6 +417,23 @@ class TestInputBoundary:
                          "--t-end", "0.01"]) == 1
         assert capsys.readouterr().err == f"error: amplitude must be finite, got {amplitude}\n"
 
+    @pytest.mark.parametrize("data", [
+        ["--A0", "1e-200", "--B0", "1e-200", "--coupling", "zero"],
+        ["--A0", "1e6", "--C0", "1.7976931348623157e308", "--coupling", "const:0.5"],
+        ["--B0", "5e-324", "--coupling", "power:0.5,0.3"],
+    ], ids=["K-underflows", "r-overflows", "B-prefactor-underflows"])
+    def test_data_past_the_float_range_in_products(self, data, tmp_path):
+        """A B, A0 B0 C0 or C0 / B0 leaves the float range: the Nil3 run forms none of
+        them, and neither do the checks and constants after it (K = A0 B0 / (3 C0) = 0
+        has no power -1/3, C0 r / (r + t) is not inf / inf, B = 0 is no divisor).  Each
+        ended at t = 0 with exit 1 in (A, B, C) variables."""
+        js = tmp_path / "s.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["nil3", *data, "--t-end", "100", "--json", str(js)]) == 0
+        summary = json.loads(js.read_text())
+        assert summary["bounds"]["ok"] and summary["phi_drift"] <= 1e-11
+
     def test_sample_grid_too_large_for_memory(self, monkeypatch, capsys):
         """`nil3 --t-end 1e3 --samples-per-decade 1000000000` asks numpy for
         about 22 GiB of sample times; the MemoryError is reported like any
@@ -413,7 +441,7 @@ class TestInputBoundary:
         def too_large(t0, t1, samples_per_decade):
             raise MemoryError("Unable to allocate 22.4 GiB for an array")
 
-        monkeypatch.setattr(ode, "log_sample_times", too_large)
+        monkeypatch.setattr(nil3, "log_sample_times", too_large)
         code = cli.main(["nil3", "--t-end", "1e3", "--samples-per-decade", "1000000000"])
         assert code == 1
         err = capsys.readouterr().err

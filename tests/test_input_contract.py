@@ -92,15 +92,17 @@ PINNED = {
     ("nil3", "--coupling=const:{}", "5e-324"): (0, "kappa_B2"),
     # the trajectory is written, then B^2 of the log-growth fit overflows
     ("nil3", ("--A0", "--B0"), ("1e200", "1e200")): (1, None),
+    # PAIRS whose A B underflows to 0: the regime-scaled log variables never form it
+    ("nil3", ("--A0", "--B0"), ("1e-200", "1e-200")): (0, None),
+    ("nil3", ("--A0", "--B0"), ("1e-300", "1e-300")): (0, None),
     # PAIRS refused with a message form that CLI_MESSAGES pins for another pair
-    ("nil3", ("--A0", "--B0"), ("1e-300", "1e-300")): (1, None),
     ("blowdown-check", ("--A0", "--s"), ("1.7976931348623157e308", "4")): (1, None),
     ("blowdown-check", ("--a", "--s"), ("0", "1e-200")): (1, None),
 }
 # pairs of values that are each fine alone but not together, as (command, options,
 # values); each ended in a traceback, a NaN verdict or a message naming another value
 PAIRS = [
-    ("nil3", ("--A0", "--B0"), ("1e-200", "1e-200")),  # A B underflows to 0 in the RHS
+    ("nil3", ("--A0", "--B0"), ("1e-200", "1e-200")),  # A B underflows to 0 (exit 0)
     ("nil3", ("--A0", "--B0"), ("1e-300", "1e-300")),
     # A0 B0 overflows in the lower bound of C, which is checked before the fits
     ("nil3", ("--A0", "--B0"), ("1e200", "1e200")),
@@ -296,9 +298,9 @@ def _decay(t, y):
 
 
 def _adaptive(t0=0.0, t1=10.0, B0=1.0):
-    """The Nil3 system, which steps to t1 = 1e300 in about 0.2 s; y' = -y, whose steps
-    its stability bounds, would run into the 1e6-step cap after over 30 s."""
-    return ode.integrate_adaptive(nil3.make_system(_params()), t0, t1, [1.0, B0, 1.0])
+    """The Nil3 system, sampled at t0 and t1, in variables whose steps grow like t; y' = -y,
+    whose steps its stability bounds, would run into the 1e6-step cap after over 30 s."""
+    return ode.integrate_adaptive(nil3.make_system(_params()), [t0, t1], [1.0, B0, 1.0])
 
 
 LIBRARY = {
@@ -319,6 +321,7 @@ LIBRARY = {
     "exact_ricci_solution.t": lambda v: nil3.exact_ricci_solution(v, 1.0, 1.0),
     "exact_ricci_solution.A0": lambda v: nil3.exact_ricci_solution(1.0, v, 1.0),
     "exact_ricci_solution.C0": lambda v: nil3.exact_ricci_solution(1.0, 1.0, v),
+    "exact_ricci_solution.B0": lambda v: nil3.exact_ricci_solution(1.0, 1.0, 1.0, v),
     "blowdown.s": lambda v: nil3.blowdown(_params(), _trajectory(), v),
     # with a = 0 a small s still stops before the times: 1 / s overflows the initial
     # state (s = 5e-324), or s^2 c0 underflows the coupling to 0 (s = 1e-300)
@@ -468,11 +471,9 @@ CLI_MESSAGES = {
     ("blowdown-check", "--A0", "1.7976931348623157e308"):
         "the blowdown by s = 0.5 overflows the initial state",
     # PAIRS
-    ("nil3", ("--A0", "--B0"), ("1e-200", "1e-200")):
-        "right-hand side is not finite at the initial state (at t = 0)",
     ("blowdown-check", ("--a", "--s"), ("0", "1e-160")):
         "flow residual must be finite, got nan",
-    # c0 s s keeps a zero coupling 0; the residual's stencil weights underflow to NaN
+    # c0 s s keeps a zero coupling 0; the residual's C C / (A B) underflows to NaN
     ("blowdown-check", ("--a", "--coupling", "--s"), ("0", "zero", "1e200")):
         "flow residual must be finite, got nan",
     ("blowdown-check", ("--coupling=const:{}", "--s"), ("1e300", "1e5")):
@@ -509,6 +510,7 @@ LIBRARY_MESSAGES = {
         "blowdown scale s must be positive and finite, got nan",
     ("exact_ricci_solution.A0", "-1"): "A0 must be positive and finite, got -1.0",
     ("exact_ricci_solution.C0", "-1"): "C0 must be positive and finite, got -1.0",
+    ("exact_ricci_solution.B0", "-1"): "B0 must be positive and finite, got -1.0",
     ("predicted_constants.alpha.r2", "-inf"):
         "A-prefactor alpha must be positive and finite, got -inf",
     ("PeriodicGrid.period", "0"): "period must be positive and finite, got 0.0",
@@ -558,7 +560,13 @@ LIBRARY_MESSAGES = {
     ("random_spd.cond_max", "nan"): "cond_max must be finite and >= 1, got nan",
     ("random_spd.cond_max", "inf"): "cond_max must be finite and >= 1, got inf",
     ("exact_ricci_solution.A0", "1e300"):
-        "the closed form at t = 1.0 from A0 = 1e+300, C0 = 1.0 leaves the float range",
+        "the closed form at t = 1.0 from A0 = 1e+300, B0 = 1e+300, C0 = 1.0 leaves the "
+        "float range",
+    ("exact_ricci_solution.B0", "1e300"):
+        "the closed form at t = 1.0 from A0 = 1.0, B0 = 1e+300, C0 = 1.0 leaves the float range",
+    # a/s past the bound of MapSlope: the refusal names the blowdown, not a slope never given
+    ("MapSlope.blowdown.s", "5e-324"): "the blowdown by s = 5e-324 overflows the slope",
+    ("MapSlope.blowdown.s", "1e-300"): "the blowdown by s = 1e-300 overflows the slope",
 }
 
 

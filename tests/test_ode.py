@@ -27,6 +27,12 @@ DECAY = ODESystem(lambda t, y: -y)
 GROWTH = ODESystem(lambda t, y: y)
 
 
+def adaptive(sys, t0, t1, y0, cfg=None):
+    """``integrate_adaptive`` from t0 to t1, sampled at ``log_sample_times``."""
+    cfg = cfg or IntegratorConfig()
+    return integrate_adaptive(sys, log_sample_times(t0, t1, cfg.samples_per_decade), y0, cfg)
+
+
 class TestRK4Step:
     def test_zero_rhs(self):
         sys = ODESystem(lambda t, y: np.zeros(2))
@@ -86,13 +92,33 @@ class TestTrajectory:
 
 class TestAdaptive:
     def test_degenerate_interval(self):
-        traj = integrate_adaptive(DECAY, 2.0, 2.0, [5.0])
+        traj = adaptive(DECAY, 2.0, 2.0, [5.0])
         assert len(traj.times) == 1
         npt.assert_array_equal(traj.states, [[5.0]])
 
+    def test_samples_at_the_callers_times(self):
+        times = [-0.5, 0.0, 0.3, 1.0, 2.5]  # any increasing times, not only log-spaced ones
+        traj = integrate_adaptive(DECAY, times, [1.0])
+        assert traj.times.tolist() == times
+        npt.assert_allclose(traj.states[:, 0], np.exp(-0.5 - traj.times), rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("times, message", [
+        ([], r"^times must be a non-empty 1-D vector, got shape \(0,\)$"),
+        ([[0.0, 1.0]], r"^times must be a non-empty 1-D vector, got shape \(1, 2\)$"),
+        ([0.0, 2.0, 1.0], "^times must be strictly increasing$"),
+        ([0.0, 0.0], "^times must be strictly increasing$"),
+        ([0.0, np.nan, 1.0], "^times must be strictly increasing$"),
+        ([0.0, 1.0, np.inf], "^t1 must be finite, got inf$"),
+    ], ids=["empty", "2d", "backward", "repeated", "nan-inside", "inf-end"])
+    def test_bad_sample_times_rejected_before_any_rhs_call(self, times, message):
+        calls = []
+        with pytest.raises(ValueError, match=message):
+            integrate_adaptive(ODESystem(lambda t, y: calls.append(t) or -y), times, [1.0])
+        assert calls == []
+
     def test_exponential_decay_endpoint(self):
         cfg = IntegratorConfig(rtol=1e-9, atol=1e-12)
-        traj = integrate_adaptive(DECAY, 0.0, 10.0, [1.0], cfg)
+        traj = adaptive(DECAY, 0.0, 10.0, [1.0], cfg)
         assert abs(traj.states[-1, 0] - np.exp(-10.0)) <= 1e-9
 
     def test_tolerance_tightening(self):
@@ -100,27 +126,27 @@ class TestAdaptive:
         errs = []
         for rtol in (1e-7, 5e-8):
             cfg = IntegratorConfig(rtol=rtol, atol=1e-14)
-            traj = integrate_adaptive(DECAY, 0.0, 5.0, [1.0], cfg)
+            traj = adaptive(DECAY, 0.0, 5.0, [1.0], cfg)
             errs.append(abs(traj.states[-1, 0] - np.exp(-5.0)))
         assert errs[1] <= 2.0 * errs[0] + 1e-15
 
     def test_deterministic(self):
         cfg = IntegratorConfig()
-        a = integrate_adaptive(DECAY, 0.0, 3.0, [1.0], cfg)
-        b = integrate_adaptive(DECAY, 0.0, 3.0, [1.0], cfg)
+        a = adaptive(DECAY, 0.0, 3.0, [1.0], cfg)
+        b = adaptive(DECAY, 0.0, 3.0, [1.0], cfg)
         npt.assert_array_equal(a.states, b.states)
         npt.assert_array_equal(a.times, b.times)
 
     def test_dense_output_accuracy(self):
         cfg = IntegratorConfig(rtol=1e-9, atol=1e-12, samples_per_decade=64)
-        traj = integrate_adaptive(DECAY, 0.0, 20.0, [1.0], cfg)
+        traj = adaptive(DECAY, 0.0, 20.0, [1.0], cfg)
         npt.assert_allclose(traj.states[:, 0], np.exp(-traj.times),
                             rtol=1e-7, atol=1e-12)
 
     def test_max_steps_reported(self, monkeypatch):
         monkeypatch.setattr(ode, "_MAX_STEPS", 5)
         with pytest.raises(MaxStepsExceeded):
-            integrate_adaptive(DECAY, 0.0, 1e6, [1.0])
+            adaptive(DECAY, 0.0, 1e6, [1.0])
 
     def test_consecutive_error_rejections_reported(self, monkeypatch):
         # a stiff y' = -1e8 y from h = 1e-4: with the step cut by at most 1 % per
@@ -129,7 +155,7 @@ class TestAdaptive:
         calls = []
         sys = ODESystem(lambda t, y: (calls.append(t), -1e8 * y)[1])
         with pytest.raises(StepSizeUnderflow, match="^50 consecutive error rejections") as info:
-            integrate_adaptive(sys, 0.0, 1.0, [1.0])
+            adaptive(sys, 0.0, 1.0, [1.0])
         assert info.value.t == 0.0
         assert len(calls) == 1 + 51 * 6  # the FSAL start and 51 rejected steps
 
@@ -137,7 +163,7 @@ class TestAdaptive:
         # y' = -1 crosses zero at t = 1; the flagged component must trigger
         sys = ODESystem(lambda t, y: -np.ones(1), positive_components=(0,))
         with pytest.raises(PositivityLost) as info:
-            integrate_adaptive(sys, 0.0, 5.0, [1.0])
+            adaptive(sys, 0.0, 5.0, [1.0])
         assert info.value.t <= 1.0 + 1e-6
 
     def test_nan_rhs_reported_as_non_finite_state(self):
@@ -145,7 +171,7 @@ class TestAdaptive:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteState, match="state became non-finite") as info:
-                integrate_adaptive(sys, 0.0, 2.0, [1.0])
+                adaptive(sys, 0.0, 2.0, [1.0])
         assert info.value.t == pytest.approx(0.5, abs=1e-12)
 
     def test_blowup_reported_as_non_finite_state(self):
@@ -153,7 +179,7 @@ class TestAdaptive:
         sys = ODESystem(lambda t, y: np.exp(50.0 * y))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteState, match="state became non-finite") as info:
-                integrate_adaptive(sys, 0.0, 2.0, [1.0])
+                adaptive(sys, 0.0, 2.0, [1.0])
         assert info.value.t == 0.0
 
     def test_infinite_stage_reported_without_numpy_warning(self):
@@ -164,7 +190,7 @@ class TestAdaptive:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonFiniteState, match="state became non-finite") as info:
-                integrate_adaptive(sys, 0.0, 1.0, [1.0])
+                adaptive(sys, 0.0, 1.0, [1.0])
         assert info.value.t == pytest.approx(0.3, abs=1e-12)
         assert np.geterr() == before
 
@@ -172,7 +198,7 @@ class TestAdaptive:
                                        (-np.inf, 1.0)])
     def test_non_finite_interval_rejected(self, t0, t1):
         with pytest.raises(ValueError, match="^t[01] must be finite, got (nan|-?inf)$"):
-            integrate_adaptive(DECAY, t0, t1, [1.0])
+            adaptive(DECAY, t0, t1, [1.0])
 
     @pytest.mark.parametrize("t_bad, message", [
         (0.5, "state became non-finite"),
@@ -186,12 +212,12 @@ class TestAdaptive:
             return -y
 
         with pytest.raises(NonFiniteState, match=f"^{message} ") as info:
-            integrate_adaptive(ODESystem(rhs), 0.0, 2.0, [1.0])
+            adaptive(ODESystem(rhs), 0.0, 2.0, [1.0])
         assert info.value.t == pytest.approx(t_bad, abs=1e-12)
 
     def test_non_finite_initial_state_rejected(self):
         with pytest.raises(NonFiniteState, match="initial state is not finite"):
-            integrate_adaptive(DECAY, 0.0, 1.0, [np.nan])
+            adaptive(DECAY, 0.0, 1.0, [np.nan])
 
     @pytest.mark.parametrize("y0, t1", [(1.0, 1.0), (1.0, 0.0), ([], 1.0), ([[1.0]], 1.0)],
                              ids=["scalar", "scalar-empty-interval", "empty", "2d"])
@@ -199,19 +225,19 @@ class TestAdaptive:
         calls = []
         system = ODESystem(lambda t, y: calls.append(t) or -y)
         with pytest.raises(ValueError, match="^y0 must be a non-empty 1-D vector, got shape "):
-            integrate_adaptive(system, 0.0, t1, y0)
+            adaptive(system, 0.0, t1, y0)
         assert calls == []
 
     @pytest.mark.parametrize("t0", [-1.0, -2.0])
     def test_start_at_or_below_minus_one_rejected(self, t0):
         with pytest.raises(ValueError, match=r"^t0 must be > -1, samples are log-spaced in 1 \+ t"):
-            integrate_adaptive(DECAY, t0, 1.0, [1.0])
+            adaptive(DECAY, t0, 1.0, [1.0])
 
     @pytest.mark.parametrize("y0", [3e307, 1e308])
     def test_state_near_largest_double_decays_without_overflow(self, y0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = integrate_adaptive(DECAY, 0.0, 1.0, [y0])
+            traj = adaptive(DECAY, 0.0, 1.0, [y0])
         assert traj.times[-1] == 1.0
         assert abs(traj.states[-1, 0] / (y0 * np.exp(-1.0)) - 1.0) <= 1e-9  # the default rtol
 
@@ -238,14 +264,14 @@ class TestIntervalEnds:
     @pytest.mark.parametrize("t0,t1", [(-0.9, -0.5), (-0.5, -1e-3), (-0.5, 0.0),
                                        (-0.5, 0.5)])
     def test_interval_below_zero_reaches_t1(self, t0, t1):
-        traj = integrate_adaptive(DECAY, t0, t1, [1.0])
+        traj = adaptive(DECAY, t0, t1, [1.0])
         assert traj.times[0] == t0 and traj.times[-1] == t1
         npt.assert_allclose(traj.states[:, 0], np.exp(t0 - traj.times), rtol=1e-8, atol=0.0)
 
     @pytest.mark.parametrize("t0,t1", [(0.0, 1e-15), (0.0, 1e-300), (-0.5, -0.5 + 4e-15)])
     def test_interval_shorter_than_step_floor(self, t0, t1):
         calls = []
-        traj = integrate_adaptive(ODESystem(lambda t, y: (calls.append(t), -y)[1]),
+        traj = adaptive(ODESystem(lambda t, y: (calls.append(t), -y)[1]),
                                   t0, t1, [2.0])
         assert traj.times[-1] == t1
         assert len(calls) == 7  # the FSAL start and one step
@@ -254,7 +280,7 @@ class TestIntervalEnds:
     def test_halved_landing_step_still_underflows(self):
         sys = ODESystem(lambda t, y: -y if t == 0.0 else np.full(1, np.nan))
         with pytest.raises(NonFiniteState, match="state became non-finite") as info:
-            integrate_adaptive(sys, 0.0, 1e-15, [1.0])
+            adaptive(sys, 0.0, 1e-15, [1.0])
         assert info.value.t == 0.0
 
 
@@ -269,7 +295,7 @@ class TestDP5Stages:
             calls.append(t)
             return np.full_like(y, np.inf) if len(calls) == 7 else -y
 
-        traj = integrate_adaptive(ODESystem(rhs), 0.0, 1.0, [1.0])
+        traj = adaptive(ODESystem(rhs), 0.0, 1.0, [1.0])
         assert calls[7] == 1e-5
         assert len(calls) == 151
         assert traj.states[-1, 0] == float.fromhex("0x1.78b56363a7f1ap-2")
@@ -287,7 +313,7 @@ class TestDP5Stages:
             calls.append(t)
             return M @ y
 
-        traj = integrate_adaptive(ODESystem(rhs), 0.0, 5.0, np.linspace(1.0, 2.0, n))
+        traj = adaptive(ODESystem(rhs), 0.0, 5.0, np.linspace(1.0, 2.0, n))
         assert len(calls) == 1327
         final = ["0x1.5e3d31c67976cp-8", "-0x1.797fe82aa9c44p-8", "0x1.e0a9b9f6bc85ap-9",
                  "-0x1.91627ea5d2c00p-10", "0x1.0524b3c8a0352p-11", "-0x1.0cd9d8cd0559dp-13",
@@ -305,10 +331,10 @@ class TestRejectionRules:
         # component 0 falls through zero at t = 1 unguarded; the last
         # component falls through zero at t = 2 and is guarded
         sys = ODESystem(lambda t, y: (-1.0, -1.0), positive_components=flagged)
-        traj = integrate_adaptive(sys, 0.0, 1.5, [1.0, 2.0])
+        traj = adaptive(sys, 0.0, 1.5, [1.0, 2.0])
         assert traj.states[-1, 0] == pytest.approx(-0.5, rel=1e-12)
         with pytest.raises(PositivityLost) as info:
-            integrate_adaptive(sys, 0.0, 5.0, [1.0, 2.0])
+            adaptive(sys, 0.0, 5.0, [1.0, 2.0])
         assert 1.5 < info.value.t <= 2.0 + 1e-6
 
     def test_nan_state_is_non_finite_not_positivity(self):
@@ -317,7 +343,7 @@ class TestRejectionRules:
         sys = ODESystem(lambda t, y: (-y[0], np.nan if t > 0.5 else -y[1]),
                         positive_components=(0, 1))
         with pytest.raises(NonFiniteState, match="state became non-finite") as info:
-            integrate_adaptive(sys, 0.0, 2.0, [1.0, 1.0])
+            adaptive(sys, 0.0, 2.0, [1.0, 1.0])
         assert info.value.t == pytest.approx(0.5, abs=1e-12)
 
     def test_tuple_rhs_equals_array_rhs(self):
@@ -326,9 +352,9 @@ class TestRejectionRules:
             return (b, -a - 0.1 * b + math.cos(t))
 
         cfg = IntegratorConfig(samples_per_decade=64)
-        ref = integrate_adaptive(ODESystem(lambda t, y: np.array(f(t, y))),
+        ref = adaptive(ODESystem(lambda t, y: np.array(f(t, y))),
                                  0.0, 50.0, [1.0, 0.0], cfg)
-        traj = integrate_adaptive(ODESystem(f), 0.0, 50.0, [1.0, 0.0], cfg)
+        traj = adaptive(ODESystem(f), 0.0, 50.0, [1.0, 0.0], cfg)
         assert np.array_equal(traj.times, ref.times)
         assert np.array_equal(traj.states, ref.states)
 
@@ -340,12 +366,12 @@ class TestRejectionRules:
         bad = next(i for i in flagged if type(i) is not int or not -3 <= i < 3)
         message = f"^positive component {re.escape(repr(bad))} is not an integer in range"
         with pytest.raises(ValueError, match=message):
-            integrate_adaptive(sys, 0.0, 1.0, [1.0, 2.0, 3.0])
+            adaptive(sys, 0.0, 1.0, [1.0, 2.0, 3.0])
         assert calls == []
 
     def test_numpy_integer_positive_component_accepted(self):
         sys = ODESystem(lambda t, y: -y, positive_components=(np.int64(-1), 0))
-        traj = integrate_adaptive(sys, 0.0, 1.0, [1.0, 2.0])
+        traj = adaptive(sys, 0.0, 1.0, [1.0, 2.0])
         assert traj.times[-1] == 1.0
 
 
@@ -382,7 +408,8 @@ class TestConvergenceOrder:
         "decay": (DECAY.rhs, lambda t: np.array([np.exp(-t)]), 2.0, [0.2, 0.1, 0.05]),
         "rotation": (lambda t, y: np.array([-y[1], y[0]]),
                      lambda t: np.array([np.cos(t), np.sin(t)]), 3.0, [0.3, 0.2, 0.1, 0.05]),
-        "nil3-ricci": (nil3.make_system(nil3.Nil3Params(nil3.Nil3State(1, 1, 1))).rhs,
+        "nil3-ricci": (lambda t, y: nil3.rhs(nil3.Nil3State(*y), t,
+                                             nil3.Nil3Params(nil3.Nil3State(1, 1, 1))),
                        lambda t: nil3.exact_ricci_solution(t, 1.0, 1.0).as_array(), 5.0,
                        [0.5, 0.25, 0.125, 0.0625]),
     }
@@ -461,7 +488,7 @@ class TestDenseBlocks:
 
         monkeypatch.setattr(ode, "_dense_eval", spy)
         cfg = IntegratorConfig(samples_per_decade=samples_per_decade)
-        traj = integrate_adaptive(DECAY, 0.0, 20.0, [1.0], cfg)
+        traj = adaptive(DECAY, 0.0, 20.0, [1.0], cfg)
         block, n = ode._DENSE_BLOCK, len(traj.times) - 1  # rows 1..n, row n then y(t1)
         sizes = [block] * (n // block) + ([n % block] if n % block else [])
         assert [len(c[0]) for c in calls] == sizes
@@ -482,7 +509,7 @@ class TestDenseBlocks:
     @pytest.mark.parametrize("block", [1, 7, 10**6])
     def test_block_size_does_not_change_samples(self, block, monkeypatch):
         cfg = IntegratorConfig(samples_per_decade=512)
-        ref = integrate_adaptive(DECAY, 0.0, 20.0, [1.0, 2.0], cfg)
+        ref = adaptive(DECAY, 0.0, 20.0, [1.0, 2.0], cfg)
         monkeypatch.setattr(ode, "_DENSE_BLOCK", block)
-        traj = integrate_adaptive(DECAY, 0.0, 20.0, [1.0, 2.0], cfg)
+        traj = adaptive(DECAY, 0.0, 20.0, [1.0, 2.0], cfg)
         npt.assert_array_equal(traj.states, ref.states)

@@ -101,9 +101,14 @@ class TestGoldenReruns:
         want_header, want = read_csv(DATA / "golden_nil3.csv")
         assert header == want_header
         np.testing.assert_allclose(data, want, rtol=RTOL)
-        want_summary = json.loads(golden("golden_nil3.json"))
-        assert_json_close(json.loads(js.read_text()), want_summary)
-        assert_json_close(json.loads(out), json.loads(golden("golden_nil3_stdout.txt")))
+        pairs = [(json.loads(js.read_text()), json.loads(golden("golden_nil3.json"))),
+                 (json.loads(out), json.loads(golden("golden_nil3_stdout.txt")))]
+        for got, want_summary in pairs:
+            # Phi = e^(b + c) moves only by rounding, whose last bits follow the platform's
+            # exp: the drift is held to 4 eps, not to its golden bits
+            for summary in (got, want_summary):
+                assert summary.pop("phi_drift") <= 4 * np.finfo(float).eps
+            assert_json_close(got, want_summary)
 
     def test_rrfs_series(self, tmp_path):
         csv = tmp_path / "s.csv"
