@@ -91,7 +91,7 @@ class CouplingSchedule:
         return CouplingSchedule(c0, r)
 
     def __call__(self, t):  # t: a time >= 0, or an array of them
-        if t < 0.0 if isinstance(t, float) else np.any(t < 0.0):  # a float per RHS call
+        if np.any(t < 0.0):
             raise ValueError(f"coupling time must be >= 0, got {t!r}")
         return self.c0 * (1.0 + self.time_scale * t) ** -self.r  # x ** -0.0 == 1.0 for all x
 
@@ -196,13 +196,13 @@ def _regime(params: Nil3Params) -> tuple[str, float, float]:
 
 def _log_frame(params: Nil3Params) -> tuple[float, float, float, float | None]:
     """(log t_s, p, e, log(t_s 2a^2 c0)) of ``make_system``'s variables; the last is
-    None where 2a^2 c0 = 0.  Sums of logs, so no product of the data over- or
-    underflows."""
+    None in the regime that ``_regime`` names zero.  Sums of logs, so no product of
+    the data over- or underflows."""
     s0 = params.state0
-    _, p, e = _regime(params)
+    regime, p, e = _regime(params)
     log_A0 = math.log(s0.A)
     log_ts = min(0.0, log_A0 + math.log(s0.B) - math.log(s0.C))  # A0 B0 / C0
-    if not (params.forcing and params.coupling.c0):
+    if regime == "zero":
         return log_ts, p, e, None
     log_f0 = math.log(params.forcing) + math.log(params.coupling.c0)  # 2a^2 c0
     log_ts = min(log_ts, log_A0 - log_f0)
@@ -228,7 +228,7 @@ def make_system(params: Nil3Params) -> ODESystem:
     where q = e^(c - (a + b)) needs no factor of tau since 1 - 2e - p = 0 in every
     regime, and f = 2 a^2 c(t).  b' and c' are one value with opposite signs, so
     Phi = e^(b + c) moves only by rounding.  t_s = min(1, A0/(2a^2 c0), A0 B0/C0),
-    with the middle term left out where 2a^2 c0 = 0, is the datum's own time scale:
+    with the middle term left out in the zero regime, is the datum's own time scale:
     at tau = 0 each term of a' and b' is at most 1 in size.  t_s enters the
     exponents as log t_s, and c(t) as -r log1p(time_scale t), so no factor leaves
     the float range before the state does.  In these variables an absolute error

@@ -4,8 +4,7 @@ The adaptive integrator is a Dormand-Prince 5(4) pair with a PI step-size
 controller and a 4th-order dense-output interpolant.  Output is sampled at the
 times its caller gives, such as ``log_sample_times``, a grid logarithmically
 spaced in ``1 + t``, which is what the asymptotic-exponent fits downstream
-need.  An optional positivity guard rejects any step that drives a flagged
-component to zero or below.
+need.
 """
 
 from __future__ import annotations
@@ -36,25 +35,19 @@ class NonFiniteState(IntegrationError):
     pass
 
 
-class PositivityLost(IntegrationError):
-    pass
-
-
 class DegenerateOrder(RuntimeError):
     """Convergence-order measurement on an exactly integrable system."""
 
 
 @dataclass(frozen=True)
 class ODESystem:
-    """The input of ``integrate_adaptive``: rhs and the components it keeps positive.
+    """The input of ``integrate_adaptive``: the right-hand side.
 
     ``rhs(t, y)`` returns dy/dt as any length-n sequence of floats (an ndarray,
-    a list or a tuple), n = len(y); each positive component is an integer index
-    in range(-n, n).
+    a list or a tuple), n = len(y).
     """
 
     rhs: callable  # (t, y) -> dy/dt, pure and deterministic
-    positive_components: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -140,7 +133,6 @@ _DENSE_BLOCK = 64  # dense-output samples evaluated per vectorised call
 _UNDERFLOW_MESSAGES = {
     StepSizeUnderflow: "step size underflow",
     NonFiniteState: "state became non-finite",
-    PositivityLost: "flagged component forced the step size to underflow",
 }
 
 
@@ -183,14 +175,6 @@ def rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NonFiniteState("non-finite right-hand side in RK4 step", t)
     return out
-
-
-def _positive_indices(components, n: int) -> list[int]:
-    """The flagged components as a list, each checked to be an integer in range(-n, n)."""
-    for i in components:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not -n <= i < n:
-            raise ValueError(f"positive component {i!r} is not an integer in range({-n}, {n})")
-    return list(components)
 
 
 def _check_interval(t0: float, t1: float):
@@ -261,11 +245,8 @@ def integrate_adaptive(
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1 or not len(y0):  # a scalar has no len(), [] no RMS error norm
         raise ValueError(f"y0 must be a non-empty 1-D vector, got shape {y0.shape}")
-    pos = _positive_indices(sys.positive_components, len(y0))
     if not np.isfinite(y0).all():
         raise NonFiniteState("initial state is not finite", t0)
-    if pos and min(y0[pos]) <= 0:
-        raise PositivityLost("initial state has a non-positive flagged component", t0)
     if t1 == t0:
         return Trajectory(sample_t, y0[None, :].copy())
 
@@ -287,8 +268,8 @@ def integrate_adaptive(
     h = min(_H_INIT, t1 - t0)
     err_prev = 1.0
     rejects_in_a_row = 0
-    # what a step-size underflow reports: the cause of the last bad-state
-    # rejection since the last accepted step, else the underflow itself
+    # what a step-size underflow reports: NonFiniteState after a non-finite trial
+    # step since the last accepted step, else the underflow itself
     cause = StepSizeUnderflow
 
     for _ in range(_MAX_STEPS):
@@ -306,14 +287,13 @@ def integrate_adaptive(
                 k[i] = sys.rhs(t + _C[i] * h, yi)
             y_new = yi  # the 7th stage's state is the solution (FSAL)
             # a non-finite k7 = f(y_new) makes it a non-finite state too, rather than
-            # an error estimate whose norm is NaN or inf; the tests run on Python
-            # floats, finiteness first, so min() below never sees a NaN
+            # an error estimate whose norm is NaN or inf; the test runs on Python floats
             y_list = y_new.tolist()
             finite = all(map(math.isfinite, y_list)) and all(map(math.isfinite, k[6].tolist()))
         except (ZeroDivisionError, OverflowError):  # a stage the RHS cannot evaluate
             finite = False
-        if not finite or (pos and min([y_list[i] for i in pos]) <= 0.0):
-            cause = PositivityLost if finite else NonFiniteState
+        if not finite:
+            cause = NonFiniteState
             h *= 0.5
             continue
 

@@ -331,11 +331,6 @@ class TestRRFSCommand:
         assert f"n_snapshots must be an integer >= 2, got {n}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_bad_rescaling_mode_rejected(self, capsys):
-        assert cli.main(["rrfs", "--grid", "16", "--mode", "banana",
-                         "--t-end", "0.01"]) == 1
-        assert "unknown rescaling mode 'banana'" in capsys.readouterr().err
-
 
 class TestInputBoundary:
     def test_one_token_snapshot_header(self, tmp_path, capsys):
@@ -369,15 +364,6 @@ class TestInputBoundary:
         snap.write_text("1 0 8 6.2831853071795862\n" + "1\n" * 8)
         assert cli.main(["rrfs", "--init-file", str(snap), "--t-end", "0.01"]) == 1
         assert "fiber dimension must be an integer >= 1, got 0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flags", [["--mode", "constant:nan"],
-                                       ["--mode", "constant:inf"], ["--c", "nan"]],
-                             ids=["s0-nan", "s0-inf", "c-nan"])
-    def test_non_finite_rescaling_rejected(self, flags, capsys):
-        assert cli.main(["rrfs", "--grid", "16", "--t-end", "0.01", *flags]) == 1
-        name = {"--mode": "s0", "--c": "c_coupling"}[flags[0]]
-        value = flags[1].rpartition(":")[2]
-        assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
 
     def test_period_count_mismatch_rejected(self, capsys):
         assert cli.main(["rrfs", "--grid", "16", "--period", "1,2", "--t-end", "0.01"]) == 1
@@ -478,3 +464,14 @@ class TestInputBoundary:
         )
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+
+def test_readme_library_quick_start_runs_without_warnings():
+    """README's only python block, run as written with every warning an error."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    assert readme.index("## Library quick start") < readme.index("```python")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(blocks[0], "README.md", "exec"), {})

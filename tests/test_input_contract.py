@@ -298,7 +298,8 @@ def _decay(t, y):
 
 
 def _adaptive(t0=0.0, t1=10.0, B0=1.0):
-    """The Nil3 system, sampled at t0 and t1, in variables whose steps grow like t; y' = -y,
+    """The Nil3 system in ``make_system``'s log variables, sampled at tau = t0 and t1: its
+    steps grow with tau, and past tau = 709 e^tau overflows to a NonFiniteState.  y' = -y,
     whose steps its stability bounds, would run into the 1e6-step cap after over 30 s."""
     return ode.integrate_adaptive(nil3.make_system(_params()), [t0, t1], [1.0, B0, 1.0])
 
@@ -424,6 +425,8 @@ CLI_MESSAGES = {
     # ode._check_finite
     ("nil3", "--a", "nan"): "slope a must be finite, got nan",
     ("rrfs", "--amplitude", "inf"): "amplitude must be finite, got inf",
+    ("rrfs", "--mode=constant:{}", "nan"): "s0 must be finite, got nan",
+    ("rrfs", "--mode=constant:{}", "inf"): "s0 must be finite, got inf",
     ("rrfs", "--mode=constant:{}", "-inf"): "s0 must be finite, got -inf",
     ("rrfs", "--c", "nan"): "c_coupling must be finite, got nan",
     # ode._check_nonnegative

@@ -794,7 +794,7 @@ class TestDP5Pin:
                 count[0] += 1
                 return sys.rhs(t, y)
 
-            return ODESystem(counted, sys.positive_components)
+            return ODESystem(counted)
 
         monkeypatch.setattr(nil3, "make_system", counted_system)
         params = Nil3Params(Nil3State(1.0, 1.0, 1.0), MapSlope(1.0), coupling)

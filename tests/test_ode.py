@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import numpy as np
@@ -13,7 +12,6 @@ from geomflow.ode import (
     MaxStepsExceeded,
     NonFiniteState,
     ODESystem,
-    PositivityLost,
     StepSizeUnderflow,
     Trajectory,
     convergence_order,
@@ -158,13 +156,6 @@ class TestAdaptive:
             adaptive(sys, 0.0, 1.0, [1.0])
         assert info.value.t == 0.0
         assert len(calls) == 1 + 51 * 6  # the FSAL start and 51 rejected steps
-
-    def test_positivity_guard(self):
-        # y' = -1 crosses zero at t = 1; the flagged component must trigger
-        sys = ODESystem(lambda t, y: -np.ones(1), positive_components=(0,))
-        with pytest.raises(PositivityLost) as info:
-            adaptive(sys, 0.0, 5.0, [1.0])
-        assert info.value.t <= 1.0 + 1e-6
 
     def test_nan_rhs_reported_as_non_finite_state(self):
         sys = ODESystem(lambda t, y: np.where(t > 0.5, np.nan, -y))
@@ -323,28 +314,8 @@ class TestDP5Stages:
 
 
 class TestRejectionRules:
-    """Which trial steps are rejected, and as what: finiteness of y_new and
-    k7 = f(y_new) first, then positivity of the flagged components."""
-
-    @pytest.mark.parametrize("flagged", [(1,), (-1,)], ids=["index", "negative-index"])
-    def test_only_flagged_component_guarded(self, flagged):
-        # component 0 falls through zero at t = 1 unguarded; the last
-        # component falls through zero at t = 2 and is guarded
-        sys = ODESystem(lambda t, y: (-1.0, -1.0), positive_components=flagged)
-        traj = adaptive(sys, 0.0, 1.5, [1.0, 2.0])
-        assert traj.states[-1, 0] == pytest.approx(-0.5, rel=1e-12)
-        with pytest.raises(PositivityLost) as info:
-            adaptive(sys, 0.0, 5.0, [1.0, 2.0])
-        assert 1.5 < info.value.t <= 2.0 + 1e-6
-
-    def test_nan_state_is_non_finite_not_positivity(self):
-        # the NaN lands in a flagged component, where a positivity test that
-        # ran first would see it
-        sys = ODESystem(lambda t, y: (-y[0], np.nan if t > 0.5 else -y[1]),
-                        positive_components=(0, 1))
-        with pytest.raises(NonFiniteState, match="state became non-finite") as info:
-            adaptive(sys, 0.0, 2.0, [1.0, 1.0])
-        assert info.value.t == pytest.approx(0.5, abs=1e-12)
+    """The trial step's slopes: a right-hand side that returns a tuple of floats
+    steps exactly as one that returns the same values as an array."""
 
     def test_tuple_rhs_equals_array_rhs(self):
         def f(t, y):
@@ -357,22 +328,6 @@ class TestRejectionRules:
         traj = adaptive(ODESystem(f), 0.0, 50.0, [1.0, 0.0], cfg)
         assert np.array_equal(traj.times, ref.times)
         assert np.array_equal(traj.states, ref.states)
-
-    @pytest.mark.parametrize("flagged", [(5,), (-4,), (3,), (0, 1.0), (True,), ("0",)],
-                             ids=["5", "-4", "3", "float", "bool", "str"])
-    def test_bad_positive_component_rejected_before_any_rhs_call(self, flagged):
-        calls = []
-        sys = ODESystem(lambda t, y: (calls.append(t), -y)[1], positive_components=flagged)
-        bad = next(i for i in flagged if type(i) is not int or not -3 <= i < 3)
-        message = f"^positive component {re.escape(repr(bad))} is not an integer in range"
-        with pytest.raises(ValueError, match=message):
-            adaptive(sys, 0.0, 1.0, [1.0, 2.0, 3.0])
-        assert calls == []
-
-    def test_numpy_integer_positive_component_accepted(self):
-        sys = ODESystem(lambda t, y: -y, positive_components=(np.int64(-1), 0))
-        traj = adaptive(sys, 0.0, 1.0, [1.0, 2.0])
-        assert traj.times[-1] == 1.0
 
 
 class TestConvergenceOrder:

@@ -15,6 +15,11 @@ bitwise in mode off, while in volume mode s_volume sums the nodes in another
 order.  A fiber permutation or the axis swap also reorders the sums over fiber
 or base indices, and the LAPACK inverse pivots on other entries.
 
+Two scalings by powers of 2 change exponents only, so each holds bitwise.  A
+scaling of the total space, (g, G) -> (4g, 4G), leaves g' and G' unchanged and
+divides A' by 4.  A scaling of the coordinates, x -> 2x, doubles the period and
+takes (g, A) to (g/4, A/2), and the right-hand side to (g'/4, A'/2, G').
+
 The Nil3 flow at slope a = 0, A' = C/B, B' = C/A, C' = -C^2/(AB), is symmetric in
 A and B, whatever the coupling.  So is each adaptive step: its error norm adds the
 squared errors of A, B and C in that order, and a + b = b + a.  Swapping A0 and B0
@@ -149,6 +154,36 @@ def test_lattice_map_of_a_run(grid, N, name, mode):
         assert _relative_gap(getattr(image_fin, field), w) <= bound, field
     for series in ("step_times", "energies", "volumes", "s_values"):
         assert _relative_gap(getattr(image_run, series), getattr(run, series)) <= SERIES_BOUND
+
+
+SCALING_SPECS = {"off": RescalingSpec("off"),
+                 "volume": RescalingSpec("volume", c_coupling=0.7)}
+SCALING_CASES = [pytest.param(GRIDS[gid], N, mode, id=f"{gid}-N{N}-{mode}")
+                 for gid, N in [("1d-32", 2), ("2d-16x16", 1), ("2d-16x16", 2),
+                                ("2d-16x16", 3)] for mode in SCALING_SPECS]
+
+
+@pytest.mark.parametrize("grid, N, mode", SCALING_CASES)
+def test_total_space_scaling(grid, N, mode):
+    st = _state(grid, N)
+    dg, dA, dG = rrfs_rhs(st, grid, SCALING_SPECS[mode])
+    image_dg, image_dA, image_dG = rrfs_rhs(RRFSState(4 * st.g, st.A, 4 * st.G), grid,
+                                            SCALING_SPECS[mode])
+    assert np.array_equal(image_dg, dg)
+    assert np.array_equal(image_dA, dA / 4)
+    assert np.array_equal(image_dG, dG)
+
+
+@pytest.mark.parametrize("grid, N, mode", SCALING_CASES)
+def test_coordinate_scaling(grid, N, mode):
+    st = _state(grid, N)
+    dg, dA, dG = rrfs_rhs(st, grid, SCALING_SPECS[mode])
+    doubled = PeriodicGrid(grid.sizes, tuple(2 * p for p in grid.period))
+    image_dg, image_dA, image_dG = rrfs_rhs(RRFSState(st.g / 4, st.A / 2, st.G), doubled,
+                                            SCALING_SPECS[mode])
+    assert np.array_equal(image_dg, dg / 4)
+    assert np.array_equal(image_dA, dA / 2)
+    assert np.array_equal(image_dG, dG)
 
 
 NIL3_COUPLINGS = {
