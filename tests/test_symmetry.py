@@ -20,6 +20,11 @@ scaling of the total space, (g, G) -> (4g, 4G), leaves g' and G' unchanged and
 divides A' by 4.  A scaling of the coordinates, x -> 2x, doubles the period and
 takes (g, A) to (g/4, A/2), and the right-hand side to (g'/4, A'/2, G').
 
+A gauge transformation A -> A + d(phi) v, for a function phi and a fiber vector v,
+leaves dA, and so g' and G', unchanged, and moves A' only by its rescaling term, by
+-(1 + c) s d(phi) v / 2.  A 1D base has no dA, so g' and G' hold bitwise there; in 2D
+the two mixed differences of phi agree to rounding.
+
 The Nil3 flow at slope a = 0, A' = C/B, B' = C/A, C' = -C^2/(AB), is symmetric in
 A and B, whatever the coupling.  So is each adaptive step: its error norm adds the
 squared errors of A, B and C in that order, and a + b = b + a.  Swapping A0 and B0
@@ -32,8 +37,8 @@ import numpy as np
 import pytest
 
 from geomflow.nil3 import CouplingSchedule, MapSlope, Nil3Params, Nil3State, integrate_nil3
-from geomflow.rrfs import (PeriodicGrid, RescalingSpec, RRFSState, integrate_rrfs,
-                           random_smooth_state, rrfs_rhs)
+from geomflow.rrfs import (PeriodicGrid, RescalingSpec, RRFSState, d_central, integrate_rrfs,
+                           random_smooth_state, rrfs_rhs, s_volume)
 
 GRIDS = {"1d-32": PeriodicGrid((32,), (2 * np.pi,)),
          "2d-16x16": PeriodicGrid((16, 16), (2 * np.pi,) * 2)}
@@ -184,6 +189,23 @@ def test_coordinate_scaling(grid, N, mode):
     assert np.array_equal(image_dg, dg / 4)
     assert np.array_equal(image_dA, dA / 2)
     assert np.array_equal(image_dG, dG)
+
+
+@pytest.mark.parametrize("grid, N, mode", SCALING_CASES)
+def test_gauge_transformation(grid, N, mode):
+    st, spec = _state(grid, N), SCALING_SPECS[mode]
+    phi = random_smooth_state(7, grid, 1, perturb_A=True).A[..., 0, 0]  # seeded and smooth
+    dphi = np.stack([d_central(phi, e, grid) for e in range(grid.n_base)], axis=-1)
+    shift = dphi[..., :, None] * np.random.default_rng(20 + N).standard_normal(N)
+    dg, dA, dG = rrfs_rhs(st, grid, spec)
+    image_dg, image_dA, image_dG = rrfs_rhs(RRFSState(st.g, st.A + shift, st.G), grid, spec)
+    s = s_volume(st, grid) if mode == "volume" else spec.s0
+    if grid.n_base == 1:
+        assert np.array_equal(image_dg, dg) and np.array_equal(image_dG, dG)
+    else:
+        assert _relative_gap(image_dg, dg) <= 1e-14
+        assert _relative_gap(image_dG, dG) <= 1e-14
+    assert _relative_gap(image_dA, dA - 0.5 * (1.0 + spec.c_coupling) * s * shift) <= 1e-14
 
 
 NIL3_COUPLINGS = {
