@@ -332,6 +332,15 @@ class TestInputBoundary:
         assert code == 1
         assert "snapshot header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["nil3"], ["rrfs", "--grid", "16"],
+                                      ["blowdown-check"]],
+                             ids=["nil3", "rrfs", "blowdown-check"])
+    @pytest.mark.parametrize("t_end", ["nan", "inf", "-1", "0"])
+    def test_bad_t_end_rejected(self, argv, t_end, capsys):
+        assert cli.main([*argv, f"--t-end={t_end}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: t_end must be positive and finite, got {float(t_end)}\n")
+
     def test_nil3_shorter_than_step_floor(self, capsys):
         # the one landing step h = 1e-15 is below the step floor 1e-14
         assert cli.main(["nil3", "--t-end", "1e-15"]) == 0
@@ -364,6 +373,20 @@ class TestInputBoundary:
         message = f"--coupling takes the form zero | const:<c0> | power:<c0>,<r>, got {spec!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cli.parse_coupling(spec)
+
+    @pytest.mark.parametrize("spec", ["const:nan", "const:inf", "power:1,nan",
+                                      "power:nan,1", "power:inf,1", "power:1,inf"])
+    def test_non_finite_coupling_rejected(self, spec, capsys):
+        assert cli.main(["nil3", "--coupling", spec, "--t-end", "10"]) == 1
+        name, value = next((name, v) for name, v in zip(("c0", "r"), spec[6:].split(","))
+                           if v in ("nan", "inf"))
+        assert capsys.readouterr().err == f"error: {name} must be finite and >= 0, got {value}\n"
+
+    @pytest.mark.parametrize("amplitude", ["nan", "inf", "-inf"])
+    def test_non_finite_amplitude_rejected(self, amplitude, capsys):
+        assert cli.main(["rrfs", "--grid", "16", f"--amplitude={amplitude}",
+                         "--t-end", "0.01"]) == 1
+        assert capsys.readouterr().err == f"error: amplitude must be finite, got {amplitude}\n"
 
     @pytest.mark.parametrize("data", [
         ["--A0", "1e-200", "--B0", "1e-200", "--coupling", "zero"],

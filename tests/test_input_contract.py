@@ -18,12 +18,11 @@ has a stable id, ``<command or call>-<argument>=<value>``.
   of the package's own exceptions, never ``ZeroDivisionError``,
   ``OverflowError``, ``TypeError``, ``IndexError`` or a numpy warning.
 
-The message tables are the only pin, by the same case ids, of the text of a
-rejection: rows for the places that apply one of ``ode``'s numeric rules, by kind
-of value (zero, negative, NaN, +-inf, non-integer), for the grammar of the options
-read as text, and for boundaries the enumeration lacks.  A per-module test keeps a
-message assertion only where no row can reach it, such as ``cli.parse_coupling``
-raising the ``--coupling`` grammar message on its own.
+The message tables pin, by the same case ids, the text of a rejection: one row
+for each place that applies one of ``ode``'s numeric rules, for the grammar of
+the options read as text, and for boundaries the enumeration lacks.  A
+message-only per-module test is folded here only into rows of its own, one new
+row for each of its ids; the ones that predate this rule stay where they are.
 """
 
 import functools
@@ -346,7 +345,6 @@ LIBRARY = {
     # a step count past the step cap is refused before the first step
     "integrate_fixed.h": lambda v: ode.integrate_fixed(_decay, 0.0, 1.0, np.ones(2), v),
     "integrate_fixed.t1": lambda v: ode.integrate_fixed(_decay, 0.0, v, np.ones(2), 0.1),
-    "integrate_fixed.t0": lambda v: ode.integrate_fixed(_decay, v, 1.0, np.ones(2), 0.1),
     "PeriodicGrid.period": lambda v: rrfs.PeriodicGrid((16,), (v,)),
     "RescalingSpec.s0": lambda v: rrfs.RescalingSpec("constant", s0=v),
     "RescalingSpec.c_coupling": lambda v: rrfs.RescalingSpec("volume", c_coupling=v),
@@ -420,36 +418,21 @@ CLI_MESSAGES = {
     ("nil3", "--rtol", "nan"): "rtol must be positive and finite, got nan",
     ("nil3", "--atol", "nan"): "atol must be positive and finite, got nan",
     ("nil3", "--t-end", "0"): "t_end must be positive and finite, got 0.0",
-    ("nil3", "--t-end", "-1"): "t_end must be positive and finite, got -1.0",
-    ("nil3", "--t-end", "nan"): "t_end must be positive and finite, got nan",
-    ("nil3", "--t-end", "inf"): "t_end must be positive and finite, got inf",
-    ("blowdown-check", "--t-end", "0"): "t_end must be positive and finite, got 0.0",
-    ("blowdown-check", "--t-end", "-1"): "t_end must be positive and finite, got -1.0",
-    ("blowdown-check", "--t-end", "nan"): "t_end must be positive and finite, got nan",
-    ("blowdown-check", "--t-end", "inf"): "t_end must be positive and finite, got inf",
     ("blowdown-check", "--s", "-inf"): "blowdown scale s must be positive and finite, got -inf",
     ("rrfs", "--period", "-1"): "period must be positive and finite, got -1.0",
     ("rrfs", "--period", "nan"): "period must be positive and finite, got nan",
     ("rrfs", "--period", "inf"): "period must be positive and finite, got inf",
     ("rrfs", "--period", "-inf"): "period must be positive and finite, got -inf",
     ("rrfs", "--t-end", "nan"): "t_end must be positive and finite, got nan",
-    ("rrfs", "--t-end", "0"): "t_end must be positive and finite, got 0.0",
-    ("rrfs", "--t-end", "-1"): "t_end must be positive and finite, got -1.0",
-    ("rrfs", "--t-end", "inf"): "t_end must be positive and finite, got inf",
     # ode._check_finite
     ("nil3", "--a", "nan"): "slope a must be finite, got nan",
     ("rrfs", "--amplitude", "inf"): "amplitude must be finite, got inf",
-    ("rrfs", "--amplitude", "nan"): "amplitude must be finite, got nan",
     ("rrfs", "--mode=constant:{}", "nan"): "s0 must be finite, got nan",
     ("rrfs", "--mode=constant:{}", "inf"): "s0 must be finite, got inf",
     ("rrfs", "--mode=constant:{}", "-inf"): "s0 must be finite, got -inf",
     ("rrfs", "--c", "nan"): "c_coupling must be finite, got nan",
     # ode._check_nonnegative
     ("nil3", "--coupling=const:{}", "-1"): "c0 must be finite and >= 0, got -1.0",
-    ("nil3", "--coupling=const:{}", "nan"): "c0 must be finite and >= 0, got nan",
-    ("nil3", "--coupling=const:{}", "inf"): "c0 must be finite and >= 0, got inf",
-    ("nil3", "--coupling=power:0.5,{}", "nan"): "r must be finite and >= 0, got nan",
-    ("nil3", "--coupling=power:0.5,{}", "inf"): "r must be finite and >= 0, got inf",
     ("blowdown-check", "--coupling=power:0.5,{}", "inf"): "r must be finite and >= 0, got inf",
     ("verify-tension", "--threshold", "nan"): "--threshold must be finite and >= 0, got nan",
     # ode._count
@@ -491,9 +474,6 @@ CLI_MESSAGES = {
     ("rrfs", "--mode", "off:"): f"{MODE_FORM}, got 'off:'",
     ("rrfs", "--mode", "constant:x"): f"{MODE_FORM}, got 'constant:x'",
     ("rrfs", "--mode", "volume:3"): "rescaling mode 'volume' takes no s0, got 3.0",
-    ("rrfs", "--mode", "volume:-1e-300"): "rescaling mode 'volume' takes no s0, got -1e-300",
-    ("rrfs", "--mode", "off:3"): "rescaling mode 'off' takes no s0, got 3.0",
-    ("rrfs", "--mode", "off:-1e-300"): "rescaling mode 'off' takes no s0, got -1e-300",
     ("rrfs", "--mode", "banana"): "unknown rescaling mode 'banana'",
     ("nil3", "--coupling", "bogus"): f"{COUPLING_FORM}, got 'bogus'",
     ("nil3", "--coupling", "const:"): f"{COUPLING_FORM}, got 'const:'",
@@ -534,14 +514,7 @@ LIBRARY_MESSAGES = {
     ("Nil3State.A", "0"): "A must be positive and finite, got 0.0",
     ("IntegratorConfig.rtol", "nan"): "rtol must be positive and finite, got nan",
     ("IntegratorConfig.atol", "-1"): "atol must be positive and finite, got -1.0",
-    ("IntegratorConfig.atol", "nan"): "atol must be positive and finite, got nan",
-    ("IntegratorConfig.atol", "inf"): "atol must be positive and finite, got inf",
-    ("IntegratorConfig.rtol", "inf"): "rtol must be positive and finite, got inf",
     ("CouplingSchedule.time_scale", "-0.0"): "time_scale must be positive and finite, got -0.0",
-    ("CouplingSchedule.time_scale", "0"): "time_scale must be positive and finite, got 0.0",
-    ("CouplingSchedule.time_scale", "-1"): "time_scale must be positive and finite, got -1.0",
-    ("CouplingSchedule.time_scale", "nan"): "time_scale must be positive and finite, got nan",
-    ("CouplingSchedule.time_scale", "inf"): "time_scale must be positive and finite, got inf",
     ("blowdown.s", "inf"): "blowdown scale s must be positive and finite, got inf",
     ("MapSlope.blowdown.s", "0"): "blowdown scale s must be positive and finite, got 0.0",
     ("MapSlope.blowdown.s", "-1"): "blowdown scale s must be positive and finite, got -1.0",
@@ -557,52 +530,29 @@ LIBRARY_MESSAGES = {
     ("PeriodicGrid.period", "0"): "period must be positive and finite, got 0.0",
     ("rk4_step.h", "nan"): "step size must be positive and finite, got nan",
     ("rk4_step.h", "-1"): "step size must be positive and finite, got -1.0",
-    ("integrate_fixed.h", "0"): "step size must be positive and finite, got 0.0",
-    ("integrate_fixed.h", "-1"): "step size must be positive and finite, got -1.0",
-    ("integrate_fixed.h", "nan"): "step size must be positive and finite, got nan",
-    ("integrate_fixed.h", "inf"): "step size must be positive and finite, got inf",
     ("IntegratorConfig.rtol", "0"): "rtol must be positive and finite, got 0.0",
-    ("integrate_rrfs.t_end", "0"): "t_end must be positive and finite, got 0.0",
-    ("integrate_rrfs.t_end", "-1"): "t_end must be positive and finite, got -1.0",
-    ("integrate_rrfs.t_end", "nan"): "t_end must be positive and finite, got nan",
-    ("integrate_rrfs.t_end", "inf"): "t_end must be positive and finite, got inf",
-    ("integrate_rrfs.kappa_cfl", "-inf"): "kappa_cfl must be positive and finite, got -inf",
-    ("integrate_rrfs.kappa_cfl", "0"): "kappa_cfl must be positive and finite, got 0.0",
-    ("integrate_rrfs.kappa_cfl", "-1"): "kappa_cfl must be positive and finite, got -1.0",
-    ("integrate_rrfs.kappa_cfl", "nan"): "kappa_cfl must be positive and finite, got nan",
     # ode._check_finite
     ("MapSlope.a", "-inf"): "slope a must be finite, got -inf",
     ("RescalingSpec.s0", "nan"): "s0 must be finite, got nan",
     ("RescalingSpec.c_coupling", "inf"): "c_coupling must be finite, got inf",
     ("random_smooth_state.amplitude", "-inf"): "amplitude must be finite, got -inf",
-    ("random_smooth_state.amplitude", "nan"): "amplitude must be finite, got nan",
     ("log_sample_times.t0", "nan"): "t0 must be finite, got nan",
-    ("log_sample_times.t0", "-inf"): "t0 must be finite, got -inf",
-    ("log_sample_times.t1", "inf"): "t1 must be finite, got inf",
-    ("log_sample_times.t1", "nan"): "t1 must be finite, got nan",
     ("integrate_adaptive.t1", "inf"): "t1 must be finite, got inf",
-    ("integrate_fixed.t0", "nan"): "t0 must be finite, got nan",
-    ("integrate_fixed.t1", "inf"): "t1 must be finite, got inf",
     # ode._check_nonnegative
     ("CouplingSchedule.c0", "-1"): "c0 must be finite and >= 0, got -1.0",
     ("CouplingSchedule.r", "nan"): "r must be finite and >= 0, got nan",
     ("exact_ricci_solution.t", "-1"): "t must be finite and >= 0, got -1.0",
+    ("integrate_rrfs.t_end", "0"): "t_end must be positive and finite, got 0.0",
+    ("integrate_rrfs.kappa_cfl", "-inf"): "kappa_cfl must be positive and finite, got -inf",
     # ode._count
     ("PeriodicGrid.sizes", "2.5"): "grid size must be an integer >= 8, got 2.5",
     ("PeriodicGrid.sizes", "7"): "grid size must be an integer >= 8, got 7.0",
-    ("PeriodicGrid.sizes", "nan"): "grid size must be an integer >= 8, got nan",
-    ("PeriodicGrid.sizes", "inf"): "grid size must be an integer >= 8, got inf",
     ("IntegratorConfig.samples_per_decade", "inf"):
         "samples_per_decade must be an integer >= 1, got inf",
-    ("IntegratorConfig.samples_per_decade", "nan"):
-        "samples_per_decade must be an integer >= 1, got nan",
-    ("IntegratorConfig.samples_per_decade", "2.5"):
-        "samples_per_decade must be an integer >= 1, got 2.5",
     ("log_sample_times.samples_per_decade", "0"):
         "samples_per_decade must be an integer >= 1, got 0.0",
     ("random_smooth_state.seed", "nan"): "seed must be an integer >= 0, got nan",
     ("random_smooth_state.n_fiber", "-1"): "n_fiber must be an integer >= 1, got -1.0",
-    ("random_smooth_state.n_fiber", "0"): "n_fiber must be an integer >= 1, got 0.0",
     ("integrate_rrfs.n_snapshots", "2.5"): "n_snapshots must be an integer >= 2, got 2.5",
     ("integrate_rrfs.n_snapshots", "1"): "n_snapshots must be an integer >= 2, got 1.0",
     ("integrate_rrfs.n_snapshots", "0"): "n_snapshots must be an integer >= 2, got 0.0",
@@ -622,7 +572,6 @@ LIBRARY_MESSAGES = {
     ("MapSlope.a", "1e300"): "slope |a| must be at most 2^511, got 1e+300",
     ("log_sample_times.t0", "-1"): "t0 must be > -1, samples are log-spaced in 1 + t, got -1.0",
     ("log_sample_times.t1", "-1"): "t1 must be >= t0",
-    ("integrate_fixed.t1", "-1"): "t1 must be >= t0",
     ("integrate_adaptive.t1", "-1"): "t1 must be >= t0",
     ("blowdown.s.zero.a0.t1e9", "1e-300"): "the blowdown by s = 1e-300 overflows the trajectory",
     ("random_spd.cond_max", "nan"): "cond_max must be finite and >= 1, got nan",

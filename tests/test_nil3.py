@@ -96,6 +96,15 @@ class TestTypes:
         assert got.shape == ts.shape
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("time_scale", [-2.0, -0.0, 0.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name,c0,r", [("zero", 0.0, 0.0), ("constant", 1.0, 0.0),
+                                           ("power", 1.0, 1.5)])
+    def test_time_scale_must_be_finite_and_positive(self, name, c0, r, time_scale):
+        # time_scale = -2 made the power schedule's c(1) complex, and nan made it nan
+        message = f"^time_scale must be positive and finite, got {time_scale}$"
+        with pytest.raises(ValueError, match=message):
+            CouplingSchedule(c0=c0, r=r, time_scale=time_scale)
+
     def test_phi0_recorded(self):
         assert ricci_params(1.0, 5.0, 3.0).phi0 == 15.0
 

@@ -65,6 +65,18 @@ class TestLogSampling:
         t = log_sample_times(0.0, 99.0, 10)
         assert len(t) == 21  # two decades in 1 + t
 
+    @pytest.mark.parametrize("t0,t1,message", [
+        (-1.0, 1.0, r"^t0 must be > -1, samples are log-spaced in 1 \+ t, got -1.0$"),
+        (-2.0, 1.0, r"^t0 must be > -1, samples are log-spaced in 1 \+ t, got -2.0$"),
+        (np.nan, 1.0, "^t0 must be finite, got nan$"),
+        (-np.inf, 1.0, "^t0 must be finite, got -inf$"),
+        (0.0, np.inf, "^t1 must be finite, got inf$"),
+        (1.0, 0.0, "^t1 must be >= t0$"),
+    ], ids=["t0=-1", "t0=-2", "t0=nan", "t0=-inf", "t1=inf", "backward"])
+    def test_bad_bounds_rejected(self, t0, t1, message):
+        with pytest.raises(ValueError, match=message):
+            log_sample_times(t0, t1, 32)
+
 
 class TestTrajectory:
     def test_lengths_must_match(self):
@@ -173,6 +185,12 @@ class TestAdaptive:
         assert info.value.t == pytest.approx(0.3, abs=1e-12)
         assert np.geterr() == before
 
+    @pytest.mark.parametrize("t0,t1", [(0.0, np.inf), (0.0, np.nan), (np.nan, 1.0),
+                                       (-np.inf, 1.0)])
+    def test_non_finite_interval_rejected(self, t0, t1):
+        with pytest.raises(ValueError, match="^t[01] must be finite, got (nan|-?inf)$"):
+            adaptive(DECAY, t0, t1, [1.0])
+
     @pytest.mark.parametrize("t_bad, message", [
         (0.5, "state became non-finite"),
         (0.0, "right-hand side is not finite at the initial state")], ids=["stage", "initial"])
@@ -201,6 +219,11 @@ class TestAdaptive:
             adaptive(system, 0.0, t1, y0)
         assert calls == []
 
+    @pytest.mark.parametrize("t0", [-1.0, -2.0])
+    def test_start_at_or_below_minus_one_rejected(self, t0):
+        with pytest.raises(ValueError, match=r"^t0 must be > -1, samples are log-spaced in 1 \+ t"):
+            adaptive(DECAY, t0, 1.0, [1.0])
+
     @pytest.mark.parametrize("y0", [3e307, 1e308])
     def test_state_near_largest_double_decays_without_overflow(self, y0):
         with warnings.catch_warnings():
@@ -208,6 +231,17 @@ class TestAdaptive:
             traj = adaptive(DECAY, 0.0, 1.0, [y0])
         assert traj.times[-1] == 1.0
         assert abs(traj.states[-1, 0] / (y0 * np.exp(-1.0)) - 1.0) <= 1e-9  # the default rtol
+
+    @pytest.mark.parametrize("field", ["rtol", "atol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tolerance_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value}$"):
+            IntegratorConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.5])
+    def test_non_integer_samples_per_decade_rejected(self, value):
+        with pytest.raises(ValueError, match="^samples_per_decade must be an integer >= 1, got "):
+            IntegratorConfig(samples_per_decade=value)
 
     def test_integral_float_samples_per_decade_kept_as_int(self):
         cfg = IntegratorConfig(samples_per_decade=8.0)
@@ -309,6 +343,16 @@ class TestConvergenceOrder:
             convergence_order(sys.rhs, lambda t: np.array([2.0 * t]), 1.0,
                               [0.1, 0.05, 0.025])
 
+    @pytest.mark.parametrize("t_end,h_list,message", [
+        (-1.0, [0.1, 0.05, 0.025], "^t1 must be >= t0$"),
+        (np.inf, [0.1, 0.05, 0.025], "^t1 must be finite, got inf$"),
+        (1.0, [0.1, 0.0, 0.025], "^step size must be positive and finite, got 0.0$"),
+        (1.0, [0.1, -0.05, 0.025], "^step size must be positive and finite, got -0.05$"),
+    ])
+    def test_fixed_step_interval_and_step_checked(self, t_end, h_list, message):
+        with pytest.raises(ValueError, match=message):
+            convergence_order(GROWTH.rhs, lambda t: np.array([np.exp(-t)]), t_end, h_list)
+
     def test_needs_three_steps(self):
         with pytest.raises(ValueError):
             convergence_order(GROWTH.rhs, lambda t: np.array([np.exp(t)]), 1.0, [0.1, 0.05])
@@ -348,6 +392,20 @@ class TestConvergenceOrder:
 def test_integrate_fixed_lands_on_endpoint():
     out = integrate_fixed(DECAY.rhs, 0.0, 1.0, np.array([1.0]), 0.3)
     assert abs(out[0] - np.exp(-1.0)) <= 1e-4
+
+
+@pytest.mark.parametrize("t0,t1,h,message", [
+    (0.0, 1.0, -0.1, "^step size must be positive and finite, got -0.1$"),
+    (0.0, 1.0, np.inf, "^step size must be positive and finite, got inf$"),
+    (0.0, 1.0, 0.0, "^step size must be positive and finite, got 0.0$"),
+    (0.0, 1.0, np.nan, "^step size must be positive and finite, got nan$"),
+    (0.0, -1.0, 0.1, "^t1 must be >= t0$"),
+    (np.nan, 1.0, 0.1, "^t0 must be finite, got nan$"),
+    (0.0, np.inf, 0.1, "^t1 must be finite, got inf$"),
+])
+def test_integrate_fixed_rejects_bad_interval_or_step(t0, t1, h, message):
+    with pytest.raises(ValueError, match=message):
+        integrate_fixed(DECAY.rhs, t0, t1, np.array([1.0]), h)
 
 
 @pytest.mark.parametrize("t0,t1,h,message", [

@@ -55,6 +55,12 @@ def flat_state(grid, n_fiber=1, g_field=None, A_field=None, G_field=None):
 
 
 class TestGrid:
+    @pytest.mark.parametrize("sizes", [(8.9,), (8, 9.5), (np.inf,), (np.nan,)])
+    def test_non_integral_size_rejected(self, sizes):
+        bad = next(s for s in sizes if not float(s).is_integer())
+        with pytest.raises(ValueError, match=f"^grid size must be an integer >= 8, got {bad}$"):
+            PeriodicGrid(sizes, (1.0,) * len(sizes))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PeriodicGrid((4,), (1.0,))
@@ -606,6 +612,33 @@ class TestStepCap:
 
 
 class TestLibraryBoundary:
+    @pytest.mark.parametrize("s0", [3.0, -1e-300])
+    @pytest.mark.parametrize("mode", ["off", "volume"])
+    def test_s0_outside_constant_mode_rejected(self, mode, s0):
+        # both modes ran with s0 silently ignored
+        with pytest.raises(ValueError, match=f"^rescaling mode '{mode}' takes no s0"):
+            RescalingSpec(mode, s0=s0)
+
+    @pytest.mark.parametrize("t_end", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+    def test_integrate_rejects_bad_t_end(self, t_end):
+        grid = PeriodicGrid((8,), (2 * np.pi,))
+        with pytest.raises(ValueError, match=f"^t_end must be positive and finite, got {t_end}$"):
+            integrate_rrfs(flat_state(grid), grid, RescalingSpec("off"), t_end)
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, 0.0, -1.0])
+    def test_integrate_rejects_bad_kappa_cfl(self, kappa):
+        grid = PeriodicGrid((8,), (2 * np.pi,))
+        message = f"^kappa_cfl must be positive and finite, got {kappa}$"
+        with pytest.raises(ValueError, match=message):
+            integrate_rrfs(flat_state(grid), grid, RescalingSpec("off"), 1.0,
+                           kappa_cfl=kappa)
+
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf])
+    def test_random_state_rejects_non_finite_amplitude(self, amplitude):
+        grid = PeriodicGrid((8,), (2 * np.pi,))
+        with pytest.raises(ValueError, match=f"^amplitude must be finite, got {amplitude}$"):
+            random_smooth_state(0, grid, 2, amplitude=amplitude)
+
     @pytest.mark.parametrize("amplitude", [1e3, 1e6, 1e300, 1.7e308])
     @pytest.mark.parametrize("n_fiber", [1, 2, 3])
     @pytest.mark.parametrize("sizes", [(16,), (8, 8)], ids=["1d", "2d"])
@@ -620,6 +653,12 @@ class TestLibraryBoundary:
             assert str(err).startswith(want)
         else:
             assert amplitude == 1e3
+
+    @pytest.mark.parametrize("n_fiber", [0, -1])
+    def test_random_state_rejects_fiber_dimension_below_one(self, n_fiber):
+        grid = PeriodicGrid((8,), (2 * np.pi,))
+        with pytest.raises(ValueError, match=f"^n_fiber must be an integer >= 1, got {n_fiber}$"):
+            random_smooth_state(0, grid, n_fiber)
 
     @pytest.mark.parametrize("n", [2.5, np.nan, np.inf])
     def test_integrate_rejects_non_integer_snapshot_count(self, n, monkeypatch):
