@@ -86,10 +86,8 @@ def _nil3_params(args) -> nil3.Nil3Params:
 
 def cmd_nil3(args) -> int:
     params = _nil3_params(args)
-    cfg = ode.IntegratorConfig(
-        rtol=args.rtol, atol=args.atol, samples_per_decade=args.samples_per_decade
-    )
-    traj = nil3.integrate_nil3(params, args.t_end, cfg)
+    traj = nil3.integrate_nil3(params, args.t_end, ode.IntegratorConfig(args.rtol, args.atol),
+                               samples_per_decade=args.samples_per_decade)
     if args.csv:
         write_nil3_csv(args.csv, traj)
 
@@ -236,8 +234,7 @@ def cmd_verify_tension(args) -> int:
 
 def cmd_blowdown_check(args) -> int:
     params = _nil3_params(args)
-    cfg = ode.IntegratorConfig(samples_per_decade=args.samples_per_decade)
-    traj = nil3.integrate_nil3(params, args.t_end, cfg)
+    traj = nil3.integrate_nil3(params, args.t_end, samples_per_decade=args.samples_per_decade)
     blowdowns = [(s, *nil3.blowdown(params, traj, s)) for s in args.s]  # each s is checked first
     res0 = nil3.flow_residual(traj, params)
     worst_ratio = 0.0

@@ -258,17 +258,19 @@ _NO_RELATIVE_PART = 5e-324
 
 
 def integrate_nil3(
-    params: Nil3Params, t_end: float, cfg: IntegratorConfig | None = None
+    params: Nil3Params, t_end: float, cfg: IntegratorConfig | None = None, *,
+    samples_per_decade: int = 32
 ) -> Trajectory:
-    """The flow from ``params`` to ``t_end``, sampled at ``log_sample_times``: it runs
-    in ``make_system``'s variables and maps each sample back to (A, B, C) in t.
-    ``cfg.rtol`` / 10 + ``cfg.atol`` bounds each step's error in log A, log B and
-    log C, that is the relative error of A, B and C.  A sample whose A, B, C or
-    Phi = BC leaves the float range is a ``NonFiniteState``."""
+    """The flow from ``params`` to ``t_end``, sampled at ``log_sample_times`` with
+    ``samples_per_decade`` samples per decade of 1 + t: it runs in ``make_system``'s
+    variables and maps each sample back to (A, B, C) in t.  ``cfg.rtol`` / 10 +
+    ``cfg.atol`` bounds each step's error in log A, log B and log C, that is the
+    relative error of A, B and C.  A sample whose A, B, C or Phi = BC leaves the
+    float range is a ``NonFiniteState``."""
     _check_positive("t_end", t_end)
     cfg = cfg or IntegratorConfig()
     log_ts, p, e, _ = _log_frame(params)
-    times = log_sample_times(0.0, t_end, cfg.samples_per_decade)
+    times = log_sample_times(0.0, t_end, samples_per_decade)
     with np.errstate(divide="ignore"):  # log 0 = -inf gives tau = 0 at t = 0
         tau = np.logaddexp(0.0, np.log(times) - log_ts)  # log1p(t / t_s), with no overflow
     s0 = params.state0

@@ -54,13 +54,10 @@ class ODESystem:
 class IntegratorConfig:
     rtol: float = 1e-9
     atol: float = 1e-12
-    samples_per_decade: int = 32
 
     def __post_init__(self):
         _check_positive("rtol", self.rtol)
         _check_positive("atol", self.atol)
-        object.__setattr__(self, "samples_per_decade",
-                           _count("samples_per_decade", self.samples_per_decade, 1, _MAX_SAMPLES))
 
 
 @dataclass(frozen=True)
@@ -233,7 +230,7 @@ def integrate_adaptive(
 ) -> Trajectory:
     """Integrate with the embedded 5(4) pair from ``times[0]`` to ``times[-1]``, with
     dense output at each of ``times``: finite and strictly increasing, one or more.
-    ``cfg`` gives rtol and atol; its ``samples_per_decade`` is the caller's to use."""
+    ``cfg`` gives rtol and atol."""
     cfg = cfg or IntegratorConfig()
     sample_t = np.array(times, dtype=float)  # a copy: the trajectory keeps it
     if sample_t.ndim != 1 or not len(sample_t):

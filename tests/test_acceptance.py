@@ -18,14 +18,19 @@ def report(name: str, ok: bool, detail: str):
     return ok
 
 
-CFG = ode.IntegratorConfig(rtol=1e-9, atol=1e-12, samples_per_decade=64)
+CFG = ode.IntegratorConfig(rtol=1e-9, atol=1e-12)
+
+
+def integrate(params, t_end):
+    """An AC run: ``CFG``, sampled 64 times per decade of 1 + t."""
+    return nil3.integrate_nil3(params, t_end, CFG, samples_per_decade=64)
 
 
 @pytest.fixture(scope="module")
 def ricci_unit_run():
     params = nil3.Nil3Params(nil3.Nil3State(1, 1, 1))
     start = time.perf_counter()
-    traj = nil3.integrate_nil3(params, 1e4, CFG)
+    traj = integrate(params, 1e4)
     return params, traj, time.perf_counter() - start
 
 
@@ -33,7 +38,7 @@ def ricci_unit_run():
 def ricci_211_run():
     params = nil3.Nil3Params(nil3.Nil3State(2, 1, 1))
     start = time.perf_counter()
-    traj = nil3.integrate_nil3(params, 1e8, CFG)
+    traj = integrate(params, 1e8)
     return params, traj, time.perf_counter() - start
 
 
@@ -43,7 +48,7 @@ def const_coupling_run():
         nil3.Nil3State(1, 1, 1), nil3.MapSlope(1.0),
         nil3.CouplingSchedule.constant(0.5),
     )
-    traj = nil3.integrate_nil3(params, 1e8, CFG)
+    traj = integrate(params, 1e8)
     return params, traj
 
 
@@ -55,7 +60,7 @@ def power_coupling_runs():
             nil3.Nil3State(1, 1, 1), nil3.MapSlope(1.0),
             nil3.CouplingSchedule.power(1.0, r),
         )
-        out[r] = (params, nil3.integrate_nil3(params, 1e8, CFG))
+        out[r] = (params, integrate(params, 1e8))
     return out
 
 
@@ -129,7 +134,7 @@ def test_ac3_constant_coupling_linear_band(const_coupling_run):
     raw, corrected = ratios(params, traj, 1e8)
     raw_1e6, _ = ratios(params, traj, 1e6)
     raw_213, corrected_213 = ratios(
-        other, nil3.integrate_nil3(other, 1e8, CFG), 1e8
+        other, integrate(other, 1e8), 1e8
     )
     ok = (
         0.98 <= corrected <= 1.02

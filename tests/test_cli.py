@@ -159,6 +159,23 @@ class TestNil3Command:
         assert json.loads(js.read_text())["bounds"] == {
             "ok": False, "worst_slack": -1.0, "violations": [["C_upper", 2.0, -1.0]]}
 
+    def test_phi_drift_exits_2_after_writing_the_summary(self, tmp_path, monkeypatch,
+                                                         capsys):
+        integrate = nil3.integrate_nil3
+
+        def drifting(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            traj.states[-1, 1] *= 1 + 2e-6  # the last B: Phi drifts, and B still grows
+            return traj
+
+        monkeypatch.setattr(nil3, "integrate_nil3", drifting)
+        js = tmp_path / "s.json"
+        assert cli.main(["nil3", "--t-end", "100", "--json", str(js)]) == 2
+        assert capsys.readouterr() == ("", "conserved product drifted by 2.000e-06\n")
+        summary = json.loads(js.read_text())
+        assert summary["bounds"]["ok"]
+        assert summary["phi_drift"] == pytest.approx(2e-6, rel=1e-6)
+
 
 class TestVerifyTension:
     def test_default_passes(self):

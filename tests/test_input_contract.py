@@ -20,7 +20,8 @@ has a stable id, ``<command or call>-<argument>=<value>``.
 
 The message tables pin, by the same case ids, the text of a rejection: one row
 for each place that applies one of ``ode``'s numeric rules, for the grammar of
-the options read as text, and for boundaries the enumeration lacks.  A
+the options read as text, and for boundaries the enumeration lacks; where the
+rest of the text is numpy's, the start that the program writes.  A
 message-only per-module test is folded here only into rows of its own, one new
 row for each of its ids; the ones that predate this rule stay where they are.
 """
@@ -130,6 +131,13 @@ FILES = {
     "size_x.txt": "1 x 8 6.28\n",
     "size_8.5.txt": "1 1 8.5 6.28\n",
     "period_abc.txt": "1 1 8 abc\n",
+    # a base dimension other than 1 or 2, a negative fiber dimension, an axis field short
+    "n_3.txt": "3 1 8 8 8 1 1 1\n",
+    "N_-1.txt": "1 -1 8 6.28\n",
+    "axes_3.txt": "1 1 8 8 6.28\n",
+    # a non-numeric entry in a row
+    "entry_abc.txt": "1 1 8 6.28\n1 0 abc\n",
+    "entry_abc.csv": "t,A,B,C,Phi\n0,1,1,1,1\n1,abc,2,1,2\n",
 }
 FILE_CASES = [("fit", "--csv", name) if name.endswith(".csv") else ("rrfs", "--init-file", name)
               for name in FILES]
@@ -359,8 +367,8 @@ LIBRARY = {
     "random_spd.cond_max": lambda v: spd.random_spd(0, 2, v),
 }
 INT_LIBRARY = {
-    "IntegratorConfig.samples_per_decade": lambda v: ode.IntegratorConfig(
-        samples_per_decade=v),
+    "integrate_nil3.samples_per_decade": lambda v: nil3.integrate_nil3(
+        _params(), 10.0, samples_per_decade=v),
     "log_sample_times.samples_per_decade": lambda v: ode.log_sample_times(0.0, 10.0, v),
     "PeriodicGrid.sizes": lambda v: rrfs.PeriodicGrid((v,), (2 * np.pi,)),
     "random_smooth_state.seed": lambda v: rrfs.random_smooth_state(v, GRID, 2),
@@ -506,6 +514,17 @@ CLI_MESSAGES = {
         "malformed snapshot header in size_8.5.txt: '1 1 8.5 6.28'",
     ("rrfs", "--init-file", "period_abc.txt"):
         "malformed snapshot header in period_abc.txt: '1 1 8 abc'",
+    ("rrfs", "--init-file", "n_3.txt"):
+        "malformed snapshot header in n_3.txt: '3 1 8 8 8 1 1 1'",
+    ("rrfs", "--init-file", "N_-1.txt"): "malformed snapshot header in N_-1.txt: '1 -1 8 6.28'",
+    ("rrfs", "--init-file", "axes_3.txt"):
+        "malformed snapshot header in axes_3.txt: '1 1 8 8 6.28'",
+}
+# The start of a CLI rejection that the program writes, by case, where the rest is
+# numpy's parse error, whose wording is numpy's; the line names the entry it refused.
+CLI_MESSAGE_PREFIXES = {
+    ("rrfs", "--init-file", "entry_abc.txt"): "snapshot entry_abc.txt: ",
+    ("fit", "--csv", "entry_abc.csv"): "trajectory CSV entry_abc.csv: ",
 }
 
 # The message of a library rejection, by case; the case raises ValueError.
@@ -547,7 +566,7 @@ LIBRARY_MESSAGES = {
     # ode._count
     ("PeriodicGrid.sizes", "2.5"): "grid size must be an integer >= 8, got 2.5",
     ("PeriodicGrid.sizes", "7"): "grid size must be an integer >= 8, got 7.0",
-    ("IntegratorConfig.samples_per_decade", "inf"):
+    ("integrate_nil3.samples_per_decade", "inf"):
         "samples_per_decade must be an integer >= 1, got inf",
     ("log_sample_times.samples_per_decade", "0"):
         "samples_per_decade must be an integer >= 1, got 0.0",
@@ -597,6 +616,21 @@ def test_cli_message(command, option, value, message, trajectory, tmp_path, monk
     inputs = _write_input(tmp_path, value)
     assert cli.main(_argv(command, option, value, trajectory)) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert [path.name for path in tmp_path.iterdir()] == inputs
+
+
+@pytest.mark.parametrize("command, option, value, prefix", [
+    pytest.param(*case, prefix, id=_case_id(*case))
+    for case, prefix in CLI_MESSAGE_PREFIXES.items()
+])
+def test_cli_message_prefix(command, option, value, prefix, trajectory, tmp_path,
+                            monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    inputs = _write_input(tmp_path, value)
+    assert cli.main(_argv(command, option, value, trajectory)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {prefix}") and "'abc'" in err, err
+    assert re.fullmatch(r"error: [^\n]+\n", err), err
     assert [path.name for path in tmp_path.iterdir()] == inputs
 
 

@@ -308,7 +308,7 @@ class TestBlowdown:
 
     def test_residual_closure(self):
         p = ricci_params()
-        traj = integrate_nil3(p, 1e4, IntegratorConfig(samples_per_decade=64))
+        traj = integrate_nil3(p, 1e4, samples_per_decade=64)
         res0 = flow_residual(traj, p)
         for s in (0.5, 4.0):
             ps, ts = blowdown(p, traj, s)
@@ -322,7 +322,7 @@ class TestBlowdown:
         # the stencil's weights are formed on offsets scaled to 1: at s = 1e70 the
         # products of four offsets of about 1e-71 underflowed to a NaN residual
         p = ricci_params()
-        traj = integrate_nil3(p, 10.0, IntegratorConfig(samples_per_decade=64))
+        traj = integrate_nil3(p, 10.0, samples_per_decade=64)
         near = flow_residual(*blowdown(p, traj, 1e40)[::-1])
         for s in (1e70, 1e150):
             assert flow_residual(*blowdown(p, traj, s)[::-1]) == pytest.approx(near, rel=1e-9)
@@ -727,13 +727,13 @@ def random_params(draw):
 
 
 class TestRandomDataProperties:
-    CFG = IntegratorConfig(samples_per_decade=16)
+    SAMPLES = 16  # per decade of 1 + t
 
     @settings(max_examples=30)
     @given(random_params())
     def test_phi_conserved(self, case):
         params, t_end = case
-        traj = integrate_nil3(params, t_end, self.CFG)
+        traj = integrate_nil3(params, t_end, samples_per_decade=self.SAMPLES)
         phi = traj.states[:, 1] * traj.states[:, 2]
         assert np.abs(phi / params.phi0 - 1.0).max() <= 1e-7
 
@@ -747,12 +747,12 @@ class TestRandomDataProperties:
         scenarios, is a property of the log(1 + t) sampling and exceeds 10
         on some of these data.)"""
         params, t_end = case
-        traj = integrate_nil3(params, t_end, self.CFG)
+        traj = integrate_nil3(params, t_end, samples_per_decade=self.SAMPLES)
         p_s, t_s = blowdown(params, traj, s)
         f = np.stack(nil3._flow(*traj.states.T, params.f(traj.times)))
         f_s = np.stack(nil3._flow(*t_s.states.T, p_s.f(t_s.times)))
         npt.assert_allclose(f_s, f, rtol=1e-13, atol=1e-15 * np.abs(f).max())
-        direct = integrate_nil3(p_s, t_end / s, self.CFG)
+        direct = integrate_nil3(p_s, t_end / s, samples_per_decade=self.SAMPLES)
         assert direct.times[-1] == t_s.times[-1]
         npt.assert_allclose(direct.states[-1], t_s.states[-1], rtol=1e-8)
 

@@ -23,12 +23,12 @@ from geomflow.ode import (
 
 DECAY = ODESystem(lambda t, y: -y)
 GROWTH = ODESystem(lambda t, y: y)
+NIL3 = nil3.Nil3Params(nil3.Nil3State(1.0, 1.0, 1.0))
 
 
-def adaptive(sys, t0, t1, y0, cfg=None):
+def adaptive(sys, t0, t1, y0, cfg=None, samples_per_decade=32):
     """``integrate_adaptive`` from t0 to t1, sampled at ``log_sample_times``."""
-    cfg = cfg or IntegratorConfig()
-    return integrate_adaptive(sys, log_sample_times(t0, t1, cfg.samples_per_decade), y0, cfg)
+    return integrate_adaptive(sys, log_sample_times(t0, t1, samples_per_decade), y0, cfg)
 
 
 class TestRK4Step:
@@ -136,8 +136,8 @@ class TestAdaptive:
         npt.assert_array_equal(a.times, b.times)
 
     def test_dense_output_accuracy(self):
-        cfg = IntegratorConfig(rtol=1e-9, atol=1e-12, samples_per_decade=64)
-        traj = adaptive(DECAY, 0.0, 20.0, [1.0], cfg)
+        cfg = IntegratorConfig(rtol=1e-9, atol=1e-12)
+        traj = adaptive(DECAY, 0.0, 20.0, [1.0], cfg, samples_per_decade=64)
         npt.assert_allclose(traj.states[:, 0], np.exp(-traj.times),
                             rtol=1e-7, atol=1e-12)
 
@@ -241,11 +241,13 @@ class TestAdaptive:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.5])
     def test_non_integer_samples_per_decade_rejected(self, value):
         with pytest.raises(ValueError, match="^samples_per_decade must be an integer >= 1, got "):
-            IntegratorConfig(samples_per_decade=value)
+            nil3.integrate_nil3(NIL3, 10.0, samples_per_decade=value)
 
     def test_integral_float_samples_per_decade_kept_as_int(self):
-        cfg = IntegratorConfig(samples_per_decade=8.0)
-        assert cfg.samples_per_decade == 8 and type(cfg.samples_per_decade) is int
+        traj = nil3.integrate_nil3(NIL3, 1e4, samples_per_decade=8.0)
+        ref = nil3.integrate_nil3(NIL3, 1e4, samples_per_decade=8)
+        npt.assert_array_equal(traj.times, ref.times)
+        npt.assert_array_equal(traj.states, ref.states)
 
 
 class TestIntervalEnds:
@@ -322,10 +324,9 @@ class TestRejectionRules:
             a, b = y.tolist()
             return (b, -a - 0.1 * b + math.cos(t))
 
-        cfg = IntegratorConfig(samples_per_decade=64)
         ref = adaptive(ODESystem(lambda t, y: np.array(f(t, y))),
-                                 0.0, 50.0, [1.0, 0.0], cfg)
-        traj = adaptive(ODESystem(f), 0.0, 50.0, [1.0, 0.0], cfg)
+                       0.0, 50.0, [1.0, 0.0], samples_per_decade=64)
+        traj = adaptive(ODESystem(f), 0.0, 50.0, [1.0, 0.0], samples_per_decade=64)
         assert np.array_equal(traj.times, ref.times)
         assert np.array_equal(traj.states, ref.states)
 
@@ -442,8 +443,7 @@ class TestDenseBlocks:
             return calls[-1][-1]
 
         monkeypatch.setattr(ode, "_dense_eval", spy)
-        cfg = IntegratorConfig(samples_per_decade=samples_per_decade)
-        traj = adaptive(DECAY, 0.0, 20.0, [1.0], cfg)
+        traj = adaptive(DECAY, 0.0, 20.0, [1.0], samples_per_decade=samples_per_decade)
         block, n = ode._DENSE_BLOCK, len(traj.times) - 1  # rows 1..n, row n then y(t1)
         sizes = [block] * (n // block) + ([n % block] if n % block else [])
         assert [len(c[0]) for c in calls] == sizes
@@ -463,8 +463,7 @@ class TestDenseBlocks:
 
     @pytest.mark.parametrize("block", [1, 7, 10**6])
     def test_block_size_does_not_change_samples(self, block, monkeypatch):
-        cfg = IntegratorConfig(samples_per_decade=512)
-        ref = adaptive(DECAY, 0.0, 20.0, [1.0, 2.0], cfg)
+        ref = adaptive(DECAY, 0.0, 20.0, [1.0, 2.0], samples_per_decade=512)
         monkeypatch.setattr(ode, "_DENSE_BLOCK", block)
-        traj = adaptive(DECAY, 0.0, 20.0, [1.0, 2.0], cfg)
+        traj = adaptive(DECAY, 0.0, 20.0, [1.0, 2.0], samples_per_decade=512)
         npt.assert_array_equal(traj.states, ref.states)

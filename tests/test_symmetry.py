@@ -37,8 +37,8 @@ import numpy as np
 import pytest
 
 from geomflow.nil3 import CouplingSchedule, MapSlope, Nil3Params, Nil3State, integrate_nil3
-from geomflow.rrfs import (PeriodicGrid, RescalingSpec, RRFSState, d_central, integrate_rrfs,
-                           random_smooth_state, rrfs_rhs, s_volume)
+from geomflow.rrfs import (KAPPA_CFL, PeriodicGrid, RescalingSpec, RRFSState, d_central,
+                           integrate_rrfs, random_smooth_state, rrfs_rhs, s_volume)
 
 GRIDS = {"1d-32": PeriodicGrid((32,), (2 * np.pi,)),
          "2d-16x16": PeriodicGrid((16, 16), (2 * np.pi,) * 2)}
@@ -143,7 +143,7 @@ def _run(grid, N, mode, image=None):
     if image:
         st = RRFSState(*_maps(grid.n_base, N)[image](st.g, st.A, st.G))
     h = min(grid.spacing)
-    dt0 = 0.2 * h * h * np.linalg.eigvalsh(_state(grid, N).g)[..., 0].min()
+    dt0 = KAPPA_CFL * h * h * np.linalg.eigvalsh(_state(grid, N).g)[..., 0].min()
     return integrate_rrfs(st, grid, SPECS[mode], (RUN_STEPS[grid.n_base] - 0.5) * dt0)
 
 
