@@ -277,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     n3 = sub.add_parser("nil3", parents=[nil3_data],
                         help="integrate the Heisenberg-group flow")
     n3.add_argument("--t-end", type=float, default=1e4)
-    n3.add_argument("--rtol", type=float, default=1e-9)
-    n3.add_argument("--atol", type=float, default=1e-12)
+    n3.add_argument("--rtol", type=float, default=ode.IntegratorConfig.rtol)
+    n3.add_argument("--atol", type=float, default=ode.IntegratorConfig.atol)
     n3.add_argument("--samples-per-decade", type=int, default=32)
     n3.add_argument("--csv", help="trajectory CSV output path")
     n3.add_argument("--json", help="summary JSON output path")

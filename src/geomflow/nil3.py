@@ -252,11 +252,6 @@ def make_system(params: Nil3Params) -> ODESystem:
     return ODESystem(rhs=f)
 
 
-# The least rtol that IntegratorConfig takes: times any |log A| <= 745 it rounds away
-# beside the atol of a Nil3 run, whose error scale in (a, b, c) is thus absolute
-_NO_RELATIVE_PART = 5e-324
-
-
 def integrate_nil3(
     params: Nil3Params, t_end: float, cfg: IntegratorConfig | None = None, *,
     samples_per_decade: int = 32
@@ -264,9 +259,9 @@ def integrate_nil3(
     """The flow from ``params`` to ``t_end``, sampled at ``log_sample_times`` with
     ``samples_per_decade`` samples per decade of 1 + t: it runs in ``make_system``'s
     variables and maps each sample back to (A, B, C) in t.  ``cfg.rtol`` / 10 +
-    ``cfg.atol`` bounds each step's error in log A, log B and log C, that is the
-    relative error of A, B and C.  A sample whose A, B, C or Phi = BC leaves the
-    float range is a ``NonFiniteState``."""
+    ``cfg.atol``, which must not overflow, is the integrator's absolute error scale in
+    log A, log B and log C, that is a relative one of A, B and C.  A sample whose A, B,
+    C or Phi = BC leaves the float range is a ``NonFiniteState``."""
     _check_positive("t_end", t_end)
     cfg = cfg or IntegratorConfig()
     log_ts, p, e, _ = _log_frame(params)
@@ -274,9 +269,11 @@ def integrate_nil3(
     with np.errstate(divide="ignore"):  # log 0 = -inf gives tau = 0 at t = 0
         tau = np.logaddexp(0.0, np.log(times) - log_ts)  # log1p(t / t_s), with no overflow
     s0 = params.state0
-    log_cfg = IntegratorConfig(_NO_RELATIVE_PART, cfg.rtol / 10 + cfg.atol)
+    tol = cfg.rtol / 10 + cfg.atol
+    if tol == math.inf:
+        raise ValueError(f"rtol / 10 + atol overflows, got rtol {cfg.rtol} and atol {cfg.atol}")
     traj = integrate_adaptive(make_system(params), tau,
-                              [math.log(s0.A), math.log(s0.B), math.log(s0.C)], log_cfg)
+                              [math.log(s0.A), math.log(s0.B), math.log(s0.C)], tol)
     with np.errstate(over="ignore"):  # a sample past the float range is refused below
         states = np.exp(traj.states + np.outer(tau, (p, e, -e)))
         values = np.column_stack([states, states[:, 1] * states[:, 2]])  # A, B, C, Phi

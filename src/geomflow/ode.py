@@ -52,6 +52,8 @@ class ODESystem:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """The tolerances of a Nil3 run, which ``nil3.integrate_nil3`` reads."""
+
     rtol: float = 1e-9
     atol: float = 1e-12
 
@@ -222,16 +224,13 @@ def _fill_dense(out_states, end, pending):
     pending.clear()
 
 
-# a non-finite stage is reported as NonFiniteState; an error scale rtol |y| past the
-# largest double is inf, and the step's error reads 0
-@np.errstate(over="ignore", invalid="ignore")
-def integrate_adaptive(
-    sys: ODESystem, times, y0, cfg: IntegratorConfig | None = None
-) -> Trajectory:
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite stage is a NonFiniteState
+def integrate_adaptive(sys: ODESystem, times, y0, tol: float) -> Trajectory:
     """Integrate with the embedded 5(4) pair from ``times[0]`` to ``times[-1]``, with
     dense output at each of ``times``: finite and strictly increasing, one or more.
-    ``cfg`` gives rtol and atol."""
-    cfg = cfg or IntegratorConfig()
+    Each accepted step's RMS error estimate, in units of the absolute error scale
+    ``tol``, is at most 1."""
+    _check_positive("tol", tol)
     sample_t = np.array(times, dtype=float)  # a copy: the trajectory keeps it
     if sample_t.ndim != 1 or not len(sample_t):
         raise ValueError(f"times must be a non-empty 1-D vector, got shape {sample_t.shape}")
@@ -256,8 +255,6 @@ def integrate_adaptive(
     t_stop = t1 * (1 - 1e-15) if t1 >= 0 else t1 * (1 + 1e-15)
 
     t, y = t0, y0.copy()
-    abs_y = [abs(v) for v in y.tolist()]
-    atol, rtol = cfg.atol, cfg.rtol
     try:  # an RHS on Python floats raises where numpy would give inf or NaN
         k1 = np.asarray(sys.rhs(t, y))
     except (ZeroDivisionError, OverflowError):  # every stage weighs k1: no step can be taken
@@ -285,8 +282,7 @@ def integrate_adaptive(
             y_new = yi  # the 7th stage's state is the solution (FSAL)
             # a non-finite k7 = f(y_new) makes it a non-finite state too, rather than
             # an error estimate whose norm is NaN or inf; the test runs on Python floats
-            y_list = y_new.tolist()
-            finite = all(map(math.isfinite, y_list)) and all(map(math.isfinite, k[6].tolist()))
+            finite = all(map(math.isfinite, y_new.tolist() + k[6].tolist()))
         except (ZeroDivisionError, OverflowError):  # a stage the RHS cannot evaluate
             finite = False
         if not finite:
@@ -296,9 +292,7 @@ def integrate_adaptive(
 
         # the RMS error norm on Python floats, each operation as numpy's; x * x, not
         # x**2, which raises OverflowError, and numpy's pairwise sum of the squares
-        abs_new = [abs(v) for v in y_list]
-        e = [d / (atol + rtol * max(a, b))
-             for d, a, b in zip(hw[7].dot(k).tolist(), abs_y, abs_new)]
+        e = [d / tol for d in hw[7].dot(k).tolist()]
         err = math.sqrt(float(np.add.reduce([x * x for x in e])) / len(e))
 
         if err <= 1.0:
@@ -315,7 +309,7 @@ def integrate_adaptive(
                 next_sample += 1
                 if len(pending) == _DENSE_BLOCK:
                     _fill_dense(out_states, next_sample, pending)
-            t, y, k1, abs_y = t_new, y_new, k[6], abs_new  # FSAL
+            t, y, k1 = t_new, y_new, k[6]  # FSAL
             if t >= t_stop and next_sample >= len(times):
                 if pending:
                     _fill_dense(out_states, next_sample, pending)

@@ -116,6 +116,8 @@ PAIRS = [
     ("blowdown-check", ("--coupling=const:{}", "--s"), ("1e300", "1e5")),
     ("blowdown-check", ("--coupling=const:{}", "--s"), ("5e-324", "0.5")),
     ("blowdown-check", ("--a", "--s"), ("0", "1e-200")),
+    # rtol / 10 + atol overflows, which named atol as inf
+    ("nil3", ("--rtol", "--atol"), ("1.7976931348623157e308", "1.7976931348623157e308")),
     # fit windows in the trajectory's range that hold no sample, or only t = 0.0746
     ("fit", ("--t-lo", "--t-hi"), ("1e-6", "1e-4")),
     ("fit", ("--t-lo", "--t-hi"), ("1e-3", "1e-1")),
@@ -307,11 +309,11 @@ def _decay(t, y):
     return -y
 
 
-def _adaptive(t0=0.0, t1=10.0, B0=1.0):
+def _adaptive(t0=0.0, t1=10.0, B0=1.0, tol=1e-10):
     """The Nil3 system in ``make_system``'s log variables, sampled at tau = t0 and t1: its
     steps grow with tau, and past tau = 709 e^tau overflows to a NonFiniteState.  y' = -y,
     whose steps its stability bounds, would run into the 1e6-step cap after over 30 s."""
-    return ode.integrate_adaptive(nil3.make_system(_params()), [t0, t1], [1.0, B0, 1.0])
+    return ode.integrate_adaptive(nil3.make_system(_params()), [t0, t1], [1.0, B0, 1.0], tol)
 
 
 LIBRARY = {
@@ -350,6 +352,7 @@ LIBRARY = {
     "integrate_adaptive.t0": lambda v: _adaptive(t0=v),
     "integrate_adaptive.t1": lambda v: _adaptive(t1=v),
     "integrate_adaptive.y0": lambda v: _adaptive(B0=v),
+    "integrate_adaptive.tol": lambda v: _adaptive(tol=v),
     # a step count past the step cap is refused before the first step
     "integrate_fixed.h": lambda v: ode.integrate_fixed(_decay, 0.0, 1.0, np.ones(2), v),
     "integrate_fixed.t1": lambda v: ode.integrate_fixed(_decay, 0.0, v, np.ones(2), 0.1),
@@ -495,6 +498,9 @@ CLI_MESSAGES = {
     # PAIRS
     ("blowdown-check", ("--a", "--s"), ("0", "1e-160")):
         "flow residual must be finite, got nan",
+    ("nil3", ("--rtol", "--atol"), ("1.7976931348623157e308", "1.7976931348623157e308")):
+        "rtol / 10 + atol overflows, got rtol 1.7976931348623157e+308 and atol "
+        "1.7976931348623157e+308",
     # c0 s s keeps a zero coupling 0; the residual's C C / (A B) underflows to NaN
     ("blowdown-check", ("--a", "--coupling", "--s"), ("0", "zero", "1e200")):
         "flow residual must be finite, got nan",
@@ -549,6 +555,9 @@ LIBRARY_MESSAGES = {
     ("PeriodicGrid.period", "0"): "period must be positive and finite, got 0.0",
     ("rk4_step.h", "nan"): "step size must be positive and finite, got nan",
     ("rk4_step.h", "-1"): "step size must be positive and finite, got -1.0",
+    ("integrate_adaptive.tol", "0"): "tol must be positive and finite, got 0.0",
+    ("integrate_adaptive.tol", "nan"): "tol must be positive and finite, got nan",
+    ("integrate_adaptive.tol", "inf"): "tol must be positive and finite, got inf",
     ("IntegratorConfig.rtol", "0"): "rtol must be positive and finite, got 0.0",
     # ode._check_finite
     ("MapSlope.a", "-inf"): "slope a must be finite, got -inf",

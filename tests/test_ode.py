@@ -26,9 +26,10 @@ GROWTH = ODESystem(lambda t, y: y)
 NIL3 = nil3.Nil3Params(nil3.Nil3State(1.0, 1.0, 1.0))
 
 
-def adaptive(sys, t0, t1, y0, cfg=None, samples_per_decade=32):
-    """``integrate_adaptive`` from t0 to t1, sampled at ``log_sample_times``."""
-    return integrate_adaptive(sys, log_sample_times(t0, t1, samples_per_decade), y0, cfg)
+def adaptive(sys, t0, t1, y0, tol, samples_per_decade=32):
+    """``integrate_adaptive`` from t0 to t1 at error scale ``tol``, sampled at
+    ``log_sample_times``."""
+    return integrate_adaptive(sys, log_sample_times(t0, t1, samples_per_decade), y0, tol)
 
 
 class TestRK4Step:
@@ -90,13 +91,13 @@ class TestTrajectory:
 
 class TestAdaptive:
     def test_degenerate_interval(self):
-        traj = adaptive(DECAY, 2.0, 2.0, [5.0])
+        traj = adaptive(DECAY, 2.0, 2.0, [5.0], 1e-10)
         assert len(traj.times) == 1
         npt.assert_array_equal(traj.states, [[5.0]])
 
     def test_samples_at_the_callers_times(self):
         times = [-0.5, 0.0, 0.3, 1.0, 2.5]  # any increasing times, not only log-spaced ones
-        traj = integrate_adaptive(DECAY, times, [1.0])
+        traj = integrate_adaptive(DECAY, times, [1.0], 1e-10)
         assert traj.times.tolist() == times
         npt.assert_allclose(traj.states[:, 0], np.exp(-0.5 - traj.times), rtol=1e-8, atol=0.0)
 
@@ -111,40 +112,36 @@ class TestAdaptive:
     def test_bad_sample_times_rejected_before_any_rhs_call(self, times, message):
         calls = []
         with pytest.raises(ValueError, match=message):
-            integrate_adaptive(ODESystem(lambda t, y: calls.append(t) or -y), times, [1.0])
+            integrate_adaptive(ODESystem(lambda t, y: calls.append(t) or -y), times, [1.0], 1e-10)
         assert calls == []
 
     def test_exponential_decay_endpoint(self):
-        cfg = IntegratorConfig(rtol=1e-9, atol=1e-12)
-        traj = adaptive(DECAY, 0.0, 10.0, [1.0], cfg)
+        traj = adaptive(DECAY, 0.0, 10.0, [1.0], 1e-10)
         assert abs(traj.states[-1, 0] - np.exp(-10.0)) <= 1e-9
 
     def test_tolerance_tightening(self):
-        # halving rtol must not grow the endpoint error by more than 2x
+        # halving tol must not grow the endpoint error by more than 2x
         errs = []
-        for rtol in (1e-7, 5e-8):
-            cfg = IntegratorConfig(rtol=rtol, atol=1e-14)
-            traj = adaptive(DECAY, 0.0, 5.0, [1.0], cfg)
+        for tol in (1e-7, 5e-8):
+            traj = adaptive(DECAY, 0.0, 5.0, [1.0], tol)
             errs.append(abs(traj.states[-1, 0] - np.exp(-5.0)))
         assert errs[1] <= 2.0 * errs[0] + 1e-15
 
     def test_deterministic(self):
-        cfg = IntegratorConfig()
-        a = adaptive(DECAY, 0.0, 3.0, [1.0], cfg)
-        b = adaptive(DECAY, 0.0, 3.0, [1.0], cfg)
+        a = adaptive(DECAY, 0.0, 3.0, [1.0], 1e-10)
+        b = adaptive(DECAY, 0.0, 3.0, [1.0], 1e-10)
         npt.assert_array_equal(a.states, b.states)
         npt.assert_array_equal(a.times, b.times)
 
     def test_dense_output_accuracy(self):
-        cfg = IntegratorConfig(rtol=1e-9, atol=1e-12)
-        traj = adaptive(DECAY, 0.0, 20.0, [1.0], cfg, samples_per_decade=64)
+        traj = adaptive(DECAY, 0.0, 20.0, [1.0], 1e-12, samples_per_decade=64)
         npt.assert_allclose(traj.states[:, 0], np.exp(-traj.times),
                             rtol=1e-7, atol=1e-12)
 
     def test_max_steps_reported(self, monkeypatch):
         monkeypatch.setattr(ode, "_MAX_STEPS", 5)
         with pytest.raises(MaxStepsExceeded):
-            adaptive(DECAY, 0.0, 1e6, [1.0])
+            adaptive(DECAY, 0.0, 1e6, [1.0], 1e-10)
 
     def test_consecutive_error_rejections_reported(self, monkeypatch):
         # a stiff y' = -1e8 y from h = 1e-4: with the step cut by at most 1 % per
@@ -153,7 +150,7 @@ class TestAdaptive:
         calls = []
         sys = ODESystem(lambda t, y: (calls.append(t), -1e8 * y)[1])
         with pytest.raises(StepSizeUnderflow, match="^50 consecutive error rejections") as info:
-            adaptive(sys, 0.0, 1.0, [1.0])
+            adaptive(sys, 0.0, 1.0, [1.0], 1e-10)
         assert info.value.t == 0.0
         assert len(calls) == 1 + 51 * 6  # the FSAL start and 51 rejected steps
 
@@ -162,7 +159,7 @@ class TestAdaptive:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteState, match="state became non-finite") as info:
-                adaptive(sys, 0.0, 2.0, [1.0])
+                adaptive(sys, 0.0, 2.0, [1.0], 1e-10)
         assert info.value.t == pytest.approx(0.5, abs=1e-12)
 
     def test_blowup_reported_as_non_finite_state(self):
@@ -170,7 +167,7 @@ class TestAdaptive:
         sys = ODESystem(lambda t, y: np.exp(50.0 * y))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteState, match="state became non-finite") as info:
-                adaptive(sys, 0.0, 2.0, [1.0])
+                adaptive(sys, 0.0, 2.0, [1.0], 1e-10)
         assert info.value.t == 0.0
 
     def test_infinite_stage_reported_without_numpy_warning(self):
@@ -181,7 +178,7 @@ class TestAdaptive:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonFiniteState, match="state became non-finite") as info:
-                adaptive(sys, 0.0, 1.0, [1.0])
+                adaptive(sys, 0.0, 1.0, [1.0], 1e-10)
         assert info.value.t == pytest.approx(0.3, abs=1e-12)
         assert np.geterr() == before
 
@@ -189,7 +186,7 @@ class TestAdaptive:
                                        (-np.inf, 1.0)])
     def test_non_finite_interval_rejected(self, t0, t1):
         with pytest.raises(ValueError, match="^t[01] must be finite, got (nan|-?inf)$"):
-            adaptive(DECAY, t0, t1, [1.0])
+            adaptive(DECAY, t0, t1, [1.0], 1e-10)
 
     @pytest.mark.parametrize("t_bad, message", [
         (0.5, "state became non-finite"),
@@ -203,12 +200,12 @@ class TestAdaptive:
             return -y
 
         with pytest.raises(NonFiniteState, match=f"^{message} ") as info:
-            adaptive(ODESystem(rhs), 0.0, 2.0, [1.0])
+            adaptive(ODESystem(rhs), 0.0, 2.0, [1.0], 1e-10)
         assert info.value.t == pytest.approx(t_bad, abs=1e-12)
 
     def test_non_finite_initial_state_rejected(self):
         with pytest.raises(NonFiniteState, match="initial state is not finite"):
-            adaptive(DECAY, 0.0, 1.0, [np.nan])
+            adaptive(DECAY, 0.0, 1.0, [np.nan], 1e-10)
 
     @pytest.mark.parametrize("y0, t1", [(1.0, 1.0), (1.0, 0.0), ([], 1.0), ([[1.0]], 1.0)],
                              ids=["scalar", "scalar-empty-interval", "empty", "2d"])
@@ -216,21 +213,21 @@ class TestAdaptive:
         calls = []
         system = ODESystem(lambda t, y: calls.append(t) or -y)
         with pytest.raises(ValueError, match="^y0 must be a non-empty 1-D vector, got shape "):
-            adaptive(system, 0.0, t1, y0)
+            adaptive(system, 0.0, t1, y0, 1e-10)
         assert calls == []
 
     @pytest.mark.parametrize("t0", [-1.0, -2.0])
     def test_start_at_or_below_minus_one_rejected(self, t0):
         with pytest.raises(ValueError, match=r"^t0 must be > -1, samples are log-spaced in 1 \+ t"):
-            adaptive(DECAY, t0, 1.0, [1.0])
+            adaptive(DECAY, t0, 1.0, [1.0], 1e-10)
 
     @pytest.mark.parametrize("y0", [3e307, 1e308])
     def test_state_near_largest_double_decays_without_overflow(self, y0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = adaptive(DECAY, 0.0, 1.0, [y0])
+            traj = adaptive(DECAY, 0.0, 1.0, [y0], 1e-10 * y0)
         assert traj.times[-1] == 1.0
-        assert abs(traj.states[-1, 0] / (y0 * np.exp(-1.0)) - 1.0) <= 1e-9  # the default rtol
+        assert abs(traj.states[-1, 0] / (y0 * np.exp(-1.0)) - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("field", ["rtol", "atol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -257,15 +254,14 @@ class TestIntervalEnds:
     @pytest.mark.parametrize("t0,t1", [(-0.9, -0.5), (-0.5, -1e-3), (-0.5, 0.0),
                                        (-0.5, 0.5)])
     def test_interval_below_zero_reaches_t1(self, t0, t1):
-        traj = adaptive(DECAY, t0, t1, [1.0])
+        traj = adaptive(DECAY, t0, t1, [1.0], 1e-10)
         assert traj.times[0] == t0 and traj.times[-1] == t1
         npt.assert_allclose(traj.states[:, 0], np.exp(t0 - traj.times), rtol=1e-8, atol=0.0)
 
     @pytest.mark.parametrize("t0,t1", [(0.0, 1e-15), (0.0, 1e-300), (-0.5, -0.5 + 4e-15)])
     def test_interval_shorter_than_step_floor(self, t0, t1):
         calls = []
-        traj = adaptive(ODESystem(lambda t, y: (calls.append(t), -y)[1]),
-                                  t0, t1, [2.0])
+        traj = adaptive(ODESystem(lambda t, y: (calls.append(t), -y)[1]), t0, t1, [2.0], 1e-10)
         assert traj.times[-1] == t1
         assert len(calls) == 7  # the FSAL start and one step
         assert traj.states[-1, 0] == pytest.approx(2.0 * np.exp(t0 - t1), rel=1e-15)
@@ -273,7 +269,7 @@ class TestIntervalEnds:
     def test_halved_landing_step_still_underflows(self):
         sys = ODESystem(lambda t, y: -y if t == 0.0 else np.full(1, np.nan))
         with pytest.raises(NonFiniteState, match="state became non-finite") as info:
-            adaptive(sys, 0.0, 1e-15, [1.0])
+            adaptive(sys, 0.0, 1e-15, [1.0], 1e-10)
         assert info.value.t == 0.0
 
 
@@ -288,16 +284,17 @@ class TestDP5Stages:
             calls.append(t)
             return np.full_like(y, np.inf) if len(calls) == 7 else -y
 
-        traj = adaptive(ODESystem(rhs), 0.0, 1.0, [1.0])
+        traj = adaptive(ODESystem(rhs), 0.0, 1.0, [1.0], 1e-10)
         assert calls[7] == 1e-5
-        assert len(calls) == 151
-        assert traj.states[-1, 0] == float.fromhex("0x1.78b56363a7f1ap-2")
+        assert len(calls) == 199
+        assert traj.states[-1, 0] == float.fromhex("0x1.78b56362f4b32p-2")
         assert abs(traj.states[-1, 0] / np.exp(-1.0) - 1.0) <= 1e-9
 
-    def test_eleven_component_linear_system_pinned(self):
+    @staticmethod
+    def eleven_component_run(k=0):
         """y' = M y with n = 11, where numpy's pairwise sum of the squared error
-        components is not a sequential one: the RHS count and the final state,
-        recorded as float.hex literals, exactly."""
+        components is not a sequential one, from y0 2^k at tol 1e-10 2^k: the
+        trajectory and its RHS count."""
         n = 11
         M = -np.diag(1.0 + np.arange(n) / 4) + 0.5 * (np.eye(n, k=1) - np.eye(n, k=-1))
         calls = []
@@ -306,13 +303,28 @@ class TestDP5Stages:
             calls.append(t)
             return M @ y
 
-        traj = adaptive(ODESystem(rhs), 0.0, 5.0, np.linspace(1.0, 2.0, n))
-        assert len(calls) == 1327
-        final = ["0x1.5e3d31c67976cp-8", "-0x1.797fe82aa9c44p-8", "0x1.e0a9b9f6bc85ap-9",
-                 "-0x1.91627ea5d2c00p-10", "0x1.0524b3c8a0352p-11", "-0x1.0cd9d8cd0559dp-13",
-                 "0x1.da7f6a2221d2dp-16", "-0x1.65bb41c19bb80p-18", "0x1.caddc9cf7f49fp-21",
-                 "-0x1.24e5819d21043p-23", "0x1.5cccff481194ap-26"]
+        traj = adaptive(ODESystem(rhs), 0.0, 5.0, np.ldexp(np.linspace(1.0, 2.0, n), k),
+                        math.ldexp(1e-10, k))
+        return traj, len(calls)
+
+    def test_eleven_component_linear_system_pinned(self):
+        """The RHS count and the final state, recorded as float.hex literals, exactly."""
+        traj, calls = self.eleven_component_run()
+        assert calls == 1003
+        final = ["0x1.5e3d31d243979p-8", "-0x1.797fe800ab135p-8", "0x1.e0a9ba15a888dp-9",
+                 "-0x1.91627e7ab3e7bp-10", "0x1.0524b40031244p-11", "-0x1.0cd9d867740e9p-13",
+                 "0x1.da7f6bce1b841p-16", "-0x1.65bb3ee7ce648p-18", "0x1.caddd055efb72p-21",
+                 "-0x1.24e584e817064p-23", "0x1.5cccd77f20fc9p-26"]
         assert traj.states[-1].tolist() == [float.fromhex(v) for v in final]
+
+    @pytest.mark.parametrize("k", [40, -40, 600])
+    def test_error_scale_is_absolute(self, k):
+        """The error norm is that of d_i / tol alone: y0 and tol scaled by 2^k take the
+        same steps, and every state is 2^k times the unscaled one, bitwise."""
+        ref, ref_calls = self.eleven_component_run()
+        traj, calls = self.eleven_component_run(k)
+        assert calls == ref_calls
+        assert np.array_equal(traj.states, np.ldexp(ref.states, k))
 
 
 class TestRejectionRules:
@@ -325,8 +337,8 @@ class TestRejectionRules:
             return (b, -a - 0.1 * b + math.cos(t))
 
         ref = adaptive(ODESystem(lambda t, y: np.array(f(t, y))),
-                       0.0, 50.0, [1.0, 0.0], samples_per_decade=64)
-        traj = adaptive(ODESystem(f), 0.0, 50.0, [1.0, 0.0], samples_per_decade=64)
+                       0.0, 50.0, [1.0, 0.0], 1e-10, samples_per_decade=64)
+        traj = adaptive(ODESystem(f), 0.0, 50.0, [1.0, 0.0], 1e-10, samples_per_decade=64)
         assert np.array_equal(traj.times, ref.times)
         assert np.array_equal(traj.states, ref.states)
 
@@ -443,7 +455,7 @@ class TestDenseBlocks:
             return calls[-1][-1]
 
         monkeypatch.setattr(ode, "_dense_eval", spy)
-        traj = adaptive(DECAY, 0.0, 20.0, [1.0], samples_per_decade=samples_per_decade)
+        traj = adaptive(DECAY, 0.0, 20.0, [1.0], 1e-12, samples_per_decade=samples_per_decade)
         block, n = ode._DENSE_BLOCK, len(traj.times) - 1  # rows 1..n, row n then y(t1)
         sizes = [block] * (n // block) + ([n % block] if n % block else [])
         assert [len(c[0]) for c in calls] == sizes
@@ -463,7 +475,7 @@ class TestDenseBlocks:
 
     @pytest.mark.parametrize("block", [1, 7, 10**6])
     def test_block_size_does_not_change_samples(self, block, monkeypatch):
-        ref = adaptive(DECAY, 0.0, 20.0, [1.0, 2.0], samples_per_decade=512)
+        ref = adaptive(DECAY, 0.0, 20.0, [1.0, 2.0], 1e-12, samples_per_decade=512)
         monkeypatch.setattr(ode, "_DENSE_BLOCK", block)
-        traj = adaptive(DECAY, 0.0, 20.0, [1.0, 2.0], samples_per_decade=512)
+        traj = adaptive(DECAY, 0.0, 20.0, [1.0, 2.0], 1e-12, samples_per_decade=512)
         npt.assert_array_equal(traj.states, ref.states)
