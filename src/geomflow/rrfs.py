@@ -118,8 +118,8 @@ def _raise_at_first(ok: np.ndarray, message: str):
 
 
 class _Metric:
-    """A checked base metric g with det g, sqrt(det g) and min-eig g; ``per_grid`` is
-    None, or for a frozen g a dict per grid where its bundles keep g^-1, Gamma, gamma, R."""
+    """A checked base metric g with det g, sqrt(det g) and min-eig g; ``per_grid`` is None,
+    or for a frozen g a dict per grid where its bundles keep g^-1, Gamma, gamma, R, volume."""
 
     def __init__(self, g: np.ndarray):
         _check_spd_field(g, "base metric g")
@@ -257,6 +257,13 @@ def _grid_first(fld: np.ndarray, n: int) -> np.ndarray:
     return fld.transpose(_rotation(fld.ndim, fld.ndim - n))
 
 
+def _check_fits(state: RRFSState, grid: PeriodicGrid):
+    """Refuse a state whose nodes or base dimension are not those of ``grid``."""
+    if state.g.shape != grid.sizes + (grid.n_base,) * 2:
+        raise ValueError(f"state with g of shape {state.g.shape} does not fit "
+                         f"grid {grid.sizes}")
+
+
 # ---------------------------------------------------------------------------
 # geometry of one state
 
@@ -271,26 +278,25 @@ class _of_g(_memo):  # a _memo of g alone, once per of_g dict (a frozen g's bund
 class _Geometry:
     """Geometric quantities of one state, component-major, each computed once.
 
-    ``first`` stacks (g | A | G) once, component-major (a single field as
+    ``first`` stacks (A | G) once, component-major (G alone on a 1D base, as
     is), and writes one ``d_central`` call per base axis into one
     [axis, component, *grid] array; G and its derivatives are views of the
-    two.  ``second`` does the same on (Gamma | F | dG) once per axis pair,
-    and ``d2_central`` runs once per axis on G.  A base of dimension n <= 2
-    has one curvature component F = d_0 A_1 - d_1 A_0 with F_ab = eps_ab F,
-    and every sum over dA, and the Ricci sum over c != b (its c = b terms
-    cancel), runs over the ordered axis pairs (a, b, eps_ab): on a 1D base
-    there are none and no F, so dA, delta dA and R are exactly 0, no dA
-    term is built, and the stencil leaves A out.  The bundles of a
-    frozen g share ``of_g``, and once Gamma is known the stencil leaves g out.
+    two.  ``second`` does the same on (F | dG) once per axis pair, and
+    ``d2_central`` runs once per axis on G.  ``christoffels`` differentiates
+    g and ``scalar_curvature`` the Gamma rows it reads; a frozen g's bundles
+    share these (``of_g``).  A base of dimension n <= 2 has one curvature
+    component F = d_0 A_1 - d_1 A_0 with F_ab = eps_ab F, and every sum
+    over dA, and the Ricci sum over c != b (its c = b terms cancel), runs
+    over the ordered axis pairs (a, b, eps_ab): on a 1D base there are none
+    and no F, so dA, delta dA and R are exactly 0, no Ricci or dA term is
+    built, and the stencil leaves A out.
 
     A bundle keeps the state's fields and ``_Metric``, not the state, so a
     state that keeps its bundle (``of``) forms no reference cycle with it.
     """
 
     def __init__(self, state: RRFSState, grid: PeriodicGrid):
-        if state.g.shape != grid.sizes + (grid.n_base,) * 2:
-            raise ValueError(f"state with g of shape {state.g.shape} does not fit "
-                             f"grid {grid.sizes}")
+        _check_fits(state, grid)
         self.g, self.A, self.G, self.metric = state.g, state.A, state.G, state._metric
         self.grid, self.n = grid, grid.n_base
         per_grid = self.metric.per_grid
@@ -323,20 +329,17 @@ class _Geometry:
                 [d[:, c].reshape(d.shape[:1] + f.shape) for c, f in zip(cuts, fields)])
 
     @_memo
-    def first(self) -> dict:  # G [i, j], dg [d, a, b] (while Gamma is unknown), dA (2D), dG
-        # g once Gamma is known, and A on a 1D base (no F reads dA), are not differentiated
-        names = [x for x, skip in (("g", "christoffels" in self.of_g), ("A", self.n == 1),
-                                   ("G", False)) if not skip]
+    def first(self) -> dict:  # G [i, j], dA [d, a, i] (2D; no F reads it in 1D), dG [d, i, j]
+        names = "AG" if self.n == 2 else "G"
         fields, d = self._d([_grid_last(getattr(self, x), self.n) for x in names],
                             list(range(self.n)))
         return {"G": fields[-1], **dict(zip(("d" + x for x in names), d))}
 
     @_memo
     def second(self) -> list:
-        """Per pair (e, f): d_e Gamma^c_af [c, a], d_e F [i] and d_e d_a G [a, i, j] (a < e)."""
-        return [[d[0] for d in self._d([self.christoffels[:, :, f], *self.F,
-                                        self.first["dG"][:e]], [e])[1]]
-                for e, f, _ in self.eps]
+        """Per pair (e, f): d_e F [i] and d_e d_a G [a, i, j] (a < e)."""
+        return [[d[0] for d in self._d([*self.F, self.first["dG"][:e]], [e])[1]]
+                for e, _, _ in self.eps]
 
     @_of_g
     def ginv(self) -> np.ndarray:  # [a, b] = adj(g)_ab / det g
@@ -352,7 +355,7 @@ class _Geometry:
 
     @_of_g
     def christoffels(self) -> np.ndarray:  # [c, a, b]
-        dg = self.first["dg"]
+        dg = self._d([_grid_last(self.g, self.n)], list(range(self.n)))[1][0]  # [d, a, b]
         # T[d, a, b] = d_a g_db + d_b g_da - d_d g_ab
         T = dg.swapaxes(0, 1) + dg.transpose(1, 2, 0, *range(3, dg.ndim)) - dg
         return 0.5 * np.einsum("cd...,dab...->cab...", self.ginv, T)
@@ -375,7 +378,7 @@ class _Geometry:
             FG = np.einsum("i...,ij...->j...", F, G)
             out["norm_sq"] += 2.0 * np.einsum("j...,j...->...", FG, F) / self.metric.det
             out["G"] -= FG[:, None] * FG / self.metric.det
-            dF = np.stack([dF_e for _, dF_e, _ in self.second])  # [d, i]
+            dF = np.stack([dF_e for dF_e, _ in self.second])  # [d, i]
             for x, y, s in self.eps:
                 # -g^{bc} (d_b F_ca - Gamma^m_bc F_ma - Gamma^m_ba F_cm) with (x, y)
                 # read as (c, a), (m, a) and (c, m)
@@ -393,7 +396,7 @@ class _Geometry:
         out = -np.einsum("c...,cij...->ij...", self.gamma, self.first["dG"])
         for a in range(n):
             out += gi[a, a] * _grid_last(d2_central(G, a, a, self.grid), n)
-        for e, (_, _, ddG) in enumerate(self.second):
+        for e, (_, ddG) in enumerate(self.second):
             for a in range(e):  # each mixed derivative once
                 out += 2.0 * gi[a, e] * ddG[a]
         return out
@@ -419,14 +422,15 @@ class _Geometry:
         # g^{ab} Rc_ab, Rc_ab = sum over c != b of
         # d_c Gamma^c_ab - d_b Gamma^c_ac + Gamma^c_cd Gamma^d_ab - Gamma^c_bd Gamma^d_ac
         gi, Gam, out = self.ginv, self.christoffels, np.zeros(self.grid.sizes)
+        # per pair (e, f): d_e Gamma^c_af [c, a], the Gamma rows that the sum differentiates
+        dGam = [self._d([Gam[:, :, f]], [e])[1][0][0] for e, f, _ in self.eps]
         for c, b, _ in self.eps:
-            dGam = self.second[c][0][c] - self.second[b][0][c]
-            out += np.einsum("a...,a...->...", gi[b], dGam)
+            out += np.einsum("a...,a...->...", gi[b], dGam[c][c] - dGam[b][c])
             out += np.einsum("d...,a...,da...->...", Gam[c, c], gi[b], Gam[:, :, b])
             out -= np.einsum("d...,a...,da...->...", Gam[c, b], gi[b], Gam[:, :, c])
         return out
 
-    @_memo
+    @_of_g
     def volume(self) -> float:
         return float(self.metric.sqrt_det.sum() * self.grid.cell_volume)
 
@@ -533,15 +537,15 @@ def s_volume(state: RRFSState, grid: PeriodicGrid) -> float:
     return _Geometry.of(state, grid).s_volume
 
 
-# The terms of each field's equation, None for a dA term on a base without F and for
-# G's rescaling term when c s = 0.  -2 Rc = -R g and 1/2 |dA|^2 g hold on both bases
-# (Rc = 0 and dA = 0 in 1D; in 2D, Rc = (R/2) g and eps g^-1 eps^T = g / det g).
+# The terms of each field's equation, None for the Ricci and dA terms on a 1D base, where
+# R = 0 and there is no F, and for G's rescaling term when c s = 0.  -2 Rc = -R g and
+# 1/2 |dA|^2 g hold on a 2D base (Rc = (R/2) g and eps g^-1 eps^T = g / det g).
 
 
 def _g_terms(geo: _Geometry, s: float, c: float) -> dict:
     g = geo.g
     return {
-        "g_ricci": -geo.scalar_curvature[..., None, None] * g,
+        "g_ricci": -geo.scalar_curvature[..., None, None] * g if geo.F else None,
         "g_gradG": 0.5 * _grid_first(geo.trace_MM, geo.n),
         "g_dA": 0.5 * geo.dA_sums["norm_sq"][..., None, None] * g if geo.F else None,
         "g_rescale": -s * g,
@@ -825,7 +829,9 @@ def _write_table(path, header: str, rows: np.ndarray, delimiter: str):
 
 def save_snapshot(state: RRFSState, grid: PeriodicGrid, path):
     """Write a field snapshot as text: a header line, then one (g | A | G)
-    row per node, floats at 17 significant digits."""
+    row per node, floats at 17 significant digits.  A state that does not fit
+    ``grid`` is refused before the file is opened."""
+    _check_fits(state, grid)
     n, N = grid.n_base, state.n_fiber
     header = " ".join([str(n), str(N), *map(str, grid.sizes),
                        *(f"{p:.17g}" for p in grid.period)])
@@ -852,6 +858,12 @@ def _read_table(fh, name: str, columns: int, delimiter=None) -> np.ndarray:
 
 
 def load_snapshot(path) -> tuple[RRFSState, PeriodicGrid]:
+    def named(make, *args):  # a type that refuses a value of the file names the file
+        try:
+            return make(*args)
+        except ValueError as err:
+            raise ValueError(f"snapshot {path}: {err}") from None
+
     with open(path) as fh:
         header = fh.readline()
         try:
@@ -862,7 +874,7 @@ def load_snapshot(path) -> tuple[RRFSState, PeriodicGrid]:
             sizes, period = tuple(map(int, axes[:n])), tuple(map(float, axes[n:]))
         except ValueError:
             raise ValueError(f"malformed snapshot header in {path}: {header.strip()!r}") from None
-        grid = PeriodicGrid(sizes, period)
+        grid = named(PeriodicGrid, sizes, period)
         data = _read_table(fh, f"snapshot {path}", n * n + n * N + N * N)
     n_nodes = int(np.prod(sizes))
     if len(data) != n_nodes:
@@ -870,4 +882,4 @@ def load_snapshot(path) -> tuple[RRFSState, PeriodicGrid]:
     g = data[:, : n * n].reshape(sizes + (n, n))
     A = data[:, n * n : n * n + n * N].reshape(sizes + (n, N))
     G = data[:, n * n + n * N :].reshape(sizes + (N, N))
-    return RRFSState(g, A, G), grid
+    return named(RRFSState, g, A, G), grid

@@ -137,6 +137,10 @@ FILES = {
     "n_3.txt": "3 1 8 8 8 1 1 1\n",
     "N_-1.txt": "1 -1 8 6.28\n",
     "axes_3.txt": "1 1 8 8 6.28\n",
+    # header values that the grid or the state refuses
+    "N_0.txt": "1 0 8 6.28\n" + "1\n" * 8,
+    "size_7.txt": "1 1 7 6.28\n",
+    "period_-1.txt": "1 1 8 -1\n",
     # a non-numeric entry in a row
     "entry_abc.txt": "1 1 8 6.28\n1 0 abc\n",
     "entry_abc.csv": "t,A,B,C,Phi\n0,1,1,1,1\n1,abc,2,1,2\n",
@@ -525,6 +529,12 @@ CLI_MESSAGES = {
     ("rrfs", "--init-file", "N_-1.txt"): "malformed snapshot header in N_-1.txt: '1 -1 8 6.28'",
     ("rrfs", "--init-file", "axes_3.txt"):
         "malformed snapshot header in axes_3.txt: '1 1 8 8 6.28'",
+    ("rrfs", "--init-file", "N_0.txt"):
+        "snapshot N_0.txt: fiber dimension must be an integer >= 1, got 0",
+    ("rrfs", "--init-file", "size_7.txt"):
+        "snapshot size_7.txt: grid size must be an integer >= 8, got 7",
+    ("rrfs", "--init-file", "period_-1.txt"):
+        "snapshot period_-1.txt: period must be positive and finite, got -1.0",
 }
 # The start of a CLI rejection that the program writes, by case, where the rest is
 # numpy's parse error, whose wording is numpy's; the line names the entry it refused.

@@ -509,7 +509,8 @@ class TestLinearModeOrder:
 class TestStencilCalls:
     """One RHS makes one ``d_central`` call per base axis on the stack of the
     fields it differentiates, one per axis pair in ``second``, and one pure
-    ``d2_central`` call per axis on G."""
+    ``d2_central`` call per axis on G; the quantities of g alone differentiate
+    g and the Gamma rows they read, once per grid for a frozen g."""
 
     @pytest.fixture
     def sizes_in(self, monkeypatch):
@@ -539,8 +540,23 @@ class TestStencilCalls:
         st = random_smooth_state(4, grid, 2, perturb_g=True, perturb_A=True)
         rrfs_rhs(st, grid, RescalingSpec("volume"))
         nodes = 16 * 12
-        # first: (g | A | G) per axis; second: (Gamma | F) on axis 0, (Gamma | F | d_0 G) on 1
-        assert sizes_in == {"d_central": [12 * nodes, 12 * nodes, 6 * nodes, 10 * nodes],
+        # g per axis for Gamma; the Gamma rows d_0 Gamma^c_a1 and d_1 Gamma^c_a0 for R;
+        # first: (A | G) per axis; second: (F) on axis 0, (F | d_0 G) on axis 1
+        assert sizes_in == {"d_central": [4 * nodes, 4 * nodes, 4 * nodes, 4 * nodes,
+                                          8 * nodes, 8 * nodes, 2 * nodes, 6 * nodes],
+                            "d2_central": [4 * nodes, 4 * nodes]}
+
+    def test_2d_frozen_g(self, sizes_in):
+        grid = PeriodicGrid((16, 12), (2 * np.pi, 3.0))
+        st = random_smooth_state(4, grid, 2, perturb_g=True, perturb_A=True)
+        st._metric.per_grid = {}  # a frozen g, as integrate_rrfs keeps it
+        rrfs_rhs(st, grid, RescalingSpec("volume"), fields="AG")  # Gamma and R are now known
+        for calls in sizes_in.values():
+            calls.clear()
+        rrfs_rhs(RRFSState(st._metric, st.A, st.G), grid, RescalingSpec("volume"), fields="AG")
+        nodes = 16 * 12
+        # first: (A | G) per axis; second: (F) on axis 0, (F | d_0 G) on axis 1
+        assert sizes_in == {"d_central": [8 * nodes, 8 * nodes, 2 * nodes, 6 * nodes],
                             "d2_central": [4 * nodes, 4 * nodes]}
 
 
@@ -929,10 +945,31 @@ class TestGeometryMemo:
             self.rhs_and_diagnostics(state, S1_64, RescalingSpec("volume"), "G")
         assert set(counts.values()) == {1}
         per_name = [name for _, name in counts]
-        for name in ("ginv", "christoffels", "gamma", "scalar_curvature"):
+        for name in ("ginv", "christoffels", "gamma", "scalar_curvature", "volume"):
             assert per_name.count(name) == 1  # per grid
         for name in ("first", "Ginv", "laplacian_G", "grad_square", "s_volume"):
             assert per_name.count(name) == 2  # per bundle
+
+    def test_2d_frozen_g(self, counts):
+        # R, which alone differentiates the Gamma rows, runs once per grid
+        grid = PeriodicGrid((16, 12), (2 * np.pi, 3.0))
+        st = random_smooth_state(4, grid, 2, perturb_g=True, perturb_A=True)
+        st._metric.per_grid = {}  # a frozen g, as integrate_rrfs keeps it
+        for state in (st, RRFSState(st._metric, st.A, st.G)):  # two bundles on one g
+            self.rhs_and_diagnostics(state, grid, RescalingSpec("volume"), "AG")
+        assert set(counts.values()) == {1}
+        per_name = [name for _, name in counts]
+        for name in ("ginv", "christoffels", "gamma", "scalar_curvature", "volume"):
+            assert per_name.count(name) == 1  # per grid
+        for name in ("first", "second", "dA_sums", "laplacian_G", "s_volume"):
+            assert per_name.count(name) == 2  # per bundle
+
+    def test_1d_mode_off_moving_g_computes_no_curvature(self, counts):
+        # R is exactly 0 on a 1D base, so the g equation builds no -R g term
+        st = random_smooth_state(1, S1_64, 2, perturb_g=True)
+        rrfs_rhs(st, S1_64, RescalingSpec("off"), fields="gG")
+        names = {name for _, name in counts}
+        assert "trace_MM" in names and "scalar_curvature" not in names
 
     def test_scalar_curvature_once_per_grid_and_unchanged(self, counts, monkeypatch):
         # a frozen g computes R once per grid; the run equals one that computes it per bundle
@@ -1409,6 +1446,17 @@ class TestSnapshots:
         with pytest.raises(ValueError) as info:
             load_snapshot(path)
         assert str(info.value) == f"snapshot {path} has 7 node rows, not 8"
+
+    @pytest.mark.parametrize("grids", TestLibraryBoundary.MISMATCHES.values(),
+                             ids=TestLibraryBoundary.MISMATCHES.keys())
+    def test_state_of_other_grid_refused_before_the_file_is_opened(self, tmp_path, grids):
+        state_grid, grid = grids
+        st, path = flat_state(state_grid, n_fiber=2), tmp_path / "snap.txt"
+        with pytest.raises(ValueError) as info:
+            save_snapshot(st, grid, path)
+        assert str(info.value) == (f"state with g of shape {st.g.shape} does not fit grid "
+                                   f"{grid.sizes}")
+        assert not path.exists()
 
     @pytest.mark.parametrize("grid", [S1_64, PeriodicGrid((16, 16), (1.0, 1.0)),
                                       PeriodicGrid((24, 16), (2.0, 0.7))],
