@@ -359,6 +359,8 @@ def spans_two_decades(t_lo: float, t_hi: float) -> bool:
 def _fit_line(traj: Trajectory, component: str, window: tuple[float, float], transform):
     """Least-squares line y = slope * log t + intercept with y = transform(Q)
     over the samples in ``window``; returns (slope, intercept, r^2)."""
+    if component not in _COMPONENTS:
+        raise ValueError(f"component must be one of A, B, C, got {component!r}")
     t_lo, t_hi = window
     times = traj.times
     if not t_lo < t_hi:

@@ -215,9 +215,12 @@ class RescalingSpec:
 
 
 def _neighbours(fld: np.ndarray, axis: int, grid: PeriodicGrid):
-    """f[i-2], f[i-1], f[i+1], f[i+2] along a base axis, from one wrapped copy."""
+    """f[i-2], f[i-1], f[i+1], f[i+2] along a base axis, from one wrapped copy of a
+    node-major field: the grid axes first."""
     if not 0 <= axis < grid.n_base:
         raise ValueError(f"axis {axis} out of range for n = {grid.n_base}")
+    if fld.shape[:grid.n_base] != grid.sizes:
+        raise ValueError(f"field of shape {fld.shape} does not fit grid {grid.sizes}")
     m = fld.shape[axis]
     lead = (slice(None),) * axis
     wrapped = np.concatenate(
@@ -278,18 +281,19 @@ class _of_g(_memo):  # a _memo of g alone, once per of_g dict (a frozen g's bund
 class _Geometry:
     """Geometric quantities of one state, component-major, each computed once.
 
-    ``first`` stacks (A | G) once, component-major (G alone on a 1D base, as
-    is), and writes one ``d_central`` call per base axis into one
-    [axis, component, *grid] array; G and its derivatives are views of the
-    two.  ``second`` does the same on (F | dG) once per axis pair, and
-    ``d2_central`` runs once per axis on G.  ``christoffels`` differentiates
-    g and ``scalar_curvature`` the Gamma rows it reads; a frozen g's bundles
-    share these (``of_g``).  A base of dimension n <= 2 has one curvature
+    Each quantity differentiates the one field it reads, through ``_d``: one
+    ``d_central`` call per axis, written into one [axis, component, *grid]
+    array.  ``dG`` and ``dA`` (the derivatives of G and of A) take every base
+    axis, ``christoffels`` differentiates g, ``scalar_curvature`` each Gamma
+    row it reads along one axis, ``dA_sums`` F along every axis and
+    ``laplacian_G`` each mixed d_e d_a G (a < e) once; ``d2_central`` runs
+    once per axis on G.  A frozen g's bundles share the quantities of g
+    alone (``of_g``).  A base of dimension n <= 2 has one curvature
     component F = d_0 A_1 - d_1 A_0 with F_ab = eps_ab F, and every sum
     over dA, and the Ricci sum over c != b (its c = b terms cancel), runs
     over the ordered axis pairs (a, b, eps_ab): on a 1D base there are none
     and no F, so dA, delta dA and R are exactly 0, no Ricci or dA term is
-    built, and the stencil leaves A out.
+    built, and A is never differentiated.
 
     A bundle keeps the state's fields and ``_Metric``, not the state, so a
     state that keeps its bundle (``of``) forms no reference cycle with it.
@@ -313,33 +317,20 @@ class _Geometry:
             geo = state._bundles[grid] = cls(state, grid)
         return geo
 
-    def _d(self, fields: list, axes: list) -> tuple[list, list]:
-        """The fields as views of one component stack (a single field as is), and the
-        d_central of each along ``axes`` [axis, ...]: one call per axis on the whole stack."""
-        rows = [f.reshape((-1,) + self.grid.sizes) for f in fields] if fields[1:] else fields
-        stack = fields[0] if rows is fields else np.concatenate(
-            rows, out=np.empty((sum(map(len, rows)),) + self.grid.sizes))
-        d = np.empty((len(axes),) + stack.shape)
+    def _d(self, fld: np.ndarray, axes) -> np.ndarray:
+        """The d_central of the component-major ``fld`` along each of ``axes``, [axis, ...]."""
+        d = np.empty((len(axes),) + fld.shape)
         for k, e in enumerate(axes):
-            d[k] = _grid_last(d_central(_grid_first(stack, self.n), e, self.grid), self.n)
-        if rows is fields:
-            return fields, [d]
-        cuts = [slice(end - len(r), end) for r, end in zip(rows, accumulate(map(len, rows)))]
-        return ([stack[c].reshape(f.shape) for c, f in zip(cuts, fields)],
-                [d[:, c].reshape(d.shape[:1] + f.shape) for c, f in zip(cuts, fields)])
+            d[k] = _grid_last(d_central(_grid_first(fld, self.n), e, self.grid), self.n)
+        return d
 
     @_memo
-    def first(self) -> dict:  # G [i, j], dA [d, a, i] (2D; no F reads it in 1D), dG [d, i, j]
-        names = "AG" if self.n == 2 else "G"
-        fields, d = self._d([_grid_last(getattr(self, x), self.n) for x in names],
-                            list(range(self.n)))
-        return {"G": fields[-1], **dict(zip(("d" + x for x in names), d))}
+    def dG(self) -> np.ndarray:  # [d, i, j]
+        return self._d(_grid_last(self.G, self.n), range(self.n))
 
     @_memo
-    def second(self) -> list:
-        """Per pair (e, f): d_e F [i] and d_e d_a G [a, i, j] (a < e)."""
-        return [[d[0] for d in self._d([*self.F, self.first["dG"][:e]], [e])[1]]
-                for e, _, _ in self.eps]
+    def dA(self) -> np.ndarray:  # [d, a, i]; only F reads it, so a 1D base never forms it
+        return self._d(_grid_last(self.A, self.n), range(self.n))
 
     @_of_g
     def ginv(self) -> np.ndarray:  # [a, b] = adj(g)_ab / det g
@@ -355,7 +346,7 @@ class _Geometry:
 
     @_of_g
     def christoffels(self) -> np.ndarray:  # [c, a, b]
-        dg = self._d([_grid_last(self.g, self.n)], list(range(self.n)))[1][0]  # [d, a, b]
+        dg = self._d(_grid_last(self.g, self.n), range(self.n))  # [d, a, b]
         # T[d, a, b] = d_a g_db + d_b g_da - d_d g_ab
         T = dg.swapaxes(0, 1) + dg.transpose(1, 2, 0, *range(3, dg.ndim)) - dg
         return 0.5 * np.einsum("cd...,dab...->cab...", self.ginv, T)
@@ -366,19 +357,19 @@ class _Geometry:
 
     @_memo
     def F(self) -> list:  # [i] = d_0 A_1 - d_1 A_0: one field on a 2D base, none on a 1D one
-        return [self.first["dA"][a, b] - self.first["dA"][b, a] for a, b, s in self.eps if s > 0]
+        return [self.dA[a, b] - self.dA[b, a] for a, b, s in self.eps if s > 0]
 
     @_memo
     def dA_sums(self) -> dict:
         """delta dA [a, i], |dA|^2 and the dA terms of the A and G equations."""
-        n, N, gi, G = self.n, self.G.shape[-1], self.ginv, self.first["G"]
+        n, N, gi, G = self.n, self.G.shape[-1], self.ginv, _grid_last(self.G, self.n)
         out = {k: np.zeros(shape + self.grid.sizes) for k, shape in (
             ("delta", (n, N)), ("norm_sq", ()), ("A", (n, N)), ("G", (N, N)))}
         for F in self.F:  # g^{ac} g^{bd} F_cd = eps_ab F / det g gives |dA|^2 and the G term
             FG = np.einsum("i...,ij...->j...", F, G)
             out["norm_sq"] += 2.0 * np.einsum("j...,j...->...", FG, F) / self.metric.det
             out["G"] -= FG[:, None] * FG / self.metric.det
-            dF = np.stack([dF_e for dF_e, _ in self.second])  # [d, i]
+            dF = self._d(F, range(n))  # [d, i]
             for x, y, s in self.eps:
                 # -g^{bc} (d_b F_ca - Gamma^m_bc F_ma - Gamma^m_ba F_cm) with (x, y)
                 # read as (c, a), (m, a) and (c, m)
@@ -392,22 +383,23 @@ class _Geometry:
     @_memo
     def laplacian_G(self) -> np.ndarray:  # [i, j]
         # g^{ab} (d_a d_b G - Gamma^c_ab d_c G), each mixed derivative once
-        n, gi, G = self.n, self.ginv, _grid_first(self.first["G"], self.n)
-        out = -np.einsum("c...,cij...->ij...", self.gamma, self.first["dG"])
+        n, gi = self.n, self.ginv
+        out = -np.einsum("c...,cij...->ij...", self.gamma, self.dG)
         for a in range(n):
-            out += gi[a, a] * _grid_last(d2_central(G, a, a, self.grid), n)
-        for e, (_, ddG) in enumerate(self.second):
-            for a in range(e):  # each mixed derivative once
+            out += gi[a, a] * _grid_last(d2_central(self.G, a, a, self.grid), n)
+        for e in range(1, n):
+            ddG = self._d(self.dG[:e], [e])[0]  # [a, i, j] = d_e d_a G, a < e
+            for a in range(e):
                 out += 2.0 * gi[a, e] * ddG[a]
         return out
 
     @_memo
     def M(self) -> np.ndarray:  # [a, i, j] = G^-1 d_a G
-        return inv_times(self.Ginv, self.first["dG"])
+        return inv_times(self.Ginv, self.dG)
 
     @_memo
     def grad_square(self) -> np.ndarray:  # [i, j] = g^{ab} d_a G G^-1 d_b G
-        return np.einsum("aik...,ab...,bkj...->ij...", self.first["dG"], self.ginv, self.M)
+        return np.einsum("aik...,ab...,bkj...->ij...", self.dG, self.ginv, self.M)
 
     @_memo
     def trace_MM(self) -> np.ndarray:  # [a, b] = tr(G^-1 d_a G G^-1 d_b G)
@@ -423,7 +415,7 @@ class _Geometry:
         # d_c Gamma^c_ab - d_b Gamma^c_ac + Gamma^c_cd Gamma^d_ab - Gamma^c_bd Gamma^d_ac
         gi, Gam, out = self.ginv, self.christoffels, np.zeros(self.grid.sizes)
         # per pair (e, f): d_e Gamma^c_af [c, a], the Gamma rows that the sum differentiates
-        dGam = [self._d([Gam[:, :, f]], [e])[1][0][0] for e, f, _ in self.eps]
+        dGam = [self._d(Gam[:, :, f], [e])[0] for e, f, _ in self.eps]
         for c, b, _ in self.eps:
             out += np.einsum("a...,a...->...", gi[b], dGam[c][c] - dGam[b][c])
             out += np.einsum("d...,a...,da...->...", Gam[c, c], gi[b], Gam[:, :, b])
@@ -499,7 +491,7 @@ def tension_G_general(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     before g^{ab} weighs it into one [i, j] sum.
     """
     geo = _Geometry.of(state, grid)
-    dG, out = geo.first["dG"], geo.laplacian_G.copy()
+    dG, out = geo.dG, geo.laplacian_G.copy()
     for a in range(geo.n):
         for b in range(geo.n):
             out += geo.ginv[a, b] * connection(geo.Ginv, dG[a], dG[b])
@@ -593,6 +585,8 @@ def rrfs_rhs(
     """Right-hand side of the rescaled flow system for each of ``fields`` ("g",
     "A", "G"), by default (dg/dt, dA/dt, dG/dt); no other field's terms are built.
     It reads the state's own bundle, which the diagnostics then share."""
+    if not fields or not set(fields) <= _TERMS.keys():
+        raise ValueError(f"fields must be a non-empty string of g, A and G, got {fields!r}")
     geo = _Geometry.of(state, grid)
     s = geo.s(spec)
     out = []

@@ -394,6 +394,26 @@ def _value(text: str):
     return BIG_INTS[text] if text in BIG_INTS else float(text)
 
 
+GRID_2D = rrfs.PeriodicGrid((16, 12), (2 * np.pi, 3.0))
+
+
+def _zeros(shape: str) -> np.ndarray:
+    """A field of zeros of the comma-separated ``shape``; "" gives a 0-d field."""
+    return np.zeros(tuple(int(m) for m in shape.split(",") if m))
+
+
+# arguments that are not numbers, which no edge is swapped into: a row gives its text
+TEXT_LIBRARY = {
+    "fit_power_law.component": lambda v: nil3.fit_power_law(_trajectory(), v, (0.1, 10.0)),
+    "fit_log_growth.component": lambda v: nil3.fit_log_growth(_trajectory(), v, (0.1, 10.0)),
+    "rrfs_rhs.fields": lambda v: rrfs.rrfs_rhs(_state(), GRID, OFF, fields=v),
+    "d_central.shape": lambda v: rrfs.d_central(_zeros(v), 0, GRID),
+    "d_central.shape.2d": lambda v: rrfs.d_central(_zeros(v), 0, GRID_2D),
+    "d2_central.shape": lambda v: rrfs.d2_central(_zeros(v), 0, 0, GRID),
+    "d2_central.shape.2d": lambda v: rrfs.d2_central(_zeros(v), 0, 1, GRID_2D),
+}
+
+
 LIBRARY_CASES = [
     pytest.param(call, _value(value), id=f"{name}={value}")
     for table, values in ((LIBRARY, EDGES), (INT_LIBRARY, INT_EDGES))
@@ -622,6 +642,18 @@ LIBRARY_MESSAGES = {
     # a/s past the bound of MapSlope: the refusal names the blowdown, not a slope never given
     ("MapSlope.blowdown.s", "5e-324"): "the blowdown by s = 5e-324 overflows the slope",
     ("MapSlope.blowdown.s", "1e-300"): "the blowdown by s = 1e-300 overflows the slope",
+    # names that no table holds, and fields that do not fit their grid: a 32-node
+    # field on 16 nodes, a field with no axes, a transposed 2D field
+    ("fit_power_law.component", "D"): "component must be one of A, B, C, got 'D'",
+    ("fit_log_growth.component", "D"): "component must be one of A, B, C, got 'D'",
+    ("rrfs_rhs.fields", "x"): "fields must be a non-empty string of g, A and G, got 'x'",
+    ("rrfs_rhs.fields", ""): "fields must be a non-empty string of g, A and G, got ''",
+    ("d_central.shape", "32"): "field of shape (32,) does not fit grid (16,)",
+    ("d_central.shape", ""): "field of shape () does not fit grid (16,)",
+    ("d_central.shape.2d", "12,16"): "field of shape (12, 16) does not fit grid (16, 12)",
+    ("d2_central.shape", "32"): "field of shape (32,) does not fit grid (16,)",
+    ("d2_central.shape", ""): "field of shape () does not fit grid (16,)",
+    ("d2_central.shape.2d", "12,16"): "field of shape (12, 16) does not fit grid (16, 12)",
 }
 
 
@@ -658,8 +690,9 @@ def test_cli_message_prefix(command, option, value, prefix, trajectory, tmp_path
     for (name, value), message in LIBRARY_MESSAGES.items()
 ])
 def test_library_message(name, value, message):
+    call = {**LIBRARY, **INT_LIBRARY, **TEXT_LIBRARY}[name]
     with pytest.raises(ValueError) as info:
-        {**LIBRARY, **INT_LIBRARY}[name](_value(value))
+        call(value if name in TEXT_LIBRARY else _value(value))
     assert str(info.value) == message
 
 

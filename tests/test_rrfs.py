@@ -507,10 +507,10 @@ class TestLinearModeOrder:
 
 
 class TestStencilCalls:
-    """One RHS makes one ``d_central`` call per base axis on the stack of the
-    fields it differentiates, one per axis pair in ``second``, and one pure
-    ``d2_central`` call per axis on G; the quantities of g alone differentiate
-    g and the Gamma rows they read, once per grid for a frozen g."""
+    """Each quantity of one RHS differentiates the one field it reads, one
+    ``d_central`` call per axis it needs, and ``d2_central`` runs once per axis
+    on G; the quantities of g alone differentiate g and the Gamma rows they
+    read, once per grid for a frozen g, and a 1D base never differentiates A."""
 
     @pytest.fixture
     def sizes_in(self, monkeypatch):
@@ -540,11 +540,13 @@ class TestStencilCalls:
         st = random_smooth_state(4, grid, 2, perturb_g=True, perturb_A=True)
         rrfs_rhs(st, grid, RescalingSpec("volume"))
         nodes = 16 * 12
-        # g per axis for Gamma; the Gamma rows d_0 Gamma^c_a1 and d_1 Gamma^c_a0 for R;
-        # first: (A | G) per axis; second: (F) on axis 0, (F | d_0 G) on axis 1
+        # A per axis for F; g per axis for Gamma; the Gamma rows d_0 Gamma^c_a1 and
+        # d_1 Gamma^c_a0 for R; G per axis; F per axis for delta dA; d_1 d_0 G
         assert sizes_in == {"d_central": [4 * nodes, 4 * nodes, 4 * nodes, 4 * nodes,
-                                          8 * nodes, 8 * nodes, 2 * nodes, 6 * nodes],
+                                          4 * nodes, 4 * nodes, 4 * nodes, 4 * nodes,
+                                          2 * nodes, 2 * nodes, 4 * nodes],
                             "d2_central": [4 * nodes, 4 * nodes]}
+        assert sum(sizes_in["d_central"]) == 40 * nodes
 
     def test_2d_frozen_g(self, sizes_in):
         grid = PeriodicGrid((16, 12), (2 * np.pi, 3.0))
@@ -555,9 +557,17 @@ class TestStencilCalls:
             calls.clear()
         rrfs_rhs(RRFSState(st._metric, st.A, st.G), grid, RescalingSpec("volume"), fields="AG")
         nodes = 16 * 12
-        # first: (A | G) per axis; second: (F) on axis 0, (F | d_0 G) on axis 1
-        assert sizes_in == {"d_central": [8 * nodes, 8 * nodes, 2 * nodes, 6 * nodes],
+        # A per axis for F; G per axis; F per axis for delta dA; d_1 d_0 G
+        assert sizes_in == {"d_central": [4 * nodes, 4 * nodes, 4 * nodes, 4 * nodes,
+                                          2 * nodes, 2 * nodes, 4 * nodes],
                             "d2_central": [4 * nodes, 4 * nodes]}
+
+    def test_1d_all_fields_moving_leaves_A_out(self, sizes_in):
+        # no axis pair, so no F reads dA and R differentiates no Gamma row: g for
+        # Gamma, then G; A, of 3 values per node, is never differentiated
+        st = random_smooth_state(1, S1_64, 3, perturb_g=True, perturb_A=True)
+        rrfs_rhs(st, S1_64, RescalingSpec("volume"))
+        assert sizes_in == {"d_central": [64, 9 * 64], "d2_central": [9 * 64]}
 
 
 class TestIntegration:
@@ -935,7 +945,7 @@ class TestGeometryMemo:
         st = random_smooth_state(4, grid, 2, perturb_g=True, perturb_A=True)
         self.rhs_and_diagnostics(st, grid, RescalingSpec("volume", c_coupling=0.5), "gAG")
         assert set(counts.values()) == {1}
-        assert {"first", "second", "Ginv", "dA_sums", "laplacian_G", "trace_MM",
+        assert {"dG", "dA", "Ginv", "dA_sums", "laplacian_G", "trace_MM",
                 "scalar_curvature", "s_volume", "energy"} <= {name for _, name in counts}
 
     def test_1d_frozen_g(self, counts):
@@ -947,7 +957,7 @@ class TestGeometryMemo:
         per_name = [name for _, name in counts]
         for name in ("ginv", "christoffels", "gamma", "scalar_curvature", "volume"):
             assert per_name.count(name) == 1  # per grid
-        for name in ("first", "Ginv", "laplacian_G", "grad_square", "s_volume"):
+        for name in ("dG", "Ginv", "laplacian_G", "grad_square", "s_volume"):
             assert per_name.count(name) == 2  # per bundle
 
     def test_2d_frozen_g(self, counts):
@@ -961,7 +971,7 @@ class TestGeometryMemo:
         per_name = [name for _, name in counts]
         for name in ("ginv", "christoffels", "gamma", "scalar_curvature", "volume"):
             assert per_name.count(name) == 1  # per grid
-        for name in ("first", "second", "dA_sums", "laplacian_G", "s_volume"):
+        for name in ("dG", "dA", "dA_sums", "laplacian_G", "s_volume"):
             assert per_name.count(name) == 2  # per bundle
 
     def test_1d_mode_off_moving_g_computes_no_curvature(self, counts):
