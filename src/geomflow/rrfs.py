@@ -280,12 +280,15 @@ class _Geometry:
     row it reads along one axis, ``dA_sums`` F along every axis and
     ``laplacian_G`` each mixed d_e d_a G (a < e) once; ``d2_central`` runs
     once per axis on G.  A frozen g's bundles share the quantities of g
-    alone (``of_g``).  A base of dimension n <= 2 has one curvature
+    alone (``of_g``).  A base of dimension n <= 2 has at most one curvature
     component F = d_0 A_1 - d_1 A_0 with F_ab = eps_ab F, and every sum
     over dA, and the Ricci sum over c != b (its c = b terms cancel), runs
-    over the ordered axis pairs (a, b, eps_ab): on a 1D base there are none
-    and no F, so dA, delta dA and R are exactly 0, no Ricci or dA term is
-    built, and A is never differentiated.
+    over the ordered axis pairs (a, b, eps_ab).  ``F`` keeps the component
+    only where it is not all zeros, so a flat connection (F = 0: A = 0 or
+    constant in space) on a 2D base, like any connection on a 1D base, has
+    no F: dA, delta dA and |dA|^2 are exactly 0, and no dF, dA sum or dA
+    term is built.  On a 1D base there are no axis pairs, so R is exactly 0,
+    no Ricci term is built, and A is never differentiated.
 
     A bundle keeps the state's fields and ``_Metric``, not the state, so a
     state that keeps its bundle (``of``) forms no reference cycle with it.
@@ -348,8 +351,9 @@ class _Geometry:
         return np.einsum("ab...,cab...->c...", self.ginv, self.christoffels)
 
     @_memo
-    def F(self) -> list:  # [i] = d_0 A_1 - d_1 A_0: one field on a 2D base, none on a 1D one
-        return [self.dA[a, b] - self.dA[b, a] for a, b, s in self.eps if s > 0]
+    def F(self) -> list:  # [i] = d_0 A_1 - d_1 A_0 on a 2D base, unless it is all zeros
+        F = [self.dA[a, b] - self.dA[b, a] for a, b, s in self.eps if s > 0]
+        return [f for f in F if f.any()]
 
     @_memo
     def dA_sums(self) -> dict:
@@ -451,10 +455,11 @@ def christoffels_of_g(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
 def dA_field(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
     """Curvature 2-form of the connection, [..., a, b, i] antisymmetric in (a, b)."""
     geo = _Geometry.of(state, grid)
-    F = np.zeros((geo.n, geo.n, state.n_fiber) + grid.sizes)
-    for a, b, s in geo.eps:
-        F[a, b] = s * geo.F[0]
-    return _grid_first(F, geo.n)
+    out = np.zeros((geo.n, geo.n, state.n_fiber) + grid.sizes)
+    for F in geo.F:
+        for a, b, s in geo.eps:
+            out[a, b] = s * F
+    return _grid_first(out, geo.n)
 
 
 def delta_dA(state: RRFSState, grid: PeriodicGrid) -> np.ndarray:
@@ -521,15 +526,16 @@ def s_volume(state: RRFSState, grid: PeriodicGrid) -> float:
     return _Geometry.of(state, grid).s_volume
 
 
-# The terms of each field's equation, None for the Ricci and dA terms on a 1D base, where
-# R = 0 and there is no F, and for G's rescaling term when c s = 0.  -2 Rc = -R g and
-# 1/2 |dA|^2 g hold on a 2D base (Rc = (R/2) g and eps g^-1 eps^T = g / det g).
+# The terms of each field's equation, None for the Ricci term on a 1D base, where R = 0,
+# for the dA terms without F (a 1D base, or a flat connection on a 2D one) and for G's
+# rescaling term when c s = 0.  -2 Rc = -R g and 1/2 |dA|^2 g hold on a 2D base
+# (Rc = (R/2) g and eps g^-1 eps^T = g / det g).
 
 
 def _g_terms(geo: _Geometry, s: float, c: float) -> dict:
     g = geo.g
     return {
-        "g_ricci": -geo.scalar_curvature[..., None, None] * g if geo.F else None,
+        "g_ricci": -geo.scalar_curvature[..., None, None] * g if geo.eps else None,
         "g_gradG": 0.5 * _grid_first(geo.trace_MM, geo.n),
         "g_dA": 0.5 * geo.dA_sums["norm_sq"][..., None, None] * g if geo.F else None,
         "g_rescale": -s * g,

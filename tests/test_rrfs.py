@@ -54,6 +54,14 @@ def flat_state(grid, n_fiber=1, g_field=None, A_field=None, G_field=None):
     return RRFSState(g, A, G)
 
 
+def flat_connections():
+    """The seed-4 (16, 12) state with curved g and A = 0, and the same with A constant."""
+    grid = PeriodicGrid((16, 12), (2 * np.pi, 3.0))
+    st = random_smooth_state(4, grid, 2, perturb_g=True)
+    constant = np.broadcast_to([[0.3, -1.2], [0.7, 2.0]], st.A.shape)
+    return grid, {"zero": st, "constant": RRFSState(st.g, constant, st.G)}
+
+
 class TestGrid:
     @pytest.mark.parametrize("sizes", [(8.9,), (8, 9.5), (np.inf,), (np.nan,)])
     def test_non_integral_size_rejected(self, sizes):
@@ -366,6 +374,50 @@ class TestRHS:
             npt.assert_array_equal(arr, full[field])
 
 
+class TestFlatConnection:
+    """A connection with F = dA = 0 (A = 0 or constant in space) on a 2D base keeps the
+    Ricci term -R g, builds none of the four dA terms, and gives the right-hand side
+    that the unskipped dA sums give, up to the sign of a zero."""
+
+    @pytest.mark.parametrize("kind", ["zero", "constant"])
+    def test_ricci_term_kept_and_dA_terms_zero(self, kind):
+        grid, states = flat_connections()
+        st = states[kind]
+        T = rrfs_rhs_terms(st, grid, RescalingSpec("volume", c_coupling=0.7))
+        ricci = -scalar_curvature(st, grid)[..., None, None] * st.g
+        assert np.abs(ricci).max() > 1e-3
+        npt.assert_array_equal(T["g_ricci"], ricci)
+        for key in ("g_dA", "A_codiff", "A_gradG", "G_dA"):
+            npt.assert_array_equal(T[key], np.zeros(getattr(st, key[0]).shape))
+
+    @pytest.mark.parametrize("kind", ["zero", "constant"])
+    def test_curvature_of_A_is_exactly_zero(self, kind):
+        grid, states = flat_connections()
+        st = states[kind]
+        for fn, shape in ((dA_field, (2, 2, 2)), (delta_dA, (2, 2)), (rrfs.dA_norm_sq, ())):
+            got = fn(st, grid)
+            assert got.shape == grid.sizes + shape, fn.__name__
+            assert not got.any(), fn.__name__
+
+    @pytest.mark.parametrize("spec", [RescalingSpec("off", c_coupling=0.7),
+                                      RescalingSpec("constant", s0=0.3, c_coupling=0.7),
+                                      RescalingSpec("volume", c_coupling=0.7)],
+                             ids=["off", "c0", "volume"])
+    @pytest.mark.parametrize("kind", ["zero", "constant"])
+    def test_rhs_equals_the_unskipped_dA_sums(self, kind, spec, monkeypatch):
+        grid, states = flat_connections()
+        got = rrfs_rhs(states[kind], grid, spec)
+
+        def F(geo):  # the all-zero component kept, so every dA sum and term is formed
+            return [geo.dA[a, b] - geo.dA[b, a] for a, b, s in geo.eps if s > 0]
+
+        monkeypatch.setattr(rrfs._Geometry, "F", rrfs._memo(F))
+        _, states = flat_connections()
+        assert len(rrfs._Geometry.of(states[kind], grid).F) == 1
+        for arr, want in zip(got, rrfs_rhs(states[kind], grid, spec)):
+            npt.assert_array_equal(arr, want)  # -0.0 == 0.0
+
+
 class TestCoupledSpatialOrder:
     """The full 2D right-hand side with g, A and G all varying (volume mode,
     c = 0.5) converges at 4th order in space: each of dg, dA and dG on m^2
@@ -562,6 +614,19 @@ class TestStencilCalls:
                                           2 * nodes, 2 * nodes, 4 * nodes],
                             "d2_central": [4 * nodes, 4 * nodes]}
 
+    def test_2d_flat_connection(self, sizes_in):
+        # A = 0 and a constant A have F = 0: A per axis, whose F is dropped; g per axis
+        # for Gamma; the two Gamma rows for R; G per axis; d_1 d_0 G, and no dF
+        grid, states = flat_connections()
+        nodes = 16 * 12
+        for st in states.values():
+            for calls in sizes_in.values():
+                calls.clear()
+            rrfs_rhs(st, grid, RescalingSpec("volume"))
+            assert sizes_in == {"d_central": [4 * nodes] * 9,
+                                "d2_central": [4 * nodes, 4 * nodes]}
+            assert sum(sizes_in["d_central"]) == 36 * nodes
+
     def test_1d_all_fields_moving_leaves_A_out(self, sizes_in):
         # no axis pair, so no F reads dA and R differentiates no Gamma row: g for
         # Gamma, then G; A, of 3 values per node, is never differentiated
@@ -584,6 +649,18 @@ class TestIntegration:
                              evolve_g=False, evolve_A=False, n_snapshots=6)
         sups = [np.abs(s.G - s.G.mean(axis=0)).max() for s in run.snapshots]
         assert all(a > b for a, b in zip(sups, sups[1:]))
+
+    @pytest.mark.parametrize("spec", [RescalingSpec("off"), RescalingSpec("constant", s0=0.3),
+                                      RescalingSpec("volume", c_coupling=0.7)],
+                             ids=["off", "c0", "volume"])
+    def test_2d_zero_connection_stays_zero(self, spec):
+        grid, states = flat_connections()
+        run = integrate_rrfs(states["zero"], grid, spec, 0.1, n_snapshots=4)
+        assert len(run.step_times) > 5
+        assert np.abs(run.final_state.g - states["zero"].g).max() > 0  # g moves
+        for snap in run.snapshots:
+            assert not snap.A.any()
+            assert not dA_field(snap, grid).any()
 
     def test_richardson_refinement_slope(self):
         finals = {}
